@@ -26,7 +26,6 @@ import numpy as np
 from repro.core import ElemEM, M2NVFP4, SgEE, SgEM, m2xfp
 from repro.formats.registry import FP4_E2M1, FP6_E2M3, FP8_E4M3
 from repro.kernels import fast_kernels, reference_kernels
-from repro.kernels.bittwiddle import encode_magnitudes
 from repro.models.profiles import load_runtime
 from repro.models.quantized import NO_WEIGHT_CACHE_ENV, QuantizedLM
 from repro.mx import MXFP4, NVFP4
@@ -70,9 +69,6 @@ def run_benchmarks(quick: bool = False) -> dict:
                        ("fp8_e4m3_encode", FP8_E4M3)):
         results[name] = _bench_pair(lambda s=spec: s.encode(x1m), x1m.size,
                                     reps_fast=5, reps_ref=3)
-        with fast_kernels():
-            bt = _best_time(lambda s=spec: encode_magnitudes(s, x1m), 5)
-        results[name]["bittwiddle_s"] = round(bt, 6)
 
     # --- block formats -------------------------------------------------
     w_act = rng.standard_normal((1024 // scale, 4096))

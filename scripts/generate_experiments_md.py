@@ -58,10 +58,10 @@ Every quantization hot path runs through the fast kernel subsystem in
   decision boundaries at construction, so encode/quantize is a single
   `searchsorted` (and grids quantized via `quantize_to_grid` hit a
   per-grid boundary cache);
-* **bit-twiddle encode** — `REPRO_BITTWIDDLE=1` switches `FloatSpec`
-  encoding to integer mask/shift ops on the float64 bit patterns
-  (`repro/kernels/bittwiddle.py`), with exact power-of-two `exp_shift`
-  scaling;
+* **two implementations** — the fast kernels and the reference
+  path are the only dispatch choices; `REPRO_REFERENCE_KERNELS=1`
+  selects the reference process-wide, `reference_kernels()` for the
+  calling thread only;
 * **batched code-space search** — the Sg-EM / adaptive Sg-EE / M2-NVFP4
   (bias x multiplier) searches quantize the whole candidate grid in one
   chunked, cache-resident pass (`repro/kernels/search.py`) instead of 12
@@ -143,8 +143,8 @@ python -m repro serve --workers 2         # TCP quantization server, sharded
   ``results/cache``), ``REPRO_RESULTS_DIR`` (artifact location),
   ``REPRO_NO_RESULT_CACHE=1`` (disable the result cache),
   ``REPRO_NO_WEIGHT_CACHE=1`` (disable the in-process weight cache),
-  ``REPRO_REFERENCE_KERNELS=1`` / ``REPRO_BITTWIDDLE=1`` (kernel
-  dispatch; each mode has its own cache namespace),
+  ``REPRO_REFERENCE_KERNELS=1`` (kernel dispatch; fast and
+  reference have separate cache namespaces),
   ``REPRO_PACKED_WEIGHTS=1`` (store quantized weights as packed
   containers), ``REPRO_SERVER_PORT`` / ``REPRO_SERVER_MAX_INFLIGHT`` /
   ``REPRO_SERVER_WORKERS`` (network server defaults). The full table

@@ -110,8 +110,8 @@ class EvalEngine:
 
     @staticmethod
     def _mode_key() -> tuple:
-        from ..kernels.dispatch import use_bittwiddle, use_reference
-        return (use_reference(), use_bittwiddle(),
+        from ..kernels.dispatch import use_reference
+        return (use_reference(),
                 os.environ.get(PACKED_WEIGHTS_ENV, "0") == "1")
 
     def _arm_key(self, runtime: ProfileRuntime, fmt: TensorFormat):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FormatError
-from ..kernels.bittwiddle import encode_magnitudes
-from ..kernels.dispatch import use_bittwiddle, use_reference
+from ..kernels.dispatch import use_reference
 from ..kernels.lut import (cached_boundaries, cached_thresholds,
                            exact_boundaries, threshold_codes)
 
@@ -163,8 +162,7 @@ class FloatSpec:
         ``sign`` is 0/1 (1 for negative inputs, including -0.0); codes
         saturate at the largest representable magnitude. The default path
         is one ``searchsorted`` against the boundaries precomputed at
-        construction; ``REPRO_BITTWIDDLE=1`` selects the integer encoder
-        on float64 bit patterns instead. Both match the reference path
+        construction, matching the reference path
         (``REPRO_REFERENCE_KERNELS=1``) bit for bit.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -172,8 +170,6 @@ class FloatSpec:
         if use_reference() or self._bounds is None:
             codes = quantize_to_grid_reference(np.abs(x), self._grid)
             return sign, codes.astype(np.int64)
-        if use_bittwiddle():
-            return sign, encode_magnitudes(self, x)
         codes = np.searchsorted(self._bounds, np.abs(x), side="left")
         return sign, codes.astype(np.int64)
 
@@ -195,10 +191,7 @@ class FloatSpec:
             sign, codes = self.encode(x)
             return self.decode(sign, codes)
         x = np.asarray(x, dtype=np.float64)
-        if use_bittwiddle():
-            codes = encode_magnitudes(self, x)
-        else:
-            codes = np.searchsorted(self._bounds, np.abs(x), side="left")
+        codes = np.searchsorted(self._bounds, np.abs(x), side="left")
         vals = self._grid[codes]
         return np.where(np.signbit(x), -vals, vals)
 

@@ -10,12 +10,10 @@ performance (and debugging) choice.
 
 Modules (all pure NumPy, importable without the rest of the library):
 
-* :mod:`~repro.kernels.dispatch` — environment/context switches;
+* :mod:`~repro.kernels.dispatch` — the fast/reference switch
+  (environment default, thread-scoped context overrides);
 * :mod:`~repro.kernels.lut` — per-grid decision-boundary caches turning
   RTNE grid quantization into one ``searchsorted``;
-* :mod:`~repro.kernels.bittwiddle` — integer encode on float64 bit
-  patterns (mask mantissa, extract exponent), with exact power-of-two
-  ``exp_shift`` scaling;
 * :mod:`~repro.kernels.search` — the batched code-space candidate
   search behind Sg-EM, adaptive Sg-EE and M2-NVFP4 weights;
 * :mod:`~repro.kernels.elem` — fused Elem-EM top-k / Elem-EE offset
@@ -31,9 +29,8 @@ Example::
     assert fast.tobytes() == slow.tobytes()  # the parity contract
 """
 
-from .bittwiddle import encode_magnitudes
-from .dispatch import (BITTWIDDLE_ENV, REFERENCE_ENV, fast_kernels,
-                       reference_kernels, use_bittwiddle, use_reference)
+from .dispatch import (REFERENCE_ENV, fast_kernels, reference_kernels,
+                       use_reference)
 from .elem import (elem_ee_offsets, elem_ee_select, fp6_topk_refine,
                    top_indices)
 from .lut import (boundaries_are_exact, cached_boundaries, cached_thresholds,
@@ -42,12 +39,10 @@ from .lut import (boundaries_are_exact, cached_boundaries, cached_thresholds,
 from .search import candidate_search, gather_candidate_codes, hierarchical_select
 
 __all__ = [
-    "REFERENCE_ENV", "BITTWIDDLE_ENV", "use_reference", "use_bittwiddle",
-    "reference_kernels", "fast_kernels",
+    "REFERENCE_ENV", "use_reference", "reference_kernels", "fast_kernels",
     "rtne_boundaries", "boundaries_are_exact", "exact_boundaries",
     "cached_boundaries", "compiled_thresholds", "cached_thresholds",
     "threshold_codes",
-    "encode_magnitudes",
     "candidate_search", "hierarchical_select", "gather_candidate_codes",
     "top_indices", "fp6_topk_refine", "elem_ee_select", "elem_ee_offsets",
 ]

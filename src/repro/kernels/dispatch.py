@@ -1,8 +1,8 @@
 """Fast/reference kernel dispatch for the whole quantization library.
 
 Every hot path in the library (``FloatSpec.encode``, the Sg-EM / Sg-EE /
-M2-NVFP4 adaptive searches, the Elem-EM/EE refinements) exists in two
-implementations:
+M2-NVFP4 adaptive searches, the Elem-EM/EE refinements) exists in exactly
+two implementations:
 
 * the **reference** path — the original, obviously-correct formulation,
   kept unchanged as the semantic ground truth;
@@ -11,15 +11,13 @@ implementations:
 The two are bit-identical on every input (``tests/test_kernel_parity.py``
 sweeps all registered formats over adversarial tensors); the fast path is
 the default. Export ``REPRO_REFERENCE_KERNELS=1`` to force the reference
-path globally — the escape hatch for ruling the kernels out while
-debugging — or use the :func:`reference_kernels` / :func:`fast_kernels`
-context managers for scoped control (they override the environment).
-
-``REPRO_BITTWIDDLE=1`` additionally switches ``FloatSpec`` encoding from
-the boundary-cache ``searchsorted`` kernel to the integer bit-twiddle
-encoder in :mod:`repro.kernels.bittwiddle`; both fast flavours are
-parity-tested against the reference. (Both knobs are listed in the
-README's environment-knob table.)
+path process-wide — the escape hatch for ruling the kernels out while
+debugging (listed in the README's environment-knob table) — or use the
+:func:`reference_kernels` / :func:`fast_kernels` context managers for
+scoped control. A scope overrides the environment for the calling thread
+(strictly, the current :mod:`contextvars` context) only: a thread or
+asyncio task that did not enter it keeps its own dispatch, so pinning a
+mode on one request never leaks into another.
 
 Example::
 
@@ -36,48 +34,43 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
-__all__ = ["REFERENCE_ENV", "BITTWIDDLE_ENV", "use_reference",
-           "use_bittwiddle", "reference_kernels", "fast_kernels"]
+__all__ = ["REFERENCE_ENV", "use_reference", "reference_kernels",
+           "fast_kernels"]
 
 #: Environment variable selecting the reference (slow) kernel paths.
 REFERENCE_ENV = "REPRO_REFERENCE_KERNELS"
 
-#: Environment variable selecting the bit-twiddle FloatSpec encoder.
-BITTWIDDLE_ENV = "REPRO_BITTWIDDLE"
-
-_override: bool | None = None
+#: Scoped override (None = follow the environment). New threads start
+#: with an empty context, so they never see another thread's scope.
+_override: ContextVar[bool | None] = ContextVar("repro_dispatch_override",
+                                                default=None)
 
 
 def use_reference() -> bool:
     """True when the reference kernel paths are selected."""
-    if _override is not None:
-        return _override
+    override = _override.get()
+    if override is not None:
+        return override
     return os.environ.get(REFERENCE_ENV, "0") == "1"
 
 
-def use_bittwiddle() -> bool:
-    """True when ``FloatSpec`` should encode via the bit-twiddle kernel."""
-    return os.environ.get(BITTWIDDLE_ENV, "0") == "1"
-
-
 @contextmanager
+def _pinned(reference: bool):
+    prev = _override.get()
+    _override.set(reference)
+    try:
+        yield
+    finally:
+        _override.set(prev)
+
+
 def reference_kernels():
     """Force the reference path within the block, ignoring the environment."""
-    global _override
-    prev, _override = _override, True
-    try:
-        yield
-    finally:
-        _override = prev
+    return _pinned(True)
 
 
-@contextmanager
 def fast_kernels():
     """Force the fast path within the block, ignoring the environment."""
-    global _override
-    prev, _override = _override, False
-    try:
-        yield
-    finally:
-        _override = prev
+    return _pinned(False)

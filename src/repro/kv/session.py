@@ -167,8 +167,9 @@ class KVCacheSession:
         positions are never evicted (StreamingLM-style attention sinks).
     dispatch:
         Kernel dispatch mode pinned for every quantization this session
-        runs (``inherit`` / ``fast`` / ``reference`` / ``bittwiddle`` —
-        bit-identical by the parity contract).
+        runs (``inherit`` / ``fast`` / ``reference`` — bit-identical by
+        the parity contract). The pin is scoped to the thread running
+        the append, so concurrent sessions never see each other's mode.
     session_id:
         Stable identifier; auto-generated when omitted.
     verify:

@@ -75,11 +75,11 @@ class QuantizedLM:
         # ``os.environ`` reads — a regression test in
         # ``tests/test_plan.py`` monkeypatches the environment mapping
         # to prove it.
-        from ..kernels.dispatch import use_bittwiddle, use_reference
-        self._dispatch = (use_reference(), use_bittwiddle())
+        from ..kernels.dispatch import use_reference
+        self._reference = use_reference()
         from ..plan import get_plan, plans_enabled
         self._get_plan = get_plan
-        self._use_plans = plans_enabled() and self._dispatch == (False, False)
+        self._use_plans = plans_enabled() and not self._reference
         self._act_plans: dict = {}
         self.packed_weights = False
         self._decode = None
@@ -102,7 +102,7 @@ class QuantizedLM:
                 # from the other mode. Packed containers get their own
                 # namespace so dense arms never see containers (and vice
                 # versa).
-                fmt_key = (fmt_key, *self._dispatch, self.packed_weights)
+                fmt_key = (fmt_key, self._reference, self.packed_weights)
                 cache = model.__dict__.setdefault("_quant_weight_cache", {})
 
         def quantize(w):
@@ -181,8 +181,7 @@ class QuantizedLM:
         if self._use_plans:
             plan = self._act_plans.get(x.shape, False)
             if plan is False:
-                plan = self._get_plan(self.fmt, "activation", x.shape, -1,
-                                      self._dispatch)
+                plan = self._get_plan(self.fmt, "activation", x.shape, -1)
                 self._act_plans[x.shape] = plan
             if plan is not None:
                 return plan.run(x)

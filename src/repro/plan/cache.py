@@ -3,12 +3,11 @@
 Plans are keyed by the full identity of the computation they compile:
 the format's configuration fingerprint (``weight_cache_key`` — class
 name plus every scalar attribute, recursing into nested formats), the
-kernel dispatch mode, the operand path, and the exact (shape, axis)
-signature. Fast, reference and bit-twiddle dispatch never share an
-entry; in fact only the default fast mode compiles at all — the
-reference and bit-twiddle modes are the escape hatches whose code paths
-must keep running unreplaced — so their entries are negative ("no
-plan") and the entry points stay on the legacy implementations.
+operand path, and the exact (shape, axis) signature. Plans exist only
+for the fast dispatch path: under reference dispatch (the escape hatch
+whose code paths must keep running unreplaced) :func:`lookup_plan`
+returns None before touching the cache, and the entry points stay on
+the reference implementations.
 
 The cache is a lock-protected LRU bounded at :data:`MAX_PLANS`
 entries; negative lookups are cached too, so unplannable formats cost
@@ -82,21 +81,18 @@ def _group_size(fmt) -> int | None:
     return size
 
 
-def get_plan(fmt, op: str, shape: tuple, axis: int,
-             mode: tuple[bool, bool] = (False, False)) -> QuantPlan | None:
-    """The cached plan for ``(fmt, op, shape, axis, mode)``, or None.
+def get_plan(fmt, op: str, shape: tuple, axis: int) -> QuantPlan | None:
+    """The cached fast-path plan for ``(fmt, op, shape, axis)``, or None.
 
-    ``mode`` is the ``(use_reference, use_bittwiddle)`` dispatch pair;
-    non-default modes always resolve to None (negative-cached). The
-    fingerprint comes from ``fmt.weight_cache_key``; formats it cannot
-    fingerprint are never planned.
+    The fingerprint comes from ``fmt.weight_cache_key``; formats it
+    cannot fingerprint are never planned.
     """
     if op not in _OPS:
         raise ValueError(f"op must be one of {_OPS}, got {op!r}")
     fingerprint = fmt.weight_cache_key
     if fingerprint is None or not shape:
         return None
-    key = (fingerprint, op, tuple(shape), axis, tuple(mode))
+    key = (fingerprint, op, tuple(shape), axis)
     with _lock:
         if key in _cache:
             _cache.move_to_end(key)
@@ -104,15 +100,14 @@ def get_plan(fmt, op: str, shape: tuple, axis: int,
             return _cache[key]
         _stats["misses"] += 1
         plan = None
-        if mode == (False, False):
-            size = _group_size(fmt)
-            if size is not None and shape[axis % len(shape)] is not None:
-                geom = GroupGeometry(shape, axis, size)
-                run, run_codes = compile_executor(fmt, op, geom)
-                if run is not None:
-                    plan = QuantPlan(key=key, run=run, geometry=geom,
-                                     run_codes=run_codes)
-                    _stats["compiles"] += 1
+        size = _group_size(fmt)
+        if size is not None and shape[axis % len(shape)] is not None:
+            geom = GroupGeometry(shape, axis, size)
+            run, run_codes = compile_executor(fmt, op, geom)
+            if run is not None:
+                plan = QuantPlan(key=key, run=run, geometry=geom,
+                                 run_codes=run_codes)
+                _stats["compiles"] += 1
         _cache[key] = plan
         if len(_cache) > MAX_PLANS:
             _cache.popitem(last=False)
@@ -124,14 +119,13 @@ def lookup_plan(fmt, op: str, x, axis: int) -> QuantPlan | None:
     """Entry-point helper: resolve dispatch state, then :func:`get_plan`."""
     if not plans_enabled():
         return None
-    from ..kernels.dispatch import use_bittwiddle, use_reference
-    mode = (use_reference(), use_bittwiddle())
-    if mode != (False, False):
+    from ..kernels.dispatch import use_reference
+    if use_reference():
         return None
     shape = np.shape(x)
     if not shape:
         return None
-    return get_plan(fmt, op, shape, axis, mode)
+    return get_plan(fmt, op, shape, axis)
 
 
 def clear_plan_cache() -> None:

@@ -126,13 +126,9 @@ def _compile_block(fmt: BlockFormat, op: str, geom: GroupGeometry):
             ax *= _exp2(-e)[:, None]
             # The magnitude code IS the boundary count, so the same
             # searchsorted that feeds ``run``'s grid gather yields the
-            # wire codes directly. (The uint64-view masked-bit-pattern
-            # encode — kernels/bittwiddle.encode_packed — derives
-            # identical codes from the raw float64 representation, but
-            # its ~30 elementwise passes lose to the boundary cache's
-            # single binary search on vectorized NumPy; it stays the
-            # REPRO_BITTWIDDLE dispatch analog, parity-pinned in
-            # tests/test_fused_pack.py.)
+            # wire codes directly. (A masked-bit-pattern encode on the
+            # float64 representation derives the same codes, but its ~30
+            # elementwise passes lose to one binary search in NumPy.)
             idx = np.searchsorted(bounds, ax, side="left")
             elems = np.signbit(groups).astype(np.int64) << mag_bits
             elems |= idx

@@ -7,7 +7,7 @@ numbers:
 * a *code salt* — a digest over the source of the whole ``repro``
   package, so any code change invalidates every entry (coarse but
   impossible to under-invalidate);
-* the kernel dispatch mode (fast / reference / bit-twiddle). The modes
+* the kernel dispatch mode (fast / reference). The modes
   are bit-identical by contract, but a cache must never be the thing
   that hides a parity break;
 * an optional extra fingerprint (the sweep runner passes the format
@@ -105,9 +105,9 @@ def code_salt() -> str:
     return _code_salt
 
 
-def _dispatch_mode() -> list:
-    from ..kernels.dispatch import use_bittwiddle, use_reference
-    return [bool(use_reference()), bool(use_bittwiddle())]
+def _dispatch_mode() -> bool:
+    from ..kernels.dispatch import use_reference
+    return bool(use_reference())
 
 
 def cache_key(experiment_id: str, kwargs: dict, extra=()) -> str:

@@ -41,7 +41,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -59,42 +59,22 @@ __all__ = ["QuantService", "DISPATCH_MODES"]
 
 _OPS = ("weight", "activation")
 
-#: Kernel dispatch modes a service can pin (``"inherit"`` = caller's env).
-DISPATCH_MODES = ("inherit", "fast", "reference", "bittwiddle")
-
-#: Serializes pinned-dispatch batch execution: the dispatch override is
-#: process-global, so only one non-inherit scope may be active at a time.
-#: All dispatch modes are bit-identical by the kernel parity contract, so
-#: a scope transiently observed by an inherit-mode thread changes speed,
-#: never values.
-_DISPATCH_LOCK = threading.Lock()
+#: Kernel dispatch modes a service can pin (``"inherit"`` = the environment).
+DISPATCH_MODES = ("inherit", "fast", "reference")
 
 
-@contextmanager
 def _dispatch_scope(mode: str):
-    """Execute a batch under the service's pinned kernel dispatch mode."""
-    if mode == "inherit":
-        yield
-        return
-    from ..kernels.dispatch import BITTWIDDLE_ENV, fast_kernels, \
-        reference_kernels
-    with _DISPATCH_LOCK:
-        if mode == "reference":
-            with reference_kernels():
-                yield
-            return
-        # Both fast flavours must pin the bittwiddle knob too: "fast"
-        # masks an ambient REPRO_BITTWIDDLE=1, "bittwiddle" forces it.
-        old = os.environ.get(BITTWIDDLE_ENV)
-        os.environ[BITTWIDDLE_ENV] = "1" if mode == "bittwiddle" else "0"
-        try:
-            with fast_kernels():
-                yield
-        finally:
-            if old is None:
-                os.environ.pop(BITTWIDDLE_ENV, None)
-            else:
-                os.environ[BITTWIDDLE_ENV] = old
+    """Execute a batch under the service's pinned kernel dispatch mode.
+
+    The pin is thread-scoped (see :mod:`repro.kernels.dispatch`): it
+    never changes what a concurrent batch or caller sees.
+    """
+    from ..kernels.dispatch import fast_kernels, reference_kernels
+    if mode == "fast":
+        return fast_kernels()
+    if mode == "reference":
+        return reference_kernels()
+    return nullcontext()
 
 
 def _tensor_scoped(fmt) -> bool:
@@ -144,9 +124,9 @@ class QuantService:
     dispatch:
         ``"inherit"`` (default) uses whatever kernel dispatch the
         environment selects at batch time; ``"fast"`` / ``"reference"``
-        / ``"bittwiddle"`` pin the mode for every batch this service
-        runs (all modes are bit-identical — the pin is a debugging /
-        serving-contract tool, not a semantic switch).
+        pin the mode for every batch this service runs (both are
+        bit-identical — the pin is a debugging / serving-contract tool,
+        not a semantic switch).
     """
 
     def __init__(self, fmt: TensorFormat | str, *, packed: bool = False,
@@ -302,15 +282,18 @@ class QuantService:
         fmt_key = self.fmt.weight_cache_key
         if fmt_key is None:
             return None
-        reference, bittwiddle = self._dispatch_flags()
-        return (fmt_key, reference, bittwiddle, self.packed, _digest(req.x))
+        return (fmt_key, self._uses_reference(), self.packed, _digest(req.x))
 
-    def _dispatch_flags(self) -> tuple[bool, bool]:
-        """(reference, bittwiddle) under this service's dispatch mode."""
+    def _uses_reference(self) -> bool:
+        """True when this service's batches run the reference kernels.
+
+        Batches run on service threads, outside any caller's dispatch
+        scope, so ``"inherit"`` follows the environment alone.
+        """
         if self.dispatch == "inherit":
-            from ..kernels.dispatch import use_bittwiddle, use_reference
-            return use_reference(), use_bittwiddle()
-        return (self.dispatch == "reference", self.dispatch == "bittwiddle")
+            from ..kernels.dispatch import REFERENCE_ENV
+            return os.environ.get(REFERENCE_ENV, "0") == "1"
+        return self.dispatch == "reference"
 
     def _weight_lookup(self, req: _Request):
         """Cached result for a weight request (stats counted by submit)."""

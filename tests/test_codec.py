@@ -6,7 +6,7 @@ Three layers:
   paths, ``decode(encode(x))`` equals the format's own kernel-dispatched
   quantize output *bit for bit* (``tobytes`` equality, so -0.0 counts),
   including zero tensors, negative zeros, padding of partial groups and
-  non-default axes, under fast / reference / bittwiddle dispatch.
+  non-default axes, under fast / reference dispatch.
 * **Footprint** — on group-aligned tensors the packed payload costs the
   format's nominal EBW per element (within per-stream byte rounding),
   with the two documented exceptions pinned exactly: Elem-EE stores a
@@ -21,8 +21,6 @@ Three layers:
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +29,6 @@ import pytest
 from repro.codec import PackedTensor, decode, encode
 from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
-from repro.kernels.dispatch import BITTWIDDLE_ENV
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "packed_vectors.json"
@@ -44,22 +41,7 @@ DISPATCH_SUBSET = ("mxfp4", "nvfp4", "smx4", "msfp12", "elem-em", "elem-ee",
                    "sg-em", "sg-ee", "m2xfp", "m2-nvfp4", "mxfp4-maxkeep")
 
 
-@contextmanager
-def _bittwiddle_kernels():
-    old = os.environ.get(BITTWIDDLE_ENV)
-    os.environ[BITTWIDDLE_ENV] = "1"
-    try:
-        with fast_kernels():
-            yield
-    finally:
-        if old is None:
-            os.environ.pop(BITTWIDDLE_ENV, None)
-        else:
-            os.environ[BITTWIDDLE_ENV] = old
-
-
-DISPATCH = {"fast": fast_kernels, "reference": reference_kernels,
-            "bittwiddle": _bittwiddle_kernels}
+DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
 
 
 def _reference_output(fmt, x, op, axis=-1):

@@ -32,7 +32,7 @@ def test_known_knobs_are_documented():
     table = mod.knobs_in_readme_table(REPO)
     # The knobs this repo has shipped so far; additions belong in both
     # the source and the README table (check_docs enforces the sync).
-    for knob in ("REPRO_REFERENCE_KERNELS", "REPRO_BITTWIDDLE",
+    for knob in ("REPRO_REFERENCE_KERNELS",
                  "REPRO_NO_WEIGHT_CACHE", "REPRO_NO_RESULT_CACHE",
                  "REPRO_CACHE_DIR", "REPRO_RESULTS_DIR",
                  "REPRO_PACKED_WEIGHTS", "REPRO_BENCH_REGRESSION"):

@@ -1,14 +1,14 @@
 """Fused quantize→pack conformance: the code-space contract end to end.
 
-Four layers, mirroring DESIGN.md §11:
+Three layers, mirroring DESIGN.md §11:
 
 * **Byte identity under the knob** — for every catalog format, both
   operand paths and the adversarial tensor family (zeros, subnormal
   magnitudes, near-overflow-but-finite, ragged trailing groups,
   single-element groups), the container bytes with the fused path
   enabled equal the ``REPRO_NO_FUSED_PACK=1`` fallback bytes exactly —
-  and under the non-default dispatch modes, where plans do not compile
-  and the knob must be a no-op.
+  and under reference dispatch, where plans do not compile and the
+  knob must be a no-op.
 * **Code-space contract** — for the eleven fused families the plan's
   ``run_codes`` emits streams in the codec's declared ``code_layout``
   order, every stream's values fit its declared bit width, the lazy
@@ -17,11 +17,6 @@ Four layers, mirroring DESIGN.md §11:
   container byte for byte. Engagement is asserted through
   ``collect_encode_stats`` so a silently-disabled fused path cannot
   pass vacuously.
-* **Bit-pattern encoder parity** — the uint64-view masked-bit-pattern
-  encoder (``kernels.bittwiddle.encode_packed``, the BFPsim idiom and
-  the ``REPRO_BITTWIDDLE`` dispatch analog) derives exactly the codes
-  the hot path's boundary-cache ``searchsorted`` derivation emits, for
-  every mini-float block element and adversarial scale placement.
 * **Golden vectors** — the committed packed / wire / HTTP vectors are
   reproduced byte-identically with the fused path on AND off, and a
   ``KVCacheSession`` run fused reads back the same packed K/V bytes as
@@ -42,10 +37,7 @@ from repro.codec import (FUSED_PACK_ENV, PackedTensor, collect_encode_stats,
                          decode, encode, fused_pack_enabled)
 from repro.codec.codecs import codec_for
 from repro.kernels import fast_kernels, reference_kernels
-from repro.kernels.bittwiddle import encode_packed
-from repro.kernels.dispatch import BITTWIDDLE_ENV
 from repro.kv import KVCacheSession, KVPolicy
-from repro.mx.scale_rules import shared_scale_exponent
 from repro.plan import clear_plan_cache, get_plan
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 from repro.server import protocol
@@ -76,22 +68,7 @@ def _fused_off():
             os.environ[FUSED_PACK_ENV] = old
 
 
-@contextmanager
-def _bittwiddle_kernels():
-    old = os.environ.get(BITTWIDDLE_ENV)
-    os.environ[BITTWIDDLE_ENV] = "1"
-    try:
-        with fast_kernels():
-            yield
-    finally:
-        if old is None:
-            os.environ.pop(BITTWIDDLE_ENV, None)
-        else:
-            os.environ[BITTWIDDLE_ENV] = old
-
-
-DISPATCH = {"fast": fast_kernels, "reference": reference_kernels,
-            "bittwiddle": _bittwiddle_kernels}
+DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
 
 
 def _adversarial_cases(rng) -> dict:
@@ -145,9 +122,9 @@ def test_fused_bytes_match_fallback(name, op, rng):
 @pytest.mark.parametrize("name", FUSED_FORMATS)
 def test_fused_bytes_match_fallback_across_dispatch(name, dispatch,
                                                     heavy_tensor):
-    # Plans only compile under the default dispatch, so in the
-    # reference and bittwiddle modes this doubles as the proof that
-    # the knob is a no-op there — identical bytes either way.
+    # Plans only compile under the fast dispatch, so in reference
+    # mode this doubles as the proof that the knob is a no-op there —
+    # identical bytes either way.
     fmt = make_format(name)
     with DISPATCH[dispatch]():
         for op in ("weight", "activation"):
@@ -232,38 +209,6 @@ def test_plan_cache_serves_the_codes_sibling(rng):
     first = get_plan(fmt, "weight", x.shape, axis=-1)
     again = get_plan(fmt, "weight", x.shape, axis=-1)
     assert first is again and first.run_codes is again.run_codes
-
-
-# ----------------------------------------------------------------------
-# Bit-pattern encoder parity (the REPRO_BITTWIDDLE dispatch analog)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["mxfp4", "mxfp6-e2m3", "mxfp6-e3m2",
-                                  "mxfp8-e4m3", "mxfp8-e5m2"])
-def test_encode_packed_matches_boundary_search_codes(name, rng):
-    """``encode_packed``'s uint64-view masked-bit-pattern codes equal
-    the boundary-cache ``searchsorted`` codes the fused block executor
-    packs (see ``plan/executors.py``) — same wire codes, two different
-    derivations, pinned against each other."""
-    fmt = make_format(name)
-    elem, gs = fmt.element, fmt.group_size
-    mag_bits = elem.exp_bits + elem.man_bits
-    cases = (
-        rng.standard_normal((16, gs)) * np.exp(
-            2 * rng.standard_normal((16, 1))),
-        np.zeros((2, gs)),
-        -(rng.random((2, gs)) < 0.5).astype(np.float64) * 0.0,  # -0.0s
-        rng.standard_normal((3, gs)) * 1e-300,
-        np.clip(rng.standard_normal((3, gs)), -2, 2) * 1e300,
-    )
-    for groups in cases:
-        amax = np.abs(groups).max(axis=-1)
-        e = shared_scale_exponent(amax, elem, fmt.scale_rule)
-        twiddled = encode_packed(elem, groups, exp_shift=e[:, None])
-        scaled = np.abs(groups) * np.exp2(-e.astype(np.float64))[:, None]
-        idx = np.searchsorted(elem.boundaries, scaled, side="left")
-        searched = (np.signbit(groups).astype(np.int64) << mag_bits) | idx
-        assert np.array_equal(twiddled, searched), \
-            f"{name}: bit-pattern codes diverged from boundary search"
 
 
 # ----------------------------------------------------------------------

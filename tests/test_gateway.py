@@ -223,6 +223,11 @@ def test_live_error_statuses_match_the_pinned_contract(cluster, rng):
         resp = conn.getresponse()
         assert resp.status == 400
         assert json.loads(resp.read())["exc_type"] == "ConfigError"
+        # The retired bit-twiddle dispatch mode is a bad request.
+        status, _, body = _quantize(conn, x, fmt="m2xfp",
+                                    dispatch="bittwiddle")
+        assert status == 400
+        assert json.loads(body)["exc_type"] == "ConfigError"
         # Shape/payload mismatch.
         status, _, body = _post_json(conn, {
             "format": "m2xfp", "shape": [4, 4],

@@ -4,7 +4,7 @@
 ``scripts/regen_golden_vectors.py --regen``) commits adversarial inputs
 together with their exact expected codes and decoded bit patterns. This
 suite recomputes everything from the committed *inputs* and compares
-bit-for-bit, under all three kernel dispatch modes — any silent encoding
+bit-for-bit, under both kernel dispatch modes — any silent encoding
 drift (a rounding change, a scale-rule tweak, a kernel bug) fails tier-1
 with the first diverging value.
 """
@@ -12,8 +12,6 @@ with the first diverging value.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +20,6 @@ import pytest
 from repro.core import elem_em_encode, sg_em_encode
 from repro.formats.registry import SCALAR_FORMATS
 from repro.kernels import fast_kernels, reference_kernels
-from repro.kernels.dispatch import BITTWIDDLE_ENV
 from repro.runner.formats import make_format
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "quant_vectors.json"
@@ -36,22 +33,7 @@ def golden() -> dict:
         return json.load(f)
 
 
-@contextmanager
-def _bittwiddle_kernels():
-    old = os.environ.get(BITTWIDDLE_ENV)
-    os.environ[BITTWIDDLE_ENV] = "1"
-    try:
-        with fast_kernels():
-            yield
-    finally:
-        if old is None:
-            os.environ.pop(BITTWIDDLE_ENV, None)
-        else:
-            os.environ[BITTWIDDLE_ENV] = old
-
-
-DISPATCH = {"fast": fast_kernels, "reference": reference_kernels,
-            "bittwiddle": _bittwiddle_kernels}
+DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
 
 
 @pytest.fixture(params=sorted(DISPATCH))

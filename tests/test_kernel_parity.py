@@ -15,8 +15,7 @@ from repro.algos import (BlockDialect, MicroScopiQ, MXAnt, MXMAnt, MXOliVe)
 from repro.core import ElemEE, ElemEM, M2NVFP4, M2XFP, SgEE, SgEM
 from repro.formats import SCALAR_FORMATS
 from repro.formats.floatspec import quantize_to_grid_reference
-from repro.kernels import (encode_magnitudes, fast_kernels, reference_kernels,
-                           rtne_boundaries)
+from repro.kernels import fast_kernels, reference_kernels, rtne_boundaries
 from repro.mx import (MSFP12, MXFP4, MXFP6_E2M3, MXFP8_E4M3, MXINT8,
                       MaxPreserving, NVFP4, SMX4)
 
@@ -95,10 +94,8 @@ def test_scalar_encode_parity(spec_name, tensor_name):
     with fast_kernels():
         fast_sign, fast_enc = spec.encode(x)
         fast_q = spec.quantize(x)
-    bt_codes = encode_magnitudes(spec, x)
     assert np.array_equal(ref_enc, ref_codes)
     assert np.array_equal(fast_enc, ref_codes)
-    assert np.array_equal(bt_codes, ref_codes)
     assert np.array_equal(fast_sign, ref_sign)
     assert fast_q.tobytes() == ref_q.tobytes()
 
@@ -170,13 +167,3 @@ def test_boundaries_are_exact_midpoints():
     # A value exactly on a midpoint lands on the even code on both paths.
     codes = np.searchsorted(bounds, mids, side="left")
     assert np.all(codes % 2 == 0)
-
-
-def test_bittwiddle_exp_shift_matches_division():
-    spec = SCALAR_FORMATS["fp4_e2m1"]
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(4096) * np.exp(3 * rng.standard_normal(4096))
-    for shift in (-127, -8, -1, 0, 1, 8, 127):
-        expect = quantize_to_grid_reference(np.abs(x / 2.0 ** shift), spec.grid)
-        got = encode_magnitudes(spec, x, exp_shift=shift)
-        assert np.array_equal(got, expect), shift

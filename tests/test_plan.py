@@ -122,13 +122,15 @@ class TestPlanCache:
     def test_modes_never_share_plans(self):
         fmt = make_format("elem-em")
         shape = (8, 64)
-        fast = get_plan(fmt, "activation", shape, -1, (False, False))
+        x = np.zeros(shape)
+        fast = lookup_plan(fmt, "activation", x, -1)
         assert isinstance(fast, QuantPlan)
-        assert get_plan(fmt, "activation", shape, -1, (True, False)) is None
-        assert get_plan(fmt, "activation", shape, -1, (False, True)) is None
-        # The fast-mode entry is untouched by the negative mode entries.
-        again = get_plan(fmt, "activation", shape, -1, (False, False))
-        assert again is fast
+        # Reference dispatch never plans and never touches the cache.
+        before = plan_cache_stats()
+        with reference_kernels():
+            assert lookup_plan(fmt, "activation", x, -1) is None
+        assert plan_cache_stats() == before
+        assert get_plan(fmt, "activation", shape, -1) is fast
 
     def test_fingerprint_keying(self):
         shape = (8, 64)

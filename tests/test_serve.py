@@ -11,15 +11,20 @@ format's EBW ratio.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from repro.codec import PackedTensor
 from repro.errors import ConfigError, FormatError
+from repro.kernels.dispatch import (fast_kernels, reference_kernels,
+                                    use_reference)
 from repro.models.quantized import QuantizedLM
 from repro.runner.formats import make_format
 from repro.serve import QuantService
-from repro.serve.service import _tensor_scoped
+from repro.serve.service import _dispatch_scope, _tensor_scoped
 
 
 @pytest.fixture()
@@ -178,34 +183,57 @@ def test_pinned_dispatch_modes_are_bit_identical_and_namespaced(rng):
     # kernel parity contract) while keying its weight memo on the mode.
     w = rng.standard_normal((8, 64))
     outs = {}
-    for mode in ("inherit", "fast", "reference", "bittwiddle"):
+    for mode in ("inherit", "fast", "reference"):
         with QuantService("sg-em", dispatch=mode) as svc:
             outs[mode] = svc.quantize(w, op="weight").tobytes()
             key = svc._weight_key(
                 __import__("repro.serve.service", fromlist=["_Request"])
                 ._Request(w, "weight", None))
+            assert len(key) == 4
             if mode != "inherit":
                 assert key[1] == (mode == "reference")
-                assert key[2] == (mode == "bittwiddle")
     assert len(set(outs.values())) == 1
-    with pytest.raises(ConfigError, match="dispatch"):
-        QuantService("mxfp4", dispatch="warp-speed")
+    for bad in ("warp-speed", "bittwiddle"):
+        with pytest.raises(ConfigError, match="dispatch"):
+            QuantService("mxfp4", dispatch=bad)
 
 
-def test_dispatch_scope_pins_both_fast_flavours(monkeypatch):
-    # A "fast" pin must mask an ambient REPRO_BITTWIDDLE=1 (and
-    # "bittwiddle" must force it): the pin means the mode, not a hint.
-    from repro.kernels.dispatch import use_bittwiddle, use_reference
-    from repro.serve.service import _dispatch_scope
-    monkeypatch.setenv("REPRO_BITTWIDDLE", "1")
-    with _dispatch_scope("fast"):
-        assert not use_bittwiddle() and not use_reference()
-    monkeypatch.delenv("REPRO_BITTWIDDLE")
-    with _dispatch_scope("bittwiddle"):
-        assert use_bittwiddle() and not use_reference()
-    with _dispatch_scope("reference"):
-        assert use_reference()
-    assert not use_bittwiddle()  # scopes restore the environment
+@pytest.mark.parametrize("mode", ["reference", "fast"])
+def test_dispatch_pins_are_thread_scoped(mode, monkeypatch):
+    # A pin on one thread (a reference arm, a KV session) must never be
+    # observed by a concurrent unpinned thread, and no scope may touch
+    # the process environment. The environment is set to the opposite
+    # mode so a leaked pin is visible either way.
+    pinned_ref = mode == "reference"
+    monkeypatch.setenv("REPRO_REFERENCE_KERNELS", "0" if pinned_ref else "1")
+    env_before = {k: v for k, v in os.environ.items()
+                  if k.startswith("REPRO_")}
+    kernels = reference_kernels if pinned_ref else fast_kernels
+    for scope in (kernels, lambda: _dispatch_scope(mode)):
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def pinned():
+            with scope():
+                seen.append(use_reference())
+                entered.set()
+                release.wait(timeout=10)
+                seen.append(use_reference())
+
+        t = threading.Thread(target=pinned)
+        t.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert use_reference() is not pinned_ref, \
+                "a pin leaked across threads"
+            assert {k: v for k, v in os.environ.items()
+                    if k.startswith("REPRO_")} == env_before
+        finally:
+            release.set()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [pinned_ref, pinned_ref]
+    assert use_reference() is not pinned_ref
 
 
 # ----------------------------------------------------------------------

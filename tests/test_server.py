@@ -102,6 +102,7 @@ def test_request_validation(rng):
     for kwargs, msg in [
         (dict(op="nope"), "op"),
         (dict(dispatch="warp"), "dispatch"),
+        (dict(dispatch="bittwiddle"), "dispatch"),  # retired mode
     ]:
         blob = protocol.encode_request(1, x, fmt="m2xfp", **kwargs)
         with pytest.raises(ProtocolError, match=msg):
@@ -241,12 +242,12 @@ def test_pipelined_requests_resolve_in_any_order(server, rng):
 def test_dispatch_modes_over_socket(server, rng):
     x = rng.standard_normal((4, 64))
     with QuantClient(port=server.port) as cli:
-        for dispatch in ("fast", "reference", "bittwiddle"):
+        for dispatch in ("fast", "reference"):
             cli.quantize(x, fmt="m2xfp", op="weight", dispatch=dispatch,
                          verify=True)
     keys = set(server.server._services)
-    assert {("m2xfp", d, False) for d in ("fast", "reference", "bittwiddle")} \
-        <= keys, "dispatch modes must map to distinct service arms"
+    assert {("m2xfp", d, False) for d in ("fast", "reference")} <= keys, \
+        "dispatch modes must map to distinct service arms"
 
 
 def test_fingerprint_pins_the_format_config(server, rng):
