@@ -1,14 +1,16 @@
 """Compiled quantization plans.
 
 A :class:`QuantPlan` is a reusable program compiled once per
-``(format fingerprint, dispatch mode, op, axis, shape signature)`` that
+``(format fingerprint, op, shape signature, axis)`` that
 holds everything a quantize call otherwise re-derives per invocation:
 group/pad reshape geometry, boundary and bisected-threshold arrays,
 candidate scale grids for the adaptive searches, and resolved
 dispatch/env state — the hot path performs no ``os.environ`` reads and
 no lazy imports. Plans are bit-identical to the legacy kernel-dispatched
 paths by construction and by test (``tests/test_plan.py``, the golden
-vectors, and the kernel parity matrix).
+vectors, and the kernel parity matrix). Plans serve only the fast
+dispatch path: under reference dispatch :func:`lookup_plan` returns
+None before touching the cache.
 
 Entry points: ``TensorFormat.quantize_weight`` /
 ``quantize_activation`` consult :func:`lookup_plan` transparently, so

@@ -24,8 +24,11 @@ Registered families (exact instance type):
 * ``BlockFormat`` — MXFP4/6/8, MXINT8: fused scale + element encode.
 * ``MXAnt`` / ``MXMAnt`` — per-group adaptive-type candidate loops
   (no code-space sibling: the codec has no per-group-type layout).
-* ``SgEM`` — the Sg-EM (bias x multiplier) search, running-best form.
-* ``SgEE`` — fixed decrements and the adaptive (bias x decrement) search.
+* ``SgEM`` — the Sg-EM (bias x multiplier) search: one row-chunked
+  u-space engine, with the ``candidate_search`` kernel as its exact
+  fallback.
+* ``SgEE`` — fixed decrements, and the adaptive (bias x decrement)
+  search on the same engine.
 * ``ElemEM`` (top-1) / ``ElemEE`` — fused top-element refinement.
 * ``M2XFP`` — delegates to the operand-path formats above.
 """
@@ -46,8 +49,8 @@ from ..formats.floatspec import FloatSpec
 from ..formats.intspec import GridSpec, IntSpec
 from ..formats.registry import FP4_E2M1
 from ..kernels.elem import elem_ee_select
-from ..kernels.search import (candidate_search, gather_candidate_codes,
-                              hierarchical_select)
+from ..kernels.search import (_CHUNK_ELEMS, candidate_search,
+                              gather_candidate_codes, hierarchical_select)
 from ..mx.base import BlockFormat
 from ..mx.scale_rules import shared_scale_exponent
 from .codespace import CodeSpaceResult, CodeStream
@@ -221,14 +224,8 @@ def _compile_mant(fmt: MXMAnt, op: str, geom: GroupGeometry):
 
 
 # ----------------------------------------------------------------------
-# Sg-EM / Sg-EE: subgroup metadata searches in running-best form
+# Sg-EM / Sg-EE: one row-chunked u-space subgroup search
 # ----------------------------------------------------------------------
-#: Above this many candidate-elements the Sg searches switch from the
-#: one-shot broadcast evaluation to the streaming per-candidate loop
-#: (whose working set stays a single tensor wide).
-_SG_BROADCAST_LIMIT = 1_500_000
-
-
 def _bisect_threshold(r: float, bound: float) -> float:
     """Smallest float64 ``u`` with ``fl(u / r) > bound`` (bisection).
 
@@ -263,363 +260,178 @@ _U_SPACE_MIN = 2.0 ** -400
 
 
 class _SgUSpace:
-    """Compile-time-scaled Sg candidate search (the small-input engine).
+    """The Sg (bias x inner multiplier) candidate search.
+
+    ``mults`` are the inner candidates' scale multipliers: Sg-EM's
+    fractional multipliers, or ``2^-d`` for Sg-EE's decrements; the
+    candidate scale is ``2^(base_e + b) * m``.
 
     Dividing the data once by ``2^(base_e - 1)`` (exact) turns every
-    candidate scale ``2^(base_e + b) * m`` into the *compile-time
-    scalar* ``r = 2^(b+1) * m``, so the per-candidate work collapses to
-    seven compares against pre-bisected thresholds plus a scalar
-    multiply — no per-group candidate arrays at all. Selection runs on
-    u-space errors, which equal the reference errors times the group
-    constant ``2^(2 base_e - 2)``; in the guarded regime (no E8M0
-    clamping, no nonzero magnitude below ``_U_SPACE_MIN``) that scaling
-    is an exact order-and-equality-preserving bijection, so the
-    hierarchical argmin picks the identical candidate. Calls outside
-    the guarded regime take the caller-supplied exact fallback.
+    candidate scale into the *compile-time scalar* ``r = 2^(b+1) * m``,
+    so the per-candidate work collapses to seven compares against
+    pre-bisected thresholds plus a scalar multiply — no per-group
+    candidate arrays at all. Selection runs on u-space errors, which
+    equal the reference errors times the group constant
+    ``2^(2 base_e - 2)``; in the guarded regime (no E8M0 clamping, no
+    nonzero magnitude below ``_U_SPACE_MIN``) that scaling is an exact
+    order-and-equality-preserving bijection, so the hierarchical argmin
+    picks the identical candidate.
+
+    The regime is decided once per call, over the whole input. Inside
+    it, the candidate-heavy part (compares, code reduction, error chain,
+    selection, winner gather) runs over row chunks of about
+    ``_CHUNK_ELEMS`` candidate-elements, so its working set stays
+    cache-sized; every reduction and selection is per group, so no sum
+    crosses a chunk boundary and chunking is exact. Calls outside the
+    regime take the exact :func:`~repro.kernels.search.candidate_search`
+    kernel instead.
     """
 
-    def __init__(self, n_sub: int, sub: int, rule: str, biases, inner,
-                 fallback, fallback_codes) -> None:
+    def __init__(self, n_sub: int, sub: int, rule: str, biases,
+                 mults) -> None:
         self.n_sub, self.sub, self.rule = n_sub, sub, rule
-        self.n_bias, self.n_inner = len(biases), len(inner)
+        self.n_bias, self.n_inner = len(biases), len(mults)
         self.biases_arr = np.asarray(biases)
+        self.mults = np.asarray(mults)
         self.fallback_outer = list(biases).index(0)
-        self.fallback = fallback
-        self.fallback_codes = fallback_codes
-        bounds = FP4_E2M1.boundaries
-        self.ratios = []
-        thresholds = []
-        for b in biases:
-            for m, _ in inner:
-                r = float(2.0 ** (b + 1) * m)
-                self.ratios.append(r)
-                thresholds.append([_bisect_threshold(r, float(bd))
-                                   for bd in bounds])
-        #: (n_cand * 7, 1, 1) stack for one broadcast compare per call.
-        self.t_stack = np.asarray(thresholds).reshape(-1, 1, 1)
-        self.half_ratios = np.asarray([r * 0.5 for r in self.ratios])
+        ratios = [float(2.0 ** (b + 1) * m) for b in biases for m in mults]
+        #: (n_cand * 7, 1, 1) stack for one broadcast compare per chunk.
+        self.t_stack = np.asarray(
+            [[_bisect_threshold(r, float(bd)) for bd in FP4_E2M1.boundaries]
+             for r in ratios]).reshape(-1, 1, 1)
+        self.half_ratios = np.asarray([r * 0.5 for r in ratios])
 
     def _eval(self, groups: np.ndarray):
-        """The shared search; None when outside the guarded regime."""
-        n = groups.shape[0]
-        n_sub, sub = self.n_sub, self.sub
-        k = n_sub * sub
+        """The winners: ``(mag, exps, inner, s_half)``.
+
+        ``mag`` holds the ``(n, n_sub, sub)`` magnitude codes, ``exps``
+        the E8M0 scale exponents, ``inner`` the ``(n, n_sub)`` inner
+        indices and ``s_half`` half of each subgroup's scale.
+        """
         ax = np.abs(groups)
         amax = tree_amax(ax)
         validate_amax(amax)
         base_e = shared_scale_exponent(amax, FP4_E2M1, self.rule)
-        if int(base_e.max(initial=0)) > 126 or \
-                int(base_e.min(initial=0)) < -126 or \
+        u = None
+        if int(base_e.max(initial=0)) <= 126 and \
+                int(base_e.min(initial=0)) >= -126 and \
                 float(np.where(ax > 0.0, ax, 1.0).min(initial=1.0)) \
-                < _U_SPACE_MIN:
-            return None
-        u = ax * _exp2(-(base_e - 1))[:, None]
-        if float(np.where(u > 0.0, u, 1.0).min(initial=1.0)) < _U_SPACE_MIN:
-            return None
-
-        n_cand = self.n_bias * self.n_inner
-        # One broadcast compare against all candidates' thresholds, an
-        # integer reduction per 7-threshold block (order-free), then the
-        # whole error chain as a handful of full-width ops.
-        cmp = u.reshape(1, n, k) >= self.t_stack
-        codes = np.add.reduce(
-            cmp.view(np.int8).reshape(n_cand, 7, n, k), axis=1, dtype=np.int8)
-        v2_all = fp4_half_ints(codes)
-        qf = v2_all * self.half_ratios[:, None, None]
-        qf -= u
-        qf *= qf
-        q4 = qf.reshape(n_cand, n, n_sub, sub)
-        if sub == 8:
-            # Adjacent-pair tree — the exact grouping NumPy's pairwise
-            # trailing-axis sum uses for length 8 — as three adds.
-            while q4.shape[-1] > 1:
-                q4 = q4[..., 0::2] + q4[..., 1::2]
-            esum = q4[..., 0]
+                >= _U_SPACE_MIN:
+            u = ax
+            u *= _exp2(-(base_e - 1))[:, None]
+            if float(np.where(u > 0.0, u, 1.0).min(initial=1.0)) \
+                    < _U_SPACE_MIN:
+                u = None
+        if u is None:
+            mag, outer, inner, s_half = self._exact(groups, base_e)
         else:
-            esum = q4.sum(axis=-1)
-        err = np.ascontiguousarray(np.moveaxis(esum, 0, 2))
+            mag, outer, inner, s_half = self._u_search(u, base_e)
+        return mag, clamp_exponent(base_e + self.biases_arr[outer]), inner, \
+            s_half
 
-        outer, inner_idx, _ = hierarchical_select(
-            err, self.n_bias, self.n_inner, fallback_outer=self.fallback_outer)
-        cand_idx = (outer[:, None] * self.n_inner + inner_idx).ravel()
-        return n, base_e, codes, v2_all, outer, inner_idx, cand_idx
-
-    def __call__(self, groups: np.ndarray) -> np.ndarray:
-        sel = self._eval(groups)
-        if sel is None:
-            return self.fallback(groups)
-        n, base_e, _codes, v2_all, _outer, _inner_idx, cand_idx = sel
-        n_sub, sub = self.n_sub, self.sub
-        win = v2_all.reshape(-1, n * n_sub, sub)[cand_idx,
-                                                 np.arange(n * n_sub)]
-        s_half = self.half_ratios[cand_idx].reshape(n, n_sub) \
-            * _exp2(base_e - 1)[:, None]
-        dq = win.reshape(n, n_sub, sub) * s_half[:, :, None]
-        return np.copysign(dq.reshape(n, n_sub * sub), groups)
-
-    def codes(self, groups: np.ndarray):
-        """Code-space twin of ``__call__``: gathers the winning magnitude
-        codes instead of their half-values; dequantization stays lazy."""
-        sel = self._eval(groups)
-        if sel is None:
-            return self.fallback_codes(groups)
-        n, base_e, codes, _v2_all, outer, inner_idx, cand_idx = sel
+    def _u_search(self, u: np.ndarray, base_e: np.ndarray):
+        """The in-regime search over row chunks of ``u``."""
+        n = u.shape[0]
         n_sub, sub = self.n_sub, self.sub
         k = n_sub * sub
-        mag = codes.reshape(-1, n * n_sub, sub)[cand_idx,
-                                                np.arange(n * n_sub)]
-        elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= mag.reshape(n, k)
-        exps = clamp_exponent(base_e + self.biases_arr[outer])
-        s_half = self.half_ratios[cand_idx].reshape(n, n_sub) \
-            * _exp2(base_e - 1)[:, None]
+        n_cand = self.n_bias * self.n_inner
+        mag = np.empty((n, n_sub, sub), dtype=np.int8)
+        outer = np.empty(n, dtype=np.intp)
+        inner = np.empty((n, n_sub), dtype=np.intp)
+        rows = max(1, _CHUNK_ELEMS // (n_cand * k))
+        for lo in range(0, n, rows):
+            uc = u[lo:lo + rows]
+            r = uc.shape[0]
+            # One broadcast compare against all candidates' thresholds,
+            # an integer reduction per 7-threshold block (order-free),
+            # then the whole error chain as a handful of chunk-wide ops.
+            codes = np.add.reduce(
+                (uc >= self.t_stack).view(np.int8).reshape(n_cand, 7, r, k),
+                axis=1, dtype=np.int8)
+            qf = fp4_half_ints(codes) * self.half_ratios[:, None, None]
+            qf -= uc
+            qf *= qf
+            q4 = qf.reshape(n_cand, r, n_sub, sub)
+            if sub == 8:
+                # Adjacent-pair tree — the exact grouping NumPy's
+                # pairwise trailing-axis sum uses for length 8 — as
+                # three adds.
+                while q4.shape[-1] > 1:
+                    q4 = q4[..., 0::2] + q4[..., 1::2]
+                esum = q4[..., 0]
+            else:
+                esum = q4.sum(axis=-1)
+            err = np.ascontiguousarray(np.moveaxis(esum, 0, 2))
+            o, i, _ = hierarchical_select(err, self.n_bias, self.n_inner,
+                                          fallback_outer=self.fallback_outer)
+            c = (o[:, None] * self.n_inner + i).ravel()
+            mag[lo:lo + r] = codes.reshape(n_cand, r * n_sub, sub)[
+                c, np.arange(r * n_sub)].reshape(r, n_sub, sub)
+            outer[lo:lo + r], inner[lo:lo + r] = o, i
+        cand_idx = outer[:, None] * self.n_inner + inner
+        s_half = self.half_ratios[cand_idx] * _exp2(base_e - 1)[:, None]
+        return mag, outer, inner, s_half
 
-        def dequantize() -> np.ndarray:
-            dq = fp4_half_ints(mag).reshape(n, n_sub, sub) \
-                * s_half[:, :, None]
-            return np.copysign(dq.reshape(n, k), groups)
-        return elems, exps, inner_idx, dequantize
-
-
-def _sg_broadcast(n_sub: int, sub: int, rule: str, biases, inner):
-    """One-shot (bias x inner) candidate evaluation, small-tensor regime.
-
-    Mirrors the ``candidate_search`` + ``hierarchical_select`` pipeline
-    operation for operation — same broadcast divisions, same error
-    expression, same trailing-axis sums, the selection function itself —
-    with the FP4 grid gather replaced by the exact int8 half-value
-    arithmetic. About 25 NumPy calls regardless of input size, which is
-    what makes it several times faster than the legacy path on the
-    micro-batch activations a serving front end sees.
-
-    Returns the ``(run_groups, codes_groups)`` pair; the codes variant
-    gathers the winning magnitude codes at the same indices the value
-    variant gathers half-values, so both modes share one evaluation.
-    """
-    k = n_sub * sub
-    n_inner = len(inner)
-    biases_arr = np.asarray(biases)
-    inner_mults = np.asarray([m for m, _ in inner])
-    fallback = list(biases).index(0)
-
-    def evaluate(groups: np.ndarray):
+    def _exact(self, groups: np.ndarray, base_e: np.ndarray):
+        """Out-of-regime fallback: the exact ``candidate_search`` kernel
+        over per-group candidate scales, E8M0 clamping included."""
         n = groups.shape[0]
-        ax = np.abs(groups)
-        amax = tree_amax(ax)
-        validate_amax(amax)
-        base_e = shared_scale_exponent(amax, FP4_E2M1, rule)
+        exps_all = clamp_exponent(base_e[:, None] + self.biases_arr)
+        cand = (_exp2(exps_all)[:, :, None] * self.mults).reshape(n, -1)
+        codes, err = candidate_search(groups.reshape(n, self.n_sub, self.sub),
+                                      cand, FP4_E2M1.grid, FP4_E2M1.boundaries)
+        outer, inner, _ = hierarchical_select(
+            err, self.n_bias, self.n_inner, fallback_outer=self.fallback_outer)
+        mag = gather_candidate_codes(codes, outer, inner, self.n_inner)
+        s_half = cand[np.arange(n)[:, None],
+                      outer[:, None] * self.n_inner + inner] * 0.5
+        return mag, outer, inner, s_half
 
-        exps_all = clamp_exponent(base_e[:, None] + biases_arr)
-        scales_all = np.exp2(exps_all.astype(np.float64))
-        cand = (scales_all[:, :, None] * inner_mults).reshape(n, -1)
-        ax4 = ax.reshape(n, n_sub, 1, sub)
-        s4 = cand[:, None, :, None]
-        scaled = ax4 / s4
-        c = fp4_codes(scaled)
-        v2 = fp4_half_ints(c)
-        q = v2 * (s4 * 0.5)
-        q -= ax4
-        q *= q
-        err = q.sum(axis=3)
+    def _dequantize(self, groups, mag, s_half) -> np.ndarray:
+        # half-value x (scale / 2): one rounding, as in the reference's
+        # grid value x scale.
+        dq = fp4_half_ints(mag) * s_half[:, :, None]
+        return np.copysign(dq.reshape(groups.shape), groups)
 
-        outer, inner_idx, _ = hierarchical_select(err, len(biases), n_inner,
-                                                  fallback_outer=fallback)
-        cand_idx = outer[:, None] * n_inner + inner_idx
-        return n, c, v2, cand, exps_all, outer, inner_idx, cand_idx
+    def __call__(self, groups: np.ndarray) -> np.ndarray:
+        mag, _exps, _inner, s_half = self._eval(groups)
+        return self._dequantize(groups, mag, s_half)
 
-    def run_groups(groups: np.ndarray) -> np.ndarray:
-        n, _c, v2, cand, _exps, _outer, _inner, cand_idx = evaluate(groups)
-        win = v2.reshape(n * n_sub, -1, sub)[np.arange(n * n_sub),
-                                             cand_idx.ravel()]
-        s_win = np.take_along_axis(cand, cand_idx, axis=1)
-        dq = win.reshape(n, n_sub, sub) * (s_win * 0.5)[:, :, None]
-        return np.copysign(dq.reshape(n, k), groups)
-
-    def codes_groups(groups: np.ndarray):
-        n, c, _v2, cand, exps_all, outer, inner_idx, cand_idx = \
-            evaluate(groups)
-        mag = c.reshape(n * n_sub, -1, sub)[np.arange(n * n_sub),
-                                            cand_idx.ravel()]
+    def codes(self, groups: np.ndarray):
+        """Code-space twin of ``__call__``: ``(elems, exps, inner,
+        dequantize)`` with the dequantization left lazy."""
+        mag, exps, inner, s_half = self._eval(groups)
         elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= mag.reshape(n, k)
-        exps = exps_all[np.arange(n), outer]
-        s_win = np.take_along_axis(cand, cand_idx, axis=1)
-
-        def dequantize() -> np.ndarray:
-            dq = fp4_half_ints(mag).reshape(n, n_sub, sub) \
-                * (s_win * 0.5)[:, :, None]
-            return np.copysign(dq.reshape(n, k), groups)
-        return elems, exps, inner_idx, dequantize
-
-    return run_groups, codes_groups
+        elems |= mag.reshape(groups.shape)
+        return elems, exps, inner, \
+            lambda: self._dequantize(groups, mag, s_half)
 
 
-def _sg_search(n_sub: int, sub: int, rule: str, biases, inner):
-    """Shared skeleton of the Sg-EM / Sg-EE adaptive searches.
+def _sg_executor(geom: GroupGeometry, engine: _SgUSpace, meta_width: int):
+    """The ``(run, run_codes)`` pair over one Sg search engine.
 
-    ``inner`` is the ordered inner-candidate spec: a list of
-    ``(mult, pow2_shift)`` pairs where the candidate scale is
-    ``2^e * mult`` (Sg-EM's fractional multipliers, ``pow2_shift`` None)
-    or ``2^(e - d)`` (Sg-EE's decrements, ``pow2_shift = d``). Each
-    candidate's scaled data is produced by the exact single-rounding
-    equivalent of the reference division: a multiply by ``2^(d - e)``
-    for power-of-two scales, the division itself otherwise.
-
-    The running strict-``<`` updates reproduce the reference's
-    hierarchical argmin (first minimum at both levels); groups whose
-    candidates all overflow to non-finite error are re-encoded at the
-    fallback (bias 0, first inner) candidate, matching
-    ``hierarchical_select``'s ``invalid`` semantics.
-
-    Returns the ``(run_groups, codes_groups)`` pair. The codes variant
-    runs the same candidate grid through the chunked
-    :func:`~repro.kernels.search.candidate_search` kernel (preallocated
-    scratch, boundary-compare code assignment) and gathers the winning
-    magnitude codes directly. Every candidate scale is a power of two
-    times a small exact multiplier, so the kernel's division matches the
-    streaming loop's single-rounding shortcuts bit for bit — selections,
-    codes and dequantized values are identical between the two variants
-    (asserted across all dispatch modes in ``tests/test_fused_pack.py``).
+    The code-space stream order (elements, scales, meta) and the
+    ``exps + 127`` E8M0 bias match the SgEM/SgEE codecs.
     """
-    k = n_sub * sub
-    n_inner = len(inner)
-    biases_arr = np.asarray(biases)
-    inner_mults = np.asarray([m for m, _ in inner])
-    fallback = list(biases).index(0)
+    def run(x: np.ndarray) -> np.ndarray:
+        return geom.unpack(engine(geom.pack(x)))
 
-    def scaled_for(ax, t_b, e_b, scale_b, mult, shift):
-        if shift is not None:
-            return t_b if shift == 0 else ax * _exp2(shift - e_b)[:, None]
-        return t_b if mult == 1.0 else ax / (scale_b * mult)[:, None]
-
-    def search(groups: np.ndarray) -> np.ndarray:
-        n = groups.shape[0]
-        ax = np.abs(groups)
-        amax = tree_amax(ax)
-        validate_amax(amax)
-        base_e = shared_scale_exponent(amax, FP4_E2M1, rule)
-        shape_sub = (n, n_sub, sub)
-
-        best_err = np.full(n, np.inf)
-        best_v2 = np.zeros(shape_sub, dtype=np.int8)
-        best_sh = np.zeros((n, n_sub))
-        for bias in biases:
-            e_b = clamp_exponent(base_e + bias)
-            scale_b = _exp2(e_b)
-            t_b = ax * _exp2(-e_b)[:, None]
-            sub_err = np.full((n, n_sub), np.inf)
-            sub_v2 = np.zeros(shape_sub, dtype=np.int8)
-            sub_sh = np.zeros((n, n_sub))
-            for mult, shift in inner:
-                scaled = scaled_for(ax, t_b, e_b, scale_b, mult, shift)
-                s_half = scale_b * (mult * 0.5)
-                q = fp4_half_ints(fp4_codes(scaled))
-                qf = q.astype(np.float64)
-                qf *= s_half[:, None]
-                qf -= ax
-                qf *= qf
-                err = qf.reshape(shape_sub).sum(axis=2)
-                better = err < sub_err
-                sub_err = np.where(better, err, sub_err)
-                sub_v2 = np.where(better[:, :, None], q.reshape(shape_sub),
-                                  sub_v2)
-                sub_sh = np.where(better, s_half[:, None], sub_sh)
-            group_err = sub_err.sum(axis=1)
-            improved = group_err < best_err
-            best_err = np.where(improved, group_err, best_err)
-            best_v2 = np.where(improved[:, None, None], sub_v2, best_v2)
-            best_sh = np.where(improved[:, None], sub_sh, best_sh)
-
-        invalid = ~np.isfinite(best_err)
-        if invalid.any():
-            e0 = clamp_exponent(base_e[invalid] + 0)
-            t0 = ax[invalid] * _exp2(-e0)[:, None]
-            m0, s0 = inner[0]
-            scaled0 = t0 if (s0 == 0 or m0 == 1.0) \
-                else t0 / (_exp2(e0) * m0)[:, None]
-            best_v2[invalid] = fp4_half_ints(fp4_codes(scaled0)) \
-                .reshape(-1, n_sub, sub)
-            best_sh[invalid] = (_exp2(e0) * (m0 * 0.5))[:, None]
-
-        dq = best_v2.astype(np.float64).reshape(shape_sub)
-        dq *= best_sh[:, :, None]
-        return np.copysign(dq.reshape(n, k), groups)
-
-    def search_codes(groups: np.ndarray):
-        n = groups.shape[0]
-        ax = np.abs(groups)
-        amax = tree_amax(ax)
-        validate_amax(amax)
-        base_e = shared_scale_exponent(amax, FP4_E2M1, rule)
-        exps_all = clamp_exponent(base_e[:, None] + biases_arr)
-        cand = (_exp2(exps_all)[:, :, None] * inner_mults).reshape(n, -1)
-        codes, err = candidate_search(groups.reshape(n, n_sub, sub), cand,
-                                      FP4_E2M1.grid, FP4_E2M1.boundaries)
-        outer, inner_idx, _ = hierarchical_select(err, len(biases), n_inner,
-                                                  fallback_outer=fallback)
-        mag = gather_candidate_codes(codes, outer, inner_idx, n_inner)
-        elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= mag.reshape(n, k)
-        rows = np.arange(n)
-        best_e = exps_all[rows, outer]
-
-        def dequantize() -> np.ndarray:
-            # half-value x (scale / 2): the same single rounding as the
-            # run variant's ``v2 * (scale_b * (mult * 0.5))``.
-            s_half = cand[rows[:, None],
-                          outer[:, None] * n_inner + inner_idx] * 0.5
-            dq = fp4_half_ints(mag).astype(np.float64)
-            dq *= s_half[:, :, None]
-            return np.copysign(dq.reshape(n, k), groups)
-        return elems, best_e, inner_idx, dequantize
-
-    return search, search_codes
-
-
-def _pick_sg_variant(geom: GroupGeometry, n_sub: int, sub: int, rule: str,
-                     biases, inner):
-    """U-space engine for small inputs, streaming loop for large ones.
-
-    The u-space engine's rare out-of-regime calls fall back to the
-    broadcast evaluation, which is exact everywhere.
-    """
-    cand_elems = geom.n_groups * n_sub * sub * len(biases) * len(inner)
-    if cand_elems <= _SG_BROADCAST_LIMIT:
-        exact_run, exact_codes = _sg_broadcast(n_sub, sub, rule, biases, inner)
-        engine = _SgUSpace(n_sub, sub, rule, biases, inner,
-                           fallback=exact_run, fallback_codes=exact_codes)
-        return engine, engine.codes
-    return _sg_search(n_sub, sub, rule, biases, inner)
-
-
-def _sg_codespace(geom: GroupGeometry, search_codes, meta_width: int):
-    """Wrap a Sg ``codes_groups`` closure into the codec's stream layout.
-
-    All three Sg engines return the same ``(elems, exps, meta,
-    dequantize)`` quadruple; the stream order (elements, scales, meta)
-    and the ``exps + 127`` E8M0 bias match the SgEM/SgEE codecs.
-    """
     def run_codes(x: np.ndarray) -> CodeSpaceResult:
-        elems, exps, meta, dequantize = search_codes(geom.pack(x))
+        elems, exps, meta, dequantize = engine.codes(geom.pack(x))
         return CodeSpaceResult(
             (CodeStream("elements", elems, 4),
              CodeStream("scales", exps + 127, 8),
              CodeStream("meta", meta, meta_width)),
             lambda: geom.unpack(dequantize()))
-    return run_codes
+    return run, run_codes
 
 
 def _compile_sg_em(fmt: SgEM, op: str, geom: GroupGeometry):
-    n_sub = fmt.group_size // fmt.sub_size
     biases = list(ADAPTIVE_BIASES) if fmt.adaptive else [0]
     # Reference candidate order: bias outer (-1, 0, +1), multiplier inner.
-    inner = [(m, None if m != 1.0 else 0) for m in SG_EM_MULTIPLIERS]
-    search, search_codes = _pick_sg_variant(geom, n_sub, fmt.sub_size,
-                                            fmt.scale_rule, biases, inner)
-
-    def run(x: np.ndarray) -> np.ndarray:
-        return geom.unpack(search(geom.pack(x)))
-    return run, _sg_codespace(geom, search_codes, 2)
+    engine = _SgUSpace(fmt.group_size // fmt.sub_size, fmt.sub_size,
+                       fmt.scale_rule, biases, SG_EM_MULTIPLIERS)
+    return _sg_executor(geom, engine, 2)
 
 
 def _compile_sg_ee(fmt: SgEE, op: str, geom: GroupGeometry):
@@ -629,13 +441,9 @@ def _compile_sg_ee(fmt: SgEE, op: str, geom: GroupGeometry):
     rule = fmt.scale_rule
 
     if fmt.adaptive:
-        inner = [(1.0 / (1 << d), d) for d in range(d_max + 1)]
-        search, search_codes = _pick_sg_variant(geom, n_sub, sub, rule,
-                                                list(ADAPTIVE_BIASES), inner)
-
-        def run(x: np.ndarray) -> np.ndarray:
-            return geom.unpack(search(geom.pack(x)))
-        return run, _sg_codespace(geom, search_codes, fmt.meta_bits)
+        engine = _SgUSpace(n_sub, sub, rule, list(ADAPTIVE_BIASES),
+                           [1.0 / (1 << d) for d in range(d_max + 1)])
+        return _sg_executor(geom, engine, fmt.meta_bits)
 
     def _encode(x: np.ndarray):
         groups = geom.pack(x)

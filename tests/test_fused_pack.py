@@ -37,6 +37,7 @@ from repro.codec import (FUSED_PACK_ENV, PackedTensor, collect_encode_stats,
                          decode, encode, fused_pack_enabled)
 from repro.codec.codecs import codec_for
 from repro.kernels import fast_kernels, reference_kernels
+from repro.kernels.search import _CHUNK_ELEMS
 from repro.kv import KVCacheSession, KVPolicy
 from repro.plan import clear_plan_cache, get_plan
 from repro.runner.formats import FORMAT_REGISTRY, make_format
@@ -70,6 +71,10 @@ def _fused_off():
 
 DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
 
+#: 32-element groups per row chunk of the Sg search engine on its
+#: 12-candidate (3 biases x 4 inner) grids.
+_SG_CHUNK_GROUPS = _CHUNK_ELEMS // (12 * 32)
+
 
 def _adversarial_cases(rng) -> dict:
     """Tensor family stressing scale extremes and geometry edges."""
@@ -82,6 +87,16 @@ def _adversarial_cases(rng) -> dict:
         "ragged": rng.standard_normal((5, 50)),    # partial trailing group
         "single_elem_groups": rng.standard_normal((6, 1)),
         "1d": rng.standard_normal(70),
+        # 2.5 Sg chunks (a partial last one), in and out of the
+        # engine's regime: a subnormal row and an E8M0-edge row in later
+        # chunks each send the whole call to the exact fallback.
+        "multi_chunk": rng.standard_normal((5 * _SG_CHUNK_GROUPS // 2, 32)),
+        "multi_chunk_fallback": np.vstack([
+            rng.standard_normal((_SG_CHUNK_GROUPS, 32)),
+            rng.standard_normal((1, 32)) * 1e-310,
+            rng.standard_normal((_SG_CHUNK_GROUPS, 32)),
+            rng.standard_normal((1, 32)) * 1e40,
+            rng.standard_normal((_SG_CHUNK_GROUPS // 2, 32))]),
     }
 
 
@@ -116,6 +131,9 @@ def test_fused_bytes_match_fallback(name, op, rng):
                 unfused = outcome(x)
             assert fused == unfused, \
                 f"{name}:{op} fused container diverged on '{case}'"
+            with reference_kernels():
+                assert outcome(x) == fused, \
+                    f"{name}:{op} container diverged from reference on '{case}'"
 
 
 @pytest.mark.parametrize("dispatch", sorted(DISPATCH))

@@ -9,8 +9,9 @@ The plan layer's whole contract is "bit-identical, just faster":
 * the bisected decision thresholds must reproduce the reference grid
   search on *non-dyadic* grids (where the midpoint-boundary cache
   provably cannot);
-* the plan cache must key on dispatch mode and configuration
-  fingerprint, stay bounded, and survive concurrent use;
+* the plan cache must key on configuration fingerprint, operand path,
+  shape and axis, stay out of reference dispatch, stay bounded, and
+  survive concurrent use;
 * a warmed ``QuantizedLM`` forward pass must read ``os.environ``
   exactly zero times.
 """
@@ -30,6 +31,7 @@ from repro.errors import FormatError
 from repro.formats.floatspec import quantize_to_grid_reference
 from repro.kernels.dispatch import reference_kernels
 from repro.kernels.lut import compiled_thresholds, threshold_codes
+from repro.kernels.search import _CHUNK_ELEMS
 from repro.models.profiles import load_runtime
 from repro.models.quantized import QuantizedLM
 from repro.plan import (MAX_PLANS, QuantPlan, clear_plan_cache, get_plan,
@@ -37,6 +39,10 @@ from repro.plan import (MAX_PLANS, QuantPlan, clear_plan_cache, get_plan,
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 
 _RNG = np.random.default_rng(7)
+
+#: 32-element groups per row chunk of the Sg search engine on its
+#: 12-candidate (3 biases x 4 inner) grids.
+_SG_CHUNK_GROUPS = _CHUNK_ELEMS // (12 * 32)
 
 
 def _adversarial_tensors() -> dict[str, np.ndarray]:
@@ -52,6 +58,16 @@ def _adversarial_tensors() -> dict[str, np.ndarray]:
         "zeros": np.zeros((3, 64)),
         "padded": r.standard_normal((5, 50)),
         "three_d": r.standard_normal((3, 7, 64)),
+        # 2.5 Sg chunks: two full, a partial last one.
+        "multi_chunk": r.standard_normal((5 * _SG_CHUNK_GROUPS // 2, 32)),
+        # A subnormal row and an E8M0-edge row in later chunks: either
+        # sends the whole multi-chunk call to the exact fallback.
+        "multi_chunk_fallback": np.vstack([
+            r.standard_normal((_SG_CHUNK_GROUPS, 32)),
+            r.standard_normal((1, 32)) * 1e-310,
+            r.standard_normal((_SG_CHUNK_GROUPS, 32)),
+            r.standard_normal((1, 32)) * 1e40,
+            r.standard_normal((_SG_CHUNK_GROUPS // 2, 32))]),
     }
 
 
