@@ -61,7 +61,7 @@ from ..core.m2xfp import M2NVFP4, M2XFP
 from ..core.sg_em import SG_EM_MULTIPLIERS, SgEM, SgEMEncoding, sg_em_decode, \
     sg_em_encode
 from ..core.sg_ee import SgEE, SgEEEncoding, sg_ee_decode, sg_ee_encode
-from ..errors import CodecError
+from ..errors import CodecError, ConfigError
 from ..formats.floatspec import FloatSpec, quantize_to_grid
 from ..formats.grouping import GroupView, from_groups, to_groups
 from ..formats.intspec import GridSpec, IntSpec
@@ -77,12 +77,10 @@ from ..mx.msfp import MSFP
 from ..mx.nvfp import NVFP4
 from ..mx.smx import SMX
 from .bitstream import bits_needed, pack_bits, unpack_bits
-from .container import PackedTensor, Stream
+from .container import OPS, PackedTensor, Stream
 
 __all__ = ["encode", "decode", "codec_for", "supports",
            "FUSED_PACK_ENV", "fused_pack_enabled", "collect_encode_stats"]
-
-_OPS = ("weight", "activation")
 
 #: Environment variable disabling the fused quantize→pack path ("=1"
 #: turns it off; every encode then re-derives codes from dequantized
@@ -215,8 +213,14 @@ def _hex(value: float) -> str:
     return float(value).hex()
 
 
-def _unhex(text: str) -> float:
-    return float.fromhex(text)
+def _unhex(pt: PackedTensor, key: str) -> float:
+    """Read back a :func:`_hex` scalar stored in the container's extra."""
+    text = pt.extra.get(key)
+    try:
+        return float.fromhex(text)
+    except (TypeError, ValueError):
+        raise CodecError(f"container extra {key!r} must be a float.hex() "
+                         f"string, got {text!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +429,7 @@ def _nvfp4_put_scales(element, scale_format, groups: np.ndarray,
 def _nvfp4_get_scales(scale_format, pt: PackedTensor,
                       n: int) -> np.ndarray | None:
     """Invert :func:`_nvfp4_put_scales` (None for the zero-tensor case)."""
-    ts = _unhex(pt.extra["tensor_scale"])
+    ts = _unhex(pt, "tensor_scale")
     if ts == 0.0:
         return None
     s8 = scale_format.decode(np.zeros(n, dtype=np.int64),
@@ -869,8 +873,8 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     code-vs-float parity itself is pinned statically by
     ``tests/test_fused_pack.py``).
     """
-    if op not in _OPS:
-        raise CodecError(f"op must be one of {_OPS}, got {op!r}")
+    if op not in OPS:
+        raise CodecError(f"op must be one of {OPS}, got {op!r}")
     x = np.asarray(x, dtype=np.float64)
     axis = axis % x.ndim if x.ndim else 0
     codec = codec_for(fmt)
@@ -952,7 +956,10 @@ def decode(packed: PackedTensor | bytes, fmt=None) -> np.ndarray:
             raise CodecError("container has no catalog format name; pass the "
                              "format instance to decode() explicitly")
         from ..runner.formats import make_format
-        fmt = make_format(packed.format_name)
+        try:
+            fmt = make_format(packed.format_name)
+        except ConfigError as exc:
+            raise CodecError(f"container format: {exc}") from None
     if repr(fmt) != packed.fingerprint:
         raise CodecError(f"format fingerprint mismatch: container was packed "
                          f"with {packed.fingerprint}, decoding with {fmt!r}")

@@ -27,17 +27,82 @@ Example::
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import CodecError
+from .bitstream import packed_nbytes
 
-__all__ = ["MAGIC", "CONTAINER_VERSION", "Stream", "PackedTensor"]
+__all__ = ["MAGIC", "CONTAINER_VERSION", "OPS", "Stream", "PackedTensor"]
 
 MAGIC = b"RPT1"
 CONTAINER_VERSION = 1
+
+#: Operand paths a container can record (hybrid formats quantize
+#: weights and activations differently).
+OPS = ("weight", "activation")
+
+_HEADER_KEYS = frozenset(("format", "fingerprint", "op", "shape", "axis",
+                          "group_size", "streams", "extra"))
+
+
+def _is_count(value) -> bool:
+    """A JSON non-negative integer (``true``/``false`` are not counts)."""
+    return type(value) is int and value >= 0
+
+
+def _check_header(header) -> None:
+    """Reject any header :meth:`PackedTensor.to_bytes` could not write.
+
+    Containers arrive from outside the process (wire responses, session
+    blobs), so every field is checked here and a malformed one raises
+    :class:`CodecError` instead of leaking ``KeyError`` / ``TypeError``
+    / ``IndexError`` from the decode path.
+    """
+    if type(header) is not dict:
+        raise CodecError("container header is not a JSON object")
+    if header.get("version") != CONTAINER_VERSION:
+        raise CodecError(f"unsupported container version "
+                         f"{header.get('version')!r}")
+    if not _HEADER_KEYS <= header.keys():
+        raise CodecError(f"container header lacks "
+                         f"{', '.join(sorted(_HEADER_KEYS - header.keys()))}")
+    for key in ("format", "fingerprint"):
+        if type(header[key]) is not str:
+            raise CodecError(f"container {key} must be a string, "
+                             f"got {header[key]!r}")
+    if header["op"] not in OPS:
+        raise CodecError(f"container op must be one of {OPS}, "
+                         f"got {header['op']!r}")
+    shape = header["shape"]
+    if type(shape) is not list or not all(map(_is_count, shape)):
+        raise CodecError(f"container shape must be a list of "
+                         f"non-negative ints, got {shape!r}")
+    axis = header["axis"]
+    if type(axis) is not int or not 0 <= axis < max(len(shape), 1):
+        raise CodecError(f"container axis {axis!r} is out of range for "
+                         f"shape {shape}")
+    group_size = header["group_size"]
+    if type(group_size) is not int or group_size < 1:
+        raise CodecError(f"container group_size must be an int >= 1, "
+                         f"got {group_size!r}")
+    if type(header["streams"]) is not list:
+        raise CodecError(f"container streams must be a list, "
+                         f"got {header['streams']!r}")
+    for rec in header["streams"]:
+        if not (type(rec) is list and len(rec) == 4 and type(rec[0]) is str
+                and type(rec[1]) is int and 1 <= rec[1] <= 64
+                and _is_count(rec[2])
+                and rec[3] == packed_nbytes(rec[2], rec[1])):
+            raise CodecError(f"malformed stream record {rec!r}: want "
+                             f"[name, width 1..64, count, nbytes] with "
+                             f"nbytes = ceil(width * count / 8)")
+    if type(header["extra"]) is not dict:
+        raise CodecError(f"container extra must be an object, "
+                         f"got {header['extra']!r}")
 
 
 @dataclass
@@ -98,7 +163,7 @@ class PackedTensor:
     @property
     def n_elements(self) -> int:
         """Logical element count of the original tensor."""
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def payload_bytes(self) -> int:
@@ -153,7 +218,11 @@ class PackedTensor:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PackedTensor":
-        """Parse bytes produced by :meth:`to_bytes`."""
+        """Parse bytes produced by :meth:`to_bytes`.
+
+        Any malformed input, header fields included, raises
+        :class:`CodecError`.
+        """
         blob = bytes(blob)
         if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
             raise CodecError("not a packed tensor container (bad magic)")
@@ -163,21 +232,18 @@ class PackedTensor:
             raise CodecError("truncated container header")
         try:
             header = json.loads(blob[start:start + hlen].decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # incl. bad ascii
             raise CodecError(f"unreadable container header: {exc}") from exc
-        if header.get("version") != CONTAINER_VERSION:
-            raise CodecError(f"unsupported container version "
-                             f"{header.get('version')!r}")
+        _check_header(header)
         pt = cls(format_name=header["format"],
                  fingerprint=header["fingerprint"], op=header["op"],
-                 shape=tuple(header["shape"]), axis=int(header["axis"]),
-                 group_size=int(header["group_size"]),
-                 extra=header.get("extra", {}))
+                 shape=tuple(header["shape"]), axis=header["axis"],
+                 group_size=header["group_size"], extra=header["extra"])
         offset = start + hlen
         for name, width, count, nbytes in header["streams"]:
             data = blob[offset:offset + nbytes]
             if len(data) != nbytes:
                 raise CodecError(f"truncated stream {name!r}")
-            pt.add_stream(name, data, int(width), int(count))
+            pt.add_stream(name, data, width, count)
             offset += nbytes
         return pt

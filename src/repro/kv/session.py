@@ -7,8 +7,14 @@ plan-compiled kernels** (the same ``quantize_weight`` /
 ``quantize_activation`` entry points the batch path uses — by default
 every append cross-checks the packed bytes against that output and
 raises on any mismatch, so streamed state is bit-exact *by
-construction*), and only the packed :class:`~repro.codec.PackedTensor`
-bytes are retained. Reads decode the retained blocks back to float64.
+construction*), and each block's packed :class:`~repro.codec.PackedTensor`
+bytes are retained. A block is decoded back to float64 once, on the
+first read that covers it; the decoded K/V arrays are cached beside its
+blobs and later reads only concatenate them. The decode is of the
+block's own retained bytes (never the executor's dequantized view), and
+MX blocks decode independently, so the cache changes no byte. Eviction
+drops a block's blobs and decoded arrays together, so memory stays
+bounded by ``max_tokens``.
 
 Eviction is by **token budget** per layer: once a layer holds more than
 ``max_tokens`` tokens, the oldest blocks are dropped — except blocks
@@ -137,9 +143,13 @@ class KVPolicy:
 
 
 class _Block:
-    """One appended K/V block: packed bytes plus its stream position."""
+    """One appended K/V block: packed bytes plus its stream position.
 
-    __slots__ = ("start", "tokens", "width", "k_blob", "v_blob")
+    ``decoded`` is ``None`` until the first read covering the block
+    fills it with the read-only ``(K, V)`` float64 decode of the blobs.
+    """
+
+    __slots__ = ("start", "tokens", "width", "k_blob", "v_blob", "decoded")
 
     def __init__(self, start: int, tokens: int, width: int,
                  k_blob: bytes, v_blob: bytes) -> None:
@@ -148,6 +158,7 @@ class _Block:
         self.width = width
         self.k_blob = k_blob
         self.v_blob = v_blob
+        self.decoded: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class KVCacheSession:
@@ -180,6 +191,10 @@ class KVCacheSession:
         container is decoded against the format's own plan-routed
         quantize output — streamed state can never silently diverge
         from the batch path.
+
+    Retained state per block is its packed bytes plus, once a read has
+    covered it, the decoded float64 K/V (decoded on first read, cached
+    beside the blobs, evicted with them).
 
     Thread-safe: one lock serializes appends/reads/close, so a server
     can drive the session from worker threads.
@@ -230,6 +245,8 @@ class KVCacheSession:
         # are not reproducible bytes.
         self._encode_stats = {"fused_encodes": 0, "quantize_s": 0.0,
                               "pack_s": 0.0, "verify_s": 0.0}
+        # Read-side decode cache counters; registry only, like the above.
+        self._read_stats = {"decoded_blocks": 0, "cached_blocks": 0}
         obs_registry().register_collector(f"kv.{self.session_id}",
                                           self._collect_metrics)
 
@@ -300,7 +317,12 @@ class KVCacheSession:
         """Dequantize the retained cache for ``layer`` as (K, V).
 
         The concatenation (in stream order) of every retained block's
-        decoded bytes; empty layers yield two ``(0, 0)`` arrays.
+        decoded bytes; empty layers yield two ``(0, 0)`` arrays. Each
+        block is decoded once, on the first read that covers it, and the
+        result is cached beside its blobs; later reads concatenate the
+        cached arrays into fresh ones, so callers never alias the cache.
+        Decoding runs outside the lock, so two racing reads may both
+        decode the same new block; both decodes give identical arrays.
         """
         layer = self._check_layer(layer)
         with self._lock:
@@ -311,9 +333,19 @@ class KVCacheSession:
             return empty, empty.copy()
         from ..codec import decode
         fmt = self.policy.format_for(layer)
-        ks = [decode(b.k_blob, fmt=fmt) for b in blocks]
-        vs = [decode(b.v_blob, fmt=fmt) for b in blocks]
-        return (np.concatenate(ks, axis=0), np.concatenate(vs, axis=0))
+        fresh = 0
+        for b in blocks:
+            if b.decoded is None:
+                k = decode(b.k_blob, fmt=fmt)
+                v = decode(b.v_blob, fmt=fmt)
+                k.flags.writeable = v.flags.writeable = False
+                b.decoded = (k, v)
+                fresh += 1
+        with self._lock:
+            self._read_stats["decoded_blocks"] += fresh
+            self._read_stats["cached_blocks"] += len(blocks) - fresh
+        return (np.concatenate([b.decoded[0] for b in blocks], axis=0),
+                np.concatenate([b.decoded[1] for b in blocks], axis=0))
 
     def positions(self, layer: int) -> list[tuple[int, int]]:
         """Retained ``(start, tokens)`` spans for ``layer`` (stream
@@ -356,10 +388,14 @@ class KVCacheSession:
 
     def _collect_metrics(self) -> dict:
         """Registry collector view: counters plus per-stage encode cost
-        (prefixed, so the snapshot stays one flat JSON-safe dict)."""
+        and read-side decode-cache counters (prefixed, so the snapshot
+        stays one flat JSON-safe dict)."""
         out = self.stats()
         for key, val in self.encode_stage_stats().items():
             out[f"encode_{key}"] = val
+        with self._lock:
+            for key, val in self._read_stats.items():
+                out[f"read_{key}"] = val
         return out
 
     def info(self) -> dict:

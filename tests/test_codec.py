@@ -12,6 +12,11 @@ Three layers:
   with the two documented exceptions pinned exactly: Elem-EE stores a
   3-bit refined code per subgroup, M2-NVFP4 weights a 2-bit bias code
   per group.
+* **Hostile headers** — a container header that ``to_bytes`` could not
+  have written (missing key, wrong type, unknown op, out-of-range axis,
+  malformed stream record, ...) raises ``CodecError`` from
+  ``from_bytes`` / ``decode``, never an untyped exception; a seeded
+  header-mutation fuzz pins it.
 * **Golden packed bytes** — the serialized m2xfp / m2-nvfp4 containers
   are pinned in ``tests/golden/packed_vectors.json`` (regen via
   ``scripts/regen_packed_vectors.py --regen``); any header, stream-order
@@ -20,13 +25,16 @@ Three layers:
 
 from __future__ import annotations
 
+import copy
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.codec import PackedTensor, decode, encode
+from repro.codec.container import MAGIC
 from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
 from repro.runner.formats import FORMAT_REGISTRY, make_format
@@ -167,6 +175,143 @@ def test_bad_magic_and_truncation_raise():
     blob = encode(fmt, np.ones((2, 32))).to_bytes()
     with pytest.raises(CodecError):
         PackedTensor.from_bytes(blob[:len(blob) - 3])
+
+
+def _split_header(blob: bytes) -> tuple[dict, bytes]:
+    """A container's parsed JSON header and its stream payload."""
+    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(blob[start:start + hlen]), blob[start + hlen:]
+
+
+def _join_header(header, payload: bytes) -> bytes:
+    head = json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
+    return MAGIC + struct.pack("<I", len(head)) + head + payload
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _with(key, value):
+    return lambda h: {**h, key: value}
+
+
+def _with_first_stream(record):
+    """Replace the first stream record (a callable maps the old one)."""
+    def edit(h):
+        first = record(list(h["streams"][0])) if callable(record) else record
+        return {**h, "streams": [first, *h["streams"][1:]]}
+    return edit
+
+
+def _stream_field(i, value):
+    return _with_first_stream(lambda rec: rec[:i] + [value] + rec[i + 1:])
+
+
+#: One header defect per rejection rule; each maps a valid header to a
+#: header ``to_bytes`` could never have written.
+HEADER_DEFECTS = {
+    **{f"missing_{key}": _without(key)
+       for key in ("version", "format", "fingerprint", "op", "shape", "axis",
+                   "group_size", "streams", "extra")},
+    "not_an_object": lambda h: [h],
+    "format_not_str": _with("format", 7),
+    "fingerprint_not_str": _with("fingerprint", None),
+    "unknown_op": _with("op", "bogus"),
+    "op_not_str": _with("op", ["weight"]),
+    "shape_not_list": _with("shape", 128),
+    "shape_negative": _with("shape", [2, -64]),
+    "shape_float": _with("shape", [2, 64.0]),
+    "shape_bool": _with("shape", [True, 64]),
+    "axis_out_of_range": _with("axis", 2),
+    "axis_negative": _with("axis", -1),
+    "axis_not_int": _with("axis", "1"),
+    "group_size_zero": _with("group_size", 0),
+    "group_size_not_int": _with("group_size", 32.0),
+    "streams_not_list": _with("streams", {"elements": 1}),
+    "stream_record_short": _with_first_stream(["scales"]),
+    "stream_record_not_list": _with_first_stream(5),
+    "stream_name_not_str": _stream_field(0, 3),
+    "stream_width_zero": _stream_field(1, 0),
+    "stream_width_over_64": _stream_field(1, 65),
+    "stream_count_negative": _stream_field(2, -1),
+    "stream_nbytes_mismatch": _stream_field(3, 999),
+    "stream_duplicate": lambda h: {**h, "streams": h["streams"] * 2},
+    "extra_not_dict": _with("extra", []),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+def test_malformed_header_raises_codec_error(defect, rng):
+    pt = encode(make_format("mxfp4"), rng.standard_normal((2, 64)))
+    header, payload = _split_header(pt.to_bytes())
+    with pytest.raises(CodecError):
+        PackedTensor.from_bytes(
+            _join_header(HEADER_DEFECTS[defect](header), payload))
+
+
+def test_n_elements_is_exact():
+    pt = PackedTensor(format_name="", fingerprint="", op="weight",
+                      shape=(2 ** 40, 2 ** 40), axis=1, group_size=32)
+    assert pt.n_elements == 2 ** 80
+
+
+#: Replacement values for the header fuzz: wrong types, edge ints,
+#: oversized shapes, and values valid for some other field.
+_FUZZ_VALUES = (None, True, False, -1, 0, 1, 3, 2 ** 40, 2 ** 70, -2 ** 70,
+                0.5, "", "x", "weight", "0x1p-3", [], [0], [1, -1],
+                [2 ** 62, 4], [[]], {}, {"a": 1}, ["scales", 8, 1, 1])
+
+
+def _header_paths(obj, prefix=()):
+    """Every (nested) key path in a JSON header."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _header_paths(val, prefix + (key,))
+
+
+def _mutate_header(header: dict, rng) -> dict:
+    """One random edit: drop a key, nudge an int, or swap in a value."""
+    h = copy.deepcopy(header)
+    paths = list(_header_paths(h))
+    path = paths[rng.integers(len(paths))]
+    parent = h
+    for key in path[:-1]:
+        parent = parent[key]
+    key, r = path[-1], rng.random()
+    if r < 0.2 and isinstance(parent, dict):
+        del parent[key]
+    elif r < 0.4 and type(parent[key]) is int:
+        parent[key] += int(rng.integers(-3, 4))
+    else:
+        value = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+        parent[key] = copy.deepcopy(value)
+    return h
+
+
+@pytest.mark.parametrize("name", ("m2xfp", "nvfp4", "mxfp4", "elem-em"))
+def test_header_fuzz_raises_only_codec_error(name):
+    """Seeded header mutations: parse + decode either succeed or raise
+    ``CodecError`` — nothing untyped escapes the decode path."""
+    rng = np.random.default_rng(2024)
+    fmt = make_format(name)
+    for op in ("weight", "activation"):
+        blob = encode(fmt, rng.standard_normal((3, 64)), op=op).to_bytes()
+        header, payload = _split_header(blob)
+        for _ in range(750):
+            bad = _join_header(_mutate_header(header, rng), payload)
+            try:
+                decode(PackedTensor.from_bytes(bad))
+            except CodecError:
+                pass
 
 
 def test_fingerprint_mismatch_raises(rng):

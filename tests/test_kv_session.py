@@ -12,10 +12,14 @@ The contract under test, in order of importance:
    exceeded, not even transiently; sink blocks are never evicted; an
    append that cannot fit is refused with ``ConfigError`` and leaves
    the session unchanged.
-3. **Lifecycle** — append/read after close and unknown session ids are
+3. **Decode once** — a block is decoded on the first read that covers it
+   and cached beside its blobs; every later read equals a fresh
+   per-block decode, never aliases the cache, and stays exact while a
+   concurrent append evicts blocks under it.
+4. **Lifecycle** — append/read after close and unknown session ids are
    typed errors (``ConfigError`` locally, ``SessionLost`` over the
    wire), never silence.
-4. **Wire stability** — the v3 session frames are pinned byte-exactly
+5. **Wire stability** — the v3 session frames are pinned byte-exactly
    by ``tests/golden/wire_vectors.json``; a version-2 frame is rejected
    with a typed ``ProtocolError``.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,8 @@ import pytest
 from repro.codec import decode, encode
 from repro.errors import ConfigError, ProtocolError, SessionLost
 from repro.kv import KVCacheSession, KVPolicy
+from repro.obs import NO_METRICS_ENV
+from repro.obs import registry as obs_registry
 from repro.runner.formats import list_formats, make_format
 from repro.serve.service import _tensor_scoped
 from repro.server import QuantClient, ServerThread, protocol
@@ -99,6 +106,117 @@ def test_eviction_preserves_survivor_bytes(rng):
         [decode(encode(fmt, b, op="weight", axis=-1).to_bytes(), fmt=fmt)
          for b in survivors], axis=0)
     assert K.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Read-side decode cache
+# ----------------------------------------------------------------------
+def _per_block_decode(fmt, raw: dict, spans) -> np.ndarray:
+    """What a read must return: a fresh one-shot decode of each retained
+    block (``raw`` maps stream start -> the appended float block)."""
+    return np.concatenate(
+        [decode(encode(fmt, raw[start], op="weight", axis=-1).to_bytes(),
+                fmt=fmt) for start, _ in spans], axis=0)
+
+
+@pytest.mark.parametrize("dispatch", DISPATCHES)
+@pytest.mark.parametrize("name", list_formats())
+def test_read_cache_matches_fresh_decode(name, dispatch, rng, monkeypatch):
+    """read -> append -> read -> evict -> read: every read equals a fresh
+    per-block decode, in-place edits of a returned array never reach
+    the next read, and each retained block is decoded exactly once."""
+    monkeypatch.delenv(NO_METRICS_ENV, raising=False)
+    fmt = make_format(name)
+    sess = KVCacheSession(1, KVPolicy(name), max_tokens=6, sink_tokens=2,
+                          dispatch=dispatch)
+    kraw, vraw = {}, {}
+    covered, seen = 0, set()
+
+    def append(tokens: int) -> dict:
+        k, v = _block(rng, tokens), _block(rng, tokens)
+        ack = sess.append(0, k, v)
+        kraw[ack["start"]], vraw[ack["start"]] = k, v
+        return ack
+
+    def read_and_check() -> None:
+        nonlocal covered
+        K, V = sess.read(0)
+        spans = sess.positions(0)
+        for got, raw in ((K, kraw), (V, vraw)):
+            assert got.tobytes() == _per_block_decode(fmt, raw, spans) \
+                .tobytes(), f"{name}/{dispatch}: read != fresh decode"
+        K[...] = np.nan   # the caller owns what read() returns
+        V[...] = np.nan
+        covered += len(spans)
+        seen.update(start for start, _ in spans)
+
+    append(2)
+    append(1)
+    read_and_check()
+    append(2)
+    read_and_check()
+    assert append(3)["evicted_blocks"] == 2
+    read_and_check()
+    read_and_check()
+    counters = obs_registry().snapshot()[f"kv.{sess.session_id}"]
+    assert counters["read_decoded_blocks"] == len(seen) == 4
+    assert counters["read_cached_blocks"] == covered - len(seen)
+    assert "read_decoded_blocks" not in sess.stats()
+
+
+def test_read_races_append_with_eviction(rng, monkeypatch):
+    """The server runs READ in a worker thread outside its per-session
+    lock, so reads race appends that evict the blocks being decoded."""
+    monkeypatch.delenv(NO_METRICS_ENV, raising=False)
+    fmt = make_format("m2xfp")
+    sess = KVCacheSession(1, "m2xfp", max_tokens=16, sink_tokens=2)
+    kraw = {t: _block(rng, 1) for t in range(80)}
+    vraw = {t: _block(rng, 1) for t in range(80)}
+    done = threading.Event()
+    errors: list[BaseException] = []
+    rows_read = [0] * 3
+
+    def writer() -> None:
+        try:
+            for t in range(80):
+                sess.append(0, kraw[t], vraw[t])
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader(i: int) -> None:
+        try:
+            while not done.is_set():
+                K, V = sess.read(0)
+                if K.shape != V.shape:
+                    raise AssertionError(f"K{K.shape} != V{V.shape}")
+                rows_read[i] += K.shape[0]
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader, args=(i,)) for i in range(3)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    K, V = sess.read(0)
+    spans = sess.positions(0)
+    assert K.tobytes() == _per_block_decode(fmt, kraw, spans).tobytes()
+    assert V.tobytes() == _per_block_decode(fmt, vraw, spans).tobytes()
+    # 1-token blocks: every row a read returned is one block decoded or
+    # served from the cache, so a lost counter update shows here.
+    counters = obs_registry().snapshot()[f"kv.{sess.session_id}"]
+    assert counters["read_decoded_blocks"] + counters["read_cached_blocks"] \
+        == sum(rows_read) + len(spans)
 
 
 # ----------------------------------------------------------------------
