@@ -46,6 +46,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -79,7 +80,7 @@ from ..mx.smx import SMX
 from .bitstream import bits_needed, pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
-__all__ = ["encode", "decode", "codec_for", "supports",
+__all__ = ["encode", "decode", "decode_rows", "codec_for", "supports",
            "FUSED_PACK_ENV", "fused_pack_enabled", "collect_encode_stats"]
 
 #: Environment variable disabling the fused quantize→pack path ("=1"
@@ -428,10 +429,16 @@ def _nvfp4_put_scales(element, scale_format, groups: np.ndarray,
 
 def _nvfp4_get_scales(scale_format, pt: PackedTensor,
                       n: int) -> np.ndarray | None:
-    """Invert :func:`_nvfp4_put_scales` (None for the zero-tensor case)."""
-    ts = _unhex(pt, "tensor_scale")
-    if ts == 0.0:
-        return None
+    """Invert :func:`_nvfp4_put_scales` (None for the zero-tensor case).
+
+    A row-stacked container from :func:`decode_rows` carries one
+    non-zero tensor scale per group as an array instead of hex text.
+    """
+    ts = pt.extra.get("tensor_scale")
+    if not isinstance(ts, np.ndarray):
+        ts = _unhex(pt, "tensor_scale")
+        if ts == 0.0:
+            return None
     s8 = scale_format.decode(np.zeros(n, dtype=np.int64),
                              unpack_bits(pt.stream("scales").data, 8, n))
     return s8 * ts
@@ -964,3 +971,130 @@ def decode(packed: PackedTensor | bytes, fmt=None) -> np.ndarray:
         raise CodecError(f"format fingerprint mismatch: container was packed "
                          f"with {packed.fingerprint}, decoding with {fmt!r}")
     return codec_for(fmt).decode(fmt, packed)
+
+
+def _row_layout(pt: PackedTensor):
+    """``(key, tensor_scale)`` for row-stacking ``pt``, or None when it
+    decodes alone.
+
+    Containers with equal keys hold rows of one layout: same format
+    name, trailing shape, stream names and ``extra`` apart from the
+    value of the NVFP4-family ``tensor_scale``, which stays per
+    container. Only non-empty tensors of two or more dims grouped on
+    the last axis stack, and never a zero (zero-tensor) or unreadable
+    tensor scale.
+    """
+    shape = pt.shape
+    if len(shape) < 2 or pt.axis != len(shape) - 1 or not all(shape):
+        return None
+    extra, ts = pt.extra, None
+    if "tensor_scale" in extra:
+        try:
+            ts = float.fromhex(extra["tensor_scale"])
+        except (TypeError, ValueError):
+            return None
+        if ts == 0.0:
+            return None
+        extra = {**extra, "tensor_scale": None}
+    return (pt.format_name, shape[1:], tuple(pt.streams), extra), ts
+
+
+def _stack_rows(run: list[PackedTensor], scales: list) -> PackedTensor:
+    """One container holding the rows of every container in ``run``.
+
+    Groups run along the last axis, so each stream is its containers'
+    fields in order: byte-joined when every container but the last
+    ends on a byte boundary, else unpacked, concatenated and repacked.
+    A stream whose width or fields-per-row disagrees with the first
+    container's is corrupt and raises :class:`CodecError`.
+    """
+    first = run[0]
+    rows = [math.prod(pt.shape[:-1]) for pt in run]
+    streams = {}
+    for name, ref in first.streams.items():
+        parts = [pt.streams[name] for pt in run]
+        for r, s in zip(rows, parts):
+            if s.width != ref.width or s.count * rows[0] != ref.count * r:
+                raise CodecError(
+                    f"stream {name!r} holds {s.count} {s.width}-bit fields "
+                    f"for {r} rows; the run's first container holds "
+                    f"{ref.count} {ref.width}-bit fields for {rows[0]}")
+        if all(s.count * s.width % 8 == 0 for s in parts[:-1]):
+            data = b"".join(s.data for s in parts)
+        else:
+            data = pack_bits(np.concatenate(
+                [unpack_bits(s.data, s.width, s.count) for s in parts]),
+                ref.width).tobytes()
+        streams[name] = Stream(name, data, ref.width,
+                               sum(s.count for s in parts))
+    extra = first.extra
+    if scales[0] is not None:
+        # Each container keeps its own tensor scale, broadcast to its
+        # groups: the decode's per-group ``s8 * ts`` is then the same
+        # multiply a single-container decode does.
+        per_row = -(-first.shape[-1] // first.group_size)
+        extra = {**extra, "tensor_scale": np.repeat(
+            np.asarray(scales, dtype=np.float64),
+            np.asarray(rows) * per_row)}
+    return PackedTensor(format_name=first.format_name,
+                        fingerprint=first.fingerprint, op=first.op,
+                        shape=(sum(pt.shape[0] for pt in run),
+                               *first.shape[1:]),
+                        axis=first.axis, group_size=first.group_size,
+                        streams=streams, extra=extra)
+
+
+def decode_rows(blobs, fmt) -> list[np.ndarray]:
+    """Decode containers of one format, stacking their rows.
+
+    Returns one array per blob, byte-identical to ``decode(blob,
+    fmt=fmt)``. MX groups decode independently, so consecutive
+    containers of one row layout (see :func:`_row_layout`) are joined
+    row-wise into one container, decoded by the family's codec in one
+    call and split back into per-container copies (never views, so one
+    retained result cannot pin its neighbours' rows). Anything else
+    decodes alone.
+
+    Every blob is parsed and validated on its own. A call is one
+    operand stream of ``fmt``: a wrong fingerprint or group size, a
+    second op, or a stream that disagrees with its run raises
+    :class:`CodecError`.
+    """
+    fingerprint = repr(fmt)
+    group_size = int(getattr(fmt, "group_size", 1))
+    pts: list[PackedTensor] = []
+    for blob in blobs:
+        pt = PackedTensor.from_bytes(blob)
+        if pt.fingerprint != fingerprint:
+            raise CodecError(f"format fingerprint mismatch: container was "
+                             f"packed with {pt.fingerprint}, decoding "
+                             f"with {fingerprint}")
+        if pt.group_size != group_size:
+            raise CodecError(f"container group_size {pt.group_size} is not "
+                             f"the format's {group_size}")
+        if pts and pt.op != pts[0].op:
+            raise CodecError(f"containers mix ops {pts[0].op!r} and "
+                             f"{pt.op!r}; decode one op per call")
+        pts.append(pt)
+    codec = codec_for(fmt)
+    layouts = [_row_layout(pt) for pt in pts]
+    out: list[np.ndarray] = []
+    i = 0
+    while i < len(pts):
+        j = i + 1
+        if layouts[i] is not None:
+            while j < len(pts) and layouts[j] is not None \
+                    and layouts[j][0] == layouts[i][0]:
+                j += 1
+        if j - i == 1:
+            out.append(codec.decode(fmt, pts[i]))
+        else:
+            run = pts[i:j]
+            dq = codec.decode(fmt, _stack_rows(
+                run, [layout[1] for layout in layouts[i:j]]))
+            start = 0
+            for pt in run:
+                out.append(dq[start:start + pt.shape[0]].copy())
+                start += pt.shape[0]
+        i = j
+    return out

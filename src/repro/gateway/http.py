@@ -64,6 +64,7 @@ import numpy as np
 from ..errors import (CodecError, ConfigError, ConnectionLost, FormatError,
                       ProtocolError, RequestTimeout, RetryBudgetExceeded,
                       ServerBusy, ServerDraining, ServerError, SessionLost)
+from ..server.protocol import shape_size
 
 __all__ = [
     "HttpRequest", "HttpResponse", "read_http_request",
@@ -348,19 +349,19 @@ def _parse_bool(raw, name: str) -> bool:
     raise ConfigError(f"{name} must be a boolean, got {raw!r}")
 
 
-def _parse_shape(raw) -> list[int]:
+def _parse_shape(raw) -> list:
+    """A JSON shape list, or ``"d0,d1,..."`` query text as one; the
+    dims themselves are checked where the payload is sized
+    (:func:`~repro.server.protocol.shape_size`)."""
     if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part != ""]
+        try:
+            return [int(part) for part in raw.split(",") if part != ""]
+        except ValueError:
+            raise ConfigError(f"shape must be comma-separated ints, "
+                              f"got {raw!r}") from None
     if not isinstance(raw, list):
         raise ConfigError(f"shape must be a list of ints, got {raw!r}")
-    try:
-        shape = [int(d) for d in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"shape must be a list of ints, got {raw!r}") \
-            from None
-    if any(d < 0 for d in shape):
-        raise ConfigError(f"shape dimensions must be >= 0, got {shape}")
-    return shape
+    return raw
 
 
 def parse_quantize_request(request: HttpRequest):
@@ -411,7 +412,7 @@ def parse_quantize_request(request: HttpRequest):
                           f"got {dispatch!r}")
     packed = _parse_bool(fields.get("packed", False), "packed")
     shape = _parse_shape(fields["shape"])
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    n = shape_size(shape, len(payload), "tensor", ConfigError)
     if len(payload) != 8 * n:
         raise ConfigError(f"tensor payload has {len(payload)} bytes; "
                           f"shape {shape} needs {8 * n} "
@@ -465,10 +466,10 @@ def _tensor_field(fields: dict, b64_key: str, shape_key: str) -> np.ndarray:
     if shape_key not in fields:
         raise ConfigError(f"session append body is missing {shape_key}")
     shape = _parse_shape(fields[shape_key])
+    n = shape_size(shape, len(payload), b64_key, ConfigError)
     if len(shape) != 2:
         raise ConfigError(f"{shape_key} must be 2-D (tokens, width), "
                           f"got {shape}")
-    n = int(np.prod(shape, dtype=np.int64))
     if len(payload) != 8 * n:
         raise ConfigError(f"{b64_key} has {len(payload)} bytes; shape "
                           f"{shape} needs {8 * n} (little-endian float64)")

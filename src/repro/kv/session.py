@@ -10,11 +10,14 @@ raises on any mismatch, so streamed state is bit-exact *by
 construction*), and each block's packed :class:`~repro.codec.PackedTensor`
 bytes are retained. A block is decoded back to float64 once, on the
 first read that covers it; the decoded K/V arrays are cached beside its
-blobs and later reads only concatenate them. The decode is of the
-block's own retained bytes (never the executor's dequantized view), and
-MX blocks decode independently, so the cache changes no byte. Eviction
-drops a block's blobs and decoded arrays together, so memory stays
-bounded by ``max_tokens``.
+blobs and later reads only concatenate them. A read decodes all of its
+fresh blocks together, one :func:`~repro.codec.decode_rows` call per
+K/V run, which row-stacks them into one codec decode and splits the
+result into a copy per block. The decode is of the blocks' own retained
+bytes (never the executor's dequantized view), and MX blocks decode
+independently, so neither the cache nor the stacking changes a byte.
+Eviction drops a block's blobs and decoded arrays together, so memory
+stays bounded by ``max_tokens``.
 
 Eviction is by **token budget** per layer: once a layer holds more than
 ``max_tokens`` tokens, the oldest blocks are dropped — except blocks
@@ -57,14 +60,13 @@ import threading
 
 import numpy as np
 
+from ..codec.container import OPS
 from ..errors import ConfigError
 from ..obs import measured_bits_per_element
 from ..obs import registry as obs_registry
 from ..serve.service import DISPATCH_MODES, _dispatch_scope
 
 __all__ = ["KVCacheSession", "KVPolicy"]
-
-_OPS = ("weight", "activation")
 
 _session_counter = itertools.count(1)
 
@@ -88,8 +90,8 @@ class KVPolicy:
     def __init__(self, default: str = "m2xfp",
                  overrides: dict[int, str] | None = None,
                  op: str = "weight") -> None:
-        if op not in _OPS:
-            raise ConfigError(f"op must be one of {_OPS}, got {op!r}")
+        if op not in OPS:
+            raise ConfigError(f"op must be one of {OPS}, got {op!r}")
         from ..runner.formats import make_format
         self.default = str(default)
         self.op = op
@@ -321,6 +323,10 @@ class KVCacheSession:
         block is decoded once, on the first read that covers it, and the
         result is cached beside its blobs; later reads concatenate the
         cached arrays into fresh ones, so callers never alias the cache.
+        The read's fresh blocks are decoded together: one
+        :func:`~repro.codec.decode_rows` call for their K blobs and one
+        for their V blobs, which stacks same-layout blocks into one
+        codec decode per run and hands back a copy per block.
         Decoding runs outside the lock, so two racing reads may both
         decode the same new block; both decodes give identical arrays.
         """
@@ -331,19 +337,18 @@ class KVCacheSession:
         if not blocks:
             empty = np.zeros((0, 0), dtype=np.float64)
             return empty, empty.copy()
-        from ..codec import decode
-        fmt = self.policy.format_for(layer)
-        fresh = 0
-        for b in blocks:
-            if b.decoded is None:
-                k = decode(b.k_blob, fmt=fmt)
-                v = decode(b.v_blob, fmt=fmt)
+        fresh = [b for b in blocks if b.decoded is None]
+        if fresh:
+            from ..codec import decode_rows
+            fmt = self.policy.format_for(layer)
+            ks = decode_rows([b.k_blob for b in fresh], fmt)
+            vs = decode_rows([b.v_blob for b in fresh], fmt)
+            for b, k, v in zip(fresh, ks, vs):
                 k.flags.writeable = v.flags.writeable = False
                 b.decoded = (k, v)
-                fresh += 1
         with self._lock:
-            self._read_stats["decoded_blocks"] += fresh
-            self._read_stats["cached_blocks"] += len(blocks) - fresh
+            self._read_stats["decoded_blocks"] += len(fresh)
+            self._read_stats["cached_blocks"] += len(blocks) - len(fresh)
         return (np.concatenate([b.decoded[0] for b in blocks], axis=0),
                 np.concatenate([b.decoded[1] for b in blocks], axis=0))
 

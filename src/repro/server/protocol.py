@@ -98,7 +98,7 @@ __all__ = [
     "encode_session_ack", "decode_session_ack",
     "encode_session_kv", "decode_session_kv",
     "frame_to_bytes", "frame_from_bytes", "read_frame", "recv_frame",
-    "status_for_exception",
+    "status_for_exception", "shape_size",
 ]
 
 MAGIC = b"RQP1"
@@ -327,6 +327,33 @@ def _recv_exact(sock, n: int, eof_ok: bool) -> bytes | None:
 # ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
+def shape_size(shape, max_bytes: int, what: str,
+               error: type[Exception] = ProtocolError) -> int:
+    """Element count of a float64 tensor ``shape`` read from a payload.
+
+    ``shape`` must be a list of non-negative ints. The product is taken
+    in exact Python ints, never ``np.prod``'s silently wrapping int64,
+    and stops as soon as ``8 * n`` outgrows ``max_bytes``, so a hostile
+    shape such as ``[2**62, 4]`` costs a few small multiplications. An
+    empty shape's non-zero dims are held to :data:`MAX_FRAME_BYTES`
+    instead, since numpy refuses ``[0, 2**70]`` too. Every refusal
+    raises ``error``: ``ProtocolError`` on the wire, ``ConfigError``
+    (HTTP 400) at the gateway.
+    """
+    if not isinstance(shape, list) or \
+            not all(type(d) is int and d >= 0 for d in shape):
+        raise error(f"bad {what} shape {shape!r}")
+    empty = 0 in shape
+    limit = MAX_FRAME_BYTES if empty else max_bytes
+    n = 1
+    for d in shape:
+        n *= d or 1
+        if 8 * n > limit:
+            raise error(f"{what} shape {shape} outgrows the {limit}-byte "
+                        f"payload limit")
+    return 0 if empty else n
+
+
 def encode_request(request_id: int, x: np.ndarray, *, fmt: str,
                    op: str = "activation", dispatch: str = "inherit",
                    packed: bool = False, fingerprint: str = "") -> bytes:
@@ -360,10 +387,7 @@ def decode_request(frame: Frame) -> QuantRequest:
     if not isinstance(fmt, str) or not fmt:
         raise ProtocolError("request meta is missing the format name")
     shape = meta.get("shape")
-    if not isinstance(shape, list) or \
-            not all(isinstance(d, int) and d >= 0 for d in shape):
-        raise ProtocolError(f"bad request shape {shape!r}")
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    n = shape_size(shape, len(frame.payload), "request")
     if len(frame.payload) != 8 * n:
         raise ProtocolError(f"request payload has {len(frame.payload)} "
                             f"bytes; shape {shape} needs {8 * n}")
@@ -430,9 +454,7 @@ def response_result(frame: Frame):
         return PackedTensor.from_bytes(frame.payload)
     if frame.flags & FLAG_RAW_F64:
         shape = frame.meta.get("shape")
-        if not isinstance(shape, list):
-            raise ProtocolError("raw response is missing its shape")
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = shape_size(shape, len(frame.payload), "response")
         if len(frame.payload) != 8 * n:
             raise ProtocolError(f"response payload has "
                                 f"{len(frame.payload)} bytes; shape "
@@ -578,16 +600,10 @@ def _split_kv_payload(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
     if not frame.flags & FLAG_RAW_F64:
         raise ProtocolError("session K/V payload must be raw float64 "
                             "(FLAG_RAW_F64)")
-    shapes = []
-    for field_name in ("k_shape", "v_shape"):
-        shape = frame.meta.get(field_name)
-        if not isinstance(shape, list) or \
-                not all(isinstance(d, int) and d >= 0 for d in shape):
-            raise ProtocolError(f"bad session {field_name} {shape!r}")
-        shapes.append(shape)
-    k_shape, v_shape = shapes
-    nk = int(np.prod(k_shape, dtype=np.int64)) if k_shape else 1
-    nv = int(np.prod(v_shape, dtype=np.int64)) if v_shape else 1
+    k_shape = frame.meta.get("k_shape")
+    v_shape = frame.meta.get("v_shape")
+    nk = shape_size(k_shape, len(frame.payload), "session k")
+    nv = shape_size(v_shape, len(frame.payload) - 8 * nk, "session v")
     if len(frame.payload) != 8 * (nk + nv):
         raise ProtocolError(f"session K/V payload has "
                             f"{len(frame.payload)} bytes; shapes "

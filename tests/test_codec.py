@@ -1,6 +1,6 @@
 """Packed-tensor codec conformance: bit-exact round trips + footprint.
 
-Three layers:
+Layers:
 
 * **Round-trip property** — for every catalog format and both operand
   paths, ``decode(encode(x))`` equals the format's own kernel-dispatched
@@ -17,6 +17,11 @@ Three layers:
   malformed stream record, ...) raises ``CodecError`` from
   ``from_bytes`` / ``decode``, never an untyped exception; a seeded
   header-mutation fuzz pins it.
+* **Row-stacked decode** — ``decode_rows`` over runs of containers
+  (prefill plus 1-row blocks, padded rows, distinct NVFP4 tensor
+  scales, zero tensors, mixed fp16 storage) equals per-container
+  ``decode`` byte for byte with one codec call per run, and a blob that
+  disagrees with its run raises ``CodecError``.
 * **Golden packed bytes** — the serialized m2xfp / m2-nvfp4 containers
   are pinned in ``tests/golden/packed_vectors.json`` (regen via
   ``scripts/regen_packed_vectors.py --regen``); any header, stream-order
@@ -33,7 +38,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codec import PackedTensor, decode, encode
+from repro.codec import PackedTensor, codec_for, decode, decode_rows, \
+    encode
 from repro.codec.container import MAGIC
 from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
@@ -329,6 +335,161 @@ def test_bad_op_raises(rng):
 def test_verify_flag_roundtrips(rng):
     encode(make_format("sg-ee"), rng.standard_normal((4, 64)),
            op="weight", verify=True)
+
+
+# ----------------------------------------------------------------------
+# decode_rows: one codec decode per run of row-stackable containers
+# ----------------------------------------------------------------------
+def _rows_blobs(fmt, blocks, op="weight") -> list[bytes]:
+    return [encode(fmt, b, op=op).to_bytes() for b in blocks]
+
+
+def _assert_rows_match(fmt, blobs):
+    """decode_rows equals per-container decode, byte for byte, and no
+    two results share memory (a kept block must not pin its run)."""
+    got = decode_rows(blobs, fmt)
+    assert len(got) == len(blobs)
+    for i, (out, blob) in enumerate(zip(got, blobs)):
+        want = decode(blob, fmt=fmt)
+        assert out.shape == want.shape, f"{fmt!r} block {i}: shape"
+        assert out.tobytes() == want.tobytes(), \
+            f"{fmt!r} block {i}: decode_rows != per-container decode"
+        assert not any(np.shares_memory(out, other) for other in got[:i]), \
+            f"{fmt!r} block {i}: a view into the stacked decode"
+
+
+def _count_decodes(monkeypatch, fmt) -> list:
+    """Spy on the format's codec: the row count of every decode call."""
+    cls = type(codec_for(fmt))
+    real, rows = cls.decode, []
+
+    def spy(self, fmt_, pt):
+        rows.append(pt.shape[0])
+        return real(self, fmt_, pt)
+
+    monkeypatch.setattr(cls, "decode", spy)
+    return rows
+
+
+@pytest.mark.parametrize("dispatch", sorted(DISPATCH))
+@pytest.mark.parametrize("op", ["weight", "activation"])
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_decode_rows_matches_decode(name, op, dispatch, rng, monkeypatch):
+    """A 16-row prefill block then 1-row steps, at two widths: width 20
+    pads every row's last group and leaves unaligned streams (Elem-EE's
+    3-bit refined codes, MaxPreserving's 31-code element runs) for the
+    repack path; each width is one run, so one codec decode each."""
+    fmt = make_format(name)
+    blocks = [rng.standard_normal((t, w)) * np.exp(rng.standard_normal())
+              for w in (64, 20) for t in (16, 1, 1, 1, 3, 1)]
+    with DISPATCH[dispatch]():
+        blobs = _rows_blobs(fmt, blocks, op)
+        _assert_rows_match(fmt, blobs)
+        rows = _count_decodes(monkeypatch, fmt)
+        decode_rows(blobs, fmt)
+    assert rows == [23, 23], f"{name}: expected one stacked decode per run"
+
+
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
+@pytest.mark.parametrize("op", ["weight", "activation"])
+def test_decode_rows_keeps_each_tensor_scale(name, op, rng):
+    """Tensor-scoped formats: blocks of very different magnitudes carry
+    distinct tensor scales, each broadcast to its own groups; a
+    zero-tensor block holding -0.0 decodes alone between them."""
+    fmt = make_format(name)
+    zero = np.zeros((1, 64))
+    zero[0, ::3] = -0.0
+    blocks = [rng.standard_normal((1, 64)) * 10.0 ** e for e in (-3, 0, 2)]
+    blocks += [zero, rng.standard_normal((4, 64)) * 1e-2,
+               rng.standard_normal((1, 64))]
+    blobs = _rows_blobs(fmt, blocks, op)
+    scales = [PackedTensor.from_bytes(b).extra["tensor_scale"] for b in blobs]
+    assert len(set(scales)) == len(scales)
+    _assert_rows_match(fmt, blobs)
+    assert np.signbit(decode_rows(blobs, fmt)[3][0, ::3]).all()
+
+
+def test_decode_rows_fp16_mixed_storage(rng):
+    """fp16 blocks stored as f16 and as f64 never share a stack."""
+    fmt = make_format("fp16")
+    exact = [np.full((1, 8), 0.5), np.arange(16.0).reshape(2, 8)]
+    raw = [rng.standard_normal((1, 8)), rng.standard_normal((3, 8))]
+    blobs = _rows_blobs(fmt, [exact[0], raw[0], raw[1], exact[1], exact[0]])
+    storage = [PackedTensor.from_bytes(b).extra["storage"] for b in blobs]
+    assert storage == ["f16", "f64", "f64", "f16", "f16"]
+    _assert_rows_match(fmt, blobs)
+
+
+def test_decode_rows_empty_and_unstackable(rng):
+    fmt = make_format("mxfp4")
+    assert decode_rows([], fmt) == []
+    blobs = [encode(fmt, rng.standard_normal(64)).to_bytes(),
+             encode(fmt, rng.standard_normal((2, 64)), axis=0).to_bytes(),
+             encode(fmt, np.zeros((0, 64))).to_bytes(),
+             encode(fmt, rng.standard_normal((2, 3, 64))).to_bytes(),
+             encode(fmt, rng.standard_normal((1, 3, 64))).to_bytes()]
+    _assert_rows_match(fmt, blobs)
+
+
+def _edit_blob(blob: bytes, edit) -> bytes:
+    header, payload = _split_header(blob)
+    return _join_header(edit(header), payload)
+
+
+def _set_stream(name, width=None, count=None):
+    """Rewrite one stream record, keeping ``nbytes`` consistent."""
+    def edit(h):
+        recs = []
+        for rec in h["streams"]:
+            if rec[0] == name:
+                w, c = width or rec[1], rec[2] if count is None else count
+                rec = [name, w, c, (w * c + 7) // 8]
+            recs.append(rec)
+        return {**h, "streams": recs}
+    return edit
+
+
+#: One defect per typed refusal; each applies to the third blob of a
+#: run of m2xfp weight blocks (1 row x 64: scales 2 x 8 bits, meta
+#: 8 x 2 bits).
+ROWS_DEFECTS = {
+    "fingerprint": _with("fingerprint", repr(make_format("sg-em"))),
+    "group_size": _with("group_size", 16),
+    "op": _with("op", "activation"),
+    "width": _set_stream("scales", width=16, count=1),
+    "count": _set_stream("meta", count=4),
+    "header": lambda h: {**h, "axis": 5},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ROWS_DEFECTS))
+def test_decode_rows_rejects_a_bad_blob(defect, rng):
+    fmt = make_format("m2xfp")
+    blobs = _rows_blobs(fmt, [rng.standard_normal((1, 64)) for _ in range(5)])
+    blobs[2] = _edit_blob(blobs[2], ROWS_DEFECTS[defect])
+    with pytest.raises(CodecError):
+        decode_rows(blobs, fmt)
+
+
+@pytest.mark.parametrize("name", ("m2xfp", "nvfp4", "mxfp4-maxkeep",
+                                  "elem-ee"))
+def test_decode_rows_header_fuzz(name):
+    """Seeded mutations of one header in a run: decode_rows raises
+    ``CodecError`` or returns exactly what per-container decode does."""
+    rng = np.random.default_rng(2025)
+    fmt = make_format(name)
+    blobs = _rows_blobs(fmt, [rng.standard_normal((t, 64))
+                              for t in (2, 1, 1, 1)])
+    header, payload = _split_header(blobs[1])
+    for _ in range(300):
+        run = list(blobs)
+        run[1] = _join_header(_mutate_header(header, rng), payload)
+        try:
+            got = decode_rows(run, fmt)
+        except CodecError:
+            continue
+        for out, blob in zip(got, run):
+            assert out.tobytes() == decode(blob, fmt=fmt).tobytes()
 
 
 # ----------------------------------------------------------------------

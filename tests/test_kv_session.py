@@ -13,7 +13,8 @@ The contract under test, in order of importance:
    append that cannot fit is refused with ``ConfigError`` and leaves
    the session unchanged.
 3. **Decode once** — a block is decoded on the first read that covers it
-   and cached beside its blobs; every later read equals a fresh
+   and cached beside its blobs; a read's fresh blocks decode in one
+   stacked codec call per K/V run; every later read equals a fresh
    per-block decode, never aliases the cache, and stays exact while a
    concurrent append evicts blocks under it.
 4. **Lifecycle** — append/read after close and unknown session ids are
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codec import decode, encode
+from repro.codec import codec_for, decode, encode
 from repro.errors import ConfigError, ProtocolError, SessionLost
 from repro.kv import KVCacheSession, KVPolicy
 from repro.obs import NO_METRICS_ENV
@@ -217,6 +218,35 @@ def test_read_races_append_with_eviction(rng, monkeypatch):
     counters = obs_registry().snapshot()[f"kv.{sess.session_id}"]
     assert counters["read_decoded_blocks"] + counters["read_cached_blocks"] \
         == sum(rows_read) + len(spans)
+
+
+@pytest.mark.parametrize("name", ["m2xfp", "nvfp4", "m2-nvfp4"])
+def test_read_stacks_fresh_blocks(name, rng, monkeypatch):
+    """A read decodes its fresh blocks in one codec call per K/V run: a
+    16-token prefill plus 1-token steps stack into one container."""
+    fmt = make_format(name)
+    cls = type(codec_for(fmt))
+    real, calls = cls.decode, []
+
+    def spy(self, fmt_, pt):
+        calls.append(pt.shape[0])
+        return real(self, fmt_, pt)
+
+    monkeypatch.setattr(cls, "decode", spy)
+    sess = KVCacheSession(1, name)
+    for tokens in (16, 1, 1, 1, 1):
+        sess.append(0, _block(rng, tokens), _block(rng, tokens))
+    del calls[:]   # appends of non-fused formats verify by decoding
+    sess.read(0)
+    assert calls == [20, 20]
+    sess.append(0, _block(rng, 1), _block(rng, 1))
+    sess.append(0, _block(rng, 1), _block(rng, 1))
+    del calls[:]
+    sess.read(0)
+    assert calls == [2, 2]
+    del calls[:]
+    sess.read(0)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
