@@ -283,12 +283,15 @@ class Fp16Codec(Codec):
             pt.add_stream("elements", x.astype("<f8").reshape(-1), 64, x.size)
 
     def decode(self, fmt, pt):
-        raw = pt.stream("elements").data
-        if pt.extra.get("storage") == "f16":
-            flat = np.frombuffer(raw, dtype="<f2").astype(np.float64)
-        else:
-            flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        return flat.reshape(pt.shape)
+        s = pt.stream("elements")
+        dtype = "<f2" if pt.extra.get("storage") == "f16" else "<f8"
+        if s.width != 8 * np.dtype(dtype).itemsize \
+                or s.count != pt.n_elements:
+            raise CodecError(f"fp16 elements stream holds {s.count} "
+                             f"{s.width}-bit words; a {dtype} tensor of "
+                             f"shape {pt.shape} needs {pt.n_elements}")
+        return np.frombuffer(s.data, dtype=dtype).astype(np.float64) \
+            .reshape(pt.shape)
 
 
 class BlockCodec(Codec):

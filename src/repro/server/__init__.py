@@ -26,8 +26,7 @@ Example::
 """
 
 from . import protocol
-from .client import (CLIENT_RETRIES_ENV, CLIENT_TIMEOUT_ENV, AsyncQuantClient,
-                     QuantClient, local_expected)
+from .client import AsyncQuantClient, QuantClient, local_expected
 from .faults import FaultPlan, FaultProxy
 from .server import (DEFAULT_MAX_INFLIGHT, DEFAULT_PORT, DRAIN_TIMEOUT_ENV,
                      MAX_INFLIGHT_ENV, PORT_ENV, READ_TIMEOUT_ENV,
@@ -41,6 +40,5 @@ __all__ = [
     "FaultPlan", "FaultProxy",
     "PORT_ENV", "MAX_INFLIGHT_ENV", "WORKERS_ENV",
     "READ_TIMEOUT_ENV", "DRAIN_TIMEOUT_ENV", "MAX_RESTARTS_ENV",
-    "CLIENT_TIMEOUT_ENV", "CLIENT_RETRIES_ENV",
     "DEFAULT_PORT", "DEFAULT_MAX_INFLIGHT",
 ]

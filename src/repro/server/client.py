@@ -10,6 +10,12 @@ result with the local library — ``quantize_weight`` /
 ``repro.codec.encode`` for packed requests — and raises unless the
 server's bytes are identical: the wire adds nothing and loses nothing.
 
+Every round trip (quantize, ping, drain, the KV-session calls) is
+defined once, in a shared core, as ``encoder → wait → decoder`` plus
+its retry label; :class:`QuantClient` (blocking sockets) and
+:class:`AsyncQuantClient` (asyncio streams) only supply the transport
+and the retry loop that drives it.
+
 Fault tolerance:
 
 * **Deadlines everywhere.** ``timeout`` bounds *every* frame read and
@@ -26,9 +32,6 @@ Fault tolerance:
 * **Fail fast, never hang.** When the connection dies, every pending
   pipelined request is rejected with the typed
   :class:`~repro.errors.ConnectionLost` instead of waiting forever.
-
-Env knobs: ``REPRO_CLIENT_TIMEOUT_S`` (default 60),
-``REPRO_CLIENT_RETRIES`` (default 0).
 
 Example::
 
@@ -57,15 +60,10 @@ import numpy as np
 from ..errors import ConfigError, ConnectionLost, ProtocolError, \
     RequestTimeout, RetryBudgetExceeded, ServerBusy
 from . import protocol
-from .server import DEFAULT_PORT, PORT_ENV, _env_float, _env_int
+from .server import DEFAULT_PORT, PORT_ENV, _env_int
 
 __all__ = ["QuantClient", "AsyncQuantClient", "local_expected",
-           "CLIENT_TIMEOUT_ENV", "CLIENT_RETRIES_ENV",
            "DEFAULT_CLIENT_TIMEOUT_S", "DEFAULT_CLIENT_RETRIES"]
-
-#: Environment knobs (documented in the README's env-knob table).
-CLIENT_TIMEOUT_ENV = "REPRO_CLIENT_TIMEOUT_S"
-CLIENT_RETRIES_ENV = "REPRO_CLIENT_RETRIES"
 
 DEFAULT_CLIENT_TIMEOUT_S = 60.0
 DEFAULT_CLIENT_RETRIES = 0
@@ -113,30 +111,31 @@ def _verify(result, x, *, fmt, op, dispatch, packed) -> None:
             f"quantization — wire or server corruption")
 
 
-def _resolve_timeout(timeout) -> float | None:
-    if timeout is not None:
-        return float(timeout) if timeout else None
-    value = _env_float(CLIENT_TIMEOUT_ENV, DEFAULT_CLIENT_TIMEOUT_S)
-    return value or None
-
-
-def _resolve_retries(retries) -> int:
-    value = _env_int(CLIENT_RETRIES_ENV, DEFAULT_CLIENT_RETRIES) \
-        if retries is None else int(retries)
-    if value < 0:
-        raise ConfigError("retries must be >= 0")
-    return value
+def _telemetry(frame: protocol.Frame) -> dict:
+    health = protocol.decode_health(frame)
+    return {key: health.get(key, {})
+            for key in ("stats", "services", "sessions", "metrics")}
 
 
 class _RetryPolicy:
-    """Shared backoff/jitter schedule (deterministic when seeded)."""
+    """Retry budget and backoff/jitter schedule (deterministic when
+    seeded), shared by both transports."""
 
     def __init__(self, retries, backoff_base_s: float,
                  backoff_max_s: float, seed) -> None:
-        self.retries = _resolve_retries(retries)
+        self.retries = DEFAULT_CLIENT_RETRIES if retries is None \
+            else self.budget(retries)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
         self._rng = random.Random(seed)
+
+    def budget(self, retries) -> int:
+        """A call's retry budget: its own ``retries``, else the client's."""
+        if retries is None:
+            return self.retries
+        if int(retries) < 0:
+            raise ConfigError("retries must be >= 0")
+        return int(retries)
 
     def delay_s(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jittered."""
@@ -144,29 +143,41 @@ class _RetryPolicy:
                    self.backoff_max_s)
         return base * (0.5 + self._rng.random())
 
-    def budget_error(self, budget: int, label: str,
-                     last: BaseException) -> RetryBudgetExceeded:
-        return RetryBudgetExceeded(
+    def exhausted(self, budget: int, label: str,
+                  last: BaseException) -> BaseException:
+        """What a spent budget raises: the raw typed error when retries
+        are off, else :class:`RetryBudgetExceeded` chaining ``last``."""
+        if budget == 0:
+            return last
+        err = RetryBudgetExceeded(
             f"{label} failed after {budget + 1} attempts "
             f"(last: {type(last).__name__}: {last})")
+        err.__cause__ = last
+        return err
 
 
-class QuantClient:
-    """Blocking client over one pipelined TCP connection.
+class _ClientCore:
+    """The round trips, defined once over a transport.
 
     Parameters
     ----------
     timeout:
-        Bound on the connect and on every frame read/write
-        (``None`` reads ``REPRO_CLIENT_TIMEOUT_S``, default 60;
-        ``0`` disables deadlines).
+        Bound on the connect and on every frame read/write (``None``
+        means the default, 60 s; ``0`` disables deadlines).
     retries:
-        Retry budget for :meth:`quantize` / :meth:`ping` round trips
-        (``None`` reads ``REPRO_CLIENT_RETRIES``, default 0 = fail on
-        the first error, exactly the pre-retry behaviour).
+        Retry budget for the resilient round trips (``None`` means the
+        default, 0 = fail on the first error).
     backoff_base_s / backoff_max_s / retry_seed:
         Exponential-backoff schedule between retries; jitter comes
         from ``random.Random(retry_seed)`` so tests can pin it.
+
+    A subclass supplies ``_init_transport()``, ``_send(encoder, *args,
+    **fields)`` (one request on the wire; returns what its wait takes)
+    and ``_call(label, decode, send, *args, deadline_s, retries,
+    **fields)``: ``decode(wait(send(*args, **fields)))`` inside the
+    retry loop. The async transport's ``_send``/``_call`` are
+    coroutine functions, so every method here returns an awaitable
+    there.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int | None = None, *,
@@ -176,13 +187,156 @@ class QuantClient:
         self.host = host
         self.port = _env_int(PORT_ENV, DEFAULT_PORT) if port is None \
             else int(port)
-        self.timeout = _resolve_timeout(timeout)
+        if timeout is None:
+            timeout = DEFAULT_CLIENT_TIMEOUT_S
+        self.timeout = float(timeout) or None
         self.retry = _RetryPolicy(retries, backoff_base_s, backoff_max_s,
                                   retry_seed)
-        self._sock: socket.socket | None = None
-        self._broken = False
         self._conn_gen = 0
         self._next_id = 1
+        self._init_transport()
+
+    def _deadline_s(self, deadline_s: float | None) -> float | None:
+        """A wait's time budget: its own ``deadline_s`` (``0`` = none),
+        else the client ``timeout``."""
+        return self.timeout if deadline_s is None else \
+            (float(deadline_s) or None)
+
+    # ------------------------------------------------------------------
+    # Pipelined primitive (fail fast, never auto-retry)
+    # ------------------------------------------------------------------
+    def submit(self, x: np.ndarray, *, fmt: str, op: str = "activation",
+               dispatch: str = "inherit", packed: bool = False,
+               fingerprint: str = ""):
+        """Stream one request frame without waiting (pipelined).
+
+        Returns its request id (sync); awaited, a future resolving to
+        the response frame (async).
+        """
+        return self._send(protocol.encode_request, x, fmt=fmt, op=op,
+                          dispatch=dispatch, packed=packed,
+                          fingerprint=fingerprint)
+
+    # ------------------------------------------------------------------
+    # Resilient round trips
+    # ------------------------------------------------------------------
+    def quantize(self, x: np.ndarray, *, fmt: str, op: str = "activation",
+                 dispatch: str = "inherit", packed: bool = False,
+                 fingerprint: str = "", verify: bool = False,
+                 deadline_s: float | None = None,
+                 retries: int | None = None):
+        """One round trip: submit, wait, (optionally) verify bit-exactness.
+
+        Retries (reconnecting as needed) on connection loss, timeouts,
+        ``BUSY`` and ``DRAINING`` up to the retry budget — idempotent
+        by the protocol contract, so a retried request returns the
+        same bits the first attempt would have.
+        """
+        def decode(frame):
+            out = protocol.response_result(frame)
+            if verify:
+                _verify(out, x, fmt=fmt, op=op, dispatch=dispatch,
+                        packed=packed)
+            return out
+
+        return self._call(f"{fmt}:{op} quantize", decode, self.submit, x,
+                          fmt=fmt, op=op, dispatch=dispatch, packed=packed,
+                          fingerprint=fingerprint, deadline_s=deadline_s,
+                          retries=retries)
+
+    def _ping(self, decode, deadline_s, retries):
+        return self._call("ping", decode, self._send, protocol.encode_ping,
+                          deadline_s=deadline_s, retries=retries)
+
+    def ping(self, *, deadline_s: float | None = None,
+             retries: int | None = None) -> dict:
+        """Liveness/health round trip: the server's health report dict."""
+        return self._ping(protocol.decode_health, deadline_s, retries)
+
+    def server_stats(self, *, deadline_s: float | None = None,
+                     retries: int | None = None) -> dict:
+        """The server-side telemetry subset of the HEALTH meta.
+
+        ``{"stats", "services", "sessions", "metrics"}`` — the raw
+        counters, the per-arm service aggregate, the KV session
+        occupancy, and the full metrics-registry snapshot (empty under
+        ``REPRO_NO_METRICS=1`` on the server). One PING round trip.
+        """
+        return self._ping(_telemetry, deadline_s, retries)
+
+    def drain(self, *, deadline_s: float | None = None) -> dict:
+        """Ask the server to drain gracefully (one attempt, never
+        retried); returns its health ack."""
+        return self._call("drain", protocol.decode_health, self._send,
+                          protocol.encode_drain, deadline_s=deadline_s,
+                          retries=0)
+
+    # ------------------------------------------------------------------
+    # Streaming KV-cache sessions (protocol v3)
+    # ------------------------------------------------------------------
+    def session_open(self, *, session_id: str, n_layers: int, policy=None,
+                     max_tokens: int | None = None, sink_tokens: int = 0,
+                     dispatch: str = "inherit", verify: bool = True,
+                     deadline_s: float | None = None,
+                     retries: int | None = None) -> dict:
+        """Open (or idempotently resume) a KV-cache session.
+
+        The ack carries the server's session info plus ``next_seq`` —
+        the sequence number the next :meth:`session_append` must use.
+        Safe to retry: re-opening with the same config resumes.
+        """
+        return self._call(f"session {session_id} open",
+                          protocol.decode_session_ack, self._send,
+                          protocol.encode_session_open,
+                          session_id=session_id, n_layers=n_layers,
+                          policy=policy, max_tokens=max_tokens,
+                          sink_tokens=sink_tokens, dispatch=dispatch,
+                          verify=verify, deadline_s=deadline_s,
+                          retries=retries)
+
+    def session_append(self, session_id: str, layer: int, k, v, *,
+                       seq: int, deadline_s: float | None = None,
+                       retries: int | None = None) -> dict:
+        """Append one K/V block; ``seq`` is the caller's append counter.
+
+        Retrying with the *same* seq is safe: the server replays the
+        stored ack for a duplicate. An un-reconcilable seq (state lost
+        to a crash) raises the typed, non-retryable
+        :class:`~repro.errors.SessionLost`.
+        """
+        return self._call(f"session {session_id} append",
+                          protocol.decode_session_ack, self._send,
+                          protocol.encode_session_append,
+                          session_id=session_id, layer=layer, seq=seq,
+                          k=k, v=v, deadline_s=deadline_s, retries=retries)
+
+    def session_read(self, session_id: str, layer: int, *,
+                     deadline_s: float | None = None,
+                     retries: int | None = None):
+        """Dequantized (K, V) for one layer of a live session."""
+        return self._call(f"session {session_id} read",
+                          protocol.decode_session_kv, self._send,
+                          protocol.encode_session_read,
+                          session_id=session_id, layer=layer,
+                          deadline_s=deadline_s, retries=retries)
+
+    def session_close(self, session_id: str, *,
+                      deadline_s: float | None = None,
+                      retries: int | None = None) -> dict:
+        """Close a session; the ack carries its final stats."""
+        return self._call(f"session {session_id} close",
+                          protocol.decode_session_ack, self._send,
+                          protocol.encode_session_close,
+                          session_id=session_id, deadline_s=deadline_s,
+                          retries=retries)
+
+
+class QuantClient(_ClientCore):
+    """Blocking client over one pipelined TCP connection."""
+
+    def _init_transport(self) -> None:
+        self._sock: socket.socket | None = None
+        self._broken = False
         self._sent_gen: dict[int, int] = {}
         self._responses: dict[int, protocol.Frame] = {}
 
@@ -226,16 +380,8 @@ class QuantClient:
         self.close()
 
     # ------------------------------------------------------------------
-    # Pipelined primitives (fail fast, never auto-retry)
+    # Transport
     # ------------------------------------------------------------------
-    def submit(self, x: np.ndarray, *, fmt: str, op: str = "activation",
-               dispatch: str = "inherit", packed: bool = False,
-               fingerprint: str = "") -> int:
-        """Stream one request frame; returns its request id (pipelined)."""
-        return self._send(protocol.encode_request, x, fmt=fmt, op=op,
-                          dispatch=dispatch, packed=packed,
-                          fingerprint=fingerprint)
-
     def _send(self, encoder, *args, **kwargs) -> int:
         if self._sock is None and not self._broken:
             raise ConfigError("client is not connected; call connect() "
@@ -260,61 +406,85 @@ class QuantClient:
     def _wait_frame(self, request_id: int,
                     deadline_s: float | None = None) -> protocol.Frame:
         """Collect frames until ``request_id`` answers (bounded)."""
-        budget = self.timeout if deadline_s is None else \
-            (float(deadline_s) or None)
+        budget = self._deadline_s(deadline_s)
         deadline = None if budget is None else time.monotonic() + budget
-        while request_id not in self._responses:
-            if self._sent_gen.get(request_id, self._conn_gen) \
-                    != self._conn_gen or self._broken:
-                # The connection the request went out on is gone: its
-                # response can never arrive. Fail fast, never hang.
-                self._sent_gen.pop(request_id, None)
-                raise ConnectionLost(
-                    f"connection died with request {request_id} in "
-                    f"flight; resubmit on the new connection")
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+        try:
+            while request_id not in self._responses:
+                if self._sent_gen.get(request_id, self._conn_gen) \
+                        != self._conn_gen or self._broken:
+                    # The connection the request went out on is gone:
+                    # its response can never arrive. Fail fast.
+                    raise ConnectionLost(
+                        f"connection died with request {request_id} in "
+                        f"flight; resubmit on the new connection")
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise RequestTimeout(
+                            f"no response to request {request_id} within "
+                            f"{budget:g}s")
+                try:
+                    self._sock.settimeout(remaining if remaining is not None
+                                          else self.timeout)
+                    frame = protocol.recv_frame(self._sock)
+                except socket.timeout as exc:
+                    # recv may have consumed part of a frame: the stream
+                    # position is unknown, so the connection is done for.
+                    self._mark_broken()
                     raise RequestTimeout(
                         f"no response to request {request_id} within "
-                        f"{budget:g}s")
-            try:
-                self._sock.settimeout(remaining if remaining is not None
-                                      else self.timeout)
-                frame = protocol.recv_frame(self._sock)
-            except socket.timeout as exc:
-                # recv may have consumed part of a frame: the stream
-                # position is unknown, so the connection is done for.
-                self._mark_broken()
-                raise RequestTimeout(
-                    f"no response to request {request_id} within "
-                    f"{budget:g}s") from exc
-            except ConnectionLost:
-                self._mark_broken()
-                raise
-            except ProtocolError as exc:
-                # Locally unframeable bytes (corruption): transport-
-                # level failure, distinct from a server-reported
-                # PROTOCOL_ERROR status (which stays non-retryable).
-                self._mark_broken()
-                raise ConnectionLost(
-                    f"response stream unframeable: {exc}") from exc
-            except (ConnectionError, OSError) as exc:
-                self._mark_broken()
-                raise ConnectionLost(
-                    f"connection died awaiting request "
-                    f"{request_id}: {exc}") from exc
-            if frame is None:
-                self._mark_broken()
-                raise ConnectionLost(
-                    f"server closed the connection before answering "
-                    f"request {request_id}")
-            self._responses[frame.request_id] = frame
-            self._sent_gen.pop(frame.request_id, None)
-        self._sent_gen.pop(request_id, None)
-        return self._responses.pop(request_id)
+                        f"{budget:g}s") from exc
+                except ConnectionLost:
+                    self._mark_broken()
+                    raise
+                except ProtocolError as exc:
+                    # Locally unframeable bytes (corruption): transport-
+                    # level failure, distinct from a server-reported
+                    # PROTOCOL_ERROR status (which stays non-retryable).
+                    self._mark_broken()
+                    raise ConnectionLost(
+                        f"response stream unframeable: {exc}") from exc
+                except (ConnectionError, OSError) as exc:
+                    self._mark_broken()
+                    raise ConnectionLost(
+                        f"connection died awaiting request "
+                        f"{request_id}: {exc}") from exc
+                if frame is None:
+                    self._mark_broken()
+                    raise ConnectionLost(
+                        f"server closed the connection before answering "
+                        f"request {request_id}")
+                self._responses[frame.request_id] = frame
+                self._sent_gen.pop(frame.request_id, None)
+            return self._responses.pop(request_id)
+        finally:
+            # Answered, timed out or lost: the request is no longer
+            # awaited on any connection.
+            self._sent_gen.pop(request_id, None)
 
+    def _call(self, label, decode, send, *args, deadline_s=None,
+              retries=None, **fields):
+        budget = self.retry.budget(retries)
+        for attempt in range(budget + 1):
+            try:
+                return decode(self._wait_frame(send(*args, **fields),
+                                               deadline_s))
+            except _RETRYABLE as exc:
+                # BUSY/DRAINING answers arrive on a healthy connection
+                # (a draining server still owes answers for admitted
+                # in-flight work), so only transport failures force a
+                # reconnect. A finished drain closes the connection,
+                # which surfaces as ConnectionLost and reconnects here.
+                if not isinstance(exc, ServerBusy):
+                    self._mark_broken()
+                if attempt >= budget:
+                    raise self.retry.exhausted(budget, label, exc)
+                time.sleep(self.retry.delay_s(attempt))
+
+    # ------------------------------------------------------------------
+    # Sync-only pipelining helpers
+    # ------------------------------------------------------------------
     def result(self, request_id: int, *, deadline_s: float | None = None):
         """Wait for the response to ``request_id`` (any arrival order).
 
@@ -325,148 +495,6 @@ class QuantClient:
         """
         return protocol.response_result(
             self._wait_frame(request_id, deadline_s))
-
-    # ------------------------------------------------------------------
-    # Resilient round trips
-    # ------------------------------------------------------------------
-    def _with_retries(self, label: str, once, *, retries=None):
-        budget = self.retry.retries if retries is None else \
-            _resolve_retries(retries)
-        for attempt in range(budget + 1):
-            try:
-                return once()
-            except _RETRYABLE as exc:
-                # BUSY/DRAINING answers arrive on a healthy connection
-                # (a draining server still owes answers for admitted
-                # in-flight work), so only transport failures force a
-                # reconnect. A finished drain closes the connection,
-                # which surfaces as ConnectionLost and reconnects here.
-                if not isinstance(exc, ServerBusy):
-                    self._mark_broken()
-                if attempt >= budget:
-                    if budget == 0:
-                        raise
-                    raise self.retry.budget_error(budget, label, exc) \
-                        from exc
-                time.sleep(self.retry.delay_s(attempt))
-
-    def quantize(self, x: np.ndarray, *, fmt: str, op: str = "activation",
-                 dispatch: str = "inherit", packed: bool = False,
-                 fingerprint: str = "", verify: bool = False,
-                 deadline_s: float | None = None,
-                 retries: int | None = None):
-        """One round trip: submit, wait, (optionally) verify bit-exactness.
-
-        Retries (reconnecting as needed) on connection loss, timeouts,
-        ``BUSY`` and ``DRAINING`` up to the retry budget — idempotent
-        by the protocol contract, so a retried request returns the
-        same bits the first attempt would have.
-        """
-        def once():
-            rid = self.submit(x, fmt=fmt, op=op, dispatch=dispatch,
-                              packed=packed, fingerprint=fingerprint)
-            return self.result(rid, deadline_s=deadline_s)
-
-        out = self._with_retries(f"{fmt}:{op} quantize", once,
-                                 retries=retries)
-        if verify:
-            _verify(out, x, fmt=fmt, op=op, dispatch=dispatch, packed=packed)
-        return out
-
-    def ping(self, *, deadline_s: float | None = None,
-             retries: int | None = None) -> dict:
-        """Liveness/health round trip: the server's health report dict."""
-        def once():
-            rid = self._send(protocol.encode_ping)
-            return protocol.decode_health(
-                self._wait_frame(rid, deadline_s))
-        return self._with_retries("ping", once, retries=retries)
-
-    def server_stats(self, *, deadline_s: float | None = None,
-                     retries: int | None = None) -> dict:
-        """The server-side telemetry subset of the HEALTH meta.
-
-        ``{"stats", "services", "sessions", "metrics"}`` — the raw
-        counters, the per-arm service aggregate, the KV session
-        occupancy, and the full metrics-registry snapshot (empty under
-        ``REPRO_NO_METRICS=1`` on the server). One PING round trip.
-        """
-        health = self.ping(deadline_s=deadline_s, retries=retries)
-        return {key: health.get(key, {})
-                for key in ("stats", "services", "sessions", "metrics")}
-
-    def drain(self, *, deadline_s: float | None = None) -> dict:
-        """Ask the server to drain gracefully; returns its health ack."""
-        rid = self._send(protocol.encode_drain)
-        return protocol.decode_health(self._wait_frame(rid, deadline_s))
-
-    # ------------------------------------------------------------------
-    # Streaming KV-cache sessions (protocol v3)
-    # ------------------------------------------------------------------
-    def session_open(self, *, session_id: str, n_layers: int, policy=None,
-                     max_tokens: int | None = None, sink_tokens: int = 0,
-                     dispatch: str = "inherit", verify: bool = True,
-                     deadline_s: float | None = None,
-                     retries: int | None = None) -> dict:
-        """Open (or idempotently resume) a KV-cache session.
-
-        The ack carries the server's session info plus ``next_seq`` —
-        the sequence number the next :meth:`session_append` must use.
-        Safe to retry: re-opening with the same config resumes.
-        """
-        def once():
-            rid = self._send(protocol.encode_session_open,
-                             session_id=session_id, n_layers=n_layers,
-                             policy=policy, max_tokens=max_tokens,
-                             sink_tokens=sink_tokens, dispatch=dispatch,
-                             verify=verify)
-            return protocol.decode_session_ack(
-                self._wait_frame(rid, deadline_s))
-        return self._with_retries(f"session {session_id} open", once,
-                                  retries=retries)
-
-    def session_append(self, session_id: str, layer: int, k, v, *,
-                       seq: int, deadline_s: float | None = None,
-                       retries: int | None = None) -> dict:
-        """Append one K/V block; ``seq`` is the caller's append counter.
-
-        Retrying with the *same* seq is safe: the server replays the
-        stored ack for a duplicate. An un-reconcilable seq (state lost
-        to a crash) raises the typed, non-retryable
-        :class:`~repro.errors.SessionLost`.
-        """
-        def once():
-            rid = self._send(protocol.encode_session_append,
-                             session_id=session_id, layer=layer, seq=seq,
-                             k=k, v=v)
-            return protocol.decode_session_ack(
-                self._wait_frame(rid, deadline_s))
-        return self._with_retries(f"session {session_id} append", once,
-                                  retries=retries)
-
-    def session_read(self, session_id: str, layer: int, *,
-                     deadline_s: float | None = None,
-                     retries: int | None = None):
-        """Dequantized (K, V) for one layer of a live session."""
-        def once():
-            rid = self._send(protocol.encode_session_read,
-                             session_id=session_id, layer=layer)
-            return protocol.decode_session_kv(
-                self._wait_frame(rid, deadline_s))
-        return self._with_retries(f"session {session_id} read", once,
-                                  retries=retries)
-
-    def session_close(self, session_id: str, *,
-                      deadline_s: float | None = None,
-                      retries: int | None = None) -> dict:
-        """Close a session; the ack carries its final stats."""
-        def once():
-            rid = self._send(protocol.encode_session_close,
-                             session_id=session_id)
-            return protocol.decode_session_ack(
-                self._wait_frame(rid, deadline_s))
-        return self._with_retries(f"session {session_id} close", once,
-                                  retries=retries)
 
     def quantize_batch(self, tensors, *, fmt: str, op: str = "activation",
                        dispatch: str = "inherit", packed: bool = False,
@@ -492,34 +520,21 @@ class QuantClient:
         return results
 
 
-class AsyncQuantClient:
-    """asyncio client: same protocol, futures per in-flight request.
+class AsyncQuantClient(_ClientCore):
+    """asyncio client: same round trips, futures per in-flight request.
 
-    Shares the sync client's fault-tolerance contract: ``timeout``
-    bounds the connect and every round trip, ``quantize()`` retries
-    with backoff + jitter (reconnecting as needed) up to ``retries``,
-    and a dead connection rejects **all** pending futures with the
-    typed :class:`~repro.errors.ConnectionLost` instead of hanging.
+    Every round-trip method returns an awaitable; a dead connection
+    rejects **all** pending futures with the typed
+    :class:`~repro.errors.ConnectionLost` instead of hanging.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int | None = None, *,
-                 timeout: float | None = None, retries: int | None = None,
-                 backoff_base_s: float = 0.05, backoff_max_s: float = 2.0,
-                 retry_seed=None) -> None:
-        self.host = host
-        self.port = _env_int(PORT_ENV, DEFAULT_PORT) if port is None \
-            else int(port)
-        self.timeout = _resolve_timeout(timeout)
-        self.retry = _RetryPolicy(retries, backoff_base_s, backoff_max_s,
-                                  retry_seed)
+    def _init_transport(self) -> None:
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._pending: dict[int, asyncio.Future] = {}
         self._reader_task: asyncio.Task | None = None
         self._reader_error: BaseException | None = None
-        self._conn_gen = 0
         self._conn_lock: asyncio.Lock | None = None
-        self._next_id = 1
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -611,17 +626,8 @@ class AsyncQuantClient:
             self._pending.clear()
 
     # ------------------------------------------------------------------
-    # Pipelined primitives (fail fast, never auto-retry)
+    # Transport
     # ------------------------------------------------------------------
-    async def submit(self, x: np.ndarray, *, fmt: str,
-                     op: str = "activation", dispatch: str = "inherit",
-                     packed: bool = False,
-                     fingerprint: str = "") -> asyncio.Future:
-        """Send one request; the returned future resolves to its frame."""
-        return await self._send(protocol.encode_request, x, fmt=fmt, op=op,
-                                dispatch=dispatch, packed=packed,
-                                fingerprint=fingerprint)
-
     async def _send(self, encoder, *args, **kwargs) -> asyncio.Future:
         if self._writer is None:
             raise ConfigError("client is not connected; use "
@@ -655,24 +661,21 @@ class AsyncQuantClient:
 
     async def _await_frame(self, fut: asyncio.Future,
                            deadline_s: float | None) -> protocol.Frame:
-        budget = self.timeout if deadline_s is None else \
-            (float(deadline_s) or None)
+        budget = self._deadline_s(deadline_s)
         try:
             return await asyncio.wait_for(fut, budget)
         except asyncio.TimeoutError:
-            rid = getattr(fut, "_repro_request_id", None)
-            if rid is not None:
-                self._pending.pop(rid, None)
             raise RequestTimeout(
-                f"no response to request {rid} within {budget:g}s") \
-                from None
+                f"no response to request {fut._repro_request_id} within "
+                f"{budget:g}s") from None
+        finally:
+            # The reader pops answered requests itself; a timed-out or
+            # cancelled wait must not leave its future parked.
+            self._pending.pop(fut._repro_request_id, None)
 
-    # ------------------------------------------------------------------
-    # Resilient round trips
-    # ------------------------------------------------------------------
-    async def _with_retries(self, label: str, once, *, retries=None):
-        budget = self.retry.retries if retries is None else \
-            _resolve_retries(retries)
+    async def _call(self, label, decode, send, *args, deadline_s=None,
+                    retries=None, **fields):
+        budget = self.retry.budget(retries)
         for attempt in range(budget + 1):
             gen = self._conn_gen
             try:
@@ -680,13 +683,11 @@ class AsyncQuantClient:
                     # An earlier reconnect failed; this attempt retries
                     # the connect itself (counted against the budget).
                     await self._reset_connection(gen)
-                return await once()
+                fut = await send(*args, **fields)
+                return decode(await self._await_frame(fut, deadline_s))
             except _RETRYABLE as exc:
                 if attempt >= budget:
-                    if budget == 0:
-                        raise
-                    raise self.retry.budget_error(budget, label, exc) \
-                        from exc
+                    raise self.retry.exhausted(budget, label, exc)
                 await asyncio.sleep(self.retry.delay_s(attempt))
                 # As in the sync client: BUSY/DRAINING keep the healthy
                 # connection (it still owes pipelined answers); only
@@ -696,106 +697,3 @@ class AsyncQuantClient:
                         await self._reset_connection(gen)
                     except _RETRYABLE:
                         pass  # the next attempt retries the connect
-
-    async def quantize(self, x: np.ndarray, *, fmt: str,
-                       op: str = "activation", dispatch: str = "inherit",
-                       packed: bool = False, fingerprint: str = "",
-                       verify: bool = False,
-                       deadline_s: float | None = None,
-                       retries: int | None = None):
-        """One awaitable round trip (pipelines freely across tasks)."""
-        async def once():
-            fut = await self.submit(x, fmt=fmt, op=op, dispatch=dispatch,
-                                    packed=packed, fingerprint=fingerprint)
-            return protocol.response_result(
-                await self._await_frame(fut, deadline_s))
-
-        out = await self._with_retries(f"{fmt}:{op} quantize", once,
-                                       retries=retries)
-        if verify:
-            _verify(out, x, fmt=fmt, op=op, dispatch=dispatch, packed=packed)
-        return out
-
-    async def ping(self, *, deadline_s: float | None = None,
-                   retries: int | None = None) -> dict:
-        """Liveness/health round trip: the server's health report dict."""
-        async def once():
-            fut = await self._send(protocol.encode_ping)
-            return protocol.decode_health(
-                await self._await_frame(fut, deadline_s))
-        return await self._with_retries("ping", once, retries=retries)
-
-    async def server_stats(self, *, deadline_s: float | None = None,
-                           retries: int | None = None) -> dict:
-        """The server-side telemetry subset of the HEALTH meta (see
-        :meth:`QuantClient.server_stats`)."""
-        health = await self.ping(deadline_s=deadline_s, retries=retries)
-        return {key: health.get(key, {})
-                for key in ("stats", "services", "sessions", "metrics")}
-
-    async def drain(self, *, deadline_s: float | None = None) -> dict:
-        """Ask the server to drain gracefully; returns its health ack."""
-        fut = await self._send(protocol.encode_drain)
-        return protocol.decode_health(await self._await_frame(fut,
-                                                              deadline_s))
-
-    # ------------------------------------------------------------------
-    # Streaming KV-cache sessions (protocol v3)
-    # ------------------------------------------------------------------
-    async def session_open(self, *, session_id: str, n_layers: int,
-                           policy=None, max_tokens: int | None = None,
-                           sink_tokens: int = 0,
-                           dispatch: str = "inherit", verify: bool = True,
-                           deadline_s: float | None = None,
-                           retries: int | None = None) -> dict:
-        """Open (or idempotently resume) a KV-cache session."""
-        async def once():
-            fut = await self._send(protocol.encode_session_open,
-                                   session_id=session_id,
-                                   n_layers=n_layers, policy=policy,
-                                   max_tokens=max_tokens,
-                                   sink_tokens=sink_tokens,
-                                   dispatch=dispatch, verify=verify)
-            return protocol.decode_session_ack(
-                await self._await_frame(fut, deadline_s))
-        return await self._with_retries(f"session {session_id} open",
-                                        once, retries=retries)
-
-    async def session_append(self, session_id: str, layer: int, k, v, *,
-                             seq: int, deadline_s: float | None = None,
-                             retries: int | None = None) -> dict:
-        """Append one K/V block (same seq-dedup contract as the sync
-        client: retried duplicates replay, lost state raises
-        :class:`~repro.errors.SessionLost`)."""
-        async def once():
-            fut = await self._send(protocol.encode_session_append,
-                                   session_id=session_id, layer=layer,
-                                   seq=seq, k=k, v=v)
-            return protocol.decode_session_ack(
-                await self._await_frame(fut, deadline_s))
-        return await self._with_retries(f"session {session_id} append",
-                                        once, retries=retries)
-
-    async def session_read(self, session_id: str, layer: int, *,
-                           deadline_s: float | None = None,
-                           retries: int | None = None):
-        """Dequantized (K, V) for one layer of a live session."""
-        async def once():
-            fut = await self._send(protocol.encode_session_read,
-                                   session_id=session_id, layer=layer)
-            return protocol.decode_session_kv(
-                await self._await_frame(fut, deadline_s))
-        return await self._with_retries(f"session {session_id} read",
-                                        once, retries=retries)
-
-    async def session_close(self, session_id: str, *,
-                            deadline_s: float | None = None,
-                            retries: int | None = None) -> dict:
-        """Close a session; the ack carries its final stats."""
-        async def once():
-            fut = await self._send(protocol.encode_session_close,
-                                   session_id=session_id)
-            return protocol.decode_session_ack(
-                await self._await_frame(fut, deadline_s))
-        return await self._with_retries(f"session {session_id} close",
-                                        once, retries=retries)

@@ -279,9 +279,11 @@ class FaultProxy:
                         rng.random() < self.plan.delay_prob:
                     self.stats["delayed"] += 1
                     await asyncio.sleep(self.plan.delay_s)
+                # Count before the write: the peer may read the frame and
+                # inspect these stats before this task resumes.
+                self.stats["frames_forwarded"] += 1
                 writer.write(bytes(frame))
                 await writer.drain()
-                self.stats["frames_forwarded"] += 1
         except _Abort:
             for w in writers:
                 try:

@@ -249,13 +249,28 @@ HEADER_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+#: Header edits ``from_bytes`` accepts but the format's decoder must
+#: still reject: ``(format, tensor shape, edit)``.
+DECODE_DEFECTS = {
+    "fp16_shape_rows_doubled": ("fp16", (2, 40), _with("shape", [4, 40])),
+}
+
+
+@pytest.mark.parametrize("defect",
+                         sorted(HEADER_DEFECTS) + sorted(DECODE_DEFECTS))
 def test_malformed_header_raises_codec_error(defect, rng):
-    pt = encode(make_format("mxfp4"), rng.standard_normal((2, 64)))
+    name, shape, edit = DECODE_DEFECTS.get(
+        defect, ("mxfp4", (2, 64), HEADER_DEFECTS.get(defect)))
+    fmt = make_format(name)
+    pt = encode(fmt, rng.standard_normal(shape))
     header, payload = _split_header(pt.to_bytes())
-    with pytest.raises(CodecError):
-        PackedTensor.from_bytes(
-            _join_header(HEADER_DEFECTS[defect](header), payload))
+    blob = _join_header(edit(header), payload)
+    if defect in HEADER_DEFECTS:
+        with pytest.raises(CodecError):
+            PackedTensor.from_bytes(blob)
+    for kwargs in ({}, {"fmt": fmt}):
+        with pytest.raises(CodecError):
+            decode(blob, **kwargs)
 
 
 def test_n_elements_is_exact():

@@ -236,6 +236,38 @@ def test_async_client_deadline_on_stalled_server():
         sock.close()
 
 
+def test_timed_out_calls_leave_no_request_bookkeeping():
+    """Every exit from a response wait drops the request's bookkeeping:
+    a loop of timed-out calls against a stalled server leaves none."""
+    sock, conns, stop, thread = _stalled_acceptor()
+    port = sock.getsockname()[1]
+
+    async def run() -> None:
+        async with AsyncQuantClient(port=port, timeout=0.05) as cli:
+            for _ in range(3):
+                with pytest.raises(RequestTimeout):
+                    await cli.quantize(np.zeros((2, 8)), fmt="m2xfp")
+                with pytest.raises(RequestTimeout):
+                    await cli.ping()
+            assert cli._pending == {}
+
+    try:
+        with QuantClient(port=port, timeout=0.05) as cli:
+            for _ in range(3):
+                with pytest.raises(RequestTimeout):
+                    cli.quantize(np.zeros((2, 8)), fmt="m2xfp")
+                with pytest.raises(RequestTimeout):
+                    cli.ping()
+            assert cli._sent_gen == {} and cli._responses == {}
+        asyncio.run(run())
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        for conn in conns:
+            conn.close()
+        sock.close()
+
+
 def test_pipelined_futures_fail_fast_on_connection_loss(rng):
     """A dead connection rejects every pending pipelined future with a
     typed error immediately -- no waiting out individual deadlines."""
@@ -508,6 +540,42 @@ def test_session_appends_resume_bit_exact_through_kills(rng):
         assert px.stats["killed"] > 0, "the chaos never bit"
         # Kills mid-append forced retries: the server saw more APPEND
         # frames than there are blocks, yet applied exactly len(blocks).
+        assert st.server.stats["session_appends"] >= len(blocks)
+        assert local.stats()["appends"] == len(blocks)
+
+
+def test_async_session_appends_resume_bit_exact_through_kills(rng):
+    """The async twin of the sync chaos resume: same proxy, same seeded
+    kills, the same bit-identical stream and exactly-once appends."""
+    blocks = [(_kv_block(rng), _kv_block(rng)) for _ in range(14)]
+    plan = FaultPlan(seed=11, kill_prob=0.10, delay_prob=0.2,
+                     delay_s=0.002)
+    local = KVCacheSession(1, "m2xfp", max_tokens=16, sink_tokens=4)
+
+    async def run() -> None:
+        async with AsyncQuantClient(port=px.port, retries=16,
+                                    backoff_base_s=0.005,
+                                    backoff_max_s=0.05, retry_seed=3,
+                                    timeout=30.0) as cli:
+            await cli.session_open(session_id="chaos", n_layers=1,
+                                   policy="m2xfp", max_tokens=16,
+                                   sink_tokens=4)
+            for seq, (k, v) in enumerate(blocks):
+                ack = await cli.session_append("chaos", 0, k, v, seq=seq)
+                ref = local.append(0, k, v)
+                assert (ack["start"], ack["tokens_held"]) \
+                    == (ref["start"], ref["tokens_held"])
+            K, V = await cli.session_read("chaos", 0)
+            lk, lv = local.read(0)
+            assert K.tobytes() == lk.tobytes()
+            assert V.tobytes() == lv.tobytes()
+            final = await cli.session_close("chaos")
+            assert final["closed"] is True
+
+    with ServerThread(port=0) as st, \
+            FaultProxy(target_port=st.port, plan=plan) as px:
+        asyncio.run(run())
+        assert px.stats["killed"] > 0, "the chaos never bit"
         assert st.server.stats["session_appends"] >= len(blocks)
         assert local.stats()["appends"] == len(blocks)
 

@@ -16,6 +16,8 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import asyncio
+import inspect
 import json
 import sys
 import threading
@@ -396,6 +398,59 @@ def test_drain_finishes_inflight_then_exits(rng, monkeypatch):
         assert st.server.stats["draining_rejections"] == 1
     finally:
         st.__exit__(None, None, None)
+
+
+def test_async_ping_server_stats_and_drain(rng):
+    x = rng.standard_normal((2, 32))
+
+    async def run() -> None:
+        async with AsyncQuantClient(port=st.port, timeout=30.0) as cli:
+            info = await cli.ping()
+            assert info["status"] == "ok" and info["draining"] is False
+            assert info["protocol_version"] == protocol.PROTOCOL_VERSION
+            await cli.quantize(x, fmt="m2xfp")
+            stats = await cli.server_stats()
+            assert set(stats) == {"stats", "services", "sessions",
+                                  "metrics"}
+            assert stats["stats"]["responses"] >= 1
+            ack = await cli.drain()
+            assert ack["draining"] is True
+
+    st = ServerThread(port=0).__enter__()
+    try:
+        asyncio.run(run())
+        assert st.server.stats["pings"] == 2
+        assert st.server.stats["drain_requests"] == 1
+    finally:
+        st.__exit__(None, None, None)
+
+
+#: The round trips both clients expose (sync returns, async awaits).
+ROUND_TRIPS = ("submit", "quantize", "ping", "server_stats", "drain",
+               "session_open", "session_append", "session_read",
+               "session_close")
+
+
+def test_sync_and_async_clients_expose_the_same_round_trips():
+    def params(cls, name):
+        return list(inspect.signature(getattr(cls, name)).parameters.values())
+
+    for name in ("__init__",) + ROUND_TRIPS:
+        assert params(QuantClient, name) == params(AsyncQuantClient, name), \
+            name
+
+    def public(cls):
+        return {n for n in dir(cls)
+                if not n.startswith("_") and callable(getattr(cls, n))}
+
+    # Transport lifecycle aside, the async surface is the sync one minus
+    # the sync-only pipelining helpers.
+    assert public(QuantClient) - public(AsyncQuantClient) \
+        == {"result", "quantize_batch"}
+    assert public(AsyncQuantClient) <= public(QuantClient)
+    # Every async round trip is awaitable (and fails typed unconnected).
+    with pytest.raises(ConfigError, match="not connected"):
+        asyncio.run(AsyncQuantClient(port=1).ping())
 
 
 def test_server_thread_drain_method(rng):
