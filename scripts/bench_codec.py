@@ -10,10 +10,10 @@ Measures, per catalog format arm:
 
 Plus a service section: per-tensor ``quantize`` calls vs micro-batched
 ``QuantService.submit`` over a stream of small activation tensors, and a
-``fused`` section timing the fused quantize→pack encode path against its
-``REPRO_NO_FUSED_PACK=1`` fallback (same format, same tensor, same
-container bytes — the ratio is what the zero-copy code-space encode
-buys).
+``fused`` section timing the fused quantize→pack encode path against the
+re-derive path, run by patching out the codec's plan lookup (same
+format, same tensor, same container bytes — the ratio is what the
+zero-copy code-space encode buys).
 
 Run:  PYTHONPATH=src python scripts/bench_codec.py [--out PATH] [--quick]
 
@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
+from unittest import mock
 
 import numpy as np
 
-from repro.codec import FUSED_PACK_ENV, PackedTensor, decode, encode
+from repro.codec import PackedTensor, collect_encode_stats, decode, encode
 from repro.runner.formats import make_format
 from repro.serve import QuantService
 
@@ -71,6 +71,14 @@ def _best_time(fn, reps: int) -> float:
     return best
 
 
+def _unfused():
+    """Patch scope in which ``encode`` finds no plan and re-derives every
+    code from floats. Only the codec imports ``lookup_plan`` from
+    ``repro.plan.cache``; format entry points resolve theirs through
+    ``repro.plan`` and keep their plans, verify's quantize included."""
+    return mock.patch("repro.plan.cache.lookup_plan", lambda *args: None)
+
+
 def run_benchmarks(quick: bool = False) -> dict:
     """Run every codec/service benchmark; returns the payload dict."""
     rng = np.random.default_rng(0)
@@ -101,7 +109,7 @@ def run_benchmarks(quick: bool = False) -> dict:
             "header_bytes": pt.header_bytes,
         }
 
-    # --- fused quantize→pack vs the REPRO_NO_FUSED_PACK fallback -------
+    # --- fused quantize→pack vs the re-derive path ---------------------
     # Each arm is timed twice per mode: plain encode (pack throughput —
     # where the codec-bound activation formats gain 2-3x and the
     # search-bound weight formats roughly break even), and encode with
@@ -110,33 +118,30 @@ def run_benchmarks(quick: bool = False) -> dict:
     # arm wins. ``speedup_fused_pack`` (the regression-gated ratio) is
     # the verified one; ``speedup_fused_encode_only`` is the plain one.
     fused: dict[str, dict] = {}
-    prev = os.environ.get(FUSED_PACK_ENV)
-    try:
-        for name, op in FUSED_ARMS:
-            fmt = make_format(name)
-            os.environ.pop(FUSED_PACK_ENV, None)
-            fused_s = _best_time(lambda: encode(fmt, x, op=op), reps)
-            fused_v = _best_time(
-                lambda: encode(fmt, x, op=op, verify=True), reps)
-            os.environ[FUSED_PACK_ENV] = "1"
+    for name, op in FUSED_ARMS:
+        fmt = make_format(name)
+        fused_s = _best_time(lambda: encode(fmt, x, op=op), reps)
+        fused_v = _best_time(
+            lambda: encode(fmt, x, op=op, verify=True), reps)
+        with _unfused():
             unfused_s = _best_time(lambda: encode(fmt, x, op=op), reps)
             unfused_v = _best_time(
                 lambda: encode(fmt, x, op=op, verify=True), reps)
-            fused[f"{name}:{op}"] = {
-                "elements": n,
-                "fused_encode_s": round(fused_s, 6),
-                "unfused_encode_s": round(unfused_s, 6),
-                "fused_verified_s": round(fused_v, 6),
-                "unfused_verified_s": round(unfused_v, 6),
-                "fused_encode_elems_per_s": round(n / fused_s, 1),
-                "speedup_fused_pack": round(unfused_v / fused_v, 3),
-                "speedup_fused_encode_only": round(unfused_s / fused_s, 3),
-            }
-    finally:
-        if prev is None:
-            os.environ.pop(FUSED_PACK_ENV, None)
-        else:
-            os.environ[FUSED_PACK_ENV] = prev
+            with collect_encode_stats() as es:
+                encode(fmt, x, op=op)
+        if es["fused_encodes"]:
+            raise RuntimeError(f"{name}:{op}: unfused arm took the "
+                               "fused path")
+        fused[f"{name}:{op}"] = {
+            "elements": n,
+            "fused_encode_s": round(fused_s, 6),
+            "unfused_encode_s": round(unfused_s, 6),
+            "fused_verified_s": round(fused_v, 6),
+            "unfused_verified_s": round(unfused_v, 6),
+            "fused_encode_elems_per_s": round(n / fused_s, 1),
+            "speedup_fused_pack": round(unfused_v / fused_v, 3),
+            "speedup_fused_encode_only": round(unfused_s / fused_s, 3),
+        }
 
     # --- bitstream: fast paths vs the generic bit expansion ------------
     from repro.codec.bitstream import (_pack_bits_generic,

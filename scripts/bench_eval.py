@@ -5,13 +5,14 @@ Two sections, written to ``BENCH_eval.json``:
 * **activation_quantize** — repeated ``quantize_activation`` calls per
   format at an eval-batch shape and a serving (single-sequence) shape,
   three ways: compiled plans (the default), the legacy fast path
-  (``REPRO_NO_PLANS=1``) and the reference kernels. The speedup
-  columns are the stable, machine-portable part.
+  (``fmt.quantize``, the kernel-dispatched quantizer a plan replaces)
+  and the reference kernels. The speedup columns are the stable,
+  machine-portable part.
 * **eval_grids** — the Tbl. 3 and Tbl. 8 multi-format arms over
   preloaded runtimes (profile calibration excluded — it is identical
   work in every mode), run as one engine session (tbl3 then tbl8, so
   tbl8's floor-rule cells hit the session memo) vs the legacy per-cell
-  path with plans disabled.
+  path with plan lookups patched out (:func:`_no_plans`).
 
 Run:  PYTHONPATH=src python scripts/bench_eval.py [--out PATH] [--quick]
           [--pre-pr PATH]
@@ -30,6 +31,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -64,6 +66,19 @@ def _env(**kv):
                 os.environ[k] = v
 
 
+@contextmanager
+def _no_plans():
+    """Every plan lookup finds no plan: format entry points, the codec
+    and ``QuantizedLM`` (built inside the scope) fall back to the
+    kernel-dispatched ``quantize`` paths plans replace."""
+    # ``lookup_plan`` resolves ``get_plan`` in ``repro.plan.cache``;
+    # ``QuantizedLM`` binds ``repro.plan.get_plan`` at construction.
+    no_plan = lambda *args: None
+    with mock.patch("repro.plan.cache.get_plan", no_plan), \
+            mock.patch("repro.plan.get_plan", no_plan):
+        yield
+
+
 def _make_format(name):
     if name == "mx-m-ant":
         from repro.algos.mant import MXMAnt
@@ -85,10 +100,9 @@ def bench_activation(quick: bool = False) -> dict:
             fmt = _make_format(name)
             call = lambda: fmt.quantize_activation(x, axis=-1)
             plan_s = _best_time(call, reps)
-            with _env(REPRO_NO_PLANS="1"):
-                legacy_s = _best_time(call, reps)
-                with reference_kernels():
-                    ref_s = _best_time(call, max(1, reps - 2))
+            legacy_s = _best_time(lambda: fmt.quantize(x, axis=-1), reps)
+            with reference_kernels():
+                ref_s = _best_time(call, max(1, reps - 2))
             results[f"{name}@{shape_name}"] = {
                 "elements": int(x.size),
                 "plan_s": round(plan_s, 6),
@@ -133,7 +147,7 @@ def bench_eval_grids(quick: bool = False) -> dict:
             runtime.model.__dict__.pop("_quant_weight_cache", None)
 
     _clear_weight_caches()
-    with _env(REPRO_NO_EVAL_ENGINE="1", REPRO_NO_PLANS="1"):
+    with _env(REPRO_NO_EVAL_ENGINE="1"), _no_plans():
         legacy = _grid_session(profiles, fast=quick)
     _clear_weight_caches()
     reset_default_engine()
@@ -162,7 +176,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         "schema": 1,
         "quick": bool(quick),
         "note": ("compiled plans + eval engine vs the legacy fast path "
-                 "(REPRO_NO_PLANS=1 / REPRO_NO_EVAL_ENGINE=1) and the "
+                 "(no plans / REPRO_NO_EVAL_ENGINE=1) and the "
                  "reference kernels, one machine; speedups are the stable "
                  "columns"),
         "activation_quantize": bench_activation(quick),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.core import ElemEM, M2NVFP4, SgEE, SgEM, m2xfp
 from repro.formats.registry import FP4_E2M1, FP6_E2M3, FP8_E4M3
 from repro.kernels import fast_kernels, reference_kernels
 from repro.models.profiles import load_runtime
-from repro.models.quantized import NO_WEIGHT_CACHE_ENV, QuantizedLM
+from repro.models.quantized import QuantizedLM
 from repro.mx import MXFP4, NVFP4
 
 DEFAULT_OUT = "BENCH_kernels.json"
@@ -92,26 +91,22 @@ def run_benchmarks(quick: bool = False) -> dict:
         lambda: M2NVFP4().quantize_weight(w_mid, axis=-1), w_mid.size)
 
     # --- end-to-end model run ------------------------------------------
-    # Full QuantizedLM construction + perplexity with m2xfp (weight cache
-    # disabled so both paths do the same offline work).
+    # Full QuantizedLM construction + perplexity with m2xfp (every run
+    # starts from an empty weight cache so both paths do the same
+    # offline work).
     rt = load_runtime("llama2-7b", n_seq=4, seq_len=48)
-    prev = os.environ.get(NO_WEIGHT_CACHE_ENV)
-    os.environ[NO_WEIGHT_CACHE_ENV] = "1"
-    try:
-        def full_run():
-            return QuantizedLM(rt.model, m2xfp).perplexity(rt.tokens)
-        n_weights = sum(layer[name].size for layer in rt.model.layers
-                        for name in ("wq", "wk", "wv", "wo",
-                                     "w_gate", "w_up", "w_down"))
-        results["qlm_m2xfp_perplexity"] = _bench_pair(full_run, n_weights,
-                                                      reps_fast=3, reps_ref=2)
-    finally:
-        if prev is None:
-            os.environ.pop(NO_WEIGHT_CACHE_ENV, None)
-        else:
-            os.environ[NO_WEIGHT_CACHE_ENV] = prev
+
+    def full_run():
+        rt.model.__dict__.pop("_quant_weight_cache", None)
+        return QuantizedLM(rt.model, m2xfp).perplexity(rt.tokens)
+    n_weights = sum(layer[name].size for layer in rt.model.layers
+                    for name in ("wq", "wk", "wv", "wo",
+                                 "w_gate", "w_up", "w_down"))
+    results["qlm_m2xfp_perplexity"] = _bench_pair(full_run, n_weights,
+                                                  reps_fast=3, reps_ref=2)
 
     # Weight-cache effect on a repeated experiment arm (fast path only).
+    rt.model.__dict__.pop("_quant_weight_cache", None)
     t0 = time.perf_counter()
     QuantizedLM(rt.model, m2xfp)
     cold = time.perf_counter() - t0

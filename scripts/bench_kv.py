@@ -13,7 +13,7 @@ eviction). Per catalog format it records:
 
 Sessions run with ``verify=True`` — the serving default. On the fused
 quantize→pack path that is an O(bytes) unpack-and-compare of every
-stream against the executor's code arrays; on the fallback path it is
+stream against the executor's code arrays; on the re-derive path it is
 a full re-quantize against the one-shot batch quantizer — either way
 the numbers price the integrity contract, not a fast path the server
 never takes. A ``verify_off_tokens_per_s`` column
@@ -22,10 +22,10 @@ each append into its quantize / pack / verify stage seconds (from
 :func:`repro.codec.collect_encode_stats`, surfaced through
 ``KVCacheSession.encode_stage_stats``).
 
-The **fused** section re-runs a subset of formats with
-``REPRO_NO_FUSED_PACK=1`` — the fallback that re-derives codes from
-dequantized floats instead of packing the plan executor's code-space
-output — and records the fused-vs-unfused tokens/s ratio.
+The **fused** section re-runs a subset of formats with the codec's plan
+lookup patched out (:func:`_unfused`) — the re-derive path that derives
+codes from dequantized floats instead of packing the plan executor's
+code-space output — and records the fused-vs-unfused tokens/s ratio.
 
 The **wire** section replays the same decode loop through a live
 :class:`~repro.server.ServerThread` over protocol-v3 SESSION frames
@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
+from unittest import mock
 
 import numpy as np
 
-from repro.codec import FUSED_PACK_ENV
 from repro.kv import KVCacheSession, KVPolicy
 from repro.server import QuantClient, ServerThread
 
@@ -60,11 +59,19 @@ DEFAULT_OUT = "BENCH_kv.json"
 FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em", "nvfp4", "m2-nvfp4")
 
 #: Formats the fused-vs-unfused section re-measures (all plan-compiled
-#: with code-space executors, so the knob actually changes the path).
+#: with code-space executors, so patching the lookup changes the path).
 FUSED_FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em")
 
 #: The format the over-the-wire section replays.
 WIRE_FORMAT = "m2xfp"
+
+
+def _unfused():
+    """Patch scope in which ``encode`` finds no plan and re-derives every
+    code from floats. Only the codec imports ``lookup_plan`` from
+    ``repro.plan.cache``; format entry points resolve theirs through
+    ``repro.plan`` and keep their plans, verify's quantize included."""
+    return mock.patch("repro.plan.cache.lookup_plan", lambda *args: None)
 
 
 def _blocks(rng, *, n_layers, dh, prefill, steps, channel):
@@ -195,31 +202,25 @@ def run_benchmarks(quick: bool = False) -> dict:
               f"({row['verify_off_tokens_per_s']:8.1f} unverified)  "
               f"{row['measured_bits_per_element']:5.2f} bits/elem")
 
-    # --- fused quantize→pack vs the REPRO_NO_FUSED_PACK fallback -------
-    prev = os.environ.get(FUSED_PACK_ENV)
-    try:
-        for fmt in FUSED_FORMATS:
-            os.environ.pop(FUSED_PACK_ENV, None)
-            f_tps = max(_decode_loop(fmt, blocks, verify=True,
-                                     **kw)["tokens_per_s"]
-                        for _ in range(2))
-            os.environ[FUSED_PACK_ENV] = "1"
-            u_tps = max(_decode_loop(fmt, blocks, verify=True,
-                                     **kw)["tokens_per_s"]
-                        for _ in range(2))
-            payload["fused"][fmt] = {
-                "tokens_per_s": f_tps,
-                "unfused_tokens_per_s": u_tps,
-                "speedup_fused_pack": round(f_tps / u_tps, 3),
-            }
-            print(f"  fused {fmt:10s} {f_tps:8.1f} tokens/s  "
-                  f"unfused {u_tps:8.1f}  "
-                  f"({payload['fused'][fmt]['speedup_fused_pack']:.2f}x)")
-    finally:
-        if prev is None:
-            os.environ.pop(FUSED_PACK_ENV, None)
-        else:
-            os.environ[FUSED_PACK_ENV] = prev
+    # --- fused quantize→pack vs the re-derive path ---------------------
+    for fmt in FUSED_FORMATS:
+        f_tps = max(_decode_loop(fmt, blocks, verify=True,
+                                 **kw)["tokens_per_s"]
+                    for _ in range(2))
+        with _unfused():
+            rows = [_decode_loop(fmt, blocks, verify=True, **kw)
+                    for _ in range(2)]
+        if any(row["fused_appends"] for row in rows):
+            raise RuntimeError(f"{fmt}: unfused arm took the fused path")
+        u_tps = max(row["tokens_per_s"] for row in rows)
+        payload["fused"][fmt] = {
+            "tokens_per_s": f_tps,
+            "unfused_tokens_per_s": u_tps,
+            "speedup_fused_pack": round(f_tps / u_tps, 3),
+        }
+        print(f"  fused {fmt:10s} {f_tps:8.1f} tokens/s  "
+              f"unfused {u_tps:8.1f}  "
+              f"({payload['fused'][fmt]['speedup_fused_pack']:.2f}x)")
 
     payload["wire"] = run_wire(blocks, **kw)
     return payload

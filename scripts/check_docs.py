@@ -30,7 +30,9 @@ LINKED_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
                "PAPER.md", "CHANGES.md")
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-_KNOB_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+#: A knob name ends in a letter or digit: a trailing ``_`` marks a
+#: family prefix (``REPRO_FAULT_*``), not a knob.
+_KNOB_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
 
 #: Where knob *definitions/uses* may legitimately live.
 KNOB_SOURCE_DIRS = ("src", "scripts", "benchmarks", "tests", "examples")

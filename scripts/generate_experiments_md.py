@@ -71,13 +71,13 @@ Every quantization hot path runs through the fast kernel subsystem in
 * **weight-quantization cache** — `QuantizedLM` memoizes offline weight
   quantization per `(format fingerprint, projection)` on the model
   instance, so experiment arms sharing a model and format skip the
-  adaptive search entirely (`REPRO_NO_WEIGHT_CACHE=1` disables);
+  adaptive search entirely;
 * **compiled quantization plans** — every `quantize_weight` /
   `quantize_activation` entry point resolves to a `QuantPlan`
   (`src/repro/plan/`) compiled once per (format, op, shape): fused
   executors with precompiled geometry, bisected grid thresholds and
-  candidate scale sets, no per-call env reads (`REPRO_NO_PLANS=1`
-  disables; `BENCH_eval.json` records the measured effect);
+  candidate scale sets, no per-call env reads (`BENCH_eval.json`
+  records the measured effect against the kernel-dispatched path);
 * **single-pass eval engine** — the table grids share runtimes,
   `QuantizedLM` arms, task items and per-arm perplexities across
   formats and experiments (`src/repro/eval/engine.py`,
@@ -93,8 +93,8 @@ Every quantization hot path runs through the fast kernel subsystem in
   integer code streams (`src/repro/plan/codespace.py`), so packed
   containers and streaming KV-session appends are written with no
   dequantize/re-derive round trip and `verify=True` collapses to an
-  O(bytes) stream cross-check (`REPRO_NO_FUSED_PACK=1` falls back;
-  containers byte-identical either way).{fused_note}
+  O(bytes) stream cross-check (containers byte-identical to the
+  codec's re-derive path and to reference dispatch).{fused_note}
 
 `REPRO_REFERENCE_KERNELS=1` routes everything through the original
 reference implementations; fast and reference paths are bit-identical
@@ -142,7 +142,6 @@ python -m repro serve --workers 2         # TCP quantization server, sharded
 * **Env knobs** — ``REPRO_CACHE_DIR`` (cache location, default
   ``results/cache``), ``REPRO_RESULTS_DIR`` (artifact location),
   ``REPRO_NO_RESULT_CACHE=1`` (disable the result cache),
-  ``REPRO_NO_WEIGHT_CACHE=1`` (disable the in-process weight cache),
   ``REPRO_REFERENCE_KERNELS=1`` (kernel dispatch; fast and
   reference have separate cache namespaces),
   ``REPRO_PACKED_WEIGHTS=1`` (store quantized weights as packed
@@ -202,7 +201,7 @@ def _server_note(path: str = "BENCH_server.json") -> str:
 
 def _fused_note(codec_path: str = "BENCH_codec.json",
                 kv_path: str = "BENCH_kv.json") -> str:
-    """Measured fused-vs-fallback sentence from the committed benches."""
+    """Measured fused-vs-re-derive sentence from the committed benches."""
     if not (os.path.exists(codec_path) and os.path.exists(kv_path)):
         return ""
     with open(codec_path) as f:
@@ -216,7 +215,7 @@ def _fused_note(codec_path: str = "BENCH_codec.json",
         return (f" `BENCH_codec.json` records a "
                 f"{arm['speedup_fused_encode_only']:.1f}x mxfp4 encode "
                 f"({arm['speedup_fused_pack']:.1f}x with verify) over the "
-                f"fallback, and `BENCH_kv.json` a {tax:.2f}x KV-session "
+                f"re-derive path, and `BENCH_kv.json` a {tax:.2f}x KV-session "
                 f"verify tax (down from ~2x) on the elem-em decode loop "
                 f"(`scripts/bench_codec.py` / `scripts/bench_kv.py`).")
     except (KeyError, TypeError, ZeroDivisionError):

@@ -22,13 +22,13 @@ Example::
 """
 
 from .bitstream import bits_needed, pack_bits, packed_nbytes, unpack_bits
-from .codecs import (FUSED_PACK_ENV, codec_for, collect_encode_stats, decode,
-                     decode_rows, encode, fused_pack_enabled, supports)
+from .codecs import (codec_for, collect_encode_stats, decode, decode_rows,
+                     encode, supports)
 from .container import CONTAINER_VERSION, MAGIC, PackedTensor, Stream
 
 __all__ = [
     "encode", "decode", "decode_rows", "codec_for", "supports",
-    "FUSED_PACK_ENV", "fused_pack_enabled", "collect_encode_stats",
+    "collect_encode_stats",
     "PackedTensor", "Stream", "MAGIC", "CONTAINER_VERSION",
     "pack_bits", "unpack_bits", "packed_nbytes", "bits_needed",
 ]

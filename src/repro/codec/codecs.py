@@ -47,7 +47,6 @@ Example::
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -81,18 +80,7 @@ from .bitstream import bits_needed, pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
 __all__ = ["encode", "decode", "decode_rows", "codec_for", "supports",
-           "FUSED_PACK_ENV", "fused_pack_enabled", "collect_encode_stats"]
-
-#: Environment variable disabling the fused quantize→pack path ("=1"
-#: turns it off; every encode then re-derives codes from dequantized
-#: floats exactly as before the fused path existed).
-FUSED_PACK_ENV = "REPRO_NO_FUSED_PACK"
-
-
-def fused_pack_enabled() -> bool:
-    """True unless ``REPRO_NO_FUSED_PACK=1`` is exported."""
-    return os.environ.get(FUSED_PACK_ENV, "0") != "1"
-
+           "collect_encode_stats"]
 
 _STAGE_SINK = threading.local()
 
@@ -332,18 +320,20 @@ class BlockCodec(Codec):
 
 
 class MSFPCodec(BlockCodec):
+    """MSFP's ceil-rule exponent: take the scales the format computed."""
+
     #: No plan executor compiles for the subclass, so the inherited
     #: layout is never exercised; cleared to keep that explicit.
     code_streams = None
-    """MSFP's ceil-rule exponent: take the scales the format computed."""
 
     def _scales(self, fmt, groups):
         return fmt.quantize_groups(groups).scales
 
 
 class GroupFP4Codec(BlockCodec):
-    code_streams = None
     """FP16 group scales; zero groups flush to +0.0 exactly like the format."""
+
+    code_streams = None
 
     def _scales(self, fmt, groups):
         return fmt.quantize_groups(groups).scales
@@ -810,30 +800,33 @@ class M2NVFP4Codec(Codec):
 # ----------------------------------------------------------------------
 # Registry and the public API
 # ----------------------------------------------------------------------
-#: Most-derived first: the first isinstance match wins.
-_CODECS: tuple[tuple[type, Codec], ...] = (
-    (MaxPreserving, MaxPreserveCodec()),
-    (M2XFP, M2XFPCodec()),
-    (M2NVFP4, M2NVFP4Codec()),
-    (NVFP4, NVFP4Codec()),
-    (ElemEM, ElemEMCodec()),
-    (ElemEE, ElemEECodec()),
-    (SgEM, SgEMCodec()),
-    (SgEE, SgEECodec()),
-    (SMX, SMXCodec()),
-    (MSFP, MSFPCodec()),
-    (GroupFP4, GroupFP4Codec()),
-    (BlockFormat, BlockCodec()),
-    (Fp16Format, Fp16Codec()),
-)
+#: Exact instance type -> codec. Subclasses do not inherit an entry
+#: (as with the plan executors' ``EXECUTOR_COMPILERS``): a subclass may
+#: override the quantizer, and the inherited streams would then pack
+#: bytes that decode to something else.
+_CODECS: dict[type, Codec] = {
+    MaxPreserving: MaxPreserveCodec(),
+    M2XFP: M2XFPCodec(),
+    M2NVFP4: M2NVFP4Codec(),
+    NVFP4: NVFP4Codec(),
+    ElemEM: ElemEMCodec(),
+    ElemEE: ElemEECodec(),
+    SgEM: SgEMCodec(),
+    SgEE: SgEECodec(),
+    SMX: SMXCodec(),
+    MSFP: MSFPCodec(),
+    GroupFP4: GroupFP4Codec(),
+    BlockFormat: BlockCodec(),
+    Fp16Format: Fp16Codec(),
+}
 
 
 def codec_for(fmt) -> Codec:
     """The codec handling ``fmt``, or :class:`CodecError` if none does."""
-    for cls, codec in _CODECS:
-        if isinstance(fmt, cls):
-            return codec
-    raise CodecError(f"no codec registered for {type(fmt).__name__}")
+    codec = _CODECS.get(type(fmt))
+    if codec is None:
+        raise CodecError(f"no codec registered for {type(fmt).__name__}")
+    return codec
 
 
 def supports(fmt) -> bool:
@@ -857,6 +850,23 @@ def _catalog_name(fmt) -> str:
     return _NAME_BY_REPR.get(repr(fmt), "")
 
 
+def _group_size(fmt) -> int:
+    """The group size :func:`encode` writes into ``fmt``'s headers."""
+    return int(getattr(fmt, "group_size", 1))
+
+
+def _check_header(pt: PackedTensor, fingerprint: str, group_size: int) -> None:
+    """Refuse a container whose fingerprint or group size is not the
+    decoding format's (``repr(fmt)``, :func:`_group_size`)."""
+    if pt.fingerprint != fingerprint:
+        raise CodecError(f"format fingerprint mismatch: container was "
+                         f"packed with {pt.fingerprint}, decoding with "
+                         f"{fingerprint}")
+    if pt.group_size != group_size:
+        raise CodecError(f"container group_size {pt.group_size} is not "
+                         f"the format's {group_size}")
+
+
 def _dispatch_quantize(fmt, x, op: str, axis: int) -> np.ndarray:
     return (fmt.quantize_weight(x, axis=axis) if op == "weight"
             else fmt.quantize_activation(x, axis=axis))
@@ -873,15 +883,14 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     ``kwargs`` go to the codec (e.g. NVFP4's calibrated ``tensor_amax``).
 
     When a compiled plan with a code-space sibling exists for
-    ``(fmt, op, shape, axis)`` and ``REPRO_NO_FUSED_PACK`` is unset, the
-    container is packed straight from the executor's integer codes — no
-    dequantize/re-derive round trip, byte-identical output — and
-    ``verify=True`` degrades from re-quantizing everything to an
-    O(bytes) cross-check: each packed stream is unpacked and compared
-    against the executor's code arrays, catching bitstream truncation
-    and round-trip bugs without ever materializing floats (the
-    code-vs-float parity itself is pinned statically by
-    ``tests/test_fused_pack.py``).
+    ``(fmt, op, shape, axis)``, the container is packed straight from
+    the executor's integer codes — no dequantize/re-derive round trip,
+    byte-identical output — and ``verify=True`` degrades from
+    re-quantizing everything to an O(bytes) cross-check: each packed
+    stream is unpacked and compared against the executor's code arrays,
+    catching bitstream truncation and round-trip bugs without ever
+    materializing floats (the code-vs-float parity itself is pinned
+    statically by ``tests/test_fused_pack.py``).
     """
     if op not in OPS:
         raise CodecError(f"op must be one of {OPS}, got {op!r}")
@@ -890,12 +899,11 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     codec = codec_for(fmt)
     pt = PackedTensor(format_name=_catalog_name(fmt), fingerprint=repr(fmt),
                       op=op, shape=x.shape, axis=axis,
-                      group_size=int(getattr(fmt, "group_size", 1)))
+                      group_size=_group_size(fmt))
     sink = getattr(_STAGE_SINK, "stats", None)
     tr = _obs.current_trace()
     run_codes = None
-    if not kwargs and fused_pack_enabled() \
-            and codec.code_layout(fmt, pt) is not None:
+    if not kwargs and codec.code_layout(fmt, pt) is not None:
         from ..plan.cache import lookup_plan
         plan = lookup_plan(fmt, op, x, axis)
         if plan is not None and plan.run_codes is not None:
@@ -970,9 +978,7 @@ def decode(packed: PackedTensor | bytes, fmt=None) -> np.ndarray:
             fmt = make_format(packed.format_name)
         except ConfigError as exc:
             raise CodecError(f"container format: {exc}") from None
-    if repr(fmt) != packed.fingerprint:
-        raise CodecError(f"format fingerprint mismatch: container was packed "
-                         f"with {packed.fingerprint}, decoding with {fmt!r}")
+    _check_header(packed, repr(fmt), _group_size(fmt))
     return codec_for(fmt).decode(fmt, packed)
 
 
@@ -1063,18 +1069,11 @@ def decode_rows(blobs, fmt) -> list[np.ndarray]:
     second op, or a stream that disagrees with its run raises
     :class:`CodecError`.
     """
-    fingerprint = repr(fmt)
-    group_size = int(getattr(fmt, "group_size", 1))
+    fingerprint, group_size = repr(fmt), _group_size(fmt)
     pts: list[PackedTensor] = []
     for blob in blobs:
         pt = PackedTensor.from_bytes(blob)
-        if pt.fingerprint != fingerprint:
-            raise CodecError(f"format fingerprint mismatch: container was "
-                             f"packed with {pt.fingerprint}, decoding "
-                             f"with {fingerprint}")
-        if pt.group_size != group_size:
-            raise CodecError(f"container group_size {pt.group_size} is not "
-                             f"the format's {group_size}")
+        _check_header(pt, fingerprint, group_size)
         if pts and pt.op != pts[0].op:
             raise CodecError(f"containers mix ops {pts[0].op!r} and "
                              f"{pt.op!r}; decode one op per call")

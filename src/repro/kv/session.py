@@ -189,10 +189,10 @@ class KVCacheSession:
         When True (default), every append cross-checks the fresh
         container: on the fused quantize→pack path each packed stream
         is unpacked and compared against the executor's code arrays
-        (O(bytes)); on the ``REPRO_NO_FUSED_PACK=1`` fallback the
-        container is decoded against the format's own plan-routed
-        quantize output — streamed state can never silently diverge
-        from the batch path.
+        (O(bytes)); for a format without a code-space plan (or under
+        reference dispatch) the container is decoded against the
+        format's own quantize output — streamed state can never
+        silently diverge from the batch path.
 
     Retained state per block is its packed bytes plus, once a read has
     covered it, the decoded float64 K/V (decoded on first read, cached

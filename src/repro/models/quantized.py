@@ -10,8 +10,8 @@ Offline weight quantization is memoized per model instance, keyed by
 ``(format fingerprint, projection)``: the evaluation tables (Tbl. 2/3/4)
 rebuild ``QuantizedLM`` wrappers around the *same* cached runtime model
 for every format arm, and the adaptive weight searches are by far the
-most expensive step of construction. ``REPRO_NO_WEIGHT_CACHE=1`` disables
-the cache; overridden projections always bypass it.
+most expensive step of construction. Overridden projections always bypass
+the cache.
 
 ``REPRO_PACKED_WEIGHTS=1`` stores quantized weights as true-bit-width
 :class:`repro.codec.PackedTensor` containers instead of dequantized
@@ -32,9 +32,6 @@ from ..mx.base import TensorFormat
 from .transformer import TransformerLM
 
 __all__ = ["QuantizedLM", "Fp16Format"]
-
-#: Environment variable disabling the per-model weight-quantization cache.
-NO_WEIGHT_CACHE_ENV = "REPRO_NO_WEIGHT_CACHE"
 
 #: Environment variable selecting packed (true-bit-width) weight storage.
 PACKED_WEIGHTS_ENV = "REPRO_PACKED_WEIGHTS"
@@ -77,9 +74,8 @@ class QuantizedLM:
         # to prove it.
         from ..kernels.dispatch import use_reference
         self._reference = use_reference()
-        from ..plan import get_plan, plans_enabled
+        from ..plan import get_plan
         self._get_plan = get_plan
-        self._use_plans = plans_enabled() and not self._reference
         self._act_plans: dict = {}
         self.packed_weights = False
         self._decode = None
@@ -92,18 +88,15 @@ class QuantizedLM:
             from ..codec import decode
             self._decode = decode
         cache = None
-        fmt_key = None
-        if os.environ.get(NO_WEIGHT_CACHE_ENV, "0") != "1":
-            fmt_key = fmt.weight_cache_key
-            if fmt_key is not None:
-                # The dispatch mode is part of the key: fast and reference
-                # kernels are bit-identical by contract, but a cross-check
-                # of that very contract must not be fed cached results
-                # from the other mode. Packed containers get their own
-                # namespace so dense arms never see containers (and vice
-                # versa).
-                fmt_key = (fmt_key, self._reference, self.packed_weights)
-                cache = model.__dict__.setdefault("_quant_weight_cache", {})
+        fmt_key = fmt.weight_cache_key
+        if fmt_key is not None:
+            # The dispatch mode is part of the key: fast and reference
+            # kernels are bit-identical by contract, but a cross-check of
+            # that very contract must not be fed cached results from the
+            # other mode. Packed containers get their own namespace so
+            # dense arms never see containers (and vice versa).
+            fmt_key = (fmt_key, self._reference, self.packed_weights)
+            cache = model.__dict__.setdefault("_quant_weight_cache", {})
 
         def quantize(w):
             if self.packed_weights:
@@ -174,11 +167,10 @@ class QuantizedLM:
 
         Plans are fetched once per shape with the dispatch mode resolved
         at construction and held on the instance, so repeated forwards
-        hit a plain dict; non-plannable formats (or non-default
-        dispatch) use the format entry point, which re-reads the
-        environment — the documented dynamic escape hatch.
+        hit a plain dict; non-plannable formats (or reference dispatch)
+        use the format entry point, which re-reads the environment.
         """
-        if self._use_plans:
+        if not self._reference:
             plan = self._act_plans.get(x.shape, False)
             if plan is False:
                 plan = self._get_plan(self.fmt, "activation", x.shape, -1)

@@ -51,8 +51,8 @@ class TensorFormat(abc.ABC):
 
         Routed through the compiled-plan cache (:mod:`repro.plan`) when
         a fused executor exists for this format under the default fast
-        dispatch; otherwise (or with ``REPRO_NO_PLANS=1``) falls back to
-        :meth:`quantize`. Both paths are bit-identical.
+        dispatch; otherwise falls back to :meth:`quantize`. Both paths
+        are bit-identical.
         """
         from ..plan import lookup_plan
         plan = lookup_plan(self, "weight", w, axis)

@@ -15,7 +15,8 @@ None before touching the cache.
 Entry points: ``TensorFormat.quantize_weight`` /
 ``quantize_activation`` consult :func:`lookup_plan` transparently, so
 `QuantizedLM`, `QuantService` and the evaluation engine all ride the
-cache; ``REPRO_NO_PLANS=1`` restores the legacy paths globally.
+cache; reference dispatch (``REPRO_REFERENCE_KERNELS=1`` or
+``reference_kernels()``) is the one way off it.
 
 Example::
 
@@ -29,12 +30,11 @@ Example::
     assert (out == fmt.quantize_activation(x, axis=-1)).all()
 """
 
-from .cache import (MAX_PLANS, PLANS_ENV, QuantPlan, clear_plan_cache,
-                    get_plan, lookup_plan, plan_cache_stats, plans_enabled)
+from .cache import (MAX_PLANS, QuantPlan, clear_plan_cache, get_plan,
+                    lookup_plan, plan_cache_stats)
 from .codespace import CodeSpaceResult, CodeStream
 from .geometry import GroupGeometry
 
 __all__ = ["QuantPlan", "GroupGeometry", "CodeSpaceResult", "CodeStream",
-           "PLANS_ENV", "MAX_PLANS",
-           "plans_enabled", "get_plan", "lookup_plan", "clear_plan_cache",
+           "MAX_PLANS", "get_plan", "lookup_plan", "clear_plan_cache",
            "plan_cache_stats"]

@@ -12,15 +12,10 @@ the reference implementations.
 The cache is a lock-protected LRU bounded at :data:`MAX_PLANS`
 entries; negative lookups are cached too, so unplannable formats cost
 one dict probe per call, not a compile attempt.
-
-``REPRO_NO_PLANS=1`` disables the layer entirely (every lookup returns
-None), which is the escape hatch — and the baseline arm of
-``scripts/bench_eval.py``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -31,11 +26,8 @@ import numpy as np
 from .executors import compile_executor
 from .geometry import GroupGeometry
 
-__all__ = ["QuantPlan", "PLANS_ENV", "MAX_PLANS", "plans_enabled",
-           "get_plan", "lookup_plan", "clear_plan_cache", "plan_cache_stats"]
-
-#: Environment variable disabling plan compilation ("=1" turns it off).
-PLANS_ENV = "REPRO_NO_PLANS"
+__all__ = ["QuantPlan", "MAX_PLANS", "get_plan", "lookup_plan",
+           "clear_plan_cache", "plan_cache_stats"]
 
 #: Maximum number of cached (plan or no-plan) entries.
 MAX_PLANS = 512
@@ -66,11 +58,6 @@ class QuantPlan:
 _lock = threading.Lock()
 _cache: "OrderedDict[tuple, QuantPlan | None]" = OrderedDict()
 _stats = {"hits": 0, "misses": 0, "compiles": 0, "evictions": 0}
-
-
-def plans_enabled() -> bool:
-    """True unless ``REPRO_NO_PLANS=1`` is exported."""
-    return os.environ.get(PLANS_ENV, "0") != "1"
 
 
 def _group_size(fmt) -> int | None:
@@ -117,8 +104,6 @@ def get_plan(fmt, op: str, shape: tuple, axis: int) -> QuantPlan | None:
 
 def lookup_plan(fmt, op: str, x, axis: int) -> QuantPlan | None:
     """Entry-point helper: resolve dispatch state, then :func:`get_plan`."""
-    if not plans_enabled():
-        return None
     from ..kernels.dispatch import use_reference
     if use_reference():
         return None

@@ -15,8 +15,7 @@ input) are detected and never cross-batched.
 Weight-path requests are memoized per (format fingerprint, kernel
 dispatch mode, tensor digest) — the service-side analogue of the
 ``QuantizedLM`` weight cache — so re-submitting the same weights costs a
-hash. ``REPRO_NO_WEIGHT_CACHE=1`` disables this too (documented in the
-README's environment-knob table).
+hash.
 
 With ``packed=True`` results are :class:`~repro.codec.PackedTensor`
 containers instead of dequantized arrays, and :meth:`QuantService.stats`
@@ -47,7 +46,6 @@ import numpy as np
 
 from ..core.m2xfp import M2NVFP4
 from ..errors import ConfigError
-from ..models.quantized import NO_WEIGHT_CACHE_ENV
 from ..mx.base import TensorFormat
 from ..mx.max_preserve import MaxPreserving
 from ..mx.nvfp import NVFP4
@@ -276,8 +274,7 @@ class QuantService:
     # Weight memoization
     # ------------------------------------------------------------------
     def _weight_key(self, req: _Request):
-        if req.op != "weight" or \
-                os.environ.get(NO_WEIGHT_CACHE_ENV, "0") == "1":
+        if req.op != "weight":
             return None
         fmt_key = self.fmt.weight_cache_key
         if fmt_key is None:

@@ -38,8 +38,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.algos import (BlockDialect, MicroScopiQWeights, MXAnt,
+                         MXIntActivations, MXMAnt, MXOliVe)
 from repro.codec import PackedTensor, codec_for, decode, decode_rows, \
-    encode
+    encode, supports
 from repro.codec.container import MAGIC
 from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
@@ -253,6 +255,8 @@ HEADER_DEFECTS = {
 #: still reject: ``(format, tensor shape, edit)``.
 DECODE_DEFECTS = {
     "fp16_shape_rows_doubled": ("fp16", (2, 40), _with("shape", [4, 40])),
+    **{f"{name}_group_size_64": (name, (2, 40), _with("group_size", 64))
+       for name in ("mxfp4", "m2xfp", "elem-em", "fp4")},
 }
 
 
@@ -271,6 +275,24 @@ def test_malformed_header_raises_codec_error(defect, rng):
     for kwargs in ({}, {"fmt": fmt}):
         with pytest.raises(CodecError):
             decode(blob, **kwargs)
+
+
+#: BlockFormat subclasses outside the catalog. Each overrides the
+#: quantizer, so the inherited block streams would pack bytes that
+#: decode to something else: no codec may claim them.
+SUBCLASS_FORMATS = {"mx-ant": MXAnt, "mx-m-ant": MXMAnt,
+                    "mx-olive": MXOliVe, "blockdialect": BlockDialect,
+                    "microscopiq-w": MicroScopiQWeights,
+                    "mxint4": MXIntActivations}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCLASS_FORMATS))
+def test_subclass_formats_have_no_codec(name, heavy_tensor):
+    fmt = SUBCLASS_FORMATS[name]()
+    assert not supports(fmt)
+    for op in ("weight", "activation"):
+        with pytest.raises(CodecError, match="no codec"):
+            encode(fmt, heavy_tensor, op=op)
 
 
 def test_n_elements_is_exact():

@@ -32,11 +32,19 @@ def test_known_knobs_are_documented():
     table = mod.knobs_in_readme_table(REPO)
     # The knobs this repo has shipped so far; additions belong in both
     # the source and the README table (check_docs enforces the sync).
-    for knob in ("REPRO_REFERENCE_KERNELS",
-                 "REPRO_NO_WEIGHT_CACHE", "REPRO_NO_RESULT_CACHE",
+    for knob in ("REPRO_REFERENCE_KERNELS", "REPRO_NO_RESULT_CACHE",
                  "REPRO_CACHE_DIR", "REPRO_RESULTS_DIR",
                  "REPRO_PACKED_WEIGHTS", "REPRO_BENCH_REGRESSION"):
         assert knob in table, f"{knob} missing from README env-knob table"
+
+
+def test_knob_family_prefix_is_not_a_knob(tmp_path):
+    mod = _load_check_docs()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        '"""Reads the ``REPRO_FAULT_*`` knobs, e.g. REPRO_FAULT_SEED."""\n'
+        'PREFIX = "REPRO_FAULT_"\n')
+    assert mod.knobs_in_source(tmp_path) == {"REPRO_FAULT_SEED"}
 
 
 def test_check_docs_detects_dangling_link(tmp_path):

@@ -33,7 +33,6 @@ class TestEngineEquality:
         reset_default_engine()
         engine_grid = perplexity_table([_PROFILE], _formats(), **_SMALL)
         monkeypatch.setenv("REPRO_NO_EVAL_ENGINE", "1")
-        monkeypatch.setenv("REPRO_NO_PLANS", "1")
         assert not engine_enabled()
         legacy_grid = perplexity_table([_PROFILE], _formats(), **_SMALL)
         assert repr(engine_grid) == repr(legacy_grid)
@@ -46,7 +45,6 @@ class TestEngineEquality:
         engine_grid = accuracy_table(_PROFILE, tasks, targets, _formats(),
                                      **_SMALL)
         monkeypatch.setenv("REPRO_NO_EVAL_ENGINE", "1")
-        monkeypatch.setenv("REPRO_NO_PLANS", "1")
         legacy_grid = accuracy_table(_PROFILE, tasks, targets, _formats(),
                                      **_SMALL)
         assert repr(engine_grid) == repr(legacy_grid)

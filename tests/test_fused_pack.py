@@ -2,13 +2,13 @@
 
 Three layers, mirroring DESIGN.md §11:
 
-* **Byte identity under the knob** — for every catalog format, both
-  operand paths and the adversarial tensor family (zeros, subnormal
-  magnitudes, near-overflow-but-finite, ragged trailing groups,
-  single-element groups), the container bytes with the fused path
-  enabled equal the ``REPRO_NO_FUSED_PACK=1`` fallback bytes exactly —
-  and under reference dispatch, where plans do not compile and the
-  knob must be a no-op.
+* **Byte identity with the re-derive path** — for every catalog format,
+  both operand paths and the adversarial tensor family (zeros,
+  subnormal magnitudes, near-overflow-but-finite, ragged trailing
+  groups, single-element groups), the fused container bytes equal both
+  the codec's ``encode_into`` re-derivation from floats and the
+  container ``encode`` builds under reference dispatch, where plans do
+  not compile.
 * **Code-space contract** — for the eleven fused families the plan's
   ``run_codes`` emits streams in the codec's declared ``code_layout``
   order, every stream's values fit its declared bit width, the lazy
@@ -18,23 +18,20 @@ Three layers, mirroring DESIGN.md §11:
   ``collect_encode_stats`` so a silently-disabled fused path cannot
   pass vacuously.
 * **Golden vectors** — the committed packed / wire / HTTP vectors are
-  reproduced byte-identically with the fused path on AND off, and a
-  ``KVCacheSession`` run fused reads back the same packed K/V bytes as
-  one run through the fallback.
+  reproduced byte-identically by the fused path AND the re-derive
+  path, and a ``KVCacheSession`` run fused reads back the same packed
+  K/V bytes as one run under reference dispatch.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.codec import (FUSED_PACK_ENV, PackedTensor, collect_encode_stats,
-                         decode, encode, fused_pack_enabled)
+from repro.codec import PackedTensor, collect_encode_stats, decode, encode
 from repro.codec.codecs import codec_for
 from repro.kernels import fast_kernels, reference_kernels
 from repro.kernels.search import _CHUNK_ELEMS
@@ -54,19 +51,6 @@ ALL_FORMATS = sorted(FORMAT_REGISTRY)
 FUSED_FORMATS = ("elem-ee", "elem-em", "m2xfp", "mxfp4", "mxfp6-e2m3",
                  "mxfp6-e3m2", "mxfp8-e4m3", "mxfp8-e5m2", "mxint8",
                  "sg-ee", "sg-em")
-
-
-@contextmanager
-def _fused_off():
-    old = os.environ.get(FUSED_PACK_ENV)
-    os.environ[FUSED_PACK_ENV] = "1"
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(FUSED_PACK_ENV, None)
-        else:
-            os.environ[FUSED_PACK_ENV] = old
 
 
 DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
@@ -100,16 +84,36 @@ def _adversarial_cases(rng) -> dict:
     }
 
 
-def _both_paths(fmt, x, op):
-    """(fused PackedTensor, unfused PackedTensor) for one input."""
-    fused = encode(fmt, x, op=op, verify=True)
-    with _fused_off():
-        unfused = encode(fmt, x, op=op, verify=True)
-    return fused, unfused
+def _rederived(name, x, op):
+    """The container of ``name``'s codec re-deriving every code from the
+    dequantized floats (``encode_into``) — what ``encode`` packs for a
+    format without a code-space plan."""
+    fmt = make_format(name)
+    x = np.asarray(x, dtype=np.float64)
+    pt = PackedTensor(format_name=name, fingerprint=repr(fmt), op=op,
+                      shape=x.shape, axis=x.ndim - 1,
+                      group_size=int(getattr(fmt, "group_size", 1)))
+    codec_for(fmt).encode_into(fmt, x, pt)
+    return pt
+
+
+def _both_paths(name, x, op):
+    """(fused PackedTensor, re-derived PackedTensor) for one input."""
+    fused = encode(make_format(name), x, op=op, verify=True)
+    return fused, _rederived(name, x, op)
+
+
+def _outcome(path):
+    """Container bytes, or the exception type a path raises (some
+    formats reject near-overflow input — every path must agree)."""
+    try:
+        return path().to_bytes()
+    except Exception as exc:
+        return type(exc)
 
 
 # ----------------------------------------------------------------------
-# Byte identity under the knob, whole catalog
+# Byte identity with the re-derive path, whole catalog
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ALL_FORMATS)
 @pytest.mark.parametrize("op", ["weight", "activation"])
@@ -117,19 +121,12 @@ def test_fused_bytes_match_fallback(name, op, rng):
     fmt = make_format(name)
 
     def outcome(x):
-        """Container bytes, or the exception type a path raises (some
-        formats reject near-overflow input — both paths must agree)."""
-        try:
-            return encode(fmt, x, op=op, verify=True).to_bytes()
-        except Exception as exc:
-            return type(exc)
+        return _outcome(lambda: encode(fmt, x, op=op, verify=True))
 
     with np.errstate(over="ignore"):
         for case, x in _adversarial_cases(rng).items():
             fused = outcome(x)
-            with _fused_off():
-                unfused = outcome(x)
-            assert fused == unfused, \
+            assert _outcome(lambda: _rederived(name, x, op)) == fused, \
                 f"{name}:{op} fused container diverged on '{case}'"
             with reference_kernels():
                 assert outcome(x) == fused, \
@@ -141,13 +138,11 @@ def test_fused_bytes_match_fallback(name, op, rng):
 def test_fused_bytes_match_fallback_across_dispatch(name, dispatch,
                                                     heavy_tensor):
     # Plans only compile under the fast dispatch, so in reference
-    # mode this doubles as the proof that the knob is a no-op there —
-    # identical bytes either way.
-    fmt = make_format(name)
+    # mode ``encode`` itself re-derives: identical bytes either way.
     with DISPATCH[dispatch]():
         for op in ("weight", "activation"):
-            fused, unfused = _both_paths(fmt, heavy_tensor, op)
-            assert fused.to_bytes() == unfused.to_bytes(), \
+            fused, rederived = _both_paths(name, heavy_tensor, op)
+            assert fused.to_bytes() == rederived.to_bytes(), \
                 f"{name}:{op} fused container diverged under {dispatch}"
 
 
@@ -160,17 +155,10 @@ def test_fused_path_engages_for_every_fused_family(rng):
                 encode(fmt, x, op=op)
             assert stats["fused_encodes"] == 1, \
                 f"{name}:{op} did not take the fused quantize→pack path"
-            with _fused_off(), collect_encode_stats() as stats:
+            with reference_kernels(), collect_encode_stats() as stats:
                 encode(fmt, x, op=op)
             assert stats["fused_encodes"] == 0, \
-                f"{name}:{op} ignored {FUSED_PACK_ENV}=1"
-
-
-def test_knob_reads_environment_per_call():
-    assert fused_pack_enabled()
-    with _fused_off():
-        assert not fused_pack_enabled()
-    assert fused_pack_enabled()
+                f"{name}:{op} took the fused path under reference dispatch"
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +218,7 @@ def test_plan_cache_serves_the_codes_sibling(rng):
 
 
 # ----------------------------------------------------------------------
-# Golden vectors, fused on AND off
+# Golden vectors, fused AND re-derived
 # ----------------------------------------------------------------------
 def _unhex_input(payload) -> np.ndarray:
     vals = [float.fromhex(h) for h in payload["input_hex"]]
@@ -241,12 +229,11 @@ def test_golden_packed_vectors_fused_and_unfused():
     payload = json.loads((GOLDEN_DIR / "packed_vectors.json").read_text())
     x = _unhex_input(payload)
     for key, case in sorted(payload["cases"].items()):
-        fmt = make_format(case["format"])
-        fused, unfused = _both_paths(fmt, x, case["op"])
+        fused, rederived = _both_paths(case["format"], x, case["op"])
         assert fused.to_bytes().hex() == case["packed_hex"], \
             f"{key}: fused container drifted from the golden bytes"
-        assert unfused.to_bytes().hex() == case["packed_hex"], \
-            f"{key}: {FUSED_PACK_ENV}=1 container drifted from the golden bytes"
+        assert rederived.to_bytes().hex() == case["packed_hex"], \
+            f"{key}: re-derived container drifted from the golden bytes"
 
 
 def test_golden_wire_vectors_fused_and_unfused():
@@ -256,12 +243,10 @@ def test_golden_wire_vectors_fused_and_unfused():
         if not case["packed"]:
             continue
         fmt = make_format(case["format"])
-        for ctx in (None, _fused_off):
-            with (ctx() if ctx else np.errstate()):
-                pt = encode(fmt, x, op=case["op"], axis=-1, verify=True)
-                frame = protocol.encode_response_packed(
-                    case["request_id"], pt.to_bytes(), fingerprint=repr(fmt))
-            mode = "unfused" if ctx else "fused"
+        for mode, pt in zip(("fused", "re-derived"),
+                            _both_paths(case["format"], x, case["op"])):
+            frame = protocol.encode_response_packed(
+                case["request_id"], pt.to_bytes(), fingerprint=repr(fmt))
             assert frame.hex() == case["response_hex"], \
                 f"{key}: {mode} response frame drifted from the golden bytes"
 
@@ -272,12 +257,9 @@ def test_golden_http_vectors_fused_and_unfused():
     for key, case in sorted(payload["quantize"].items()):
         if not case["packed"]:
             continue
-        fmt = make_format(case["format"])
         pinned = bytes.fromhex(case["response_hex"])
-        for ctx in (None, _fused_off):
-            with (ctx() if ctx else np.errstate()):
-                pt = encode(fmt, x, op=case["op"], axis=-1, verify=True)
-            mode = "unfused" if ctx else "fused"
+        for mode, pt in zip(("fused", "re-derived"),
+                            _both_paths(case["format"], x, case["op"])):
             assert pt.to_bytes() in pinned, \
                 f"{key}: {mode} container missing from the golden HTTP body"
 
@@ -292,11 +274,11 @@ def test_kv_session_blobs_match_fallback(fmt, rng):
                rng.standard_normal((4, dh)))
               for layer in range(n_layers) for _ in range(3)]
 
-    def run_session():
+    def run_session(dispatch):
         # The session wraps every append in its own (inner, shadowing)
         # collect_encode_stats, so the counts come from its accessor.
         sess = KVCacheSession(n_layers, KVPolicy(fmt), max_tokens=64,
-                              sink_tokens=2, verify=True)
+                              sink_tokens=2, dispatch=dispatch, verify=True)
         for layer, k, v in blocks:
             sess.append(layer, k, v)
         out = [sess.read(layer) for layer in range(n_layers)]
@@ -304,14 +286,13 @@ def test_kv_session_blobs_match_fallback(fmt, rng):
         sess.close()
         return out, fused_encodes
 
-    fused_out, fused_encodes = run_session()
+    fused_out, fused_encodes = run_session("fast")
     assert fused_encodes == 2 * len(blocks), \
         f"{fmt}: session appends did not ride the fused path"
-    with _fused_off():
-        unfused_out, unfused_encodes = run_session()
+    unfused_out, unfused_encodes = run_session("reference")
     assert unfused_encodes == 0
     for layer, ((kf, vf), (ku, vu)) in enumerate(zip(fused_out, unfused_out)):
         assert kf.tobytes() == ku.tobytes(), \
-            f"{fmt}: layer {layer} K blob diverged fused vs unfused"
+            f"{fmt}: layer {layer} K blob diverged fused vs reference"
         assert vf.tobytes() == vu.tobytes(), \
-            f"{fmt}: layer {layer} V blob diverged fused vs unfused"
+            f"{fmt}: layer {layer} V blob diverged fused vs reference"

@@ -13,7 +13,8 @@ The plan layer's whole contract is "bit-identical, just faster":
   shape and axis, stay out of reference dispatch, stay bounded, and
   survive concurrent use;
 * a warmed ``QuantizedLM`` forward pass must read ``os.environ``
-  exactly zero times.
+  exactly zero times, and a served request or KV append a pinned
+  number of times.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from repro.formats.floatspec import quantize_to_grid_reference
 from repro.kernels.dispatch import reference_kernels
 from repro.kernels.lut import compiled_thresholds, threshold_codes
 from repro.kernels.search import _CHUNK_ELEMS
+from repro.kv import KVCacheSession, KVPolicy
 from repro.models.profiles import load_runtime
 from repro.models.quantized import QuantizedLM
 from repro.plan import (MAX_PLANS, QuantPlan, clear_plan_cache, get_plan,
                         lookup_plan, plan_cache_stats)
 from repro.runner.formats import FORMAT_REGISTRY, make_format
+from repro.serve import QuantService
 
 _RNG = np.random.default_rng(7)
 
@@ -103,17 +106,6 @@ class TestPlanParity:
         y[0, 0] = -np.inf
         with pytest.raises(FormatError, match="non-finite"):
             make_format("sg-em").quantize_activation(y, axis=-1)
-
-    def test_no_plans_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PLANS", "1")
-        x = _RNG.standard_normal((8, 64))
-        assert lookup_plan(make_format("elem-em"), "activation", x, -1) is None
-        # Results are identical either way.
-        fmt = make_format("m2xfp")
-        off = fmt.quantize_activation(x, axis=-1)
-        monkeypatch.delenv("REPRO_NO_PLANS")
-        on = fmt.quantize_activation(x, axis=-1)
-        assert off.tobytes() == on.tobytes()
 
 
 class TestCompiledThresholds:
@@ -255,3 +247,47 @@ class TestEnvHygiene:
             qlm.forward(tokens)
             monkeypatch.undo()
             assert spy.reads == 0, type(fmt).__name__
+
+    # Per request: the metrics gate at submit and at finish, the
+    # dispatch mode at plan lookup; weights add the memo key's dispatch
+    # mode at lookup and store, packing the codec's metrics gate.
+    @pytest.mark.parametrize("packed, op, reads", [
+        (False, "activation", 3), (True, "activation", 4),
+        (False, "weight", 5), (True, "weight", 6)])
+    def test_service_request_environ_reads(self, monkeypatch, packed, op,
+                                           reads):
+        rng = np.random.default_rng(3)
+        svc = QuantService("m2xfp", packed=packed)
+        svc.quantize(rng.standard_normal((4, 64)), op=op)
+        x = rng.standard_normal((4, 64))
+        spy = _EnvSpy(os.environ)
+        monkeypatch.setattr(os, "environ", spy)
+        try:
+            svc.quantize(x, op=op)
+        finally:
+            # The collector finishes the request after resolving its
+            # future; joining it keeps those reads inside the count.
+            svc.close()
+            monkeypatch.undo()
+        assert spy.reads == reads
+
+    # Per append of one K and one V block: each block reads the codec's
+    # metrics gate and the plan lookup's dispatch mode; nvfp4 has no
+    # plan, so its re-derive encode and its verify's quantize also read
+    # the dispatch mode in every scalar encode/quantize call.
+    @pytest.mark.parametrize("name, reads", [("m2xfp", 4), ("nvfp4", 14)])
+    def test_kv_append_environ_reads(self, monkeypatch, name, reads):
+        rng = np.random.default_rng(4)
+        sess = KVCacheSession(2, KVPolicy(name), max_tokens=64,
+                              sink_tokens=2, verify=True)
+        sess.append(0, rng.standard_normal((1, 32)),
+                    rng.standard_normal((1, 32)))
+        k, v = rng.standard_normal((2, 1, 32))
+        spy = _EnvSpy(os.environ)
+        monkeypatch.setattr(os, "environ", spy)
+        try:
+            sess.append(0, k, v)
+        finally:
+            monkeypatch.undo()
+            sess.close()
+        assert spy.reads == reads

@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.algos import MXOliVe
 from repro.codec import PackedTensor
 from repro.errors import ConfigError, FormatError
 from repro.kernels.dispatch import (fast_kernels, reference_kernels,
@@ -76,18 +77,13 @@ def test_thread_pool_path(tensors):
         assert out.tobytes() == fmt.quantize(x, axis=-1).tobytes()
 
 
-def test_weight_cache_hits_and_disable(rng, monkeypatch):
+def test_weight_cache_hits(rng):
     w = rng.standard_normal((16, 64))
     with QuantService("sg-em") as svc:
         a = svc.quantize(w, op="weight")
         b = svc.quantize(w, op="weight")
         assert a.tobytes() == b.tobytes()
         assert svc.stats()["weight_cache_hits"] == 1
-    monkeypatch.setenv("REPRO_NO_WEIGHT_CACHE", "1")
-    with QuantService("sg-em") as svc:
-        svc.quantize(w, op="weight")
-        svc.quantize(w, op="weight")
-        assert svc.stats()["weight_cache_hits"] == 0
 
 
 def test_packed_mode_returns_containers_with_footprint(rng):
@@ -256,6 +252,21 @@ def test_quantized_lm_packed_weights_bit_exact(rt_small, monkeypatch):
     assert fp["bits_per_element"] < 8.0
     assert fp["total_bytes"] * 10 < fp["dense_float64_bytes"]
     assert dense.weight_footprint()["bits_per_element"] == 64.0
+
+
+def test_quantized_lm_packed_keeps_subclass_formats_dense(rt_small,
+                                                         monkeypatch):
+    # MX-OliVe subclasses BlockFormat but quantizes differently; the
+    # block codec's streams cannot hold its output, so the knob must
+    # leave its weights dense rather than pack the wrong values.
+    fmt = MXOliVe()
+    tokens = rt_small.tokens[:2, :24]
+    monkeypatch.delenv("REPRO_PACKED_WEIGHTS", raising=False)
+    nll_dense = QuantizedLM(rt_small.model, fmt).nll(tokens)
+    monkeypatch.setenv("REPRO_PACKED_WEIGHTS", "1")
+    packed = QuantizedLM(rt_small.model, fmt)
+    assert not packed.packed_weights
+    assert packed.nll(tokens) == nll_dense
 
 
 def test_quantized_lm_packed_cache_namespaced(rt_small, monkeypatch):
