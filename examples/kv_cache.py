@@ -4,11 +4,12 @@ K and V are right-hand GEMM operands (P = Q K^T, O = P V) cached across
 decode steps, so they take the lazy weight-side path. The default mode
 drives the **streaming session API** the serving stack exposes: a
 :class:`repro.kv.KVCacheSession` appends one quantized K/V block per
-decode step through the plan-compiled kernels, retains only packed
-bytes, and evicts by token budget while keeping the first
-``sink_tokens`` positions (attention sinks). Every append cross-checks
-its packed bytes against the one-shot batch quantizer, so the streamed
-cache is bit-exact by construction; the example then measures
+decode step through the plan-compiled kernels, retains only the packed
+code streams (row-stacked per layer), and evicts by token budget while
+keeping the first ``sink_tokens`` positions (attention sinks). Every
+append cross-checks its packed bytes against the one-shot batch
+quantizer, so the streamed cache is bit-exact by construction; the
+example then measures
 attention-output error of the paper's per-layer policy against uniform
 MXFP4 over the *retained* window, plus the measured packed footprint
 against FP16.
@@ -31,6 +32,7 @@ import numpy as np
 from repro.codec import decode
 from repro.kv import KVCacheSession, KVPolicy
 from repro.models.layers import softmax
+from repro.obs import registry
 from repro.plan.cache import plan_cache_stats
 from repro.serve import QuantService
 
@@ -101,7 +103,9 @@ def streaming_main() -> None:
             ref = attention(q, kr, vr)
             got = attention(q, kq, vq)
             errs.append(np.mean((got - ref) ** 2) / np.mean(ref ** 2))
-        results[name] = (float(np.mean(errs)), sess.stats())
+        retained = registry().snapshot().get(
+            f"kv.{sess.session_id}", {}).get("retained_bytes")
+        results[name] = (float(np.mean(errs)), sess.stats(), retained)
         sess.close()
 
     total = prefill + steps
@@ -125,10 +129,11 @@ def streaming_main() -> None:
     print(f"  packed payload       : {stats['payload_bytes']:8d} B "
           f"({stats['measured_bits_per_element']:.2f} bits/elem, "
           f"{fp16_bytes / stats['payload_bytes']:.2f}x smaller)")
-    print(f"  container headers    : {stats['header_bytes']:8d} B over "
-          f"{2 * stats['appends']} per-step containers (amortizes with "
-          f"block size;\n{'':25s}single-token decode steps are the "
-          f"worst case)")
+    retained = results["m2xfp"][2]
+    if retained is not None:   # None when REPRO_NO_METRICS=1
+        print(f"  retained by session  : {retained:8d} B for the {held}-token "
+              f"window ({8 * retained / (2 * n_layers * held * dh):.2f} "
+              f"bits/elem, no per-step headers)")
 
     after = plan_cache_stats()
     hits = after["hits"] - before["hits"]

@@ -22,12 +22,12 @@ Example::
 """
 
 from .bitstream import bits_needed, pack_bits, packed_nbytes, unpack_bits
-from .codecs import (codec_for, collect_encode_stats, decode, decode_rows,
-                     encode, supports)
+from .codecs import (codec_for, collect_encode_stats, decode, drop_rows,
+                     encode, join_rows, supports)
 from .container import CONTAINER_VERSION, MAGIC, PackedTensor, Stream
 
 __all__ = [
-    "encode", "decode", "decode_rows", "codec_for", "supports",
+    "encode", "decode", "join_rows", "drop_rows", "codec_for", "supports",
     "collect_encode_stats",
     "PackedTensor", "Stream", "MAGIC", "CONTAINER_VERSION",
     "pack_bits", "unpack_bits", "packed_nbytes", "bits_needed",

@@ -46,10 +46,10 @@ Example::
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,8 +79,8 @@ from ..mx.smx import SMX
 from .bitstream import bits_needed, pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
-__all__ = ["encode", "decode", "decode_rows", "codec_for", "supports",
-           "collect_encode_stats"]
+__all__ = ["encode", "decode", "join_rows", "drop_rows", "codec_for",
+           "supports", "collect_encode_stats"]
 
 _STAGE_SINK = threading.local()
 
@@ -223,6 +223,9 @@ class Codec:
     #: encodes from floats.
     code_streams: tuple[str, ...] | None = None
 
+    #: Streams holding one field per ``fmt.sub_size``-wide subgroup.
+    subgroup_streams: tuple[str, ...] = ()
+
     def encode_into(self, fmt, x: np.ndarray, pt: PackedTensor) -> None:
         raise NotImplementedError
 
@@ -232,6 +235,21 @@ class Codec:
     def code_layout(self, fmt, pt: PackedTensor) -> tuple[str, ...] | None:
         """Expected fused stream layout for this container, or None."""
         return self.code_streams
+
+    def stream_counts(self, fmt, pt: PackedTensor) -> dict[str, int]:
+        """Fields :meth:`decode` reads from each stream for ``pt``'s shape.
+
+        Pure integer arithmetic on the header, so :func:`decode` can
+        refuse a shape its streams cannot back before any array is
+        sized from it. The default is one element code per padded group
+        slot, one scale per group and one field per subgroup in each of
+        :attr:`subgroup_streams`.
+        """
+        n = _n_groups(pt)
+        counts = {"elements": n * pt.group_size, "scales": n}
+        for name in self.subgroup_streams:
+            counts[name] = n * (pt.group_size // fmt.sub_size)
+        return counts
 
     def encode_from_codes(self, fmt, cs, pt: PackedTensor) -> None:
         """Pack a plan executor's :class:`CodeSpaceResult` directly.
@@ -269,6 +287,9 @@ class Fp16Codec(Codec):
             # identity function, so raw float64 is the only exact store.
             pt.extra["storage"] = "f64"
             pt.add_stream("elements", x.astype("<f8").reshape(-1), 64, x.size)
+
+    def stream_counts(self, fmt, pt):
+        return {"elements": pt.n_elements}
 
     def decode(self, fmt, pt):
         s = pt.stream("elements")
@@ -364,6 +385,8 @@ class GroupFP4Codec(BlockCodec):
 class SMXCodec(Codec):
     """SMX: element codes + E8M0 exponents + 1-bit pair micro-exponents."""
 
+    subgroup_streams = ("meta",)
+
     def encode_into(self, fmt, x, pt):
         groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
         res = fmt.quantize_groups(groups)
@@ -420,18 +443,33 @@ def _nvfp4_put_scales(element, scale_format, groups: np.ndarray,
     return s8 * ts
 
 
+def _nvfp4_tensor_scale(pt: PackedTensor) -> float | np.ndarray:
+    """The header tensor scale (0.0 for a zero tensor), or the per-row
+    float64 array a row run from :func:`join_rows` carries instead."""
+    ts = pt.extra.get("tensor_scale")
+    return ts if isinstance(ts, np.ndarray) else _unhex(pt, "tensor_scale")
+
+
+def _nvfp4_counts(pt: PackedTensor, counts: dict) -> dict:
+    """Drop the scale stream from ``counts`` for a zero tensor."""
+    if not np.any(_nvfp4_tensor_scale(pt)):
+        del counts["scales"]
+    return counts
+
+
 def _nvfp4_get_scales(scale_format, pt: PackedTensor,
                       n: int) -> np.ndarray | None:
     """Invert :func:`_nvfp4_put_scales` (None for the zero-tensor case).
 
-    A row-stacked container from :func:`decode_rows` carries one
-    non-zero tensor scale per group as an array instead of hex text.
+    A row run's per-row tensor scales are broadcast to each row's
+    groups, so every group gets the same ``s8 * ts`` multiply its own
+    block's decode does.
     """
-    ts = pt.extra.get("tensor_scale")
-    if not isinstance(ts, np.ndarray):
-        ts = _unhex(pt, "tensor_scale")
-        if ts == 0.0:
-            return None
+    ts = _nvfp4_tensor_scale(pt)
+    if not np.any(ts):
+        return None
+    if isinstance(ts, np.ndarray):
+        ts = np.repeat(ts, n // ts.size)
     s8 = scale_format.decode(np.zeros(n, dtype=np.int64),
                              unpack_bits(pt.stream("scales").data, 8, n))
     return s8 * ts
@@ -439,6 +477,9 @@ def _nvfp4_get_scales(scale_format, pt: PackedTensor,
 
 class NVFP4Codec(Codec):
     """Two-level NVFP4: E4M3 scale codes + the FP32 tensor scale in-header."""
+
+    def stream_counts(self, fmt, pt):
+        return _nvfp4_counts(pt, super().stream_counts(fmt, pt))
 
     def encode_into(self, fmt, x, pt, tensor_amax: float | None = None):
         groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
@@ -497,6 +538,13 @@ class MaxPreserveCodec(Codec):
             pt.add_stream("elements", pack_bits(keep, elems.width),
                           elems.width, keep.size)
 
+    def stream_counts(self, fmt, pt):
+        counts = codec_for(fmt.inner).stream_counts(fmt.inner, pt)
+        n = _n_groups(pt)
+        if pt.extra.get("dropped_max"):
+            counts["elements"] = n * (pt.group_size - 1)
+        return {**counts, "max_idx": n, "max_val": n}
+
     def decode(self, fmt, pt):
         inner_codec = codec_for(fmt.inner)
         n, k = _n_groups(pt), pt.group_size
@@ -544,6 +592,11 @@ class ElemEMCodec(Codec):
                                         META_BITS_PER_VALUE),
                       META_BITS_PER_VALUE, enc.metadata.size)
 
+    def stream_counts(self, fmt, pt):
+        counts = super().stream_counts(fmt, pt)
+        counts["meta"] = counts["elements"] // fmt.sub_size * fmt.top_k
+        return counts
+
     def decode(self, fmt, pt):
         view = _view(pt)
         n, k = _n_groups(pt), pt.group_size
@@ -562,6 +615,7 @@ class SgEMCodec(Codec):
     """Sg-EM: FP4 codes + stored (bias-folded) exponents + 2-bit sg codes."""
 
     code_streams = ("elements", "scales", "meta")
+    subgroup_streams = ("meta",)
 
     def encode_into(self, fmt, x, pt):
         groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
@@ -590,6 +644,7 @@ class SgEECodec(Codec):
     """Sg-EE: FP4 codes + exponents + per-subgroup decrement codes."""
 
     code_streams = ("elements", "scales", "meta")
+    subgroup_streams = ("meta",)
 
     def encode_into(self, fmt, x, pt):
         groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
@@ -628,6 +683,7 @@ class ElemEECodec(Codec):
     """
 
     code_streams = ("elements", "scales", "meta", "refined")
+    subgroup_streams = ("meta", "refined")
 
     def encode_into(self, fmt, x, pt):
         from ..mx.scale_rules import shared_scale_exponent
@@ -693,6 +749,10 @@ class M2XFPCodec(Codec):
     def code_layout(self, fmt, pt):
         return self._delegate(fmt, pt)[0].code_layout(fmt, pt)
 
+    def stream_counts(self, fmt, pt):
+        codec, sub_fmt = self._delegate(fmt, pt)
+        return codec.stream_counts(sub_fmt, pt)
+
     def encode_from_codes(self, fmt, cs, pt):
         codec, sub_fmt = self._delegate(fmt, pt)
         codec.encode_from_codes(sub_fmt, cs, pt)
@@ -705,12 +765,20 @@ class M2XFPCodec(Codec):
 class M2NVFP4Codec(Codec):
     """M2-NVFP4: the NVFP4 two-level scales plus M2XFP metadata streams."""
 
+    subgroup_streams = ("meta",)
+
     def _scales_for_encode(self, fmt, groups, pt) -> np.ndarray:
         raw = _nvfp4_put_scales(fmt.base.element, fmt.base.scale_format,
                                 groups, pt)
         if raw is None:     # zero tensor: base.quantize_detailed says ones
             return np.ones(groups.shape[0])
         return np.where(raw > 0, raw, 1.0)
+
+    def stream_counts(self, fmt, pt):
+        counts = super().stream_counts(fmt, pt)
+        if pt.op == "weight":
+            counts["bias"] = _n_groups(pt)
+        return _nvfp4_counts(pt, counts)
 
     def _scales_for_decode(self, fmt, pt, n) -> np.ndarray:
         raw = _nvfp4_get_scales(fmt.base.scale_format, pt, n)
@@ -979,124 +1047,96 @@ def decode(packed: PackedTensor | bytes, fmt=None) -> np.ndarray:
         except ConfigError as exc:
             raise CodecError(f"container format: {exc}") from None
     _check_header(packed, repr(fmt), _group_size(fmt))
-    return codec_for(fmt).decode(fmt, packed)
+    codec = codec_for(fmt)
+    for name, count in codec.stream_counts(fmt, packed).items():
+        held = packed.stream(name).count
+        if held != count:
+            raise CodecError(f"stream {name!r} holds {held} fields; a shape "
+                             f"{packed.shape} container needs {count}")
+    return codec.decode(fmt, packed)
 
 
-def _row_layout(pt: PackedTensor):
-    """``(key, tensor_scale)`` for row-stacking ``pt``, or None when it
-    decodes alone.
-
-    Containers with equal keys hold rows of one layout: same format
-    name, trailing shape, stream names and ``extra`` apart from the
-    value of the NVFP4-family ``tensor_scale``, which stays per
-    container. Only non-empty tensors of two or more dims grouped on
-    the last axis stack, and never a zero (zero-tensor) or unreadable
-    tensor scale.
-    """
+def _rows(pt: PackedTensor) -> int:
+    """Leading-axis rows of a non-empty tensor of two or more dims
+    grouped on its last axis (each row whole groups, in stream order),
+    else 0: the containers the row operations accept."""
     shape = pt.shape
     if len(shape) < 2 or pt.axis != len(shape) - 1 or not all(shape):
+        return 0
+    return shape[0]
+
+
+def _row_layout(pt: PackedTensor) -> tuple:
+    """What two containers must share to join rows (see :func:`join_rows`)."""
+    return (pt.format_name, pt.fingerprint, pt.op, pt.group_size,
+            pt.shape[1:], [(s.name, s.width) for s in pt.streams.values()],
+            {k: v for k, v in pt.extra.items() if k != "tensor_scale"})
+
+
+def _row_scales(pt: PackedTensor, rows: int) -> np.ndarray | None:
+    """A non-zero tensor scale per row, or None (no or a zero scale)."""
+    if "tensor_scale" not in pt.extra:
         return None
-    extra, ts = pt.extra, None
-    if "tensor_scale" in extra:
-        try:
-            ts = float.fromhex(extra["tensor_scale"])
-        except (TypeError, ValueError):
-            return None
-        if ts == 0.0:
-            return None
-        extra = {**extra, "tensor_scale": None}
-    return (pt.format_name, shape[1:], tuple(pt.streams), extra), ts
+    ts = _nvfp4_tensor_scale(pt)
+    if not np.any(ts):
+        return None
+    return ts if isinstance(ts, np.ndarray) else np.full(rows, ts)
 
 
-def _stack_rows(run: list[PackedTensor], scales: list) -> PackedTensor:
-    """One container holding the rows of every container in ``run``.
-
-    Groups run along the last axis, so each stream is its containers'
-    fields in order: byte-joined when every container but the last
-    ends on a byte boundary, else unpacked, concatenated and repacked.
-    A stream whose width or fields-per-row disagrees with the first
-    container's is corrupt and raises :class:`CodecError`.
+def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
+    """One container holding ``head``'s rows then ``tail``'s, or None
+    when their row layouts differ: anything in the header but the row
+    count and a non-zero NVFP4-family tensor scale (so fp16's f16 and
+    f64 storage never join, nor a zero tensor a scaled one). Tensor
+    scales stay per row, as a float64 array in ``extra``. Each stream
+    is byte-joined when ``head``'s fields end on a byte boundary, else
+    unpacked, concatenated and repacked.
     """
-    first = run[0]
-    rows = [math.prod(pt.shape[:-1]) for pt in run]
+    hr, tr = _rows(head), _rows(tail)
+    if not (hr and tr) or _row_layout(head) != _row_layout(tail):
+        return None
+    hs, ts = _row_scales(head, hr), _row_scales(tail, tr)
+    if (hs is None) != (ts is None):
+        return None
     streams = {}
-    for name, ref in first.streams.items():
-        parts = [pt.streams[name] for pt in run]
-        for r, s in zip(rows, parts):
-            if s.width != ref.width or s.count * rows[0] != ref.count * r:
-                raise CodecError(
-                    f"stream {name!r} holds {s.count} {s.width}-bit fields "
-                    f"for {r} rows; the run's first container holds "
-                    f"{ref.count} {ref.width}-bit fields for {rows[0]}")
-        if all(s.count * s.width % 8 == 0 for s in parts[:-1]):
-            data = b"".join(s.data for s in parts)
+    for h, t in zip(head.streams.values(), tail.streams.values()):
+        if h.count * tr != t.count * hr:
+            return None
+        if h.count * h.width % 8 == 0:
+            data = h.data + t.data
         else:
             data = pack_bits(np.concatenate(
-                [unpack_bits(s.data, s.width, s.count) for s in parts]),
-                ref.width).tobytes()
-        streams[name] = Stream(name, data, ref.width,
-                               sum(s.count for s in parts))
-    extra = first.extra
-    if scales[0] is not None:
-        # Each container keeps its own tensor scale, broadcast to its
-        # groups: the decode's per-group ``s8 * ts`` is then the same
-        # multiply a single-container decode does.
-        per_row = -(-first.shape[-1] // first.group_size)
-        extra = {**extra, "tensor_scale": np.repeat(
-            np.asarray(scales, dtype=np.float64),
-            np.asarray(rows) * per_row)}
-    return PackedTensor(format_name=first.format_name,
-                        fingerprint=first.fingerprint, op=first.op,
-                        shape=(sum(pt.shape[0] for pt in run),
-                               *first.shape[1:]),
-                        axis=first.axis, group_size=first.group_size,
-                        streams=streams, extra=extra)
+                [unpack_bits(h.data, h.width, h.count),
+                 unpack_bits(t.data, t.width, t.count)]), h.width).tobytes()
+        streams[h.name] = Stream(h.name, data, h.width, h.count + t.count)
+    extra = head.extra if hs is None else \
+        {**head.extra, "tensor_scale": np.concatenate([hs, ts])}
+    return replace(head, shape=(hr + tr, *head.shape[1:]), streams=streams,
+                   extra=extra)
 
 
-def decode_rows(blobs, fmt) -> list[np.ndarray]:
-    """Decode containers of one format, stacking their rows.
+def drop_rows(pt: PackedTensor, n: int) -> PackedTensor:
+    """``pt`` without its first ``n`` rows, ``0 < n < rows``.
 
-    Returns one array per blob, byte-identical to ``decode(blob,
-    fmt=fmt)``. MX groups decode independently, so consecutive
-    containers of one row layout (see :func:`_row_layout`) are joined
-    row-wise into one container, decoded by the family's codec in one
-    call and split back into per-container copies (never views, so one
-    retained result cannot pin its neighbours' rows). Anything else
-    decodes alone.
-
-    Every blob is parsed and validated on its own. A call is one
-    operand stream of ``fmt``: a wrong fingerprint or group size, a
-    second op, or a stream that disagrees with its run raises
-    :class:`CodecError`.
+    Each stream is byte-sliced when the dropped fields end on a byte
+    boundary, else unpacked, sliced and repacked; a per-row tensor
+    scale array is sliced with the rows.
     """
-    fingerprint, group_size = repr(fmt), _group_size(fmt)
-    pts: list[PackedTensor] = []
-    for blob in blobs:
-        pt = PackedTensor.from_bytes(blob)
-        _check_header(pt, fingerprint, group_size)
-        if pts and pt.op != pts[0].op:
-            raise CodecError(f"containers mix ops {pts[0].op!r} and "
-                             f"{pt.op!r}; decode one op per call")
-        pts.append(pt)
-    codec = codec_for(fmt)
-    layouts = [_row_layout(pt) for pt in pts]
-    out: list[np.ndarray] = []
-    i = 0
-    while i < len(pts):
-        j = i + 1
-        if layouts[i] is not None:
-            while j < len(pts) and layouts[j] is not None \
-                    and layouts[j][0] == layouts[i][0]:
-                j += 1
-        if j - i == 1:
-            out.append(codec.decode(fmt, pts[i]))
+    rows = _rows(pt)
+    if not 0 < n < rows:
+        raise CodecError(f"cannot drop {n} leading rows of a shape "
+                         f"{pt.shape} container grouped on axis {pt.axis}")
+    streams = {}
+    for s in pt.streams.values():
+        cut = s.count // rows * n
+        if cut * s.width % 8 == 0:
+            data = s.data[cut * s.width // 8:]
         else:
-            run = pts[i:j]
-            dq = codec.decode(fmt, _stack_rows(
-                run, [layout[1] for layout in layouts[i:j]]))
-            start = 0
-            for pt in run:
-                out.append(dq[start:start + pt.shape[0]].copy())
-                start += pt.shape[0]
-        i = j
-    return out
+            data = pack_bits(unpack_bits(s.data, s.width, s.count)[cut:],
+                             s.width).tobytes()
+        streams[s.name] = Stream(s.name, data, s.width, s.count - cut)
+    extra = pt.extra
+    if isinstance(extra.get("tensor_scale"), np.ndarray):
+        extra = {**extra, "tensor_scale": extra["tensor_scale"][n:].copy()}
+    return replace(pt, shape=(rows - n, *pt.shape[1:]), streams=streams,
+                   extra=extra)

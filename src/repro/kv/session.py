@@ -7,17 +7,17 @@ plan-compiled kernels** (the same ``quantize_weight`` /
 ``quantize_activation`` entry points the batch path uses — by default
 every append cross-checks the packed bytes against that output and
 raises on any mismatch, so streamed state is bit-exact *by
-construction*), and each block's packed :class:`~repro.codec.PackedTensor`
-bytes are retained. A block is decoded back to float64 once, on the
-first read that covers it; the decoded K/V arrays are cached beside its
-blobs and later reads only concatenate them. A read decodes all of its
-fresh blocks together, one :func:`~repro.codec.decode_rows` call per
-K/V run, which row-stacks them into one codec decode and splits the
-result into a copy per block. The decode is of the blocks' own retained
-bytes (never the executor's dequantized view), and MX blocks decode
-independently, so neither the cache nor the stacking changes a byte.
-Eviction drops a block's blobs and decoded arrays together, so memory
-stays bounded by ``max_tokens``.
+construction*). Each layer's K and V are kept as **arenas**: a short
+list of runs, each one row-stacked :class:`~repro.codec.PackedTensor`
+that appends extend (:func:`~repro.codec.join_rows`). A new run starts
+only where the row layout changes (fp16's f16 vs f64 storage, an
+NVFP4-family zero tensor) or at the first block past the sinks;
+tensor-scoped formats keep one float64 tensor scale per row. MX groups
+decode independently, so a read decodes each run in one codec call to
+exactly the bytes its blocks decode to alone, and the session holds the
+format's payload bits: no per-block header, no float64 cache. Eviction
+drops leading rows of the evictable runs (:func:`~repro.codec.drop_rows`),
+so memory stays bounded by ``max_tokens``.
 
 Eviction is by **token budget** per layer: once a layer holds more than
 ``max_tokens`` tokens, the oldest blocks are dropped — except blocks
@@ -60,6 +60,8 @@ import threading
 
 import numpy as np
 
+from ..codec import PackedTensor, codec_for, collect_encode_stats, \
+    drop_rows, encode, join_rows
 from ..codec.container import OPS
 from ..errors import ConfigError
 from ..obs import measured_bits_per_element
@@ -145,22 +147,14 @@ class KVPolicy:
 
 
 class _Block:
-    """One appended K/V block: packed bytes plus its stream position.
+    """One appended K/V block's stream position; its rows live in the
+    layer's arenas."""
 
-    ``decoded`` is ``None`` until the first read covering the block
-    fills it with the read-only ``(K, V)`` float64 decode of the blobs.
-    """
+    __slots__ = ("start", "tokens")
 
-    __slots__ = ("start", "tokens", "width", "k_blob", "v_blob", "decoded")
-
-    def __init__(self, start: int, tokens: int, width: int,
-                 k_blob: bytes, v_blob: bytes) -> None:
+    def __init__(self, start: int, tokens: int) -> None:
         self.start = start
         self.tokens = tokens
-        self.width = width
-        self.k_blob = k_blob
-        self.v_blob = v_blob
-        self.decoded: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class KVCacheSession:
@@ -194,12 +188,14 @@ class KVCacheSession:
         format's own quantize output — streamed state can never
         silently diverge from the batch path.
 
-    Retained state per block is its packed bytes plus, once a read has
-    covered it, the decoded float64 K/V (decoded on first read, cached
-    beside the blobs, evicted with them).
+    Retained state per layer is its K and V arenas (see the module
+    docstring): the packed code streams of the held rows, plus one
+    float64 tensor scale per row for tensor-scoped formats.
 
-    Thread-safe: one lock serializes appends/reads/close, so a server
-    can drive the session from worker threads.
+    Thread-safe: one lock guards the session state, so a server can
+    drive the session from worker threads. Appends and evictions
+    replace runs and arenas rather than mutate them, so a read takes a
+    snapshot under the lock and decodes it outside.
     """
 
     def __init__(self, n_layers: int, policy=None, *,
@@ -237,6 +233,8 @@ class KVCacheSession:
         self._lock = threading.Lock()
         self._closed = False
         self._blocks: list[list[_Block]] = [[] for _ in range(n_layers)]
+        # Per layer, the (K, V) arenas: tuples of immutable runs.
+        self._arenas: list[tuple[tuple, tuple]] = [((), ())] * n_layers
         self._next_pos = [0] * n_layers
         self._stats = {"appends": 0, "tokens_appended": 0,
                        "evicted_blocks": 0, "evicted_tokens": 0,
@@ -247,8 +245,6 @@ class KVCacheSession:
         # are not reproducible bytes.
         self._encode_stats = {"fused_encodes": 0, "quantize_s": 0.0,
                               "pack_s": 0.0, "verify_s": 0.0}
-        # Read-side decode cache counters; registry only, like the above.
-        self._read_stats = {"decoded_blocks": 0, "cached_blocks": 0}
         obs_registry().register_collector(f"kv.{self.session_id}",
                                           self._collect_metrics)
 
@@ -275,29 +271,38 @@ class KVCacheSession:
                               f"got shape {tuple(k.shape)}")
         tokens, width = k.shape
         fmt = self.policy.format_for(layer)
-        from ..codec import collect_encode_stats, encode
         with _dispatch_scope(self.dispatch), collect_encode_stats() as es:
             pk = encode(fmt, k, op=self.policy.op, axis=-1,
                         verify=self.verify)
             pv = encode(fmt, v, op=self.policy.op, axis=-1,
                         verify=self.verify)
-        k_blob, v_blob = pk.to_bytes(), pv.to_bytes()
         with self._lock:
             self._check_open()
             blocks = self._blocks[layer]
-            if blocks and blocks[0].width != width:
+            arenas = self._arenas[layer]
+            wide = arenas[0][0].shape[1] if arenas[0] else width
+            if wide != width:
                 raise ConfigError(
-                    f"layer {layer} blocks are {blocks[0].width} wide; "
-                    f"an append of width {width} cannot join the stream")
+                    f"layer {layer} blocks are {wide} wide; an append "
+                    f"of width {width} cannot join the stream")
             start = self._next_pos[layer]
-            block = _Block(start, tokens, width, k_blob, v_blob)
+            block = _Block(start, tokens)
             evicted = self._evict_for(blocks, block)
+            evicted_tokens = sum(b.tokens for b in evicted)
+            pinned = sum(b.tokens for b in blocks
+                         if b.start < self.sink_tokens)
+            # Sink rows never share a run with evictable rows, so
+            # eviction only ever drops leading rows of a run.
+            join = bool(blocks) and (blocks[-1].start < self.sink_tokens) \
+                == (start < self.sink_tokens)
+            self._arenas[layer] = tuple(
+                _advance(arena, pinned, evicted_tokens, pt, join)
+                for arena, pt in zip(arenas, (pk, pv)))
             blocks.append(block)
             self._next_pos[layer] = start + tokens
             self._stats["appends"] += 1
             self._stats["tokens_appended"] += tokens
             self._stats["evicted_blocks"] += len(evicted)
-            evicted_tokens = sum(b.tokens for b in evicted)
             self._stats["evicted_tokens"] += evicted_tokens
             self._stats["payload_bytes"] += pk.payload_bytes \
                 + pv.payload_bytes
@@ -318,39 +323,22 @@ class KVCacheSession:
     def read(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Dequantize the retained cache for ``layer`` as (K, V).
 
-        The concatenation (in stream order) of every retained block's
-        decoded bytes; empty layers yield two ``(0, 0)`` arrays. Each
-        block is decoded once, on the first read that covers it, and the
-        result is cached beside its blobs; later reads concatenate the
-        cached arrays into fresh ones, so callers never alias the cache.
-        The read's fresh blocks are decoded together: one
-        :func:`~repro.codec.decode_rows` call for their K blobs and one
-        for their V blobs, which stacks same-layout blocks into one
-        codec decode per run and hands back a copy per block.
-        Decoding runs outside the lock, so two racing reads may both
-        decode the same new block; both decodes give identical arrays.
+        The retained rows in stream order, byte-identical to decoding
+        each retained block on its own; empty layers yield two
+        ``(0, 0)`` arrays. Each run is decoded from its code streams by
+        one codec call, outside the lock, into arrays the caller owns.
         """
         layer = self._check_layer(layer)
         with self._lock:
             self._check_open()
-            blocks = list(self._blocks[layer])
-        if not blocks:
+            arenas = self._arenas[layer]
+        if not arenas[0]:
             empty = np.zeros((0, 0), dtype=np.float64)
             return empty, empty.copy()
-        fresh = [b for b in blocks if b.decoded is None]
-        if fresh:
-            from ..codec import decode_rows
-            fmt = self.policy.format_for(layer)
-            ks = decode_rows([b.k_blob for b in fresh], fmt)
-            vs = decode_rows([b.v_blob for b in fresh], fmt)
-            for b, k, v in zip(fresh, ks, vs):
-                k.flags.writeable = v.flags.writeable = False
-                b.decoded = (k, v)
-        with self._lock:
-            self._read_stats["decoded_blocks"] += len(fresh)
-            self._read_stats["cached_blocks"] += len(blocks) - len(fresh)
-        return (np.concatenate([b.decoded[0] for b in blocks], axis=0),
-                np.concatenate([b.decoded[1] for b in blocks], axis=0))
+        fmt = self.policy.format_for(layer)
+        codec = codec_for(fmt)
+        return tuple(np.concatenate([codec.decode(fmt, run) for run in arena])
+                     for arena in arenas)
 
     def positions(self, layer: int) -> list[tuple[int, int]]:
         """Retained ``(start, tokens)`` spans for ``layer`` (stream
@@ -392,15 +380,19 @@ class KVCacheSession:
             return dict(self._encode_stats)
 
     def _collect_metrics(self) -> dict:
-        """Registry collector view: counters plus per-stage encode cost
-        and read-side decode-cache counters (prefixed, so the snapshot
-        stays one flat JSON-safe dict)."""
+        """Registry collector view: counters, per-stage encode cost
+        (prefixed, so the snapshot stays one flat JSON-safe dict) and
+        ``retained_bytes``, what the arenas hold: run stream bytes plus
+        per-row tensor-scale arrays."""
         out = self.stats()
         for key, val in self.encode_stage_stats().items():
             out[f"encode_{key}"] = val
         with self._lock:
-            for key, val in self._read_stats.items():
-                out[f"read_{key}"] = val
+            out["retained_bytes"] = sum(
+                run.payload_bytes
+                + getattr(run.extra.get("tensor_scale"), "nbytes", 0)
+                for arenas in self._arenas for arena in arenas
+                for run in arena)
         return out
 
     def info(self) -> dict:
@@ -476,3 +468,23 @@ class KVCacheSession:
         for b in evicted:
             blocks.remove(b)
         return evicted
+
+
+def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,
+             join: bool) -> tuple:
+    """``arena`` without the ``evict`` rows after its first ``pinned``
+    (sink) rows, which end on a run boundary, and with ``pt``'s rows:
+    joined onto the last run when ``join`` allows and the row layouts
+    match, else as a new run."""
+    runs, seen = [], 0
+    for run in arena:
+        n = run.shape[0]
+        if evict and seen >= pinned:
+            if evict >= n:
+                evict -= n
+                continue
+            run, evict = drop_rows(run, evict), 0
+        seen += n
+        runs.append(run)
+    joined = join_rows(runs[-1], pt) if join and runs else None
+    return (*runs, pt) if joined is None else (*runs[:-1], joined)

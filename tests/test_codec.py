@@ -16,12 +16,14 @@ Layers:
   have written (missing key, wrong type, unknown op, out-of-range axis,
   malformed stream record, ...) raises ``CodecError`` from
   ``from_bytes`` / ``decode``, never an untyped exception; a seeded
-  header-mutation fuzz pins it.
-* **Row-stacked decode** — ``decode_rows`` over runs of containers
-  (prefill plus 1-row blocks, padded rows, distinct NVFP4 tensor
-  scales, zero tensors, mixed fp16 storage) equals per-container
-  ``decode`` byte for byte with one codec call per run, and a blob that
-  disagrees with its run raises ``CodecError``.
+  header-mutation fuzz over every catalog format pins it, and a header
+  shape far larger than its streams is refused before any allocation.
+* **Row operations** — containers joined with ``join_rows`` (prefill
+  plus 1-row blocks, padded rows, distinct NVFP4 tensor scales, zero
+  tensors, mixed fp16 storage) decode in one codec call per run to
+  exactly their per-container ``decode`` bytes, ``drop_rows`` leaves
+  exactly the remaining rows' bytes, and a container that disagrees
+  with a run never joins it.
 * **Golden packed bytes** — the serialized m2xfp / m2-nvfp4 containers
   are pinned in ``tests/golden/packed_vectors.json`` (regen via
   ``scripts/regen_packed_vectors.py --regen``); any header, stream-order
@@ -40,8 +42,8 @@ import pytest
 
 from repro.algos import (BlockDialect, MicroScopiQWeights, MXAnt,
                          MXIntActivations, MXMAnt, MXOliVe)
-from repro.codec import PackedTensor, codec_for, decode, decode_rows, \
-    encode, supports
+from repro.codec import PackedTensor, codec_for, decode, drop_rows, encode, \
+    join_rows, supports
 from repro.codec.container import MAGIC
 from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
@@ -340,7 +342,7 @@ def _mutate_header(header: dict, rng) -> dict:
     return h
 
 
-@pytest.mark.parametrize("name", ("m2xfp", "nvfp4", "mxfp4", "elem-em"))
+@pytest.mark.parametrize("name", ALL_FORMATS)
 def test_header_fuzz_raises_only_codec_error(name):
     """Seeded header mutations: parse + decode either succeed or raise
     ``CodecError`` — nothing untyped escapes the decode path."""
@@ -355,6 +357,20 @@ def test_header_fuzz_raises_only_codec_error(name):
                 decode(PackedTensor.from_bytes(bad))
             except CodecError:
                 pass
+
+
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_oversized_shape_raises_codec_error(name, rng):
+    """A valid header whose shape is far larger than its streams is
+    refused by the stream-count check, before any array is sized from
+    the shape (it used to escape as ``MemoryError``)."""
+    fmt = make_format(name)
+    for op in ("weight", "activation"):
+        blob = encode(fmt, rng.standard_normal((2, 40)), op=op).to_bytes()
+        header, payload = _split_header(blob)
+        for shape in ([2 ** 40, 40], [40, 2 ** 40]):
+            with pytest.raises(CodecError):
+                decode(_join_header({**header, "shape": shape}, payload))
 
 
 def test_fingerprint_mismatch_raises(rng):
@@ -375,24 +391,45 @@ def test_verify_flag_roundtrips(rng):
 
 
 # ----------------------------------------------------------------------
-# decode_rows: one codec decode per run of row-stackable containers
+# Row operations: decoding joined rows equals per-container decode
 # ----------------------------------------------------------------------
-def _rows_blobs(fmt, blocks, op="weight") -> list[bytes]:
-    return [encode(fmt, b, op=op).to_bytes() for b in blocks]
+def _rows_pts(fmt, blocks, op="weight") -> list[PackedTensor]:
+    return [encode(fmt, b, op=op) for b in blocks]
 
 
-def _assert_rows_match(fmt, blobs):
-    """decode_rows equals per-container decode, byte for byte, and no
-    two results share memory (a kept block must not pin its run)."""
-    got = decode_rows(blobs, fmt)
-    assert len(got) == len(blobs)
-    for i, (out, blob) in enumerate(zip(got, blobs)):
-        want = decode(blob, fmt=fmt)
-        assert out.shape == want.shape, f"{fmt!r} block {i}: shape"
-        assert out.tobytes() == want.tobytes(), \
-            f"{fmt!r} block {i}: decode_rows != per-container decode"
-        assert not any(np.shares_memory(out, other) for other in got[:i]), \
-            f"{fmt!r} block {i}: a view into the stacked decode"
+def _join_runs(pts) -> list[tuple[PackedTensor, list[PackedTensor]]]:
+    """Greedy ``join_rows`` runs, as a KV arena builds them:
+    ``(run, its containers)`` pairs."""
+    runs: list = []
+    for pt in pts:
+        run = join_rows(runs[-1][0], pt) if runs else None
+        if run is None:
+            runs.append((pt, [pt]))
+        else:
+            runs[-1] = (run, runs[-1][1] + [pt])
+    return runs
+
+
+def _decode_parts(parts, fmt) -> np.ndarray:
+    outs = [decode(pt, fmt=fmt) for pt in parts]
+    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+
+def _assert_rows_match(fmt, pts) -> list[PackedTensor]:
+    """Each joined run decodes to its containers' own decodes, byte for
+    byte, and so does every row suffix ``drop_rows`` leaves; returns
+    the runs."""
+    runs = _join_runs(pts)
+    for run, parts in runs:
+        got, want = decode(run, fmt=fmt), _decode_parts(parts, fmt)
+        assert got.shape == want.shape, f"{fmt!r}: shape"
+        assert got.tobytes() == want.tobytes(), \
+            f"{fmt!r}: joined rows != per-container decode"
+        rows = run.shape[0] if run.axis == len(run.shape) - 1 > 0 else 0
+        for n in {1, 2, 3, rows // 2, rows - 1} & set(range(1, rows)):
+            assert decode(drop_rows(run, n), fmt=fmt).tobytes() \
+                == want[n:].tobytes(), f"{fmt!r}: drop_rows({n})"
+    return [run for run, _ in runs]
 
 
 def _count_decodes(monkeypatch, fmt) -> list:
@@ -415,57 +452,69 @@ def test_decode_rows_matches_decode(name, op, dispatch, rng, monkeypatch):
     """A 16-row prefill block then 1-row steps, at two widths: width 20
     pads every row's last group and leaves unaligned streams (Elem-EE's
     3-bit refined codes, MaxPreserving's 31-code element runs) for the
-    repack path; each width is one run, so one codec decode each."""
+    repack paths of both row operations; each width is one run, so one
+    codec decode each."""
     fmt = make_format(name)
     blocks = [rng.standard_normal((t, w)) * np.exp(rng.standard_normal())
               for w in (64, 20) for t in (16, 1, 1, 1, 3, 1)]
     with DISPATCH[dispatch]():
-        blobs = _rows_blobs(fmt, blocks, op)
-        _assert_rows_match(fmt, blobs)
+        runs = _assert_rows_match(fmt, _rows_pts(fmt, blocks, op))
         rows = _count_decodes(monkeypatch, fmt)
-        decode_rows(blobs, fmt)
-    assert rows == [23, 23], f"{name}: expected one stacked decode per run"
+        for run in runs:
+            decode(run, fmt=fmt)
+    assert rows == [23, 23], f"{name}: expected one run per width"
 
 
 @pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
 @pytest.mark.parametrize("op", ["weight", "activation"])
 def test_decode_rows_keeps_each_tensor_scale(name, op, rng):
     """Tensor-scoped formats: blocks of very different magnitudes carry
-    distinct tensor scales, each broadcast to its own groups; a
-    zero-tensor block holding -0.0 decodes alone between them."""
+    distinct tensor scales, kept one per row; a zero-tensor block
+    holding -0.0 starts its own run between them."""
     fmt = make_format(name)
     zero = np.zeros((1, 64))
     zero[0, ::3] = -0.0
     blocks = [rng.standard_normal((1, 64)) * 10.0 ** e for e in (-3, 0, 2)]
     blocks += [zero, rng.standard_normal((4, 64)) * 1e-2,
                rng.standard_normal((1, 64))]
-    blobs = _rows_blobs(fmt, blocks, op)
-    scales = [PackedTensor.from_bytes(b).extra["tensor_scale"] for b in blobs]
+    pts = _rows_pts(fmt, blocks, op)
+    scales = [pt.extra["tensor_scale"] for pt in pts]
     assert len(set(scales)) == len(scales)
-    _assert_rows_match(fmt, blobs)
-    assert np.signbit(decode_rows(blobs, fmt)[3][0, ::3]).all()
+    runs = _assert_rows_match(fmt, pts)
+    assert [run.shape[0] for run in runs] == [3, 1, 5]
+    assert runs[0].extra["tensor_scale"].tolist() \
+        == [float.fromhex(ts) for ts in scales[:3]]
+    assert np.signbit(decode(runs[1], fmt=fmt)[0, ::3]).all()
 
 
 def test_decode_rows_fp16_mixed_storage(rng):
-    """fp16 blocks stored as f16 and as f64 never share a stack."""
+    """fp16 blocks stored as f16 and as f64 never share a run."""
     fmt = make_format("fp16")
     exact = [np.full((1, 8), 0.5), np.arange(16.0).reshape(2, 8)]
     raw = [rng.standard_normal((1, 8)), rng.standard_normal((3, 8))]
-    blobs = _rows_blobs(fmt, [exact[0], raw[0], raw[1], exact[1], exact[0]])
-    storage = [PackedTensor.from_bytes(b).extra["storage"] for b in blobs]
+    pts = _rows_pts(fmt, [exact[0], raw[0], raw[1], exact[1], exact[0]])
+    storage = [pt.extra["storage"] for pt in pts]
     assert storage == ["f16", "f64", "f64", "f16", "f16"]
-    _assert_rows_match(fmt, blobs)
+    runs = _assert_rows_match(fmt, pts)
+    assert [run.shape[0] for run in runs] == [1, 4, 3]
 
 
 def test_decode_rows_empty_and_unstackable(rng):
+    """Only non-empty tensors of two or more dims grouped on the last
+    axis have rows; a 3-D pair with one trailing shape joins."""
     fmt = make_format("mxfp4")
-    assert decode_rows([], fmt) == []
-    blobs = [encode(fmt, rng.standard_normal(64)).to_bytes(),
-             encode(fmt, rng.standard_normal((2, 64)), axis=0).to_bytes(),
-             encode(fmt, np.zeros((0, 64))).to_bytes(),
-             encode(fmt, rng.standard_normal((2, 3, 64))).to_bytes(),
-             encode(fmt, rng.standard_normal((1, 3, 64))).to_bytes()]
-    _assert_rows_match(fmt, blobs)
+    pts = [encode(fmt, rng.standard_normal(64)),
+           encode(fmt, rng.standard_normal((2, 64)), axis=0),
+           encode(fmt, np.zeros((0, 64))),
+           encode(fmt, rng.standard_normal((2, 3, 64))),
+           encode(fmt, rng.standard_normal((1, 3, 64)))]
+    runs = _assert_rows_match(fmt, pts)
+    assert [run.shape for run in runs] == [(64,), (2, 64), (0, 64),
+                                           (3, 3, 64)]
+    for pt, n in ((pts[0], 1), (pts[1], 1), (pts[2], 1), (pts[3], 0),
+                  (pts[3], 2)):
+        with pytest.raises(CodecError):
+            drop_rows(pt, n)
 
 
 def _edit_blob(blob: bytes, edit) -> bytes:
@@ -486,9 +535,8 @@ def _set_stream(name, width=None, count=None):
     return edit
 
 
-#: One defect per typed refusal; each applies to the third blob of a
-#: run of m2xfp weight blocks (1 row x 64: scales 2 x 8 bits, meta
-#: 8 x 2 bits).
+#: One defect per refusal; each applies to one m2xfp weight block
+#: (1 row x 64: scales 2 x 8 bits, meta 8 x 2 bits) beside a run.
 ROWS_DEFECTS = {
     "fingerprint": _with("fingerprint", repr(make_format("sg-em"))),
     "group_size": _with("group_size", 16),
@@ -501,32 +549,45 @@ ROWS_DEFECTS = {
 
 @pytest.mark.parametrize("defect", sorted(ROWS_DEFECTS))
 def test_decode_rows_rejects_a_bad_blob(defect, rng):
+    """A container that disagrees with a run joins it from neither
+    side; one ``from_bytes`` cannot parse never gets that far."""
     fmt = make_format("m2xfp")
-    blobs = _rows_blobs(fmt, [rng.standard_normal((1, 64)) for _ in range(5)])
-    blobs[2] = _edit_blob(blobs[2], ROWS_DEFECTS[defect])
-    with pytest.raises(CodecError):
-        decode_rows(blobs, fmt)
+    pts = _rows_pts(fmt, [rng.standard_normal((1, 64)) for _ in range(3)])
+    blob = _edit_blob(pts[2].to_bytes(), ROWS_DEFECTS[defect])
+    if defect == "header":
+        with pytest.raises(CodecError):
+            PackedTensor.from_bytes(blob)
+        return
+    bad = PackedTensor.from_bytes(blob)
+    run = join_rows(pts[0], pts[1])
+    assert join_rows(run, bad) is None
+    assert join_rows(bad, run) is None
 
 
 @pytest.mark.parametrize("name", ("m2xfp", "nvfp4", "mxfp4-maxkeep",
                                   "elem-ee"))
 def test_decode_rows_header_fuzz(name):
-    """Seeded mutations of one header in a run: decode_rows raises
-    ``CodecError`` or returns exactly what per-container decode does."""
+    """Seeded mutations of one header in a run: joining and decoding
+    raise ``CodecError`` or give exactly the per-container decode."""
     rng = np.random.default_rng(2025)
     fmt = make_format(name)
-    blobs = _rows_blobs(fmt, [rng.standard_normal((t, 64))
-                              for t in (2, 1, 1, 1)])
-    header, payload = _split_header(blobs[1])
+    pts = _rows_pts(fmt, [rng.standard_normal((t, 64))
+                          for t in (2, 1, 1, 1)])
+    header, payload = _split_header(pts[1].to_bytes())
     for _ in range(300):
-        run = list(blobs)
-        run[1] = _join_header(_mutate_header(header, rng), payload)
+        run = list(pts)
         try:
-            got = decode_rows(run, fmt)
+            run[1] = PackedTensor.from_bytes(
+                _join_header(_mutate_header(header, rng), payload))
+            runs = _join_runs(run)
         except CodecError:
             continue
-        for out, blob in zip(got, run):
-            assert out.tobytes() == decode(blob, fmt=fmt).tobytes()
+        for joined, parts in runs:
+            try:
+                got = decode(joined, fmt=fmt)
+            except CodecError:
+                continue
+            assert got.tobytes() == _decode_parts(parts, fmt).tobytes()
 
 
 # ----------------------------------------------------------------------
