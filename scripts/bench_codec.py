@@ -194,7 +194,7 @@ def run_benchmarks(quick: bool = False) -> dict:
             fmt.quantize_activation(t, axis=-1)
 
     def batched():
-        with QuantService(fmt, max_batch=64, max_delay_s=0.05) as svc:
+        with QuantService(fmt, max_batch=64) as svc:
             futs = [svc.submit(t) for t in tensors]
             for f in futs:
                 f.result()

@@ -10,14 +10,9 @@ Measures, per (format, operand-path, packed) arm and concurrency level:
 
 Plus the **sharding** section: the same closed-loop load against a
 spawn-based :class:`~repro.server.WorkerPool` with one worker vs two,
-on the m2xfp activation arm. The sharded section runs a
-throughput-tuned batching window (``SHARD_DELAY_S``, larger than the
-latency-oriented default used for the per-arm table): a single worker's
-cycle is ``window + T(all requests)`` with the CPU idle for the whole
-window, while each sharded worker's cycle is ``window + T(half)`` and
-one worker's CPU-bound quantize pass overlaps the other's collection
-window. That overlap pays even on a single core (measured here); on
-multi-core hosts the passes additionally run truly in parallel.
+on the m2xfp activation arm. Each worker is its own process with its
+own GIL, so on multi-core hosts two workers' frame handling and quantize
+passes run truly in parallel; on a single core they only time-slice.
 ``speedup_sharded_vs_single`` records the measured requests/s ratio.
 
 Plus the **chaos** section: the same closed loop pushed through a
@@ -90,15 +85,6 @@ ARMS = (
 
 #: The arm the sharded-vs-single comparison runs on.
 SHARDED_ARM = ("m2xfp", "activation", False)
-
-#: Latency-oriented micro-batch window for the per-arm table (the
-#: server default).
-MAX_DELAY_S = 0.002
-
-#: Throughput-tuned window for the sharding comparison — identical for
-#: the single and the sharded pool, sized so batch formation (not the
-#: quantize pass) dominates a worker's cycle.
-SHARD_DELAY_S = 0.008
 
 #: Per-frame connection-kill probability for the chaos section (~1% of
 #: connections die mid-conversation; clients retry through it).
@@ -181,7 +167,7 @@ def run_chaos(quick: bool, x: np.ndarray) -> dict:
     duration = 1.0 if quick else 2.5
     concurrency = 4 if quick else 8
     plan = FaultPlan(seed=0, kill_prob=CHAOS_KILL_PROB)
-    with ServerThread(port=0, max_delay_s=MAX_DELAY_S) as st, \
+    with ServerThread(port=0) as st, \
             FaultProxy(target_port=st.port, plan=plan) as px:
         res = _run_load(px.port, fmt, op, packed, concurrency=concurrency,
                         duration_s=duration, x=x, retries=CHAOS_RETRIES)
@@ -312,8 +298,7 @@ def run_gateway(quick: bool, x: np.ndarray) -> dict:
         "metrics_crosscheck": {},
     }
     for replicas in GATEWAY_REPLICAS:
-        with ReplicaCluster(replicas=replicas,
-                            max_delay_s=MAX_DELAY_S) as cluster, \
+        with ReplicaCluster(replicas=replicas) as cluster, \
                 GatewayThread(upstreams=cluster.endpoints, port=0,
                               probe_interval_s=0.5) as gw:
             res = _run_http_load(gw.port, concurrency=concurrency,
@@ -359,7 +344,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         "config": {
             "tensor_shape": list(x.shape),
             "duration_s": duration,
-            "max_delay_s": MAX_DELAY_S,
             "quick": quick,
         },
         "arms": {},
@@ -368,7 +352,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         "gateway": {},
     }
 
-    with ServerThread(port=0, max_delay_s=MAX_DELAY_S) as st:
+    with ServerThread(port=0) as st:
         for fmt, op, packed in ARMS:
             key = f"{fmt}:{op}:{'packed' if packed else 'unpacked'}"
             arm: dict = {}
@@ -387,8 +371,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     shard_duration = 1.0 if quick else 2.5
     results = {}
     for label, workers in (("single", 1), ("sharded", 2)):
-        with WorkerPool(workers=workers, port=0,
-                        max_delay_s=SHARD_DELAY_S) as pool:
+        with WorkerPool(workers=workers, port=0) as pool:
             res = _run_load(pool.port, fmt, op, packed,
                             concurrency=shard_conc,
                             duration_s=shard_duration, x=x)
@@ -399,7 +382,6 @@ def run_benchmarks(quick: bool = False) -> dict:
     payload["sharded"] = {
         "format": fmt, "op": op, "packed": packed,
         "concurrency": shard_conc,
-        "max_delay_s": SHARD_DELAY_S,
         "single": results["single"],
         "sharded": results["sharded"],
         "speedup_sharded_vs_single": round(

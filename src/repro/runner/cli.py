@@ -65,10 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "REPRO_SERVER_MAX_INFLIGHT or 64)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="micro-batch size limit per quantization "
-                            "service (default 64)")
-    serve.add_argument("--max-delay-s", type=float, default=0.002,
-                       help="micro-batch collection window in seconds "
-                            "(default 0.002)")
+                            "service; a batch is what queued while the "
+                            "previous one ran, never a timed wait "
+                            "(default 64)")
     serve.add_argument("--max-requests", type=int, default=None,
                        help="exit after this many responses (smoke runs; "
                             "in-process mode only)")
@@ -117,10 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "replicas only)")
     gateway.add_argument("--max-batch", type=int, default=64,
                          help="micro-batch size limit per replica "
-                              "service (default 64)")
-    gateway.add_argument("--max-delay-s", type=float, default=0.002,
-                         help="micro-batch collection window in seconds "
-                              "(default 0.002)")
+                              "service; a batch is what queued while the "
+                              "previous one ran, never a timed wait "
+                              "(default 64)")
     gateway.add_argument("--drain-timeout-s", type=float, default=30.0,
                          help="bound on finishing in-flight requests "
                               "during a SIGTERM graceful drain "
@@ -218,7 +216,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers = _env_int(WORKERS_ENV, 0)
     server_kwargs = dict(max_inflight=args.max_inflight,
                          max_batch=args.max_batch,
-                         max_delay_s=args.max_delay_s,
                          read_timeout_s=args.read_timeout_s,
                          drain_timeout_s=args.drain_timeout_s)
     if workers > 0:
@@ -256,8 +253,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     from ..gateway import QuantGateway, ReplicaCluster, run_gateway
     server_kwargs = dict(max_inflight=args.max_inflight,
-                         max_batch=args.max_batch,
-                         max_delay_s=args.max_delay_s)
+                         max_batch=args.max_batch)
     with contextlib.ExitStack() as stack:
         if args.upstream:
             upstreams = [u.strip() for u in args.upstream.split(",")

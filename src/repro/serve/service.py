@@ -5,7 +5,10 @@
 get futures back, a collector thread micro-batches compatible requests
 (same operand path, same reduction width) into one kernel-dispatched
 quantization pass, and an optional thread pool overlaps independent
-batches (NumPy releases the GIL inside the hot loops). Group-wise
+batches (NumPy releases the GIL inside the hot loops). Batching is
+work-conserving (iteration-level scheduling, as in Orca): a batch is
+whatever queued while the previous batch ran, and nothing waits on a
+timer, so a lone request costs its compute and no more. Group-wise
 formats quantize each group independently, so stacking requests row-wise
 is *bit-identical* to quantizing them one by one — the batching is a
 pure throughput move, asserted in ``tests/test_serve.py``. Tensor-scoped
@@ -113,12 +116,15 @@ class QuantService:
     packed:
         Return :class:`~repro.codec.PackedTensor` containers instead of
         dequantized arrays, and track measured vs nominal footprint.
-    max_batch / max_delay_s:
-        Micro-batch limits: the collector closes a batch at
-        ``max_batch`` requests or ``max_delay_s`` after its first one.
+    max_batch:
+        Micro-batch size limit. The collector blocks for one request,
+        then adds only what is already queued, up to ``max_batch``
+        requests; it never waits for companions.
     workers:
         ``> 0`` processes batches on a thread pool of that size;
-        ``0`` (default) processes them on the collector thread.
+        ``0`` (default) processes them on the collector thread. The
+        collector hands batches to the pool without blocking, so a
+        pool batch holds only what queued during the hand-off.
     dispatch:
         ``"inherit"`` (default) uses whatever kernel dispatch the
         environment selects at batch time; ``"fast"`` / ``"reference"``
@@ -128,8 +134,8 @@ class QuantService:
     """
 
     def __init__(self, fmt: TensorFormat | str, *, packed: bool = False,
-                 max_batch: int = 64, max_delay_s: float = 0.002,
-                 workers: int = 0, dispatch: str = "inherit") -> None:
+                 max_batch: int = 64, workers: int = 0,
+                 dispatch: str = "inherit") -> None:
         fmt_name = fmt if isinstance(fmt, str) else type(fmt).__name__.lower()
         if isinstance(fmt, str):
             from ..runner.formats import make_format
@@ -143,7 +149,6 @@ class QuantService:
         self.fmt = fmt
         self.packed = bool(packed)
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_s)
         self._batchable = not (_tensor_scoped(fmt) or self.packed)
         self._queue: queue.Queue[_Request | None] = queue.Queue()
         self._pool = ThreadPoolExecutor(max_workers=workers) if workers else None
@@ -214,9 +219,8 @@ class QuantService:
     def quantize(self, x: np.ndarray, op: str = "activation"):
         """Synchronous single-tensor path (submit + wait on one future).
 
-        On a batchable service this still rides the micro-batch window
-        (up to ``max_delay_s`` of latency); packed or tensor-scoped
-        services dispatch immediately.
+        The request runs as soon as the collector is free: it batches
+        only with requests already queued, and never waits for more.
         """
         return self.submit(x, op).result()
 
@@ -316,31 +320,28 @@ class QuantService:
                 req = self._queue.get()
                 if req is None:
                     return
-                if req.t_enqueue is not None:
-                    req.t_dequeue = time.perf_counter()
                 batch = [req]
-                # Waiting for companions only pays when requests can
-                # actually be stacked; packed/tensor-scoped services run
-                # solo anyway.
-                deadline = (time.monotonic() + self.max_delay_s
-                            if self._batchable else time.monotonic())
+                # Work-conserving: the batch is whatever queued while the
+                # previous one ran. Nothing waits for companions, so a
+                # lone request runs as soon as it is dequeued.
+                stopping = False
                 while len(batch) < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 and self._queue.empty():
-                        break
                     try:
-                        nxt = self._queue.get(timeout=max(0.0, remaining))
+                        nxt = self._queue.get_nowait()
                     except queue.Empty:
                         break
                     if nxt is None:
-                        self._run_batch(batch)
-                        batch = []
-                        return
-                    if nxt.t_enqueue is not None:
-                        nxt.t_dequeue = time.perf_counter()
+                        stopping = True
+                        break
                     batch.append(nxt)
+                t_dequeue = time.perf_counter()
+                for r in batch:
+                    if r.t_enqueue is not None:
+                        r.t_dequeue = t_dequeue
                 self._run_batch(batch)
                 batch = []
+                if stopping:
+                    return
         finally:
             # On any exit — clean shutdown or a crash in batch dispatch —
             # no accepted future may be left pending: error whatever this

@@ -147,7 +147,7 @@ class QuantServer:
         Admission bound: requests admitted but not yet answered. At the
         bound, new requests get an immediate ``BUSY`` response.
         ``None`` reads ``REPRO_SERVER_MAX_INFLIGHT`` (default 64).
-    max_batch / max_delay_s / service_workers:
+    max_batch:
         Forwarded to every :class:`~repro.serve.QuantService` this
         server creates (one per (format, dispatch, packed) arm).
     max_requests:
@@ -169,7 +169,6 @@ class QuantServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int | None = None, *,
                  max_inflight: int | None = None, max_batch: int = 64,
-                 max_delay_s: float = 0.002, service_workers: int = 0,
                  max_requests: int | None = None,
                  read_timeout_s: float | None = None,
                  drain_timeout_s: float | None = None,
@@ -194,8 +193,6 @@ class QuantServer:
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
-        self.service_workers = service_workers
         self.max_requests = max_requests
         self.stats = {"connections": 0, "requests": 0, "responses": 0,
                       "busy_rejections": 0, "errors": 0, "pings": 0,
@@ -330,8 +327,6 @@ class QuantServer:
             from ..serve import QuantService
             svc = QuantService(req.format_name, packed=req.packed,
                                max_batch=self.max_batch,
-                               max_delay_s=self.max_delay_s,
-                               workers=self.service_workers,
                                dispatch=req.dispatch)
             self._services[key] = svc
         return svc

@@ -25,13 +25,12 @@ close reaps is accounted in :meth:`stats` exactly once — including
 workers that died earlier without a supervisor watching
 (``restart=False`` pools).
 
-Why sharding beats one process even before counting cores: each
-worker's micro-batching service idles its CPU for up to ``max_delay_s``
-per batch window, and with several workers one worker's CPU-bound
-quantize pass runs inside another's window. On multi-core hosts the
-quantize passes additionally run truly in parallel (each worker has
-its own GIL). ``scripts/bench_server.py`` measures both effects into
-``BENCH_server.json``.
+Why sharding beats one process: each worker has its own GIL and event
+loop, so on a multi-core host one worker's frame handling and quantize
+passes run in parallel with another's. (The micro-batching service is
+work-conserving and never idles on a timer, so on one core the workers
+only time-slice.) ``scripts/bench_server.py`` measures the
+sharded-vs-single ratio into ``BENCH_server.json``.
 
 The first worker binds the requested port (``port=0`` picks an
 ephemeral one) and reports the real port back over a pipe; the

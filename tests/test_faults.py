@@ -409,7 +409,7 @@ def test_busy_retry_fairness_all_clients_complete(rng):
         except BaseException as exc:  # surfaced below, not swallowed
             errors.append(exc)
 
-    with ServerThread(port=0, max_inflight=1, max_delay_s=0.0) as st:
+    with ServerThread(port=0, max_inflight=1) as st:
         threads = [threading.Thread(target=worker, args=(i, st.port))
                    for i in range(n_clients)]
         for t in threads:

@@ -47,8 +47,8 @@ def _golden() -> dict:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def cluster():
-    with ServerThread(port=0, max_delay_s=0.0005) as a, \
-            ServerThread(port=0, max_delay_s=0.0005) as b:
+    with ServerThread(port=0) as a, \
+            ServerThread(port=0) as b:
         upstreams = [f"127.0.0.1:{a.port}", f"127.0.0.1:{b.port}"]
         with GatewayThread(upstreams=upstreams, port=0,
                            probe_interval_s=0.25) as gw:
@@ -162,6 +162,24 @@ def test_http_vectors_pinned():
                 f"{section}:{key} drifted from the pinned bytes"
     assert rebuilt["metrics"] == golden["metrics"]
     assert rebuilt["input_hex"] == golden["input_hex"]
+
+
+@pytest.mark.parametrize("shape", [(16, 256), (2, 3, 32), (0, 8)])
+@pytest.mark.parametrize("fingerprint", ["", 'M2XFP(tag="a\\"b", g=32)'])
+def test_quantize_response_splice_equals_canonical_json(rng, shape,
+                                                        fingerprint):
+    # The unpacked answer splices its base64 payload into the canonical
+    # bytes; it must equal running canonical_json over the whole body.
+    arr = rng.standard_normal(shape)
+    got = ghttp.quantize_response(arr, fmt="m2xfp", op="activation",
+                                  packed=False, fingerprint=fingerprint)
+    want = ghttp.canonical_json({
+        "data_b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "fingerprint": fingerprint, "format": "m2xfp",
+        "op": "activation", "packed": False, "shape": list(shape)})
+    assert got.body == want
+    assert got.to_bytes() == ghttp.json_response(
+        json.loads(want)).to_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +539,14 @@ def test_cli_gateway_parses_and_wires_config(monkeypatch):
     assert captured["probe_interval_s"] == 0.5
     assert captured["upstream_timeout_s"] == 11.0
     assert captured["drain_timeout_s"] == 9.0
+
+
+@pytest.mark.parametrize("command", ["serve", "gateway"])
+def test_cli_has_no_batch_window_option(command):
+    # Batching is work-conserving: there is no collection window to set.
+    from repro.runner import cli as cli_mod
+    with pytest.raises(SystemExit):
+        cli_mod.main([command, "--max-delay-s", "0.002"])
 
 
 @pytest.mark.slow

@@ -81,8 +81,8 @@ def test_replica_kills_fail_over_bit_exactly(rng):
     every HTTP answer 200 and bit-exact."""
     x = rng.standard_normal((2, 64))
     plan = FaultPlan(seed=11, kill_prob=0.35)
-    with ServerThread(port=0, max_delay_s=0.0005) as chaotic, \
-            ServerThread(port=0, max_delay_s=0.0005) as stable, \
+    with ServerThread(port=0) as chaotic, \
+            ServerThread(port=0) as stable, \
             FaultProxy(target_port=chaotic.port, plan=plan) as px:
         upstreams = [f"127.0.0.1:{px.port}", f"127.0.0.1:{stable.port}"]
         with GatewayThread(upstreams=upstreams, port=0,
@@ -112,8 +112,8 @@ def test_replica_kills_fail_over_bit_exactly(rng):
 # ----------------------------------------------------------------------
 def test_drain_of_one_replica_redistributes_traffic(rng):
     x = rng.standard_normal((2, 64))
-    with ServerThread(port=0, max_delay_s=0.0005) as a, \
-            ServerThread(port=0, max_delay_s=0.0005) as b:
+    with ServerThread(port=0) as a, \
+            ServerThread(port=0) as b:
         upstreams = [f"127.0.0.1:{a.port}", f"127.0.0.1:{b.port}"]
         with GatewayThread(upstreams=upstreams, port=0,
                            probe_interval_s=0.1) as gw:
@@ -159,7 +159,7 @@ def test_drain_of_one_replica_redistributes_traffic(rng):
 def test_dead_replica_is_ejected_and_healthz_degrades(rng):
     x = rng.standard_normal((2, 32))
     dead = _dead_endpoint()
-    with ServerThread(port=0, max_delay_s=0.0005) as live:
+    with ServerThread(port=0) as live:
         upstreams = [f"127.0.0.1:{live.port}", dead]
         with GatewayThread(upstreams=upstreams, port=0,
                            probe_interval_s=0.05,
@@ -293,8 +293,7 @@ def test_sigkill_home_replica_yields_410_then_replay_recovers(rng):
     sid = "kv-chaos"
     blocks = [(rng.standard_normal((2, 64)), rng.standard_normal((2, 64)))
               for _ in range(5)]
-    with ReplicaCluster(replicas=2, max_delay_s=0.0005,
-                        backoff_base_s=0.01) as cluster:
+    with ReplicaCluster(replicas=2, backoff_base_s=0.01) as cluster:
         with GatewayThread(upstreams=cluster.endpoints, port=0,
                            probe_interval_s=0.1,
                            upstream_timeout_s=15.0) as gw:
@@ -373,8 +372,7 @@ def test_sigkill_replica_mid_stream_invisible_to_clients(rng):
     gateway: zero client-visible errors, bit-exact answers, and the
     supervisor + probe loop bring the replica back."""
     x = rng.standard_normal((2, 64))
-    with ReplicaCluster(replicas=2, max_delay_s=0.0005,
-                        backoff_base_s=0.01) as cluster:
+    with ReplicaCluster(replicas=2, backoff_base_s=0.01) as cluster:
         with GatewayThread(upstreams=cluster.endpoints, port=0,
                            probe_interval_s=0.1,
                            upstream_timeout_s=15.0) as gw:

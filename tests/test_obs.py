@@ -178,7 +178,7 @@ def test_registry_thread_safe_under_concurrent_submits(rng):
     x = rng.standard_normal((4, 64))
     n_threads, n_each = 8, 25
     snapshots: list[dict] = []
-    with QuantService("m2xfp", max_batch=8, max_delay_s=0.001) as svc:
+    with QuantService("m2xfp", max_batch=8) as svc:
         stop = threading.Event()
 
         def submitter():
@@ -317,7 +317,7 @@ def test_server_traces_cover_quantize_and_kv_spans(tmp_path, monkeypatch,
     monkeypatch.setenv(TRACE_ENV, "1")
     monkeypatch.setenv(TRACE_PATH_ENV, str(path))
     x = rng.standard_normal((2, 64))
-    with ServerThread(port=0, max_delay_s=0.0005) as st, \
+    with ServerThread(port=0) as st, \
             QuantClient(port=st.port) as cli:
         cli.quantize(x, fmt="m2xfp", packed=True)
         cli.quantize(x, fmt="m2xfp", packed=False)
@@ -355,7 +355,7 @@ def test_untraced_requests_export_nothing(tmp_path, monkeypatch, rng):
     monkeypatch.setenv(TRACE_PATH_ENV, str(path))
     monkeypatch.delenv(TRACE_ENV, raising=False)
     x = rng.standard_normal((2, 64))
-    with ServerThread(port=0, max_delay_s=0.0005) as st, \
+    with ServerThread(port=0) as st, \
             QuantClient(port=st.port) as cli:
         cli.quantize(x, fmt="m2xfp", packed=True)
     assert not path.exists()

@@ -169,8 +169,7 @@ class TestPlanCache:
         rng = np.random.default_rng(5)
         tensors = [rng.standard_normal((4 + (i % 7), 64)) for i in range(48)]
         expected = None
-        with QuantService("m2xfp", workers=4, max_batch=8,
-                          max_delay_s=0.001) as svc:
+        with QuantService("m2xfp", workers=4, max_batch=8) as svc:
             futures = [svc.submit(x, op="activation") for x in tensors]
             results = [f.result() for f in futures]
         with reference_kernels():

@@ -12,7 +12,9 @@ format's EBW ratio.
 from __future__ import annotations
 
 import os
+import queue
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -33,10 +35,35 @@ def tensors(rng):
     return [rng.standard_normal((3 + i % 4, 64)) * (1 + i) for i in range(12)]
 
 
-def test_batched_results_equal_per_tensor_quantize(tensors):
+def _hold_first_batch(svc, monkeypatch):
+    """Gate ``svc``'s first batch: returns (entered, release) events.
+
+    The collector sits inside its first ``_run_batch`` until ``release``
+    is set, so whatever is submitted meanwhile queues up and forms the
+    next batch: coalescing by construction, not by scheduling luck.
+    """
+    entered, release = threading.Event(), threading.Event()
+    run_batch = svc._run_batch
+
+    def gated(batch):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(timeout=30)
+        run_batch(batch)
+
+    monkeypatch.setattr(svc, "_run_batch", gated)
+    return entered, release
+
+
+def test_batched_results_equal_per_tensor_quantize(tensors, monkeypatch):
     fmt = make_format("m2xfp")
-    with QuantService(fmt, max_batch=32, max_delay_s=0.05) as svc:
-        outs = svc.quantize_batch(tensors, op="activation")
+    with QuantService(fmt, max_batch=32) as svc:
+        entered, release = _hold_first_batch(svc, monkeypatch)
+        futs = [svc.submit(tensors[0], op="activation")]
+        assert entered.wait(timeout=30)
+        futs += [svc.submit(x, op="activation") for x in tensors[1:]]
+        release.set()
+        outs = [f.result(timeout=30) for f in futs]
         stats = svc.stats()
     for x, out in zip(tensors, outs):
         assert out.tobytes() == fmt.quantize_activation(x, axis=-1).tobytes()
@@ -47,7 +74,7 @@ def test_batched_results_equal_per_tensor_quantize(tensors):
 
 def test_weight_path_batched_and_exact(tensors):
     fmt = make_format("sg-em")
-    with QuantService(fmt, max_batch=32, max_delay_s=0.05) as svc:
+    with QuantService(fmt, max_batch=32) as svc:
         outs = svc.quantize_batch(tensors, op="weight")
     for x, out in zip(tensors, outs):
         assert out.tobytes() == fmt.quantize_weight(x, axis=-1).tobytes()
@@ -61,7 +88,7 @@ def test_tensor_scoped_formats_never_cross_batch(rng):
     assert not _tensor_scoped(make_format("m2xfp"))
     fmt = make_format("nvfp4")
     xs = [rng.standard_normal((4, 64)), rng.standard_normal((4, 64)) * 1000]
-    with QuantService(fmt, max_batch=8, max_delay_s=0.05) as svc:
+    with QuantService(fmt, max_batch=8) as svc:
         outs = svc.quantize_batch(xs, op="activation")
         stats = svc.stats()
     for x, out in zip(xs, outs):
@@ -71,10 +98,54 @@ def test_tensor_scoped_formats_never_cross_batch(rng):
 
 def test_thread_pool_path(tensors):
     fmt = make_format("mxfp4")
-    with QuantService(fmt, max_batch=4, max_delay_s=0.01, workers=2) as svc:
+    with QuantService(fmt, max_batch=4, workers=2) as svc:
         outs = svc.quantize_batch(tensors, op="activation")
     for x, out in zip(tensors, outs):
         assert out.tobytes() == fmt.quantize(x, axis=-1).tobytes()
+
+
+class _RecordingQueue(queue.Queue):
+    """An intake queue that logs every ``get`` as (block, timeout)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple] = []
+
+    def get(self, block=True, timeout=None):
+        self.calls.append((block, timeout))
+        return super().get(block, timeout)
+
+
+def test_lone_request_is_not_held(rng, monkeypatch):
+    # Work-conserving collection: the collector blocks (untimed) only
+    # for the first request of a batch, then takes what is already
+    # queued without blocking. A timed wait for companions would show
+    # up here as a blocking get with a timeout.
+    from repro.serve import service as service_mod
+    monkeypatch.setattr(service_mod, "queue", types.SimpleNamespace(
+        Queue=_RecordingQueue, Empty=queue.Empty))
+    fmt = make_format("m2xfp")
+    with QuantService(fmt, max_batch=32) as svc:
+        assert svc._batchable
+        entered, release = _hold_first_batch(svc, monkeypatch)
+        first = svc.submit(rng.standard_normal((2, 64)))
+        assert entered.wait(timeout=30)
+        queued = [svc.submit(rng.standard_normal((2, 64)))
+                  for _ in range(3)]
+        release.set()
+        for fut in [first, *queued]:
+            fut.result(timeout=30)
+        for _ in range(3):  # lone requests, one at a time
+            svc.quantize(rng.standard_normal((2, 64)))
+        calls = list(svc._queue.calls)
+        stats = svc.stats()
+    assert all(timeout is None for _, timeout in calls), calls
+    # A batch is one blocking get plus non-blocking drains; a lone
+    # request's batch ends at the first empty drain.
+    assert calls.count((True, None)) >= 5
+    assert (False, None) in calls
+    assert stats["batches"] == 5  # first, the three queued, three lone
+    assert stats["batched_requests"] == 3
 
 
 def test_weight_cache_hits(rng):
@@ -119,7 +190,7 @@ def test_close_resolves_every_accepted_future(rng):
     # A burst of submissions followed by an immediate close: every future
     # must resolve with its real result (close drains, never drops).
     fmt = make_format("mxfp4")
-    svc = QuantService(fmt, max_batch=4, max_delay_s=0.05)
+    svc = QuantService(fmt, max_batch=4)
     xs = [rng.standard_normal((2, 64)) for _ in range(16)]
     futs = [svc.submit(x) for x in xs]
     svc.close()
@@ -133,7 +204,7 @@ def test_close_resolves_every_accepted_future(rng):
     "ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_collector_crash_errors_futures_and_close_never_hangs(rng,
                                                               monkeypatch):
-    svc = QuantService("mxfp4", max_delay_s=0.001)
+    svc = QuantService("mxfp4")
     monkeypatch.setattr(svc, "_run_batch",
                         lambda batch: (_ for _ in ()).throw(
                             RuntimeError("collector crash")))
@@ -156,7 +227,7 @@ def test_collector_crash_errors_futures_and_close_never_hangs(rng,
 def test_close_drains_queue_left_by_dead_collector(rng, monkeypatch):
     # A request that reaches the queue after the collector died (the
     # submit/death race) must be errored by close(), not stranded.
-    svc = QuantService("mxfp4", max_delay_s=0.001)
+    svc = QuantService("mxfp4")
     monkeypatch.setattr(svc, "_run_batch",
                         lambda batch: (_ for _ in ()).throw(
                             RuntimeError("collector crash")))

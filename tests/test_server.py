@@ -172,7 +172,7 @@ def test_wire_vectors_pinned():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(port=0, max_delay_s=0.0005) as st:
+    with ServerThread(port=0) as st:
         yield st
 
 
@@ -526,7 +526,7 @@ def test_worker_pool_shards_connections_bit_exactly(rng):
 
     x = rng.standard_normal((4, 64))
     expect = local_expected(x, fmt="m2xfp").tobytes()
-    with WorkerPool(workers=2, port=0, max_delay_s=0.0005) as pool:
+    with WorkerPool(workers=2, port=0) as pool:
         assert pool.alive() == 2
         for _ in range(6):  # fresh connections land on either worker
             with QuantClient(port=pool.port) as cli:

@@ -109,8 +109,8 @@ def test_kill_restart_and_close_accounting_end_to_end(rng):
     """SIGKILL -> supervised restart; close() reaps and accounts the
     survivors: exactly one record per worker lifetime, no drift."""
     x = rng.standard_normal((2, 32))
-    with WorkerPool(workers=1, port=0, max_delay_s=0.0005,
-                    backoff_base_s=0.01, healthy_reset_s=1e9) as pool:
+    with WorkerPool(workers=1, port=0, backoff_base_s=0.01,
+                    healthy_reset_s=1e9) as pool:
         victim_pid = pool._procs[0].pid
         os.kill(victim_pid, signal.SIGKILL)
         deadline = time.monotonic() + 30.0
@@ -138,8 +138,7 @@ def test_unsupervised_pool_close_accounts_exits(rng):
     """restart=False pools have no supervisor; close() is the only
     reaper and must still account every exit (the fixed drift)."""
     x = rng.standard_normal((2, 32))
-    with WorkerPool(workers=2, port=0, restart=False,
-                    max_delay_s=0.0005) as pool:
+    with WorkerPool(workers=2, port=0, restart=False) as pool:
         with QuantClient(port=pool.port) as cli:
             cli.quantize(x, fmt="m2xfp")
         pids = [p.pid for p in pool._procs]
