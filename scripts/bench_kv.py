@@ -60,7 +60,7 @@ FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em", "nvfp4", "m2-nvfp4")
 
 #: Formats the fused-vs-unfused section re-measures (all plan-compiled
 #: with code-space executors, so patching the lookup changes the path).
-FUSED_FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em")
+FUSED_FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em", "nvfp4", "m2-nvfp4")
 
 #: The format the over-the-wire section replays.
 WIRE_FORMAT = "m2xfp"
@@ -111,8 +111,9 @@ def _decode_loop(fmt: str, blocks, *, n_layers, max_tokens, sink_tokens,
             stats["measured_bits_per_element"], 3),
         "evicted_tokens": stats["evicted_tokens"],
         "verify": verify,
-        # Each append encodes one K and one V block.
-        "fused_appends": stages["fused_encodes"] // 2,
+        # Appends whose every encode rode the fused path (one stacked
+        # K/V encode, or one each for a tensor-scoped format).
+        "fused_appends": stages["fused_appends"],
         "stage_s_per_append": {
             "quantize": round(stages["quantize_s"] / appends, 7),
             "pack": round(stages["pack_s"] / appends, 7),

@@ -50,6 +50,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +80,8 @@ from ..mx.smx import SMX
 from .bitstream import bits_needed, pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
-__all__ = ["encode", "decode", "join_rows", "drop_rows", "codec_for",
-           "supports", "collect_encode_stats"]
+__all__ = ["encode", "decode", "join_rows", "slice_rows", "drop_rows",
+           "codec_for", "supports", "collect_encode_stats"]
 
 _STAGE_SINK = threading.local()
 
@@ -202,6 +203,10 @@ def _hex(value: float) -> str:
     return float(value).hex()
 
 
+#: The header tensor scale of an NVFP4-family zero tensor.
+_ZERO_HEX = _hex(0.0)
+
+
 def _unhex(pt: PackedTensor, key: str) -> float:
     """Read back a :func:`_hex` scalar stored in the container's extra."""
     text = pt.extra.get(key)
@@ -220,7 +225,8 @@ class Codec:
 
     #: Stream names the fused code-space path supplies, in packing
     #: order; None means the family has no fused layout and always
-    #: encodes from floats.
+    #: encodes from floats. :meth:`code_layout` may vary it per
+    #: container (the NVFP4 family's op and zero tensor).
     code_streams: tuple[str, ...] | None = None
 
     #: Streams holding one field per ``fmt.sub_size``-wide subgroup.
@@ -257,8 +263,11 @@ class Codec:
         The code arrays are already the exact integers ``encode_into``
         would derive from the dequantized floats (the executor/codec
         parity contract, DESIGN.md §11), so packing is a pure bitstream
-        write — no quantization arithmetic at all.
+        write — no quantization arithmetic at all. The result's header
+        scalars go into ``pt.extra`` first, since a layout may depend on
+        them (the NVFP4 family's zero tensor has no scale stream).
         """
+        pt.extra.update(cs.extra)
         expected = self.code_layout(fmt, pt)
         if expected is None:
             raise CodecError(f"{type(self).__name__} has no fused "
@@ -450,6 +459,12 @@ def _nvfp4_tensor_scale(pt: PackedTensor) -> float | np.ndarray:
     return ts if isinstance(ts, np.ndarray) else _unhex(pt, "tensor_scale")
 
 
+def _nvfp4_layout(pt: PackedTensor, layout: tuple) -> tuple:
+    """``layout`` without its leading scale stream for a zero tensor."""
+    return layout[1:] if pt.extra.get("tensor_scale") == _ZERO_HEX \
+        else layout
+
+
 def _nvfp4_counts(pt: PackedTensor, counts: dict) -> dict:
     """Drop the scale stream from ``counts`` for a zero tensor."""
     if not np.any(_nvfp4_tensor_scale(pt)):
@@ -477,6 +492,11 @@ def _nvfp4_get_scales(scale_format, pt: PackedTensor,
 
 class NVFP4Codec(Codec):
     """Two-level NVFP4: E4M3 scale codes + the FP32 tensor scale in-header."""
+
+    code_streams = ("scales", "elements")
+
+    def code_layout(self, fmt, pt):
+        return _nvfp4_layout(pt, self.code_streams)
 
     def stream_counts(self, fmt, pt):
         return _nvfp4_counts(pt, super().stream_counts(fmt, pt))
@@ -737,6 +757,9 @@ class ElemEECodec(Codec):
 class M2XFPCodec(Codec):
     """M2XFP: Sg-EM streams for weights, Elem-EM streams for activations."""
 
+    #: Both delegates pack this layout.
+    code_streams = ("elements", "scales", "meta")
+
     def _delegate(self, fmt, pt):
         if pt.op == "weight":
             return SgEMCodec(), fmt.weight_format
@@ -746,16 +769,9 @@ class M2XFPCodec(Codec):
         codec, sub_fmt = self._delegate(fmt, pt)
         codec.encode_into(sub_fmt, x, pt)
 
-    def code_layout(self, fmt, pt):
-        return self._delegate(fmt, pt)[0].code_layout(fmt, pt)
-
     def stream_counts(self, fmt, pt):
         codec, sub_fmt = self._delegate(fmt, pt)
         return codec.stream_counts(sub_fmt, pt)
-
-    def encode_from_codes(self, fmt, cs, pt):
-        codec, sub_fmt = self._delegate(fmt, pt)
-        codec.encode_from_codes(sub_fmt, cs, pt)
 
     def decode(self, fmt, pt):
         codec, sub_fmt = self._delegate(fmt, pt)
@@ -765,7 +781,15 @@ class M2XFPCodec(Codec):
 class M2NVFP4Codec(Codec):
     """M2-NVFP4: the NVFP4 two-level scales plus M2XFP metadata streams."""
 
+    #: The activation layout; weights add the per-group ``bias`` stream.
+    code_streams = ("scales", "elements", "meta")
     subgroup_streams = ("meta",)
+
+    def code_layout(self, fmt, pt):
+        layout = self.code_streams
+        if pt.op == "weight":
+            layout += ("bias",)
+        return _nvfp4_layout(pt, layout)
 
     def _scales_for_encode(self, fmt, groups, pt) -> np.ndarray:
         raw = _nvfp4_put_scales(fmt.base.element, fmt.base.scale_format,
@@ -940,6 +964,37 @@ def _dispatch_quantize(fmt, x, op: str, axis: int) -> np.ndarray:
             else fmt.quantize_activation(x, axis=axis))
 
 
+class _Packing(NamedTuple):
+    """What :func:`encode` derives from the format alone. A planned
+    signature holds it on its :class:`~repro.plan.QuantPlan`, so it is
+    derived once per ``(format, op, shape, axis)``, not per call."""
+
+    codec: Codec
+    format_name: str
+    fingerprint: str
+    group_size: int
+    #: The plan's code-space runner when the codec has a fused layout.
+    run_codes: Callable | None
+
+
+def _packing(fmt, run_codes=None) -> _Packing:
+    codec = codec_for(fmt)
+    return _Packing(codec, _catalog_name(fmt), repr(fmt), _group_size(fmt),
+                    run_codes if codec.code_streams is not None else None)
+
+
+def _plan_packing(fmt, op: str, x: np.ndarray, axis: int) -> _Packing:
+    """The packing held on ``fmt``'s plan, bound on the plan's first
+    encode; a fresh one when no plan serves the call."""
+    from ..plan.cache import lookup_plan
+    plan = lookup_plan(fmt, op, x, axis)
+    if plan is None:
+        return _packing(fmt)
+    if plan.packing is None:    # racing binders compute equal values
+        plan.packing = _packing(fmt, plan.run_codes)
+    return plan.packing
+
+
 def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
            verify: bool = False, **kwargs) -> PackedTensor:
     """Serialize ``x`` under ``fmt`` into a :class:`PackedTensor`.
@@ -964,25 +1019,13 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
         raise CodecError(f"op must be one of {OPS}, got {op!r}")
     x = np.asarray(x, dtype=np.float64)
     axis = axis % x.ndim if x.ndim else 0
-    codec = codec_for(fmt)
-    pt = PackedTensor(format_name=_catalog_name(fmt), fingerprint=repr(fmt),
-                      op=op, shape=x.shape, axis=axis,
-                      group_size=_group_size(fmt))
+    packing = _packing(fmt) if kwargs else _plan_packing(fmt, op, x, axis)
+    codec = packing.codec
+    pt = PackedTensor(format_name=packing.format_name,
+                      fingerprint=packing.fingerprint, op=op, shape=x.shape,
+                      axis=axis, group_size=packing.group_size)
     sink = getattr(_STAGE_SINK, "stats", None)
     tr = _obs.current_trace()
-    run_codes = None
-    if not kwargs and codec.code_layout(fmt, pt) is not None:
-        from ..plan.cache import lookup_plan
-        plan = lookup_plan(fmt, op, x, axis)
-        if plan is not None and plan.run_codes is not None:
-            run_codes = plan.run_codes
-    if _obs.metrics_enabled():
-        with _ENCODE_TOTALS_LOCK:
-            _ENCODE_TOTALS["encodes"] += 1
-            _ENCODE_TOTALS["fused_encodes"] += run_codes is not None
-    if sink is not None:
-        sink["encodes"] += 1
-        sink["fused_encodes"] += run_codes is not None
     timed = sink is not None or tr is not None
 
     def _mark(stage: str, t0: float) -> float:
@@ -996,8 +1039,15 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
 
     if timed:
         t0 = time.perf_counter()
-    if run_codes is not None:
-        cs = run_codes(x)
+    cs = None if packing.run_codes is None else packing.run_codes(x)
+    if _obs.metrics_enabled():
+        with _ENCODE_TOTALS_LOCK:
+            _ENCODE_TOTALS["encodes"] += 1
+            _ENCODE_TOTALS["fused_encodes"] += cs is not None
+    if sink is not None:
+        sink["encodes"] += 1
+        sink["fused_encodes"] += cs is not None
+    if cs is not None:
         if timed:
             t0 = _mark("quantize", t0)
         codec.encode_from_codes(fmt, cs, pt)
@@ -1115,28 +1165,44 @@ def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
                    extra=extra)
 
 
-def drop_rows(pt: PackedTensor, n: int) -> PackedTensor:
-    """``pt`` without its first ``n`` rows, ``0 < n < rows``.
+def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
+    """Rows ``start:stop`` of ``pt`` as their own container,
+    ``0 <= start < stop <= rows``.
 
-    Each stream is byte-sliced when the dropped fields end on a byte
-    boundary, else unpacked, sliced and repacked; a per-row tensor
-    scale array is sliced with the rows.
+    Each stream is byte-sliced when both cuts fall on a byte boundary
+    (or the end of the stream), else unpacked, sliced and repacked; a
+    per-row tensor scale array is sliced with the rows. Rows of a
+    group-wise format encode independently, so its slice is
+    byte-identical to encoding those rows alone.
     """
+    rows = _rows(pt)
+    if not 0 <= start < stop <= rows:
+        raise CodecError(f"cannot take rows {start}:{stop} of a shape "
+                         f"{pt.shape} container grouped on axis {pt.axis}")
+    streams = {}
+    for s in pt.streams.values():
+        per = s.count // rows
+        lo, hi = per * start, per * stop
+        if lo * s.width % 8 == 0 and \
+                (hi == s.count or hi * s.width % 8 == 0):
+            data = s.data[lo * s.width // 8:(hi * s.width + 7) // 8]
+        else:
+            data = pack_bits(unpack_bits(s.data, s.width, s.count)[lo:hi],
+                             s.width).tobytes()
+        streams[s.name] = Stream(s.name, data, s.width, hi - lo)
+    extra = pt.extra
+    if isinstance(extra.get("tensor_scale"), np.ndarray):
+        extra = {**extra,
+                 "tensor_scale": extra["tensor_scale"][start:stop].copy()}
+    return replace(pt, shape=(stop - start, *pt.shape[1:]), streams=streams,
+                   extra=extra)
+
+
+def drop_rows(pt: PackedTensor, n: int) -> PackedTensor:
+    """``pt`` without its first ``n`` rows, ``0 < n < rows``: the
+    :func:`slice_rows` suffix an eviction keeps."""
     rows = _rows(pt)
     if not 0 < n < rows:
         raise CodecError(f"cannot drop {n} leading rows of a shape "
                          f"{pt.shape} container grouped on axis {pt.axis}")
-    streams = {}
-    for s in pt.streams.values():
-        cut = s.count // rows * n
-        if cut * s.width % 8 == 0:
-            data = s.data[cut * s.width // 8:]
-        else:
-            data = pack_bits(unpack_bits(s.data, s.width, s.count)[cut:],
-                             s.width).tobytes()
-        streams[s.name] = Stream(s.name, data, s.width, s.count - cut)
-    extra = pt.extra
-    if isinstance(extra.get("tensor_scale"), np.ndarray):
-        extra = {**extra, "tensor_scale": extra["tensor_scale"][n:].copy()}
-    return replace(pt, shape=(rows - n, *pt.shape[1:]), streams=streams,
-                   extra=extra)
+    return slice_rows(pt, n, rows)

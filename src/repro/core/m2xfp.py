@@ -23,10 +23,6 @@ from ..errors import ShapeError
 from ..formats.floatspec import quantize_to_grid
 from ..formats.grouping import from_groups, to_groups
 from ..formats.registry import FP4_E2M1, FP6_E2M3
-from ..kernels.dispatch import use_reference
-from ..kernels.elem import fp6_topk_refine
-from ..kernels.search import (candidate_search, gather_candidate_codes,
-                              hierarchical_select)
 from ..mx.base import TensorFormat
 from ..mx.nvfp import NVFP4
 from .elem_em import META_BITS_PER_VALUE, ElemEM
@@ -88,9 +84,6 @@ class M2XFP(TensorFormat):
 
 def _fp6_top1_refine(scaled: np.ndarray, sub_size: int) -> np.ndarray:
     """Elem-EM top-1 refinement in already-scaled space (code-exact)."""
-    if not use_reference():
-        return fp6_topk_refine(scaled, sub_size, 1, FP4_E2M1, FP6_E2M3,
-                               META_BITS_PER_VALUE)
     n, k = scaled.shape
     n_sub = k // sub_size
     sign, mag = FP4_E2M1.encode(scaled)
@@ -147,37 +140,29 @@ class M2NVFP4(TensorFormat):
         return groups, view, scales
 
     def quantize_activation(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Elem-EM top-1 over the NVFP4 scale."""
+        """Elem-EM top-1 over the NVFP4 scale (plan-routed, like
+        :meth:`TensorFormat.quantize_activation`; this body is the
+        reference)."""
+        from ..plan import lookup_plan
+        plan = lookup_plan(self, "activation", x, axis)
+        if plan is not None:
+            return plan.run(x)
         groups, view, scales = self._scaled_groups(x, axis)
         dq = _fp6_top1_refine(groups / scales[:, None], self.sub_size)
         return from_groups(dq * scales[:, None], view)
 
     def quantize_weight(self, w: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Sg-EM multiplier search (plus exponent bias) over the NVFP4 scale."""
+        """Sg-EM multiplier search (plus exponent bias) over the NVFP4
+        scale (plan-routed; this body is the reference)."""
+        from ..plan import lookup_plan
+        plan = lookup_plan(self, "weight", w, axis)
+        if plan is not None:
+            return plan.run(w)
         groups, view, scales = self._scaled_groups(w, axis)
         n, k = groups.shape
         n_sub = k // self.sub_size
         subs = groups.reshape(n, n_sub, self.sub_size)
         biases = (0.5, 1.0, 2.0) if self.adaptive else (1.0,)
-
-        if not use_reference():
-            mult = np.asarray(SG_EM_MULTIPLIERS)
-            cand = ((scales[:, None] * np.asarray(biases))[:, :, None]
-                    * mult).reshape(n, -1)
-            codes, err = candidate_search(subs, cand, FP4_E2M1.grid,
-                                          FP4_E2M1.boundaries)
-            outer, inner, invalid = hierarchical_select(
-                err, len(biases), len(mult), fallback_outer=biases.index(1.0))
-            mag = gather_candidate_codes(codes, outer, inner, len(mult))
-            s_sel = np.take_along_axis(cand, outer[:, None] * len(mult) + inner,
-                                       axis=1)
-            q = FP4_E2M1.grid[mag]
-            dq = np.where(np.signbit(subs), -q, q) * s_sel[:, :, None]
-            if invalid.any():
-                # The reference's never-updated accumulator yields zeros.
-                dq[invalid] = 0.0
-            return from_groups(dq.reshape(n, k), view)
-
         best_err = np.full(n, np.inf)
         best_dq = np.zeros_like(subs)
         for bias in biases:

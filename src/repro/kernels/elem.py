@@ -8,8 +8,9 @@ re-applies the refinement. Simulating both halves repeats the top-k
 search, the gathers and the clamp arithmetic. Since the decoder provably
 reconstructs the encoder's selection (same codes, same stable tie
 order), the round trip collapses into one fused pass with bit-identical
-output. The same fusion serves ``M2NVFP4.quantize_activation``, whose
-top-1 refinement is the ``top_k == 1`` special case.
+output. It serves ``ElemEM``'s kernel-dispatched path; the compiled
+plans run their own code-space form of the top-1 case
+(:func:`repro.plan.ops.fp6_window_codes`).
 
 Example (one fused Elem-EM transfer over already-scaled groups)::
 

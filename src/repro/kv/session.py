@@ -7,7 +7,12 @@ plan-compiled kernels** (the same ``quantize_weight`` /
 ``quantize_activation`` entry points the batch path uses — by default
 every append cross-checks the packed bytes against that output and
 raises on any mismatch, so streamed state is bit-exact *by
-construction*). Each layer's K and V are kept as **arenas**: a short
+construction*). A group-wise format with a fused layout encodes an
+append's K and V as one stacked block and cuts the container into its
+K and V rows (:func:`~repro.codec.slice_rows`); tensor-scoped formats
+and the formats without a fused layout (fp16 among them) encode each
+alone.
+Each layer's K and V are kept as **arenas**: a short
 list of runs, each one row-stacked :class:`~repro.codec.PackedTensor`
 that appends extend (:func:`~repro.codec.join_rows`). A new run starts
 only where the row layout changes (fp16's f16 vs f64 storage, an
@@ -61,12 +66,12 @@ import threading
 import numpy as np
 
 from ..codec import PackedTensor, codec_for, collect_encode_stats, \
-    drop_rows, encode, join_rows
+    drop_rows, encode, join_rows, slice_rows
 from ..codec.container import OPS
 from ..errors import ConfigError
 from ..obs import measured_bits_per_element
 from ..obs import registry as obs_registry
-from ..serve.service import DISPATCH_MODES, _dispatch_scope
+from ..serve.service import DISPATCH_MODES, _dispatch_scope, _tensor_scoped
 
 __all__ = ["KVCacheSession", "KVPolicy"]
 
@@ -243,8 +248,9 @@ class KVCacheSession:
         # Per-stage encode timings, kept out of stats(): the wire CLOSE
         # ack pins that dict's JSON in the golden frames, and seconds
         # are not reproducible bytes.
-        self._encode_stats = {"fused_encodes": 0, "quantize_s": 0.0,
-                              "pack_s": 0.0, "verify_s": 0.0}
+        self._encode_stats = {"fused_encodes": 0, "fused_appends": 0,
+                              "quantize_s": 0.0, "pack_s": 0.0,
+                              "verify_s": 0.0}
         obs_registry().register_collector(f"kv.{self.session_id}",
                                           self._collect_metrics)
 
@@ -271,11 +277,16 @@ class KVCacheSession:
                               f"got shape {tuple(k.shape)}")
         tokens, width = k.shape
         fmt = self.policy.format_for(layer)
+        op = self.policy.op
         with _dispatch_scope(self.dispatch), collect_encode_stats() as es:
-            pk = encode(fmt, k, op=self.policy.op, axis=-1,
-                        verify=self.verify)
-            pv = encode(fmt, v, op=self.policy.op, axis=-1,
-                        verify=self.verify)
+            if _stacks_rows(fmt):
+                kv = encode(fmt, np.concatenate([k, v]), op=op, axis=-1,
+                            verify=self.verify)
+                pk = slice_rows(kv, 0, tokens)
+                pv = slice_rows(kv, tokens, 2 * tokens)
+            else:
+                pk = encode(fmt, k, op=op, axis=-1, verify=self.verify)
+                pv = encode(fmt, v, op=op, axis=-1, verify=self.verify)
         with self._lock:
             self._check_open()
             blocks = self._blocks[layer]
@@ -310,6 +321,8 @@ class KVCacheSession:
                 + pv.header_bytes
             self._stats["packed_elements"] += pk.n_elements + pv.n_elements
             self._encode_stats["fused_encodes"] += es["fused_encodes"]
+            self._encode_stats["fused_appends"] += \
+                es["fused_encodes"] == es["encodes"]
             self._encode_stats["quantize_s"] += es["quantize_s"]
             self._encode_stats["pack_s"] += es["pack_s"]
             self._encode_stats["verify_s"] += es["verify_s"]
@@ -371,7 +384,9 @@ class KVCacheSession:
         """Cumulative per-stage encode cost over every append.
 
         ``fused_encodes`` counts the encode() calls that rode the fused
-        quantize→pack path; ``quantize_s`` / ``pack_s`` / ``verify_s``
+        quantize→pack path (one per stacked append, else one each for K
+        and V) and ``fused_appends`` the appends whose every encode did;
+        ``quantize_s`` / ``pack_s`` / ``verify_s``
         are the stage seconds from the codec's stage sink. Separate from
         :meth:`stats` because the wire CLOSE ack serializes that dict
         verbatim into golden-pinned frames.
@@ -468,6 +483,21 @@ class KVCacheSession:
         for b in evicted:
             blocks.remove(b)
         return evicted
+
+
+def _stacks_rows(fmt) -> bool:
+    """Whether an append encodes K and V as one stacked block.
+
+    Only a group-wise format with a fused code-space layout stacks: its
+    rows encode independently, so :func:`~repro.codec.slice_rows` cuts
+    the stacked container into exactly the K and V containers two solo
+    encodes give. Tensor-scoped formats (the NVFP4 family: the header
+    tensor scale depends on the whole block) and the formats without a
+    fused layout (fp16, whose storage flag depends on the whole block,
+    max-preserving wrappers, SMX, MSFP, fp4) keep one encode each.
+    """
+    return codec_for(fmt).code_streams is not None \
+        and not _tensor_scoped(fmt)
 
 
 def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,

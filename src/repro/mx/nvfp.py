@@ -65,7 +65,12 @@ class NVFP4(TensorFormat):
 
     def quantize_activation_calibrated(self, x: np.ndarray, tensor_amax: float,
                                        axis: int = -1) -> np.ndarray:
-        """Online activation path with a pre-calibrated tensor scale."""
+        """Online activation path with a pre-calibrated tensor scale,
+        plan-routed like :meth:`TensorFormat.quantize_activation`."""
+        from ..plan import lookup_plan
+        plan = lookup_plan(self, "activation", x, axis)
+        if plan is not None:
+            return plan.run(x, tensor_amax=tensor_amax)
         return self.quantize_detailed(x, axis=axis, tensor_amax=tensor_amax).dequantized
 
 

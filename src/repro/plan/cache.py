@@ -43,13 +43,17 @@ class QuantPlan:
     returning a :class:`~repro.plan.codespace.CodeSpaceResult` instead
     of a dequantized tensor. It is None for the families without a
     matching codec stream layout; the codec falls back to the legacy
-    encode for those.
+    encode for those. ``packing`` holds the codec's constants for this
+    signature (codec, catalog name, fingerprint, group size, fused
+    runner), bound by :func:`repro.codec.encode` on the plan's first
+    encode.
     """
 
     key: tuple
     run: Callable[[np.ndarray], np.ndarray]
     geometry: GroupGeometry = field(repr=False, default=None)
     run_codes: Callable | None = field(repr=False, default=None)
+    packing: object = field(repr=False, default=None)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.run(x)

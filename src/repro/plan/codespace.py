@@ -18,7 +18,11 @@ Ownership and materialization rules (DESIGN.md §11):
 * stream order is the codec's packing order for the family (e.g.
   ``scales, elements`` for plain block formats; ``elements, scales,
   meta[, refined]`` for the metadata-augmented families), which lets the
-  codec's ``encode_from_codes`` validate the pairing structurally.
+  codec's ``encode_from_codes`` validate the pairing structurally;
+* ``extra`` holds the container header scalars the streams depend on
+  (the NVFP4 family's ``float.hex()`` tensor scale), which
+  ``encode_from_codes`` writes into the header before it checks the
+  layout.
 """
 
 from __future__ import annotations
@@ -52,13 +56,17 @@ class CodeSpaceResult:
     ``dequantize`` is a zero-argument closure producing the float64
     tensor the executor's plain ``run`` path would have returned; it is
     invoked at most once, on first access of :attr:`dequantized`.
+    ``extra`` is the container header scalars (empty for the families
+    whose header holds none).
     """
 
-    __slots__ = ("streams", "_dequantize", "_dequantized")
+    __slots__ = ("streams", "extra", "_dequantize", "_dequantized")
 
     def __init__(self, streams: Iterable[CodeStream],
-                 dequantize: Callable[[], np.ndarray]) -> None:
+                 dequantize: Callable[[], np.ndarray],
+                 extra: dict | None = None) -> None:
         self.streams = tuple(streams)
+        self.extra = {} if extra is None else extra
         self._dequantize = dequantize
         self._dequantized = None
 

@@ -31,6 +31,14 @@ Registered families (exact instance type):
   search on the same engine.
 * ``ElemEM`` (top-1) / ``ElemEE`` — fused top-element refinement.
 * ``M2XFP`` — delegates to the operand-path formats above.
+* ``NVFP4`` — two-level scaling: the E4M3 group scale from the E4M3
+  boundaries, a true division by that non-power-of-two scale, FP4
+  codes; ``run`` also takes a calibrated ``tensor_amax``. The
+  code-space sibling carries the tensor scale as a header scalar
+  (``CodeSpaceResult.extra``).
+* ``M2NVFP4`` — the same scales with Elem-EM top-1 refinement
+  (activations) or the bias x multiplier search on the exact
+  ``candidate_search`` kernel (weights).
 """
 
 from __future__ import annotations
@@ -41,17 +49,19 @@ from ..algos.ant import ANT_TYPES, MXAnt
 from ..algos.mant import MANT_TYPES, MXMAnt
 from ..core.elem_em import META_BITS_PER_VALUE, ElemEM
 from ..core.elem_ee import ElemEE
-from ..core.m2xfp import M2XFP
+from ..core.m2xfp import M2NVFP4, M2XFP
 from ..core.sg_em import ADAPTIVE_BIASES, SG_EM_MULTIPLIERS, SgEM
 from ..core.sg_ee import SgEE, _fixed_decrements
+from ..errors import CodecError
 from ..formats.e8m0 import clamp_exponent
 from ..formats.floatspec import FloatSpec
 from ..formats.intspec import GridSpec, IntSpec
-from ..formats.registry import FP4_E2M1
+from ..formats.registry import FP4_E2M1, FP8_E4M3
 from ..kernels.elem import elem_ee_select
 from ..kernels.search import (_CHUNK_ELEMS, candidate_search,
                               gather_candidate_codes, hierarchical_select)
 from ..mx.base import BlockFormat
+from ..mx.nvfp import NVFP4
 from ..mx.scale_rules import shared_scale_exponent
 from .codespace import CodeSpaceResult, CodeStream
 from .geometry import GroupGeometry
@@ -64,6 +74,13 @@ __all__ = ["EXECUTOR_COMPILERS", "compile_executor"]
 def _exp2(e: np.ndarray) -> np.ndarray:
     """``2**e`` for integer exponent arrays (always exact)."""
     return np.exp2(e.astype(np.float64))
+
+
+def _sign_codes(groups: np.ndarray, mag) -> np.ndarray:
+    """FP4 element codes ``sign << 3 | magnitude``."""
+    elems = np.signbit(groups).astype(np.int64) << 3
+    elems |= mag
+    return elems
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +109,7 @@ def _compile_block(fmt: BlockFormat, op: str, geom: GroupGeometry):
             e = shared_scale_exponent(amax, elem, rule)
             ax *= _exp2(-e)[:, None]
             c = fp4_codes(ax)
-            elems = np.signbit(groups).astype(np.int64) << 3
-            elems |= c
+            elems = _sign_codes(groups, c)
 
             def dequantize() -> np.ndarray:
                 v = fp4_half_ints(c).astype(np.float64)
@@ -401,8 +417,7 @@ class _SgUSpace:
         """Code-space twin of ``__call__``: ``(elems, exps, inner,
         dequantize)`` with the dequantization left lazy."""
         mag, exps, inner, s_half = self._eval(groups)
-        elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= mag.reshape(groups.shape)
+        elems = _sign_codes(groups, mag.reshape(groups.shape))
         return elems, exps, inner, \
             lambda: self._dequantize(groups, mag, s_half)
 
@@ -468,8 +483,7 @@ def _compile_sg_ee(fmt: SgEE, op: str, geom: GroupGeometry):
 
     def run_codes(x: np.ndarray) -> CodeSpaceResult:
         groups, n, e, decs, c = _encode(x)
-        elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= c.reshape(n, n_sub * sub)
+        elems = _sign_codes(groups, c.reshape(n, n_sub * sub))
 
         def dequantize() -> np.ndarray:
             v = fp4_half_ints(c).astype(np.float64)
@@ -523,8 +537,7 @@ def _compile_elem_em(fmt: ElemEM, op: str, geom: GroupGeometry):
 
     def run_codes(x: np.ndarray) -> CodeSpaceResult:
         groups, n, e, c, flat, meta, refined2 = _encode(x)
-        elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= c
+        elems = _sign_codes(groups, c)
         return CodeSpaceResult(
             (CodeStream("elements", elems, 4),
              CodeStream("scales", e + 127, 8),
@@ -570,8 +583,7 @@ def _compile_elem_ee(fmt: ElemEE, op: str, geom: GroupGeometry):
 
     def run_codes(x: np.ndarray) -> CodeSpaceResult:
         groups, n, e, c, flat, ref_codes, cand, pick = _encode(x)
-        elems = np.signbit(groups).astype(np.int64) << 3
-        elems |= c
+        elems = _sign_codes(groups, c)
         refined = np.take_along_axis(ref_codes, pick[..., None],
                                      axis=-1)[..., 0]
         return CodeSpaceResult(
@@ -581,6 +593,209 @@ def _compile_elem_ee(fmt: ElemEE, op: str, geom: GroupGeometry):
              CodeStream("refined", refined, 3)),
             lambda: _finish(groups, n, e, c, flat, cand, pick))
     return run, run_codes
+
+
+# ----------------------------------------------------------------------
+# NVFP4 / M2-NVFP4: two-level (E4M3 group x FP32 tensor) scaling
+# ----------------------------------------------------------------------
+def _nvfp4_scaler(base: NVFP4):
+    """NVFP4's two-level scale derivation over ``|groups|``.
+
+    Returns ``scale(ax, tensor_amax=None) -> (ts, s8_codes, scales)``:
+    the tensor scale, the E4M3 group-scale codes and the raw group
+    scales ``s8 * ts``; for a zero tensor (``tensor_amax == 0``) the
+    last two are None. Finiteness is validated first, as ``to_groups``
+    does, even when a calibrated ``tensor_amax`` is given. The
+    arithmetic is ``NVFP4.quantize_detailed``'s operation for
+    operation: the same Python-float tensor scale, the same
+    ``amax / (M * ts)`` division, and the E4M3 quantize as one boundary
+    search with the sign re-applied.
+    """
+    emax = base.element.max_value
+    denom = emax * base.scale_format.max_value
+    bounds, grid = base.scale_format.boundaries, base.scale_format.grid
+
+    def scale(ax: np.ndarray, tensor_amax: float | None = None):
+        amax = tree_amax(ax)
+        validate_amax(amax)
+        if tensor_amax is None:
+            tensor_amax = float(amax.max(initial=0.0))
+        if tensor_amax == 0.0:
+            return 0.0, None, None
+        ts = tensor_amax / denom
+        ideal = amax / (emax * ts)
+        codes = np.searchsorted(bounds, np.abs(ideal), side="left")
+        return ts, codes, np.copysign(grid[codes], ideal) * ts
+    return scale
+
+
+def _nvfp4_result(ts: float, s8_codes, streams: tuple, dequantize):
+    """A code-space result in the NVFP4-family codec layout: the scale
+    stream first (absent for a zero tensor), the tensor scale a header
+    scalar.
+
+    A tensor scale that underflows to 0 (every ``|x|`` below about
+    1.3e-320) leaves a scale stream under a zero header scale, which
+    the codec layout does not admit; the result is then None and the
+    codec re-derives that container from floats.
+    """
+    if s8_codes is not None:
+        if ts == 0.0:
+            return None
+        streams = (CodeStream("scales", s8_codes, 8),) + streams
+    return CodeSpaceResult(streams, dequantize,
+                           extra={"tensor_scale": float(ts).hex()})
+
+
+def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
+    if fmt.element is not FP4_E2M1 or fmt.scale_format is not FP8_E4M3:
+        return None
+    scale = _nvfp4_scaler(fmt)
+
+    def _encode(groups: np.ndarray, tensor_amax=None):
+        """``(ts, s8_codes, safe, live, codes)``, the last four None for
+        a zero tensor scale."""
+        ax = np.abs(groups)
+        ts, s8_codes, scales = scale(ax, tensor_amax)
+        if s8_codes is None:
+            return ts, None, None, None, None
+        live = scales > 0
+        safe = np.where(live, scales, 1.0)
+        # A true division: the group scale is not a power of two.
+        ax /= safe[:, None]
+        return ts, s8_codes, safe, live, fp4_codes(ax)
+
+    def _finish(groups, safe, live, c) -> np.ndarray:
+        v = fp4_half_ints(c).astype(np.float64)
+        v *= 0.5            # the exact FP4 grid values
+        v *= safe[:, None]
+        np.copysign(v, groups, out=v)
+        if not live.all():  # a scale that rounds to 0 dequantizes to +0.0
+            v[~live] = 0.0
+        return geom.unpack(v)
+
+    def run(x: np.ndarray, tensor_amax: float | None = None) -> np.ndarray:
+        groups = geom.pack(x)
+        _ts, s8_codes, safe, live, c = _encode(groups, tensor_amax)
+        if s8_codes is None:    # zero tensor scale: the input, unchanged
+            return geom.unpack(groups)
+        return _finish(groups, safe, live, c)
+
+    def run_codes(x: np.ndarray) -> CodeSpaceResult | None:
+        groups = geom.pack(x)
+        ts, s8_codes, safe, live, c = _encode(groups)
+        if s8_codes is None:
+            return _nvfp4_result(
+                ts, None, (CodeStream("elements", _sign_codes(groups, 0), 4),),
+                lambda: geom.unpack(groups))
+        return _nvfp4_result(
+            ts, s8_codes, (CodeStream("elements", _sign_codes(groups, c), 4),),
+            lambda: _finish(groups, safe, live, c))
+    return run, run_codes
+
+
+def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
+    base = fmt.base
+    if base.element is not FP4_E2M1 or base.scale_format is not FP8_E4M3 \
+            or base.group_size != fmt.group_size:
+        return None
+    scale = _nvfp4_scaler(base)
+    sub = fmt.sub_size
+    n_sub = fmt.group_size // sub
+
+    def _scales(groups: np.ndarray):
+        """``(|groups|, ts, s8_codes, safe)``: ``M2NVFP4._scaled_groups``'
+        scales, ones for a zero tensor and 1.0 where one rounds to 0."""
+        ax = np.abs(groups)
+        ts, s8_codes, scales = scale(ax)
+        safe = np.ones(groups.shape[0]) if scales is None \
+            else np.where(scales > 0, scales, 1.0)
+        return ax, ts, s8_codes, safe
+
+    if op == "activation":
+        flat_base = np.arange(geom.n_groups * n_sub) * sub
+
+        def _encode(x: np.ndarray):
+            groups = geom.pack(x)
+            ax, ts, s8_codes, safe = _scales(groups)
+            ax /= safe[:, None]
+            c = fp4_codes(ax)
+            top = subgroup_top1(c.reshape(-1, n_sub, sub))
+            flat = flat_base + top.ravel()
+            meta, refined2 = fp6_window_codes(ax.reshape(-1)[flat],
+                                              c.reshape(-1)[flat]
+                                              .astype(np.int64))
+            return groups, ts, s8_codes, safe, c, flat, meta, refined2
+
+        def _finish(groups, safe, c, flat, refined2) -> np.ndarray:
+            v = fp4_half_ints(c).astype(np.float64)
+            v.reshape(-1)[flat] = refined2
+            v *= 0.5        # exact: FP4 and FP6 grid values
+            v *= safe[:, None]
+            np.copysign(v, groups, out=v)
+            return geom.unpack(v)
+
+        def run(x: np.ndarray) -> np.ndarray:
+            groups, _ts, _s8, safe, c, flat, _meta, refined2 = _encode(x)
+            return _finish(groups, safe, c, flat, refined2)
+
+        def run_codes(x: np.ndarray) -> CodeSpaceResult | None:
+            groups, ts, s8_codes, safe, c, flat, meta, refined2 = _encode(x)
+            return _nvfp4_result(
+                ts, s8_codes,
+                (CodeStream("elements", _sign_codes(groups, c), 4),
+                 CodeStream("meta", meta, META_BITS_PER_VALUE)),
+                lambda: _finish(groups, safe, c, flat, refined2))
+        return run, run_codes
+
+    biases = (0.5, 1.0, 2.0) if fmt.adaptive else (1.0,)
+    bias_arr = np.asarray(biases)
+    mult = np.asarray(SG_EM_MULTIPLIERS)
+    n_inner = len(mult)
+
+    def _encode_w(x: np.ndarray):
+        groups = geom.pack(x)
+        n = groups.shape[0]
+        _ax, ts, s8_codes, safe = _scales(groups)
+        subs = groups.reshape(n, n_sub, sub)
+        cand = ((safe[:, None] * bias_arr)[:, :, None] * mult).reshape(n, -1)
+        codes, err = candidate_search(subs, cand, FP4_E2M1.grid,
+                                      FP4_E2M1.boundaries)
+        outer, inner, invalid = hierarchical_select(
+            err, len(biases), n_inner, fallback_outer=biases.index(1.0))
+        mag = gather_candidate_codes(codes, outer, inner, n_inner)
+        return groups, subs, ts, s8_codes, cand, outer, inner, invalid, mag
+
+    def _finish_w(groups, subs, cand, outer, inner, invalid,
+                  mag) -> np.ndarray:
+        s_sel = np.take_along_axis(cand, outer[:, None] * n_inner + inner,
+                                   axis=1)
+        q = FP4_E2M1.grid[mag]
+        dq = np.where(np.signbit(subs), -q, q) * s_sel[:, :, None]
+        if invalid.any():
+            # The reference's never-updated accumulator yields zeros.
+            dq[invalid] = 0.0
+        return geom.unpack(dq.reshape(groups.shape))
+
+    def run_w(x: np.ndarray) -> np.ndarray:
+        groups, subs, _ts, _s8, cand, outer, inner, invalid, mag = \
+            _encode_w(x)
+        return _finish_w(groups, subs, cand, outer, inner, invalid, mag)
+
+    def run_codes_w(x: np.ndarray) -> CodeSpaceResult | None:
+        groups, subs, ts, s8_codes, cand, outer, inner, invalid, mag = \
+            _encode_w(x)
+        if invalid.any():
+            raise CodecError("M2-NVFP4 weight search produced an invalid "
+                             "group; inputs must be finite")
+        return _nvfp4_result(
+            ts, s8_codes,
+            (CodeStream("elements",
+                        _sign_codes(groups, mag.reshape(groups.shape)), 4),
+             CodeStream("meta", inner, 2), CodeStream("bias", outer, 2)),
+            lambda: _finish_w(groups, subs, cand, outer, inner, invalid,
+                              mag))
+    return run_w, run_codes_w
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +817,8 @@ EXECUTOR_COMPILERS = {
     ElemEM: _compile_elem_em,
     ElemEE: _compile_elem_ee,
     M2XFP: _compile_m2xfp,
+    NVFP4: _compile_nvfp4,
+    M2NVFP4: _compile_m2nvfp4,
 }
 
 

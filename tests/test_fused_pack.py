@@ -9,7 +9,7 @@ Three layers, mirroring DESIGN.md §11:
   the codec's ``encode_into`` re-derivation from floats and the
   container ``encode`` builds under reference dispatch, where plans do
   not compile.
-* **Code-space contract** — for the eleven fused families the plan's
+* **Code-space contract** — for the thirteen fused formats the plan's
   ``run_codes`` emits streams in the codec's declared ``code_layout``
   order, every stream's values fit its declared bit width, the lazy
   ``dequantized`` tensor is bit-identical to the format's own quantize
@@ -48,9 +48,9 @@ ALL_FORMATS = sorted(FORMAT_REGISTRY)
 #: one must actually *take* the fused path on plan-compilable input —
 #: pinned here so a regression that silently falls back to the legacy
 #: float path fails loudly instead of passing by byte-equality alone.
-FUSED_FORMATS = ("elem-ee", "elem-em", "m2xfp", "mxfp4", "mxfp6-e2m3",
-                 "mxfp6-e3m2", "mxfp8-e4m3", "mxfp8-e5m2", "mxint8",
-                 "sg-ee", "sg-em")
+FUSED_FORMATS = ("elem-ee", "elem-em", "m2-nvfp4", "m2xfp", "mxfp4",
+                 "mxfp6-e2m3", "mxfp6-e3m2", "mxfp8-e4m3", "mxfp8-e5m2",
+                 "mxint8", "nvfp4", "sg-ee", "sg-em")
 
 
 DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
@@ -208,6 +208,83 @@ def test_code_space_result_matches_codec_contract(name, op, heavy_tensor):
         == expect.tobytes()
 
 
+def _nvfp4_family_cases(rng) -> list:
+    """Seeded ``(x, axis)`` cases for the NVFP4-family executors: zero
+    and -0.0 tensors, zero groups and elements, widths that are not a
+    multiple of 16, non-last axes and magnitudes from 1e-310
+    (subnormal values and scales) to 1e300."""
+    neg_zero = np.zeros((2, 48))
+    neg_zero[:, ::2] = -0.0
+    cases = [(np.zeros((3, 32)), -1), (neg_zero, -1),
+             (rng.standard_normal((4, 3, 20)), 1)]
+    for _ in range(48):
+        rows = int(rng.integers(1, 6))
+        width = int(rng.choice([1, 7, 16, 20, 33, 50, 64]))
+        decade = int(rng.choice([-310, -300, -30, 0, 30, 300]))
+        x = rng.standard_normal((rows, width)) \
+            * np.exp(2 * rng.standard_normal((rows, width))) * 10.0 ** decade
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.05] = -0.0
+        if rng.random() < 0.3:
+            x[int(rng.integers(rows))] = 0.0
+        cases.append((x, 0 if rng.random() < 0.3 else -1))
+    return cases
+
+
+def _quantized(fmt, op, x, axis, run=None):
+    """``(shape, bytes)`` of the dequantized tensor, or the exception
+    type quantizing raises."""
+    try:
+        if run is not None:
+            y = run(x)
+        elif op == "weight":
+            y = fmt.quantize_weight(x, axis=axis)
+        else:
+            y = fmt.quantize_activation(x, axis=axis)
+    except Exception as exc:
+        return type(exc)
+    return y.shape, y.tobytes()
+
+
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
+@pytest.mark.parametrize("op", ["weight", "activation"])
+def test_nvfp4_family_executors_match_reference(name, op):
+    """Both NVFP4-family executors against reference dispatch, on
+    seeded adversarial tensors: ``run``'s dequantized bytes, the fused
+    container bytes (or the same exception type), and, for NVFP4,
+    ``run`` with a calibrated ``tensor_amax`` of 0, below and at the
+    data max."""
+    fmt = make_format(name)
+    rng = np.random.default_rng(23)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (x, axis) in enumerate(_nvfp4_family_cases(rng)):
+            plan = get_plan(fmt, op, x.shape, axis)
+            with reference_kernels():
+                want = _quantized(fmt, op, x, axis)
+                want_pt = _outcome(lambda: encode(fmt, x, op=op, axis=axis,
+                                                  verify=True))
+            got = _quantized(fmt, op, x, axis, run=plan.run)
+            assert got == want, f"{name}:{op} case {i}: dequantized bytes"
+            with collect_encode_stats() as stats:
+                got_pt = _outcome(lambda: encode(fmt, x, op=op, axis=axis,
+                                                 verify=True))
+            assert got_pt == want_pt, f"{name}:{op} case {i}: container"
+            if isinstance(got_pt, bytes):
+                assert stats["fused_encodes"] == 1, f"{name} case {i}"
+            if name != "nvfp4" or isinstance(want, type):
+                continue
+            amax = float(np.abs(x).max(initial=0.0))
+            for tensor_amax in (0.0, amax * 0.3, amax):
+                with reference_kernels():
+                    want = fmt.quantize_activation_calibrated(
+                        x, tensor_amax, axis=axis)
+                assert plan.run(x, tensor_amax=tensor_amax).tobytes() \
+                    == fmt.quantize_activation_calibrated(
+                        x, tensor_amax, axis=axis).tobytes() \
+                    == want.tobytes(), \
+                    f"nvfp4 case {i}: calibrated tensor_amax {tensor_amax}"
+
+
 def test_plan_cache_serves_the_codes_sibling(rng):
     clear_plan_cache()
     x = rng.standard_normal((4, 64))
@@ -287,7 +364,8 @@ def test_kv_session_blobs_match_fallback(fmt, rng):
         return out, fused_encodes
 
     fused_out, fused_encodes = run_session("fast")
-    assert fused_encodes == 2 * len(blocks), \
+    # One fused encode per append: K and V ride it stacked.
+    assert fused_encodes == len(blocks), \
         f"{fmt}: session appends did not ride the fused path"
     unfused_out, unfused_encodes = run_session("reference")
     assert unfused_encodes == 0

@@ -7,7 +7,8 @@ The contract under test, in order of importance:
    one-shot quantizations of the retained blocks byte for byte, and for
    every group-wise (batchable) format it also equals the one-shot
    quantization of the concatenated raw blocks: the streamed cache and
-   the batch cache are the same bytes.
+   the batch cache are the same bytes. An append that encodes K and V
+   stacked retains exactly the containers two solo encodes give.
 2. **Eviction invariants** — the per-layer token budget is never
    exceeded, not even transiently; sink blocks are never evicted; an
    append that cannot fit is refused with ``ConfigError`` and leaves
@@ -39,6 +40,7 @@ import pytest
 
 from repro.codec import codec_for, decode, encode
 from repro.errors import ConfigError, ProtocolError, SessionLost
+from repro.kernels import fast_kernels, reference_kernels
 from repro.kv import KVCacheSession, KVPolicy
 from repro.obs import NO_METRICS_ENV
 from repro.obs import registry as obs_registry
@@ -51,6 +53,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "wire_vectors.json"
 #: The non-inherit dispatch modes; "inherit" is the ambient default the
 #: rest of this file runs under anyway.
 DISPATCHES = ("fast", "reference")
+DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
 
 
 def _block(rng, tokens: int, width: int = 64) -> np.ndarray:
@@ -271,6 +274,53 @@ def test_arena_read_matches_per_block_decode(name, op, rng, monkeypatch):
                 assert got.tobytes() == expect.tobytes(), \
                     f"{name}/{op} layer {layer} step {step}: read != decode"
     assert sess.stats()["evicted_blocks"] == 2 * 5
+
+
+#: The group-wise catalog formats with a fused code-space layout: an
+#: append encodes their K and V as one stacked block.
+STACKED = {"elem-ee", "elem-em", "m2xfp", "mxfp4", "mxfp6-e2m3",
+           "mxfp6-e3m2", "mxfp8-e4m3", "mxfp8-e5m2", "mxint8", "sg-ee",
+           "sg-em"}
+
+
+@pytest.mark.parametrize("dispatch", DISPATCHES)
+@pytest.mark.parametrize("op", ["weight", "activation"])
+@pytest.mark.parametrize("name", list_formats())
+def test_stacked_append_matches_solo_encodes(name, op, dispatch, rng,
+                                             monkeypatch):
+    """A stacked append's K and V containers equal two solo encodes
+    byte for byte (header and payload, and so the session's
+    ``header_bytes`` / ``payload_bytes`` stats), at widths 64 and 20
+    (unaligned Elem-EE refined codes cut by a repack). fp16,
+    mxfp4-maxkeep and the NVFP4 family, whose header depends on the
+    whole block, are encoded one by one."""
+    import repro.kv.session as session_mod
+
+    fmt = make_format(name)
+    calls = []
+    real = session_mod.encode
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(session_mod, "encode", spy)
+    for width in (64, 20):
+        sess = KVCacheSession(1, KVPolicy(name, op=op), dispatch=dispatch)
+        k, v = _block(rng, 3, width), _block(rng, 3, width)
+        del calls[:]
+        sess.append(0, k, v)
+        stacked = calls == [(6, width)]
+        assert stacked == (name in STACKED), f"{name}: encodes {calls}"
+        (pk,), (pv,) = sess._arenas[0]
+        stats = sess.stats()
+        sess.close()
+        with DISPATCH[dispatch]():
+            solo = [real(fmt, x, op=op, axis=-1) for x in (k, v)]
+        for got, want in zip((pk, pv), solo):
+            assert got.to_bytes() == want.to_bytes(), f"{name} w{width}"
+        assert stats["header_bytes"] == sum(p.header_bytes for p in solo)
+        assert stats["payload_bytes"] == sum(p.payload_bytes for p in solo)
 
 
 @pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])

@@ -339,8 +339,8 @@ def test_server_traces_cover_quantize_and_kv_spans(tmp_path, monkeypatch,
     (append,) = by_kind["kv_append"]
     names = [s["name"] for s in append["spans"]]
     assert names[0] == "queue" and names[-1] == "serialize"
-    # two fused encodes (K and V), each quantize->pack->verify
-    assert names[1:-1] == ["quantize", "pack", "verify"] * 2
+    # one fused encode of the stacked K and V: quantize->pack->verify
+    assert names[1:-1] == ["quantize", "pack", "verify"]
     assert append["arm"] == "m2xfp"
     for rec in records:  # request ids propagate from the wire frames
         assert isinstance(rec["request_id"], int)

@@ -270,11 +270,11 @@ class TestEnvHygiene:
             monkeypatch.undo()
         assert spy.reads == reads
 
-    # Per append of one K and one V block: each block reads the codec's
-    # metrics gate and the plan lookup's dispatch mode; nvfp4 has no
-    # plan, so its re-derive encode and its verify's quantize also read
-    # the dispatch mode in every scalar encode/quantize call.
-    @pytest.mark.parametrize("name, reads", [("m2xfp", 4), ("nvfp4", 14)])
+    # Per append: each encode reads the codec's metrics gate and the plan
+    # lookup's dispatch mode. m2xfp encodes K and V as one stacked
+    # block; nvfp4 is tensor-scoped, so K and V are encoded one by one,
+    # each on its fused plan.
+    @pytest.mark.parametrize("name, reads", [("m2xfp", 2), ("nvfp4", 4)])
     def test_kv_append_environ_reads(self, monkeypatch, name, reads):
         rng = np.random.default_rng(4)
         sess = KVCacheSession(2, KVPolicy(name), max_tokens=64,
