@@ -433,6 +433,9 @@ def _nvfp4_put_scales(element, scale_format, groups: np.ndarray,
     """Serialize NVFP4's two-level scales (E4M3 codes + header tensor
     scale); returns the raw group scales ``s8 * ts``, or None for the
     zero-tensor case (no scale stream, ``tensor_scale`` pinned to 0).
+    A tensor scale that underflows to 0 (every ``|x|`` below about
+    1.3e-320) is laid out like a zero tensor's, and its group scales
+    are all 0.
 
     Shared by :class:`NVFP4Codec` and :class:`M2NVFP4Codec` so the scale
     derivation cannot drift between the base format and its M2 extension.
@@ -444,6 +447,8 @@ def _nvfp4_put_scales(element, scale_format, groups: np.ndarray,
         return None
     ts = tensor_amax / (element.max_value * scale_format.max_value)
     pt.extra["tensor_scale"] = _hex(ts)
+    if ts == 0.0:
+        return np.zeros(groups.shape[0])
     group_amax = np.max(np.abs(groups), axis=1)
     ideal = group_amax / (element.max_value * ts)
     s8 = scale_format.quantize(ideal)
@@ -507,6 +512,9 @@ class NVFP4Codec(Codec):
                                    tensor_amax)
         if scales is None:
             codes = _element_codes(fmt.element, groups)
+        elif "scales" not in pt.streams:
+            # An underflowed tensor scale: quantize gives +0.0 throughout.
+            codes = _element_codes(fmt.element, np.zeros_like(groups))
         else:
             safe = np.where(scales > 0, scales, 1.0)
             codes = _element_codes(fmt.element, groups / safe[:, None])

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import deque
 
 import numpy as np
 
@@ -126,6 +127,10 @@ class KVPolicy:
 
     @classmethod
     def from_spec(cls, spec) -> "KVPolicy":
+        """A policy from a spec dict, a format name, a policy, or None
+        (the default policy)."""
+        if spec is None:
+            return cls()
         if isinstance(spec, KVPolicy):
             return spec
         if isinstance(spec, str):
@@ -149,17 +154,6 @@ class KVPolicy:
         return (f"KVPolicy(default={self.default!r}, "
                 f"overrides={dict(sorted(self.overrides.items()))!r}, "
                 f"op={self.op!r})")
-
-
-class _Block:
-    """One appended K/V block's stream position; its rows live in the
-    layer's arenas."""
-
-    __slots__ = ("start", "tokens")
-
-    def __init__(self, start: int, tokens: int) -> None:
-        self.start = start
-        self.tokens = tokens
 
 
 class KVCacheSession:
@@ -227,8 +221,7 @@ class KVCacheSession:
                               f"max_tokens ({max_tokens}); the sink "
                               f"region alone would exhaust the budget")
         self.n_layers = n_layers
-        self.policy = KVPolicy() if policy is None \
-            else KVPolicy.from_spec(policy)
+        self.policy = KVPolicy.from_spec(policy)
         self.max_tokens = max_tokens
         self.sink_tokens = sink_tokens
         self.dispatch = dispatch
@@ -237,7 +230,15 @@ class KVCacheSession:
             else f"kv-{next(_session_counter)}"
         self._lock = threading.Lock()
         self._closed = False
-        self._blocks: list[list[_Block]] = [[] for _ in range(n_layers)]
+        # Per layer, the ``(start, tokens)`` span of each appended block
+        # in stream order: the pinned sink blocks, then the evictable
+        # ones (oldest first, so eviction pops from the left), with
+        # running held and pinned token counts.
+        self._sinks: list[list[tuple[int, int]]] = \
+            [[] for _ in range(n_layers)]
+        self._blocks: list[deque] = [deque() for _ in range(n_layers)]
+        self._held = [0] * n_layers
+        self._pinned = [0] * n_layers
         # Per layer, the (K, V) arenas: tuples of immutable runs.
         self._arenas: list[tuple[tuple, tuple]] = [((), ())] * n_layers
         self._next_pos = [0] * n_layers
@@ -284,12 +285,14 @@ class KVCacheSession:
                             verify=self.verify)
                 pk = slice_rows(kv, 0, tokens)
                 pv = slice_rows(kv, tokens, 2 * tokens)
+                # The two slices share one header: dump it once.
+                header_bytes = 2 * pk.header_bytes
             else:
                 pk = encode(fmt, k, op=op, axis=-1, verify=self.verify)
                 pv = encode(fmt, v, op=op, axis=-1, verify=self.verify)
+                header_bytes = pk.header_bytes + pv.header_bytes
         with self._lock:
             self._check_open()
-            blocks = self._blocks[layer]
             arenas = self._arenas[layer]
             wide = arenas[0][0].shape[1] if arenas[0] else width
             if wide != width:
@@ -297,28 +300,30 @@ class KVCacheSession:
                     f"layer {layer} blocks are {wide} wide; an append "
                     f"of width {width} cannot join the stream")
             start = self._next_pos[layer]
-            block = _Block(start, tokens)
-            evicted = self._evict_for(blocks, block)
-            evicted_tokens = sum(b.tokens for b in evicted)
-            pinned = sum(b.tokens for b in blocks
-                         if b.start < self.sink_tokens)
+            evicted, evicted_tokens = self._evict_for(layer, tokens)
+            pinned = self._pinned[layer]
             # Sink rows never share a run with evictable rows, so
             # eviction only ever drops leading rows of a run.
-            join = bool(blocks) and (blocks[-1].start < self.sink_tokens) \
-                == (start < self.sink_tokens)
+            if start < self.sink_tokens:
+                spans, join = self._sinks[layer], bool(self._sinks[layer])
+                self._pinned[layer] += tokens
+            else:
+                spans = self._blocks[layer]
+                join = bool(spans)
             self._arenas[layer] = tuple(
                 _advance(arena, pinned, evicted_tokens, pt, join)
                 for arena, pt in zip(arenas, (pk, pv)))
-            blocks.append(block)
+            spans.append((start, tokens))
+            self._held[layer] += tokens - evicted_tokens
+            held = self._held[layer]
             self._next_pos[layer] = start + tokens
             self._stats["appends"] += 1
             self._stats["tokens_appended"] += tokens
-            self._stats["evicted_blocks"] += len(evicted)
+            self._stats["evicted_blocks"] += evicted
             self._stats["evicted_tokens"] += evicted_tokens
             self._stats["payload_bytes"] += pk.payload_bytes \
                 + pv.payload_bytes
-            self._stats["header_bytes"] += pk.header_bytes \
-                + pv.header_bytes
+            self._stats["header_bytes"] += header_bytes
             self._stats["packed_elements"] += pk.n_elements + pv.n_elements
             self._encode_stats["fused_encodes"] += es["fused_encodes"]
             self._encode_stats["fused_appends"] += \
@@ -326,10 +331,9 @@ class KVCacheSession:
             self._encode_stats["quantize_s"] += es["quantize_s"]
             self._encode_stats["pack_s"] += es["pack_s"]
             self._encode_stats["verify_s"] += es["verify_s"]
-            held = sum(b.tokens for b in blocks)
         return {"session_id": self.session_id, "layer": layer,
                 "start": start, "tokens": tokens, "tokens_held": held,
-                "evicted_blocks": len(evicted),
+                "evicted_blocks": evicted,
                 "evicted_tokens": evicted_tokens,
                 "format": self.policy.name_for(layer)}
 
@@ -359,20 +363,26 @@ class KVCacheSession:
         layer = self._check_layer(layer)
         with self._lock:
             self._check_open()
-            return [(b.start, b.tokens) for b in self._blocks[layer]]
+            return [*self._sinks[layer], *self._blocks[layer]]
 
     def tokens_held(self, layer: int) -> int:
         layer = self._check_layer(layer)
         with self._lock:
             self._check_open()
-            return sum(b.tokens for b in self._blocks[layer])
+            return self._held[layer]
+
+    def held_elements(self, layer: int) -> int:
+        """K+V elements ``layer`` holds: what :meth:`read` decodes."""
+        layer = self._check_layer(layer)
+        with self._lock:
+            arena = self._arenas[layer][0]
+            return 2 * self._held[layer] * arena[0].shape[1] if arena else 0
 
     def stats(self) -> dict:
         """Counters plus the measured packed footprint."""
         with self._lock:
             out = dict(self._stats)
-            out["tokens_held"] = [sum(b.tokens for b in layer)
-                                  for layer in self._blocks]
+            out["tokens_held"] = list(self._held)
             out["closed"] = self._closed
         mbpe = measured_bits_per_element(out["payload_bytes"],
                                          out["packed_elements"])
@@ -452,37 +462,34 @@ class KVCacheSession:
             raise ConfigError(f"session {self.session_id} is closed; "
                               f"open a new session to continue")
 
-    def _evict_for(self, blocks: list[_Block], new: _Block) -> list[_Block]:
-        """Drop oldest evictable blocks until ``new`` fits the budget.
+    def _evict_for(self, layer: int, tokens: int) -> tuple[int, int]:
+        """Drop ``layer``'s oldest evictable blocks until an append of
+        ``tokens`` fits the budget; returns the dropped block and token
+        counts.
 
-        Mutates ``blocks`` and returns what was dropped; raises (leaving
-        ``blocks`` untouched) when even maximal eviction cannot fit the
-        append — the budget invariant must hold *after every append*,
-        so an impossible append is refused, never partially applied.
+        Raises (leaving the layer untouched) when even maximal eviction
+        cannot fit the append — the budget invariant must hold *after
+        every append*, so an impossible append is refused, never
+        partially applied. The held-token counter is the caller's to
+        update.
         """
         if self.max_tokens is None:
-            return []
-        held = sum(b.tokens for b in blocks)
-        overshoot = held + new.tokens - self.max_tokens
+            return 0, 0
+        overshoot = self._held[layer] + tokens - self.max_tokens
         if overshoot <= 0:
-            return []
-        evictable = [b for b in blocks if b.start >= self.sink_tokens]
-        budget = sum(b.tokens for b in evictable)
+            return 0, 0
+        pinned = self._pinned[layer]
+        budget = self._held[layer] - pinned
         if overshoot > budget:
-            pinned = held - budget
             raise ConfigError(
-                f"append of {new.tokens} tokens cannot fit the "
+                f"append of {tokens} tokens cannot fit the "
                 f"{self.max_tokens}-token budget: {pinned} tokens are "
                 f"pinned (sinks), only {budget} are evictable")
-        evicted: list[_Block] = []
-        for b in evictable:  # oldest first — blocks is in stream order
-            if overshoot <= 0:
-                break
-            evicted.append(b)
-            overshoot -= b.tokens
-        for b in evicted:
-            blocks.remove(b)
-        return evicted
+        blocks, evicted, dropped = self._blocks[layer], 0, 0
+        while dropped < overshoot:
+            dropped += blocks.popleft()[1]
+            evicted += 1
+        return evicted, dropped
 
 
 def _stacks_rows(fmt) -> bool:

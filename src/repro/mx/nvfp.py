@@ -50,6 +50,13 @@ class NVFP4(TensorFormat):
         # Tensor scale chosen so the largest ideal group scale (amax/M) hits
         # the top of the E4M3 range.
         tensor_scale = tensor_amax / (self.element.max_value * self.scale_format.max_value)
+        if tensor_scale == 0.0:
+            # Every |x| below ~1.3e-320: the tensor scale underflows, so
+            # every group scale is 0 and the group dequantizes to +0.0.
+            zeros = np.zeros_like(groups)
+            return QuantResult(dequantized=from_groups(zeros, view),
+                               scales=np.zeros(len(groups)), ebw=self.ebw,
+                               details={"tensor_scale": 0.0})
         group_amax = np.max(np.abs(groups), axis=1)
         ideal = group_amax / (self.element.max_value * tensor_scale)
         s8 = self.scale_format.quantize(ideal)  # saturates at 448 if miscalibrated

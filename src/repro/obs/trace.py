@@ -19,9 +19,12 @@ Span names are the pipeline stages: ``queue`` (enqueue → dequeue),
 lines carry no wall-clock timestamps.
 
 The context travels two ways: explicitly (``QuantService.submit``
-takes a ``trace=`` kwarg, because ``asyncio.to_thread`` hops threads)
-and via a thread-local for code that cannot take a parameter (the
-codec's fused-encode stage sink path).
+takes a ``trace=`` kwarg, because the server reaches it through
+``asyncio.to_thread``, which hops threads) and via a thread-local for
+code that cannot take a parameter (the codec's fused-encode stage sink
+path). The server binds that thread-local around each KV append with
+:func:`use_trace`, on whichever thread runs it: the event loop for a
+decode-step block, a ``to_thread`` worker for a larger one.
 """
 
 from __future__ import annotations

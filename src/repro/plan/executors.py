@@ -604,12 +604,15 @@ def _nvfp4_scaler(base: NVFP4):
     Returns ``scale(ax, tensor_amax=None) -> (ts, s8_codes, scales)``:
     the tensor scale, the E4M3 group-scale codes and the raw group
     scales ``s8 * ts``; for a zero tensor (``tensor_amax == 0``) the
-    last two are None. Finiteness is validated first, as ``to_groups``
-    does, even when a calibrated ``tensor_amax`` is given. The
-    arithmetic is ``NVFP4.quantize_detailed``'s operation for
-    operation: the same Python-float tensor scale, the same
-    ``amax / (M * ts)`` division, and the E4M3 quantize as one boundary
-    search with the sign re-applied.
+    last two are None. A tensor scale that underflows to 0 (every
+    ``|x|`` below about 1.3e-320) has no scale codes and all-zero group
+    scales, so every group dequantizes to +0.0. Finiteness is
+    validated first, as ``to_groups`` does, even when a calibrated
+    ``tensor_amax`` is given. The arithmetic is
+    ``NVFP4.quantize_detailed``'s operation for operation: the same
+    Python-float tensor scale, the same ``amax / (M * ts)`` division,
+    and the E4M3 quantize as one boundary search with the sign
+    re-applied.
     """
     emax = base.element.max_value
     denom = emax * base.scale_format.max_value
@@ -623,6 +626,8 @@ def _nvfp4_scaler(base: NVFP4):
         if tensor_amax == 0.0:
             return 0.0, None, None
         ts = tensor_amax / denom
+        if ts == 0.0:
+            return 0.0, None, np.zeros(len(amax))
         ideal = amax / (emax * ts)
         codes = np.searchsorted(bounds, np.abs(ideal), side="left")
         return ts, codes, np.copysign(grid[codes], ideal) * ts
@@ -631,17 +636,9 @@ def _nvfp4_scaler(base: NVFP4):
 
 def _nvfp4_result(ts: float, s8_codes, streams: tuple, dequantize):
     """A code-space result in the NVFP4-family codec layout: the scale
-    stream first (absent for a zero tensor), the tensor scale a header
-    scalar.
-
-    A tensor scale that underflows to 0 (every ``|x|`` below about
-    1.3e-320) leaves a scale stream under a zero header scale, which
-    the codec layout does not admit; the result is then None and the
-    codec re-derives that container from floats.
-    """
+    stream first (absent under a zero tensor scale), the tensor scale a
+    header scalar."""
     if s8_codes is not None:
-        if ts == 0.0:
-            return None
         streams = (CodeStream("scales", s8_codes, 8),) + streams
     return CodeSpaceResult(streams, dequantize,
                            extra={"tensor_scale": float(ts).hex()})
@@ -654,10 +651,10 @@ def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
 
     def _encode(groups: np.ndarray, tensor_amax=None):
         """``(ts, s8_codes, safe, live, codes)``, the last four None for
-        a zero tensor scale."""
+        a zero tensor."""
         ax = np.abs(groups)
         ts, s8_codes, scales = scale(ax, tensor_amax)
-        if s8_codes is None:
+        if scales is None:
             return ts, None, None, None, None
         live = scales > 0
         safe = np.where(live, scales, 1.0)
@@ -676,18 +673,22 @@ def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
 
     def run(x: np.ndarray, tensor_amax: float | None = None) -> np.ndarray:
         groups = geom.pack(x)
-        _ts, s8_codes, safe, live, c = _encode(groups, tensor_amax)
-        if s8_codes is None:    # zero tensor scale: the input, unchanged
+        _ts, _s8, safe, live, c = _encode(groups, tensor_amax)
+        if live is None:        # zero tensor: the input, unchanged
             return geom.unpack(groups)
         return _finish(groups, safe, live, c)
 
     def run_codes(x: np.ndarray) -> CodeSpaceResult | None:
         groups = geom.pack(x)
         ts, s8_codes, safe, live, c = _encode(groups)
-        if s8_codes is None:
+        if live is None:
             return _nvfp4_result(
                 ts, None, (CodeStream("elements", _sign_codes(groups, 0), 4),),
                 lambda: geom.unpack(groups))
+        if s8_codes is None:    # underflowed tensor scale: +0.0 throughout
+            return _nvfp4_result(
+                ts, None, (CodeStream("elements", np.zeros_like(c), 4),),
+                lambda: _finish(groups, safe, live, c))
         return _nvfp4_result(
             ts, s8_codes, (CodeStream("elements", _sign_codes(groups, c), 4),),
             lambda: _finish(groups, safe, live, c))

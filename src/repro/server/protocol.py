@@ -535,8 +535,7 @@ def encode_session_open(request_id: int, *, session_id: str, n_layers: int,
     with ``CONFIG_ERROR``.
     """
     from ..kv.session import KVPolicy
-    spec = KVPolicy.from_spec(policy if policy is not None
-                              else "m2xfp").spec()
+    spec = KVPolicy.from_spec(policy).spec()
     meta = {"session_id": str(session_id), "n_layers": int(n_layers),
             "policy": spec,
             "max_tokens": None if max_tokens is None else int(max_tokens),

@@ -5,9 +5,11 @@
 shared service keyed by **(format, dispatch mode, packed)**, so
 concurrent clients asking for the same arm ride one bit-identical
 micro-batching pipeline (and one weight memo) no matter which
-connection they arrived on. The event loop never quantizes — services
-run on their own collector threads and the loop awaits their futures —
-so connections stay responsive while CPU-bound passes run.
+connection they arrived on. Services run on their own collector
+threads and the loop awaits their futures, so connections stay
+responsive while CPU-bound passes run. The one exception is a
+decode-step KV session op (see ``_INLINE_MAX_ELEMENTS``): it costs
+less than the thread hop would, so it runs on the loop.
 
 Admission control is a bounded in-flight counter: once
 ``max_inflight`` requests are admitted and unanswered, further requests
@@ -115,6 +117,14 @@ def _env_float(name: str, default: float) -> float:
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {raw!r}") from None
 
+
+#: K+V elements up to which a session APPEND or READ runs on the event
+#: loop instead of hopping to a worker thread. A decode step (1 x 64 K
+#: and V per layer) costs less than the hop itself. A block at the
+#: bound (m2-nvfp4, the slowest format) holds the loop about as long
+#: as a hopped prefill already delays a PING through the GIL, about
+#: 14 ms on 2 vCPUs; anything larger keeps the hop.
+_INLINE_MAX_ELEMENTS = 1 << 14
 
 #: Frame kinds that carry admitted (in-flight-bounded) work.
 _SESSION_KINDS = (protocol.KIND_SESSION_OPEN, protocol.KIND_SESSION_APPEND,
@@ -546,18 +556,16 @@ class QuantServer:
         cfg = protocol.decode_session_open(frame)
         self.stats["session_opens"] += 1
         sid = cfg["session_id"]
-        from ..kv import KVCacheSession
+        from ..kv import KVCacheSession, KVPolicy
         entry = self._sessions.get(sid)
         if entry is not None:
             # Idempotent resume: the same config is acknowledged (with
             # the seq the client must continue from); a different one
-            # is a hard error — two writers must not share state.
-            fresh = KVCacheSession(cfg["n_layers"], cfg["policy"],
-                                   max_tokens=cfg["max_tokens"],
-                                   sink_tokens=cfg["sink_tokens"],
-                                   dispatch=cfg["dispatch"],
-                                   session_id=sid, verify=cfg["verify"])
-            if fresh.info() != entry.session.info():
+            # is a hard error — two writers must not share state. The
+            # check builds no session: one would replace the live
+            # session's registry collector under the shared id.
+            policy = KVPolicy.from_spec(cfg["policy"])
+            if {**cfg, "policy": policy.spec()} != entry.session.info():
                 raise ConfigError(
                     f"session {sid!r} is already open with a different "
                     f"configuration; close it first or pick a new id")
@@ -580,9 +588,11 @@ class QuantServer:
 
     @staticmethod
     def _traced_append(session, req: dict, tr) -> dict:
-        """Worker-thread append with the trace rebound (``to_thread``
-        hops threads, so the thread-local must be reinstalled here for
-        the codec's stage timers to see it)."""
+        """The append with ``tr`` bound as the calling thread's trace,
+        so the codec's stage timers see it: on a worker thread, because
+        ``to_thread`` does not carry the thread-local over; on the loop,
+        because the binding is scoped to this synchronous call and no
+        other request's code runs meanwhile."""
         if tr is None:
             return session.append(req["layer"], req["k"], req["v"])
         with obs.use_trace(tr):
@@ -606,8 +616,11 @@ class QuantServer:
                 # position stays in step with the client's counter.
                 entry.next_seq += 1
                 entry.last_ack = None
-                ack = await asyncio.to_thread(
-                    self._traced_append, entry.session, req, tr)
+                if req["k"].size + req["v"].size <= _INLINE_MAX_ELEMENTS:
+                    ack = self._traced_append(entry.session, req, tr)
+                else:
+                    ack = await asyncio.to_thread(
+                        self._traced_append, entry.session, req, tr)
                 ack = {**ack, "seq": seq, "duplicate": False}
                 entry.last_ack = ack
             elif seq == entry.next_seq - 1 and entry.last_ack is not None:
@@ -631,7 +644,10 @@ class QuantServer:
         sid, layer = protocol.decode_session_read(frame)
         self.stats["session_reads"] += 1
         entry = self._get_session(sid)
-        k, v = await asyncio.to_thread(entry.session.read, layer)
+        if entry.session.held_elements(layer) <= _INLINE_MAX_ELEMENTS:
+            k, v = entry.session.read(layer)
+        else:
+            k, v = await asyncio.to_thread(entry.session.read, layer)
         return protocol.encode_session_kv(frame.request_id, k, v,
                                           session_id=sid, layer=layer)
 
@@ -642,7 +658,7 @@ class QuantServer:
         if entry is None:
             self.stats["sessions_lost"] += 1
             raise SessionLost(f"unknown session {sid!r}; nothing to close")
-        final = await asyncio.to_thread(entry.session.close)
+        final = entry.session.close()   # stats only: runs on the loop
         return protocol.encode_session_ack(
             frame.request_id, {"session_id": sid, **final})
 

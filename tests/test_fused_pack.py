@@ -26,6 +26,7 @@ Three layers, mirroring DESIGN.md §11:
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,40 @@ def test_nvfp4_family_executors_match_reference(name, op):
                         x, tensor_amax, axis=axis).tobytes() \
                     == want.tobytes(), \
                     f"nvfp4 case {i}: calibrated tensor_amax {tensor_amax}"
+
+
+def _underflow_block() -> np.ndarray:
+    """A 1 x 64 row whose NVFP4 tensor scale underflows to 0."""
+    x = np.zeros((1, 64))
+    x[0, 0], x[0, 2] = 1.5e-323, -5e-324
+    return x
+
+
+@pytest.mark.parametrize("dispatch", ["fast", "reference"])
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
+@pytest.mark.parametrize("op", ["weight", "activation"])
+def test_nvfp4_family_tensor_scale_underflow(name, op, dispatch):
+    """Every |x| below about 1.3e-320 underflows the tensor scale to 0:
+    the container (laid out like a zero tensor's, no scale stream)
+    decodes to quantize's exact bytes, +0.0 throughout for NVFP4, with
+    verify on and no floating-point warning; fused and re-derived
+    containers agree."""
+    fmt = make_format(name)
+    x = _underflow_block()
+    with warnings.catch_warnings(), DISPATCH[dispatch]():
+        warnings.simplefilter("error")
+        want = (fmt.quantize_weight(x) if op == "weight"
+                else fmt.quantize_activation(x))
+        with collect_encode_stats() as stats:
+            pt = encode(fmt, x, op=op, verify=True)
+        got = decode(pt.to_bytes(), fmt=fmt)
+        rederived = _rederived(name, x, op)
+    assert got.tobytes() == want.tobytes()
+    assert pt.to_bytes() == rederived.to_bytes()
+    assert "scales" not in pt.streams
+    assert stats["fused_encodes"] == (dispatch == "fast")
+    if name == "nvfp4":
+        assert not np.signbit(got).any() and not got.any()
 
 
 def test_plan_cache_serves_the_codes_sibling(rng):

@@ -31,8 +31,11 @@ The contract under test, in order of importance:
 from __future__ import annotations
 
 import json
+import os
+import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +448,55 @@ def test_impossible_append_refused_without_side_effects(rng):
     assert sess.positions(0) == [(0, 4), (8, 4)]
 
 
+def test_counters_track_positions_under_churn():
+    """Seeded appends of mixed sizes over two layers, with sinks,
+    evictions and refused over-budget appends: after every step the
+    held-token counters behind ``tokens_held()``, the ack and
+    ``stats()`` equal the sum over ``positions()``, and a refused
+    append leaves every counter as it was."""
+    rng = np.random.default_rng(31)
+    sess = KVCacheSession(2, "m2xfp", max_tokens=24, sink_tokens=6)
+    refused = 0
+    for _ in range(160):
+        layer = int(rng.integers(2))
+        t = int(rng.choice([1, 1, 1, 2, 3, 5, 8, 20]))
+        before = (sess.stats(), sess.positions(layer))
+        try:
+            ack = sess.append(layer, _block(rng, t), _block(rng, t))
+        except ConfigError:
+            refused += 1
+            assert (sess.stats(), sess.positions(layer)) == before
+            continue
+        held = sum(n for _, n in sess.positions(layer))
+        assert ack["tokens_held"] == sess.tokens_held(layer) == held
+        assert sess.stats()["tokens_held"] == \
+            [sum(n for _, n in sess.positions(i)) for i in range(2)]
+        assert sess.held_elements(layer) == 2 * held * 64
+    stats = sess.stats()
+    assert refused and stats["evicted_blocks"]
+    assert sum(stats["tokens_held"]) == \
+        stats["tokens_appended"] - stats["evicted_tokens"]
+
+
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
+def test_append_of_underflowing_tensor_scale(name, rng):
+    """A block whose NVFP4 tensor scale underflows to 0 is accepted with
+    verify on, between ordinary blocks, and reads back each block's own
+    decode."""
+    fmt = make_format(name)
+    tiny = np.zeros((1, 64))
+    tiny[0, 0], tiny[0, 2] = 1.5e-323, -5e-324
+    blocks = [_block(rng, 1), tiny, _block(rng, 2)]
+    sess = KVCacheSession(1, name)
+    for b in blocks:
+        sess.append(0, b, b)
+    K, V = sess.read(0)
+    expect = np.concatenate(
+        [decode(encode(fmt, b, op="weight").to_bytes(), fmt=fmt)
+         for b in blocks])
+    assert K.tobytes() == V.tobytes() == expect.tobytes()
+
+
 def test_no_budget_means_no_eviction(rng):
     sess = KVCacheSession(1, "m2xfp")
     for _ in range(10):
@@ -630,6 +682,116 @@ def test_wire_session_table_is_bounded():
         cli.session_open(session_id="c", n_layers=1)
         health = cli.ping()
         assert health["sessions"] == {"open": 2, "max_sessions": 2}
+
+
+def _kv_collectors(prefix: str) -> dict:
+    """The registry snapshot's entries for sessions whose id starts
+    with ``prefix``, by name."""
+    return {name: val for name, val in obs_registry().snapshot().items()
+            if name.startswith(f"kv.{prefix}")}
+
+
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors through /proc")
+def test_session_churn_soak_stays_bounded(monkeypatch):
+    """About 2,000 session ops on one server: appends of 1 to 300 rows
+    (some above the inline bound), reads, open/close churn, resumes and
+    a few connections dropped with an append in flight. Threads, file
+    descriptors and the session table stay bounded, every ``kv.soak-*``
+    registry collector reports its live session, and none outlives
+    it."""
+    monkeypatch.delenv(NO_METRICS_ENV, raising=False)
+    rng = np.random.default_rng(43)
+    threads0, fds0 = threading.active_count(), _fd_count()
+    peaks = {"threads": 0, "fds": 0, "sessions": 0}
+    with ServerThread(port=0, max_sessions=6) as st:
+        clients = [QuantClient(port=st.port).connect()]
+        try:
+            opened = _soak(st, clients, rng, peaks)
+        finally:
+            clients[-1].close()
+        assert not st.server._sessions
+    assert opened > 20 and peaks["sessions"] <= 6
+    assert peaks["threads"] <= threads0 + 12
+    assert peaks["fds"] <= fds0 + 16
+    assert not _kv_collectors("soak-")
+    deadline = time.monotonic() + 10.0
+    while threading.active_count() > threads0 and \
+            time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert threading.active_count() <= threads0
+    assert _fd_count() <= fds0
+
+
+def _soak(st, clients: list, rng, peaks: dict) -> int:
+    """The soak's op loop; ``clients[-1]`` is the live connection (a
+    dropped one is replaced). Closes every session it opened and
+    returns how many that was."""
+    opened, live, held = 0, {}, {}   # session id -> next seq, appends
+    cfg = {"n_layers": 2, "max_tokens": 320, "sink_tokens": 4,
+           "policy": {"default": "m2xfp", "overrides": {"1": "nvfp4"}}}
+    for step in range(2000):
+        cli, roll = clients[-1], rng.random()
+        if step % 50 == 0:
+            peaks["threads"] = max(peaks["threads"],
+                                   threading.active_count())
+            peaks["fds"] = max(peaks["fds"], _fd_count())
+            peaks["sessions"] = max(peaks["sessions"],
+                                    len(st.server._sessions))
+            collectors = _kv_collectors("soak-")
+            assert set(collectors) == {f"kv.{sid}" for sid in live}
+            for sid in live:    # each reports its own live session
+                assert collectors[f"kv.{sid}"]["appends"] == held[sid]
+        if not live or (roll < 0.06 and len(live) < 6):
+            sid = f"soak-{opened}"
+            opened += 1
+            cli.session_open(session_id=sid, **cfg)
+            live[sid] = held[sid] = 0
+            continue
+        sid = sorted(live)[int(rng.integers(len(live)))]
+        layer = int(rng.integers(2))
+        if roll < 0.11:
+            final = cli.session_close(sid)
+            del live[sid]
+            assert final["appends"] == held.pop(sid)
+        elif roll < 0.12:
+            # Drop the connection with an append in flight, then resume
+            # on a new one and retry that seq.
+            k = _block(rng, 1)
+            with socket.create_connection(("127.0.0.1", st.port)) as raw:
+                raw.sendall(protocol.encode_session_append(
+                    999, session_id=sid, layer=layer, seq=live[sid],
+                    k=k, v=k))
+            cli.close()
+            clients.append(QuantClient(port=st.port).connect())
+            cli = clients[-1]
+            ack = cli.session_open(session_id=sid, **cfg)
+            assert ack["resumed"] and ack["next_seq"] - live[sid] in (0, 1)
+            cli.session_append(sid, layer, k, k, seq=live[sid])
+            live[sid] += 1
+            held[sid] += 1
+        elif roll < 0.3:
+            K, V = cli.session_read(sid, layer)
+            assert K.shape == V.shape
+        else:
+            t = int(rng.choice([1, 1, 1, 1, 2, 3, 300]))
+            k = _block(rng, t)
+            seq = live[sid]
+            live[sid] += 1      # a refused append consumes its seq
+            try:
+                ack = cli.session_append(sid, layer, k, k[::-1], seq=seq)
+            except ConfigError:     # 300 rows past a 300-row sink
+                continue
+            assert ack["tokens_held"] <= 320
+            held[sid] += 1
+    for sid in live:
+        clients[-1].session_close(sid)
+    return opened
 
 
 # ----------------------------------------------------------------------

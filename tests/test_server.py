@@ -465,6 +465,61 @@ def test_server_thread_drain_method(rng):
 # ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# KV session ops: on the event loop up to the bound, a thread hop above
+# ----------------------------------------------------------------------
+def _session_script(cli, k, v, at: int, calls: list) -> tuple[list, list]:
+    """One session's ops below, at and one row above ``at`` K/V rows:
+    how many ``asyncio.to_thread`` calls (logged in ``calls``) each op
+    made, and what it answered."""
+    seq = iter(range(8))
+    ops = [
+        lambda: cli.session_append("s", 0, k[:1], v[:1], seq=next(seq)),
+        lambda: cli.session_read("s", 0),
+        lambda: cli.session_append("s", 1, k[:at], v[:at], seq=next(seq)),
+        lambda: cli.session_read("s", 1),
+        lambda: cli.session_append("s", 1, k[:1], v[:1], seq=next(seq)),
+        lambda: cli.session_read("s", 1),            # one row above
+        lambda: cli.session_append("s", 0, k[:at + 1], v[:at + 1],
+                                   seq=next(seq)),
+        lambda: cli.session_close("s"),
+    ]
+    cli.session_open(session_id="s", n_layers=2, policy="m2xfp")
+    hops, answers = [], []
+    for op in ops:
+        before = len(calls)
+        out = op()
+        hops.append(len(calls) - before)
+        answers.append(b"".join(a.tobytes() for a in out)
+                       if isinstance(out, tuple) else out)
+    return hops, answers
+
+
+def test_session_ops_run_inline_up_to_the_bound(rng, monkeypatch):
+    """A decode-step append, its READ and CLOSE make no thread hop; an
+    append or READ one row above the bound makes exactly one. With the
+    bound at 0 every append and READ hops, and the acks and READ bytes
+    are identical either way."""
+    real, calls = asyncio.to_thread, []
+
+    async def counting(fn, *args, **kwargs):
+        calls.append(fn)
+        return await real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", counting)
+    from repro.server.server import _INLINE_MAX_ELEMENTS
+    at = _INLINE_MAX_ELEMENTS // (2 * 64)   # K+V rows at the bound
+    k, v = rng.standard_normal((2, at + 1, 64))
+    with ServerThread(port=0) as st, QuantClient(port=st.port) as cli:
+        hops, inline = _session_script(cli, k, v, at, calls)
+    assert hops == [0, 0, 0, 0, 0, 1, 1, 0]
+    monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
+    with ServerThread(port=0) as st, QuantClient(port=st.port) as cli:
+        hops, hopped = _session_script(cli, k, v, at, calls)
+    assert hops == [1, 1, 1, 1, 1, 1, 1, 0]
+    assert inline == hopped
+
+
 def test_cli_serve_parses_and_wires_config(monkeypatch):
     from repro.runner import cli as cli_mod
 
