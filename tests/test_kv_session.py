@@ -352,6 +352,25 @@ def test_arena_keeps_each_tensor_scale(name, op, rng, monkeypatch):
     assert np.signbit(K[3, ::3]).all()
 
 
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
+def test_append_of_underflowing_tensor_scale(name, rng):
+    """A block whose NVFP4 tensor scale underflows to 0 is accepted with
+    verify on, between ordinary blocks, and reads back each block's own
+    decode."""
+    fmt = make_format(name)
+    tiny = np.zeros((1, 64))
+    tiny[0, 0], tiny[0, 2] = 1.5e-323, -5e-324
+    blocks = [_block(rng, 1), tiny, _block(rng, 2)]
+    sess = KVCacheSession(1, name)
+    for b in blocks:
+        sess.append(0, b, b)
+    K, V = sess.read(0)
+    expect = np.concatenate(
+        [decode(encode(fmt, b, op="weight").to_bytes(), fmt=fmt)
+         for b in blocks])
+    assert K.tobytes() == V.tobytes() == expect.tobytes()
+
+
 def test_arena_fp16_mixed_storage(rng, monkeypatch):
     """fp16 blocks stored as f16 and as f64 never share a run."""
     fmt = make_format("fp16")
@@ -476,25 +495,6 @@ def test_counters_track_positions_under_churn():
     assert refused and stats["evicted_blocks"]
     assert sum(stats["tokens_held"]) == \
         stats["tokens_appended"] - stats["evicted_tokens"]
-
-
-@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
-def test_append_of_underflowing_tensor_scale(name, rng):
-    """A block whose NVFP4 tensor scale underflows to 0 is accepted with
-    verify on, between ordinary blocks, and reads back each block's own
-    decode."""
-    fmt = make_format(name)
-    tiny = np.zeros((1, 64))
-    tiny[0, 0], tiny[0, 2] = 1.5e-323, -5e-324
-    blocks = [_block(rng, 1), tiny, _block(rng, 2)]
-    sess = KVCacheSession(1, name)
-    for b in blocks:
-        sess.append(0, b, b)
-    K, V = sess.read(0)
-    expect = np.concatenate(
-        [decode(encode(fmt, b, op="weight").to_bytes(), fmt=fmt)
-         for b in blocks])
-    assert K.tobytes() == V.tobytes() == expect.tobytes()
 
 
 def test_no_budget_means_no_eviction(rng):

@@ -463,9 +463,6 @@ def test_server_thread_drain_method(rng):
 
 
 # ----------------------------------------------------------------------
-# CLI wiring
-# ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
 # KV session ops: on the event loop up to the bound, a thread hop above
 # ----------------------------------------------------------------------
 def _session_script(cli, k, v, at: int, calls: list) -> tuple[list, list]:
@@ -520,6 +517,9 @@ def test_session_ops_run_inline_up_to_the_bound(rng, monkeypatch):
     assert inline == hopped
 
 
+# ----------------------------------------------------------------------
+# CLI wiring
+# ----------------------------------------------------------------------
 def test_cli_serve_parses_and_wires_config(monkeypatch):
     from repro.runner import cli as cli_mod
 
