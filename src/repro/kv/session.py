@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import deque
 
 import numpy as np
@@ -252,8 +253,10 @@ class KVCacheSession:
         self._encode_stats = {"fused_encodes": 0, "fused_appends": 0,
                               "quantize_s": 0.0, "pack_s": 0.0,
                               "verify_s": 0.0}
-        obs_registry().register_collector(f"kv.{self.session_id}",
-                                          self._collect_metrics)
+        # Weakly held: a session dropped without close() must not live
+        # on in the process-global registry.
+        obs_registry().register_collector(
+            f"kv.{self.session_id}", weakref.WeakMethod(self._collect_metrics))
 
     # ------------------------------------------------------------------
     # Public API

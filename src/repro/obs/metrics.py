@@ -34,7 +34,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
+import weakref
+
+import numpy as np
 
 #: Kill switch: with ``REPRO_NO_METRICS=1`` gated instrument writes
 #: no-op and ``snapshot()`` returns ``{}`` (so HEALTH meta stays lean).
@@ -57,7 +59,7 @@ def quantile(sorted_values, q: float) -> float:
     ``/metrics`` p50/p99 and the server-side histograms must agree on
     one code path (ISSUE 10 satellite 2), so both call here.
     """
-    if not sorted_values:
+    if len(sorted_values) == 0:
         return 0.0
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
@@ -107,14 +109,18 @@ class Gauge:
 
 class Histogram:
     """Bounded-reservoir histogram: last ``window`` observations plus a
-    lifetime count. Quantiles are nearest-rank over the reservoir."""
+    lifetime count. Quantiles are nearest-rank over the reservoir.
 
-    __slots__ = ("_window", "_values", "_count", "_lock", "_gated")
+    The reservoir is a fixed float64 ring, so a read sorts one array
+    copy in numpy instead of a Python list of floats.
+    """
+
+    __slots__ = ("_window", "_ring", "_count", "_lock", "_gated")
 
     def __init__(self, window: int = DEFAULT_WINDOW, *,
                  gated: bool = True):
         self._window = int(window)
-        self._values: deque = deque(maxlen=self._window)
+        self._ring = np.empty(self._window, dtype=np.float64)
         self._count = 0
         self._lock = threading.Lock()
         self._gated = gated
@@ -131,25 +137,32 @@ class Histogram:
         if self._gated and not metrics_enabled():
             return
         with self._lock:
-            self._values.append(float(v))
+            self._ring[self._count % self._window] = v
             self._count += 1
+
+    def _sorted(self) -> tuple[int, np.ndarray]:
+        """Lifetime count and an ascending copy of the reservoir."""
+        with self._lock:
+            count = self._count
+            vals = self._ring[:min(count, self._window)].copy()
+        vals.sort()
+        return count, vals
 
     def values(self) -> list:
         """Ascending copy of the current reservoir."""
-        with self._lock:
-            return sorted(self._values)
+        return self._sorted()[1].tolist()
 
     def quantile(self, q: float) -> float:
         return quantile(self.values(), q)
 
     def summary(self) -> dict:
         """JSON-safe ``{count, p50, p95, p99}`` in observed units."""
-        vals = self.values()
+        count, vals = self._sorted()
         return {
-            "count": self._count,
-            "p50": quantile(vals, 0.50),
-            "p95": quantile(vals, 0.95),
-            "p99": quantile(vals, 0.99),
+            "count": count,
+            "p50": float(quantile(vals, 0.50)),
+            "p95": float(quantile(vals, 0.95)),
+            "p99": float(quantile(vals, 0.99)),
         }
 
 
@@ -192,7 +205,9 @@ class MetricsRegistry:
         """``fn()`` must return a JSON-safe dict; it is called only at
         snapshot time. Last registration wins on a name collision (a
         service arm restarted under the same key supersedes the old
-        one)."""
+        one). ``fn`` may be a ``weakref.WeakMethod``: the registry then
+        does not keep the owner alive, and a collected owner's entry
+        drops out at the next snapshot."""
         with self._lock:
             self._collectors[name] = fn
 
@@ -230,6 +245,13 @@ class MetricsRegistry:
             else:
                 out[name] = inst.value
         for name, fn in collectors.items():
+            if isinstance(fn, weakref.ref):
+                ref, fn = fn, fn()
+                if fn is None:
+                    with self._lock:
+                        if self._collectors.get(name) is ref:
+                            del self._collectors[name]
+                    continue
             try:
                 out[name] = dict(fn())
             except Exception as exc:  # pragma: no cover - defensive

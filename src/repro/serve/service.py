@@ -5,7 +5,10 @@
 get futures back, a collector thread micro-batches compatible requests
 (same operand path, same reduction width) into one kernel-dispatched
 quantization pass, and an optional thread pool overlaps independent
-batches (NumPy releases the GIL inside the hot loops). Batching is
+batches (NumPy releases the GIL inside the hot loops). ``run_inline()``
+quantizes one tensor on the caller's own thread through the same
+per-group code, for callers to whom the thread hop costs more than the
+batching saves (the server's small requests). Batching is
 work-conserving (iteration-level scheduling, as in Orca): a batch is
 whatever queued while the previous batch ran, and nothing waits on a
 timer, so a lone request costs its compute and no more. Group-wise
@@ -147,6 +150,8 @@ class QuantService:
                               f"got {dispatch!r}")
         self.dispatch = dispatch
         self.fmt = fmt
+        #: ``repr(fmt)``, the configuration fingerprint wire requests pin.
+        self.fingerprint = repr(fmt)
         self.packed = bool(packed)
         self.max_batch = int(max_batch)
         self._batchable = not (_tensor_scoped(fmt) or self.packed)
@@ -188,12 +193,29 @@ class QuantService:
         submit via ``asyncio.to_thread``, which hops threads and loses
         the thread-local.
         """
+        return self._accept(x, op, trace, inline=False)
+
+    def run_inline(self, x: np.ndarray, op: str = "activation", *,
+                   trace=None):
+        """Quantize one tensor on the calling thread and return the result.
+
+        The request skips the queue, so it never batches, but otherwise
+        takes the collector's own path: the closed check, the stats, the
+        weight memo, the dispatch pin, the latency histogram and the
+        spans. A traced request's ``queue`` span runs from the trace's
+        start (for the server, frame receipt) to execution start.
+        """
+        return self._accept(x, op, trace, inline=True).result()
+
+    def _accept(self, x, op: str, trace, *, inline: bool) -> Future:
         if op not in _OPS:
             raise ConfigError(f"op must be one of {_OPS}, got {op!r}")
         fut: Future = Future()
         req = _Request(np.asarray(x, dtype=np.float64), op, fut)
         req.trace = trace if trace is not None else current_trace()
-        if req.trace is not None or metrics_enabled():
+        if req.trace is not None:
+            req.t_enqueue = req.trace.t0 if inline else time.perf_counter()
+        elif metrics_enabled():
             req.t_enqueue = time.perf_counter()
         cached = self._weight_lookup(req)
         # The closed-check and the enqueue are atomic against close(), so
@@ -203,17 +225,20 @@ class QuantService:
             if self._closed:
                 raise ConfigError(
                     "QuantService is closed; submit() is no longer accepted")
-            if cached is None and not self._collector.is_alive():
+            if cached is None and not inline \
+                    and not self._collector.is_alive():
                 raise ConfigError(
                     "QuantService collector thread has died; the service "
                     "cannot process new requests — create a fresh one")
             self._stats["requests"] += 1
             if cached is not None:
                 self._stats["weight_cache_hits"] += 1
-            else:
+            elif not inline:
                 self._queue.put(req)
         if cached is not None:
             fut.set_result(cached)
+        elif inline:
+            self._process_group(("solo", id(req)), [req])
         return fut
 
     def quantize(self, x: np.ndarray, op: str = "activation"):
@@ -289,7 +314,9 @@ class QuantService:
         """True when this service's batches run the reference kernels.
 
         Batches run on service threads, outside any caller's dispatch
-        scope, so ``"inherit"`` follows the environment alone.
+        scope, so ``"inherit"`` follows the environment alone. An inline
+        request inside a caller's scope may compute in the other mode;
+        the two are bit-identical, so the memo holds the same bytes.
         """
         if self.dispatch == "inherit":
             from ..kernels.dispatch import REFERENCE_ENV

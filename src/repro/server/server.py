@@ -5,11 +5,12 @@
 shared service keyed by **(format, dispatch mode, packed)**, so
 concurrent clients asking for the same arm ride one bit-identical
 micro-batching pipeline (and one weight memo) no matter which
-connection they arrived on. Services run on their own collector
-threads and the loop awaits their futures, so connections stay
-responsive while CPU-bound passes run. The one exception is a
-decode-step KV session op (see ``_INLINE_MAX_ELEMENTS``): it costs
-less than the thread hop would, so it runs on the loop.
+connection they arrived on. One rule decides where work runs (see
+``_INLINE_MAX_ELEMENTS``): a quantize request or KV session op of at
+most 2^14 elements runs on the event loop, because it costs less than
+the thread hop would; anything larger hops to a thread (a quantize
+request to its service's collector, where it can micro-batch), so
+connections stay responsive while big CPU-bound passes run.
 
 Admission control is a bounded in-flight counter: once
 ``max_inflight`` requests are admitted and unanswered, further requests
@@ -118,12 +119,16 @@ def _env_float(name: str, default: float) -> float:
         raise ConfigError(f"{name} must be a number, got {raw!r}") from None
 
 
-#: K+V elements up to which a session APPEND or READ runs on the event
-#: loop instead of hopping to a worker thread. A decode step (1 x 64 K
-#: and V per layer) costs less than the hop itself. A block at the
-#: bound (m2-nvfp4, the slowest format) holds the loop about as long
-#: as a hopped prefill already delays a PING through the GIL, about
-#: 14 ms on 2 vCPUs; anything larger keeps the hop.
+#: The one inline rule: a quantize request of at most this many
+#: elements, a session APPEND of at most this many K+V elements and a
+#: session READ of at most this many held elements run on the event
+#: loop; anything larger hops to a thread. For small work the hop (a
+#: queue put, a thread wake-up and a future resolved across threads)
+#: costs more than the work: a decode step (1 x 64 K and V per layer),
+#: or a wire request of a few rows. Inline requests never micro-batch.
+#: Work at the bound (an m2-nvfp4 weight, the slowest) holds the loop
+#: 14-18 ms on 2 vCPUs, about as long as a hopped pass already delays
+#: a PING through the GIL.
 _INLINE_MAX_ELEMENTS = 1 << 14
 
 #: Frame kinds that carry admitted (in-flight-bounded) work.
@@ -453,33 +458,28 @@ class QuantServer:
                 svc = self._get_service(req)
                 if tr is not None:
                     tr.arm = svc.arm
-                if req.fingerprint and req.fingerprint != repr(svc.fmt):
+                if req.fingerprint and req.fingerprint != svc.fingerprint:
                     raise ConfigError(
                         f"format fingerprint mismatch: request pinned "
-                        f"{req.fingerprint}, server built {svc.fmt!r}")
-                if req.op == "weight":
+                        f"{req.fingerprint}, server built {svc.fingerprint}")
+                if req.x.size <= _INLINE_MAX_ELEMENTS:
+                    result = svc.run_inline(req.x, req.op, trace=tr)
+                elif req.op == "weight":
                     # Weight submits digest the whole tensor for the
                     # memo — do that off the loop so big weight uploads
                     # cannot stall other connections.
                     fut = await asyncio.to_thread(svc.submit, req.x,
                                                   req.op, trace=tr)
+                    result = await asyncio.wrap_future(fut)
                 else:
-                    fut = svc.submit(req.x, op=req.op, trace=tr)
-                result = await asyncio.wrap_future(fut)
+                    result = await asyncio.wrap_future(
+                        svc.submit(req.x, op=req.op, trace=tr))
                 if tr is not None:
                     with tr.span("serialize"):
-                        data = protocol.encode_response_packed(
-                            rid, result.to_bytes(),
-                            fingerprint=repr(svc.fmt)) if req.packed \
-                            else protocol.encode_response_array(
-                                rid, result, fingerprint=repr(svc.fmt))
+                        data = self._encode_result(rid, req, svc, result)
                     obs.export(tr)
-                elif req.packed:
-                    data = protocol.encode_response_packed(
-                        rid, result.to_bytes(), fingerprint=repr(svc.fmt))
                 else:
-                    data = protocol.encode_response_array(
-                        rid, result, fingerprint=repr(svc.fmt))
+                    data = self._encode_result(rid, req, svc, result)
             except asyncio.CancelledError:
                 # Server-initiated teardown, not a request failure: let
                 # cancellation propagate (the transport is closing).
@@ -502,6 +502,15 @@ class QuantServer:
             if self.max_requests is not None and \
                     self.stats["responses"] >= self.max_requests:
                 self.request_stop()
+
+    @staticmethod
+    def _encode_result(rid: int, req: protocol.QuantRequest, svc,
+                       result) -> bytes:
+        if req.packed:
+            return protocol.encode_response_packed(
+                rid, result.to_bytes(), fingerprint=svc.fingerprint)
+        return protocol.encode_response_array(rid, result,
+                                              fingerprint=svc.fingerprint)
 
     async def _answer(self, writer, wlock, data: bytes) -> None:
         await self._send(writer, wlock, data)

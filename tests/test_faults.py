@@ -586,6 +586,7 @@ class _StalledKVService:
     def __init__(self):
         from repro.runner.formats import make_format
         self.fmt = make_format("m2xfp")
+        self.fingerprint = repr(self.fmt)
         self.futures: list = []
         self.released = threading.Event()
 
@@ -613,6 +614,8 @@ def test_drain_rejects_session_ops_but_admits_close(rng, monkeypatch):
     stub = _StalledKVService()
     monkeypatch.setattr(QuantServer, "_get_service",
                         lambda self, req: stub)
+    # Only a hopped quantize request reaches the stub's stalling submit.
+    monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     st = ServerThread(port=0).__enter__()
     try:
         with QuantClient(port=st.port, timeout=30.0) as cli:

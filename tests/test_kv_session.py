@@ -600,6 +600,19 @@ def test_context_manager_closes(rng):
     assert sess.closed
 
 
+def test_dropped_session_leaves_the_registry(rng):
+    """A session dropped without ``close()`` is not kept alive by its
+    registry collector, and drops out of the snapshot once collected."""
+    import gc
+
+    sess = KVCacheSession(1, "m2xfp", session_id="dropped-unclosed")
+    sess.append(0, _block(rng, 2), _block(rng, 2))
+    assert "kv.dropped-unclosed" in obs_registry().snapshot()
+    del sess
+    gc.collect()
+    assert "kv.dropped-unclosed" not in obs_registry().snapshot()
+
+
 def test_empty_layer_reads_empty():
     sess = KVCacheSession(1, "m2xfp")
     K, V = sess.read(0)

@@ -99,6 +99,27 @@ def test_histogram_bounded_reservoir_and_summary():
                        "p99": 19.0}
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 100, 4096, 4097, 10_000])
+def test_histogram_ring_matches_sorted_window_quantiles(n):
+    """The ring reservoir reports what a sorted list of the last
+    ``window`` observations does, before and after it wraps."""
+    from collections import deque
+
+    rng = np.random.default_rng(n)
+    samples = rng.lognormal(-7.0, 1.5, n).tolist()
+    hist = Histogram()
+    for v in samples:
+        hist.observe(v)
+    window = sorted(deque(samples, maxlen=DEFAULT_WINDOW))
+    assert hist.values() == window
+    assert hist.summary() == {"count": n,
+                              "p50": quantile(window, 0.50),
+                              "p95": quantile(window, 0.95),
+                              "p99": quantile(window, 0.99)}
+    for q in (0.01, 0.5, 0.999):
+        assert hist.quantile(q) == quantile(window, q)
+
+
 def test_gated_instruments_noop_when_disabled(monkeypatch):
     counter, gauge, hist = Counter(), Gauge(), Histogram()
     ungated = Counter(gated=False)

@@ -153,8 +153,9 @@ def test_weight_cache_hits(rng):
     with QuantService("sg-em") as svc:
         a = svc.quantize(w, op="weight")
         b = svc.quantize(w, op="weight")
-        assert a.tobytes() == b.tobytes()
-        assert svc.stats()["weight_cache_hits"] == 1
+        c = svc.run_inline(w, op="weight")   # one memo for both paths
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert svc.stats()["weight_cache_hits"] == 2
 
 
 def test_packed_mode_returns_containers_with_footprint(rng):
@@ -171,15 +172,19 @@ def test_errors_propagate_through_futures():
         fut = svc.submit(np.array([[np.nan] * 32]))
         with pytest.raises(FormatError):
             fut.result(timeout=10)
+        with pytest.raises(FormatError):
+            svc.run_inline(np.array([[np.nan] * 32]))
 
 
 def test_submit_validation(rng):
     svc = QuantService("mxfp4")
-    with pytest.raises(ConfigError):
-        svc.submit(rng.standard_normal(8), op="nope")
+    for call in (svc.submit, svc.run_inline):
+        with pytest.raises(ConfigError):
+            call(rng.standard_normal(8), op="nope")
     svc.close()
-    with pytest.raises(ConfigError, match="closed"):
-        svc.submit(rng.standard_normal(8))
+    for call in (svc.submit, svc.run_inline):
+        with pytest.raises(ConfigError, match="closed"):
+            call(rng.standard_normal(8))
     svc.close()  # idempotent
 
 

@@ -308,6 +308,7 @@ class _StalledService:
 
     def __init__(self):
         self.fmt = make_format("m2xfp")
+        self.fingerprint = repr(self.fmt)
         self.futures: list[Future] = []
         self.released = threading.Event()
 
@@ -332,6 +333,8 @@ def test_busy_backpressure_not_a_hang(rng, monkeypatch):
     """At the in-flight bound the server answers BUSY immediately."""
     stub = _StalledService()
     monkeypatch.setattr(QuantServer, "_get_service", lambda self, req: stub)
+    # Only a hopped request reaches the stub's stalling submit.
+    monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     with ServerThread(port=0, max_inflight=2) as st:
         with QuantClient(port=st.port, timeout=30.0) as cli:
             x = rng.standard_normal((2, 32))
@@ -374,6 +377,8 @@ def test_drain_finishes_inflight_then_exits(rng, monkeypatch):
     x = rng.standard_normal((2, 32))
     stub = _StalledService()
     monkeypatch.setattr(QuantServer, "_get_service", lambda self, req: stub)
+    # Only a hopped request reaches the stub's stalling submit.
+    monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     st = ServerThread(port=0).__enter__()
     try:
         with QuantClient(port=st.port, timeout=30.0) as cli:
@@ -514,6 +519,88 @@ def test_session_ops_run_inline_up_to_the_bound(rng, monkeypatch):
     with ServerThread(port=0) as st, QuantClient(port=st.port) as cli:
         hops, hopped = _session_script(cli, k, v, at, calls)
     assert hops == [1, 1, 1, 1, 1, 1, 1, 0]
+    assert inline == hopped
+
+
+#: Each quantize case of the inline test: (op, packed, row count).
+_QUANTIZE_CASES = [(op, packed, rows) for op in ("activation", "weight")
+                   for packed in (False, True) for rows in ("at", "above")]
+
+
+def _quantize_script(x, at: int, calls: list) -> tuple[list, list, dict]:
+    """Each of ``_QUANTIZE_CASES`` against a fresh server: the hops it
+    made (``calls`` entries), its answer bytes, and the server's
+    ``serve.*`` collector stats afterwards."""
+    hops, answers = [], []
+    with ServerThread(port=0) as st, QuantClient(port=st.port) as cli:
+        for op, packed, rows in _QUANTIZE_CASES:
+            xs = x[:at] if rows == "at" else x
+            before = len(calls)
+            out = cli.quantize(xs, fmt="m2xfp", op=op, packed=packed)
+            hops.append(sorted(calls[before:]))
+            expect = local_expected(xs, fmt="m2xfp", op=op, packed=packed)
+            got = out.to_bytes() if packed else out.tobytes()
+            assert got == (expect.to_bytes() if packed
+                           else expect.tobytes()), (op, packed, rows)
+            answers.append(got)
+        metrics = cli.server_stats()["metrics"]
+    return hops, answers, {k: v for k, v in metrics.items()
+                           if k.startswith("serve.") and
+                           not k.endswith(".latency")}
+
+
+def test_quantize_requests_run_inline_up_to_the_bound(rng, monkeypatch,
+                                                      tmp_path):
+    """A quantize request of at most ``_INLINE_MAX_ELEMENTS`` elements
+    makes no hop, for either op, packed or not; one row above it goes
+    through ``QuantService.submit`` (a weight request via one
+    ``asyncio.to_thread``). Answers are the local library's bytes and
+    identical with the bound at 0, inline requests keep their spans,
+    and the ``serve.<arm>`` stats count them."""
+    from repro.obs import TRACE_ENV, TRACE_PATH_ENV
+    from repro.serve import QuantService
+    from repro.server.server import _INLINE_MAX_ELEMENTS
+
+    real_to_thread, real_submit, calls = \
+        asyncio.to_thread, QuantService.submit, []
+
+    async def counting_to_thread(fn, *args, **kwargs):
+        calls.append("to_thread")
+        return await real_to_thread(fn, *args, **kwargs)
+
+    def counting_submit(self, *args, **kwargs):
+        calls.append("submit")
+        return real_submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+    monkeypatch.setattr(QuantService, "submit", counting_submit)
+    width = 256
+    at = _INLINE_MAX_ELEMENTS // width          # rows at the bound
+    x = rng.standard_normal((at + 1, width))
+    trace_path = tmp_path / "trace.jsonl"
+    monkeypatch.setenv(TRACE_ENV, "1")
+    monkeypatch.setenv(TRACE_PATH_ENV, str(trace_path))
+    hops, inline, stats = _quantize_script(x, at, calls)
+    monkeypatch.delenv(TRACE_ENV)
+    hopped_once = {"activation": ["submit"],
+                   "weight": ["submit", "to_thread"]}
+    assert hops == [[] if rows == "at" else hopped_once[op]
+                    for op, _, rows in _QUANTIZE_CASES]
+    for arm in ("m2xfp:inherit:unpacked", "m2xfp:inherit:packed"):
+        assert stats[f"serve.{arm}"]["requests"] == 4
+        assert stats[f"serve.{arm}"]["batches"] == 4
+    records = [json.loads(line)
+               for line in trace_path.read_text().splitlines()]
+    assert len(records) == len(_QUANTIZE_CASES)
+    for rec, (_, packed, _) in zip(records, _QUANTIZE_CASES):
+        assert [s["name"] for s in rec["spans"]] == \
+            ["queue", "batch", "quantize"] + (["pack"] if packed else []) \
+            + ["serialize"]
+        assert all(s["dur_s"] >= 0.0 for s in rec["spans"])
+
+    monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
+    hops, hopped, _ = _quantize_script(x, at, calls)
+    assert hops == [hopped_once[op] for op, _, _ in _QUANTIZE_CASES]
     assert inline == hopped
 
 
