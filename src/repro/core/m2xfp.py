@@ -171,7 +171,8 @@ class M2NVFP4(TensorFormat):
             for mult in SG_EM_MULTIPLIERS:
                 s = (scales * bias)[:, None, None] * mult
                 q = FP4_E2M1.quantize(subs / s) * s
-                err = np.sum((q - subs) ** 2, axis=2)
+                with np.errstate(over="ignore"):  # inf error: never taken
+                    err = np.sum((q - subs) ** 2, axis=2)
                 better = err < sub_err
                 sub_err = np.where(better, err, sub_err)
                 sub_dq = np.where(better[:, :, None], q, sub_dq)

@@ -126,7 +126,8 @@ def sg_ee_encode(groups: np.ndarray, sub_size: int = 8, meta_bits: int = 2,
             for d in range(d_max + 1):
                 s = scale[:, None, None] / (1 << d)
                 q = FP4_E2M1.quantize(subs / s)
-                err = np.sum((q * s - subs) ** 2, axis=2)
+                with np.errstate(over="ignore"):  # inf error: never taken
+                    err = np.sum((q * s - subs) ** 2, axis=2)
                 better = err < sub_err
                 sub_err = np.where(better, err, sub_err)
                 sub_dec = np.where(better, d, sub_dec)

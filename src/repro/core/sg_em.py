@@ -120,7 +120,8 @@ def sg_em_encode(groups: np.ndarray, sub_size: int = 8, adaptive: bool = True,
         for code, mult in enumerate(SG_EM_MULTIPLIERS):
             s = scale[:, None, None] * mult
             q = FP4_E2M1.quantize(subs / s)
-            err = np.sum((q * s - subs) ** 2, axis=2)
+            with np.errstate(over="ignore"):  # inf error: never taken
+                err = np.sum((q * s - subs) ** 2, axis=2)
             better = err < sub_err
             sub_err = np.where(better, err, sub_err)
             sub_code = np.where(better, code, sub_code)

@@ -101,8 +101,11 @@ def candidate_search(subs: np.ndarray, cand_scales: np.ndarray,
         np.take(grid, c, out=q)
         q *= s
         q -= ax
-        q *= q
-        q.sum(axis=3, out=err[lo:hi])
+        # Residuals of huge groups may square to inf on purpose:
+        # hierarchical_select handles all-inf candidates.
+        with np.errstate(over="ignore"):
+            q *= q
+            q.sum(axis=3, out=err[lo:hi])
     return codes, err
 
 

@@ -71,10 +71,12 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Scaled dot-product attention over ``(B, H, T, dh)`` tensors.
 
     When ``q`` is shorter than ``k`` (incremental decoding), the causal
-    mask aligns the query block to the end of the key sequence.
+    mask aligns the query block to the end of the key sequence. Both
+    contractions are batched ``matmul`` calls, so they run on BLAS; the
+    float summation order is BLAS's, not a naive loop's.
     """
     dh = q.shape[-1]
-    scores = np.einsum("bhqd,bhkd->bhqk", q, k)
+    scores = q @ k.swapaxes(-1, -2)
     scores /= np.sqrt(dh)
     if causal:
         tq, tk = q.shape[-2], k.shape[-2]
@@ -85,4 +87,4 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 # In-place masked fill: same values as the np.where
                 # copy, without another score-sized temporary.
                 np.copyto(scores, -1e30, where=mask)
-    return np.einsum("bhqk,bhkd->bhqd", softmax(scores), v)
+    return softmax(scores) @ v

@@ -29,7 +29,7 @@ import os
 import numpy as np
 
 from ..mx.base import TensorFormat
-from .transformer import TransformerLM
+from .transformer import LinearFn, TransformerLM
 
 __all__ = ["QuantizedLM", "Fp16Format"]
 
@@ -68,8 +68,8 @@ class QuantizedLM:
         self.quantize_activations = bool(quantize_activations)
         override = weight_override or {}
         # Every environment lookup is resolved here, once per instance:
-        # the projection path (``_linear``/``forward``) performs zero
-        # ``os.environ`` reads — a regression test in
+        # the projection path (``_projection_hook``/``forward``) performs
+        # zero ``os.environ`` reads — a regression test in
         # ``tests/test_plan.py`` monkeypatches the environment mapping
         # to prove it.
         from ..kernels.dispatch import use_reference
@@ -162,14 +162,19 @@ class QuantizedLM:
                 "dense_float64_bytes": dense, "elements": elements,
                 "bits_per_element": total * 8 / max(1, elements)}
 
-    def _quantize_activation(self, x: np.ndarray) -> np.ndarray:
-        """Plan-cached activation quantization (no per-call env reads).
+    def _quantize_activation(self, x: np.ndarray,
+                             amax: float | None = None) -> np.ndarray:
+        """Activation quantization (no per-call env reads).
 
-        Plans are fetched once per shape with the dispatch mode resolved
-        at construction and held on the instance, so repeated forwards
-        hit a plain dict; non-plannable formats (or reference dispatch)
-        use the format entry point, which re-reads the environment.
+        A calibrated projection (``amax`` given) uses the format's static
+        tensor scale. Otherwise plans are fetched once per shape with the
+        dispatch mode resolved at construction and held on the instance,
+        so repeated forwards hit a plain dict; non-plannable formats (or
+        reference dispatch) use the format entry point, which re-reads
+        the environment.
         """
+        if amax is not None:
+            return self.fmt.quantize_activation_calibrated(x, amax, axis=-1)
         if not self._reference:
             plan = self._act_plans.get(x.shape, False)
             if plan is False:
@@ -179,23 +184,40 @@ class QuantizedLM:
                 return plan.run(x)
         return self.fmt.quantize_activation(x, axis=-1)
 
-    def _linear(self, name: str, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _projection_hook(self) -> LinearFn:
+        """A fresh ``linear_fn`` for one forward pass.
+
+        Q/K/V read one normed tensor and gate/up read another, so the
+        hook keeps the last ``(input, amax, quantized)`` triple and reuses
+        the quantized copy when the same input object comes back with the
+        same calibration ``amax``. That is exact: activation quantization
+        is a pure function of ``(x, amax)`` and the forward never mutates
+        a projection input. The triple lives in this closure only, so it
+        is freed when the pass returns and no two passes (or threads)
+        ever share it.
+        """
         if not self.quantize_activations:
-            xq = x
-        elif name in self._act_amax:
-            xq = self.fmt.quantize_activation_calibrated(x, self._act_amax[name], axis=-1)
-        else:
-            xq = self._quantize_activation(x)
-        return xq @ self._weight(name).T
+            return lambda name, x, w: x @ self._weight(name).T
+        act_amax = self._act_amax
+        held: tuple | None = None
+
+        def linear(name: str, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+            nonlocal held
+            amax = act_amax.get(name)
+            if held is None or held[0] is not x or held[1] != amax:
+                held = (x, amax, self._quantize_activation(x, amax))
+            return held[2] @ self._weight(name).T
+
+        return linear
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """Quantized logits."""
-        return self.model.forward(tokens, linear_fn=self._linear)
+        return self.model.forward(tokens, linear_fn=self._projection_hook())
 
     def nll(self, tokens: np.ndarray) -> float:
         """Quantized next-token NLL."""
-        return self.model.nll(tokens, linear_fn=self._linear)
+        return self.model.nll(tokens, linear_fn=self._projection_hook())
 
     def perplexity(self, tokens: np.ndarray) -> float:
         """Quantized perplexity."""
-        return self.model.perplexity(tokens, linear_fn=self._linear)
+        return self.model.perplexity(tokens, linear_fn=self._projection_hook())

@@ -151,6 +151,7 @@ class FaultProxy:
                       "delayed": 0, "refused": 0}
         self._conn_seq = 0
         self._conn_tasks: set = set()
+        self._pumps: set = set()
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -194,11 +195,14 @@ class FaultProxy:
         finally:
             server.close()
             await server.wait_closed()
-            # Reap live connection handlers before the loop dies, so
-            # teardown never logs post-close callback errors.
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
+            # Reap live connections before the loop dies by cancelling
+            # their pumps: each handler's gather then returns, and the
+            # handler tears down and returns normally. A cancelled
+            # handler would make asyncio's stream done-callback log a
+            # CancelledError as a callback error.
+            for pump in list(self._pumps):
+                pump.cancel()
+            while self._conn_tasks:
                 await asyncio.gather(*self._conn_tasks,
                                      return_exceptions=True)
 
@@ -218,6 +222,11 @@ class FaultProxy:
             self.stats["refused"] += 1
             cwriter.transport.abort()
             return
+        if self._stop.is_set():
+            # Stopped while connecting upstream: no pumps to reap.
+            cwriter.transport.abort()
+            swriter.transport.abort()
+            return
         shared = {"frames": 0}
         writers = (cwriter, swriter)
         pumps = [
@@ -228,6 +237,9 @@ class FaultProxy:
                 sreader, cwriter, writers, shared,
                 random.Random(f"{self.plan.seed}:{conn}:s2c"))),
         ]
+        for pump in pumps:
+            self._pumps.add(pump)
+            pump.add_done_callback(self._pumps.discard)
         try:
             await asyncio.gather(*pumps, return_exceptions=True)
         finally:

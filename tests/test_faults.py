@@ -20,6 +20,7 @@ The contract under test, in order of importance:
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import random
 import signal
@@ -94,6 +95,27 @@ def test_proxy_transparent_without_faults(rng):
         assert px.stats["frames_forwarded"] >= 2 * len(CHAOS_FORMATS)
         assert px.stats["killed"] == px.stats["truncated"] \
             == px.stats["corrupted"] == 0
+
+
+def test_proxy_stop_with_live_connection_logs_nothing(rng, caplog):
+    """Stopping the proxy mid-connection reaps the handler quietly:
+    asyncio's stream done-callback must not log a CancelledError."""
+    x = rng.standard_normal((3, 64))
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    with ServerThread(port=0) as st:
+        cli = None
+        try:
+            with FaultProxy(target_port=st.port) as px:
+                cli = QuantClient(port=px.port).connect()
+                _expect_exact(cli, x, fmt="m2xfp")
+                assert px.stats["connections"] == 1
+            # The proxy stopped under the still-open client connection.
+        finally:
+            if cli is not None:
+                cli.close()
+    errors = [r for r in caplog.records
+              if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert errors == []
 
 
 def test_chaos_bit_exact_through_mixed_faults(rng):

@@ -1,12 +1,18 @@
 """Tests for the synthetic transformer substrate and profiles."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.kernels.dispatch import reference_kernels
 from repro.models import (PROFILES, Fp16Format, OutlierSpec, QuantizedLM,
                           TransformerConfig, TransformerLM, channel_scales,
-                          get_profile, outlier_matrix)
+                          get_profile, load_runtime, outlier_matrix)
+from repro.models.layers import causal_attention
+from repro.models.quantized import PACKED_WEIGHTS_ENV
 from repro.errors import ConfigError
+from repro.runner.formats import FORMAT_REGISTRY, make_format
 
 
 class TestGenerators:
@@ -71,6 +77,24 @@ class TestTransformer:
         for t in range(8):
             step = model._step(tokens[:, t], t, caches)
         assert np.allclose(step[0], full, atol=1e-9)
+
+    @pytest.mark.parametrize("tq, tk", [(9, 9), (3, 11), (1, 7), (1, 1)])
+    def test_attention_matches_einsum_formulation(self, tq, tk):
+        """BLAS attention differs from the einsum loop only in float
+        summation order: prefill, decode-aligned blocks and one query."""
+        r = np.random.default_rng(tq * 100 + tk)
+        q = r.standard_normal((2, 3, tq, 16))
+        k = r.standard_normal((2, 3, tk, 16))
+        v = r.standard_normal((2, 3, tk, 16))
+        scores = np.einsum("bhqd,bhkd->bhqk", q, k) / np.sqrt(16)
+        mask = (np.arange(tq)[:, None] + (tk - tq)) < np.arange(tk)[None, :]
+        scores = np.where(mask, -1e30, scores)
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        want = np.einsum("bhqk,bhkd->bhqd", p, v)
+        got = causal_attention(q, k, v)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -147,3 +171,85 @@ class TestQuantizedLM:
         qlm = QuantizedLM(rt_small.model, nvfp4,
                           calibration_tokens=rt_small.calib_tokens)
         assert len(qlm._act_amax) == 7 * len(rt_small.model.layers)
+
+
+def _no_reuse_hook(qlm):
+    """A projection hook that quantizes every projection input afresh."""
+    def linear(name, x, w):
+        xq = qlm._quantize_activation(x, qlm._act_amax.get(name))
+        return xq @ qlm._weight(name).T
+    return linear
+
+
+def _count_quantizations(qlm, monkeypatch):
+    seen = []
+    inner = qlm._quantize_activation
+
+    def counting(x, amax=None):
+        seen.append(weakref.ref(x))
+        return inner(x, amax)
+
+    monkeypatch.setattr(qlm, "_quantize_activation", counting)
+    return seen
+
+
+class TestProjectionReuse:
+    """Q/K/V and gate/up share one quantized copy of their input."""
+
+    @pytest.fixture(scope="class")
+    def rt(self):
+        return load_runtime("llama2-7b", n_seq=2, seq_len=24)
+
+    def _assert_reuse_exact(self, qlm, tokens):
+        want = qlm.model.forward(tokens, linear_fn=_no_reuse_hook(qlm))
+        assert qlm.forward(tokens).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["m2xfp", "nvfp4"])
+    def test_one_quantization_per_distinct_input(self, rt, fmt,
+                                                 monkeypatch):
+        qlm = QuantizedLM(rt.model, make_format(fmt),
+                          calibration_tokens=rt.calib_tokens)
+        seen = _count_quantizations(qlm, monkeypatch)
+        qlm.forward(rt.tokens[:, :16])
+        # a (Q, K, V), ctx (O), a (gate, up), gate * up (down).
+        assert len(seen) == 4 * len(rt.model.layers)
+
+    @pytest.mark.parametrize("name", sorted(FORMAT_REGISTRY))
+    def test_logits_identical_to_no_reuse(self, rt, name):
+        # nvfp4 takes the calibrated (static tensor scale) path here.
+        qlm = QuantizedLM(rt.model, make_format(name),
+                          calibration_tokens=rt.calib_tokens)
+        self._assert_reuse_exact(qlm, rt.tokens[:, :16])
+
+    @pytest.mark.parametrize("name", ["m2xfp", "sg-em", "nvfp4", "fp4"])
+    def test_reference_kernels_identical(self, rt, name):
+        with reference_kernels():
+            qlm = QuantizedLM(rt.model, make_format(name),
+                              calibration_tokens=rt.calib_tokens)
+            self._assert_reuse_exact(qlm, rt.tokens[:, :16])
+
+    @pytest.mark.parametrize("name", ["m2xfp", "nvfp4", "m2-nvfp4"])
+    def test_packed_weights_identical(self, rt, name, monkeypatch):
+        monkeypatch.setenv(PACKED_WEIGHTS_ENV, "1")
+        qlm = QuantizedLM(rt.model, make_format(name),
+                          calibration_tokens=rt.calib_tokens)
+        assert qlm.packed_weights
+        self._assert_reuse_exact(qlm, rt.tokens[:, :16])
+
+    def test_new_amax_requantizes_same_input(self, rt, monkeypatch):
+        qlm = QuantizedLM(rt.model, make_format("nvfp4"),
+                          calibration_tokens=rt.calib_tokens)
+        qlm._act_amax = {"l0.wq": 4.0, "l0.wk": 4.0, "l0.wv": 8.0}
+        seen = _count_quantizations(qlm, monkeypatch)
+        hook = qlm._projection_hook()
+        x = rt.model.embedding[rt.tokens[:, :16]]
+        for name in ("l0.wq", "l0.wk", "l0.wv"):
+            hook(name, x, None)
+        assert len(seen) == 2
+
+    def test_projection_inputs_freed_after_perplexity(self, rt,
+                                                      monkeypatch):
+        qlm = QuantizedLM(rt.model, make_format("m2xfp"))
+        seen = _count_quantizations(qlm, monkeypatch)
+        qlm.perplexity(rt.tokens[:, :16])
+        assert seen and all(ref() is None for ref in seen)

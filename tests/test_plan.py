@@ -75,6 +75,9 @@ def _adversarial_tensors() -> dict[str, np.ndarray]:
 
 
 class TestPlanParity:
+    # Squared errors of the +-1e300 groups overflow to inf on purpose
+    # (``hierarchical_select`` handles it); no path may warn about it.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", sorted(FORMAT_REGISTRY))
     def test_catalog_plan_matches_reference(self, name):
         fmt = make_format(name)
