@@ -103,7 +103,7 @@ def bench_registry(quick: bool) -> dict:
 def _service_rps(fmt: str, op: str, x: np.ndarray,
                  duration_s: float) -> float:
     """Closed-loop single-submitter requests/s on a fresh service."""
-    with QuantService(fmt, max_batch=32) as svc:
+    with QuantService(fmt) as svc:
         for _ in range(5):  # warm the plan/service caches
             svc.submit(x, op=op).result()
         n = 0

@@ -21,7 +21,7 @@ Public API highlights:
   format catalog (``python -m repro``);
 * :mod:`repro.codec` — packed-tensor codec: any catalog format serialized
   to true-bit-width bytes with bit-exact decode;
-* :mod:`repro.serve` — the micro-batched quantization service.
+* :mod:`repro.serve` — the quantization service (one arm per format).
 
 See README.md for the architecture map and DESIGN.md for the rationale.
 """

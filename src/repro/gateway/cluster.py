@@ -49,7 +49,7 @@ class ReplicaCluster:
         ephemeral port).
     **server_kwargs:
         Forwarded to each replica's ``QuantServer`` (``max_inflight``,
-        ``max_batch``, ...).
+        ``read_timeout_s``, ...).
     """
 
     def __init__(self, replicas: int | None = None, *,

@@ -1,7 +1,7 @@
 """Span-based request tracing, exported as JSON lines.
 
 A :class:`TraceContext` carries one request id through
-``QuantService.submit`` → collector → fused encode → wire frame. The
+``QuantService.admit`` → ``execute`` → fused encode → wire frame. The
 id is the protocol's existing request-id header field (no wire format
 change), and the gateway echoes it back as ``X-Request-Id``.
 
@@ -13,18 +13,20 @@ per request to ``REPRO_TRACE_PATH`` (default ``repro_trace.jsonl``):
                {"name": "quantize", ...}, {"name": "pack", ...},
                {"name": "serialize", ...}]}
 
-Span names are the pipeline stages: ``queue`` (enqueue → dequeue),
-``batch`` (dequeue → execution), ``quantize``, ``pack``, ``verify``,
+Span names are the pipeline stages: ``queue`` (trace start →
+execution, so it covers a thread hop's wait), ``batch`` (empty: one
+request is one batch), ``quantize``, ``pack``, ``verify``,
 ``serialize``. ``start_s`` is relative to the trace's own start so
 lines carry no wall-clock timestamps.
 
-The context travels two ways: explicitly (``QuantService.submit``
-takes a ``trace=`` kwarg, because the server reaches it through
-``asyncio.to_thread``, which hops threads) and via a thread-local for
-code that cannot take a parameter (the codec's fused-encode stage sink
-path). The server binds that thread-local around each KV append with
-:func:`use_trace`, on whichever thread runs it: the event loop for a
-decode-step block, a ``to_thread`` worker for a larger one.
+The context travels two ways: explicitly (``QuantService.admit``
+takes a ``trace=`` kwarg and keeps it on the request, because the
+server may execute the request on its hop thread) and via a
+thread-local for code that cannot take a parameter (the codec's
+fused-encode stage sink path). The server binds that thread-local
+around each KV append with :func:`use_trace`, on whichever thread runs
+it: the event loop for a decode-step block, the hop thread for a
+larger one.
 """
 
 from __future__ import annotations

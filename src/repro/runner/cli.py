@@ -63,11 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admitted-but-unanswered request bound per "
                             "worker; beyond it requests get BUSY (default "
                             "REPRO_SERVER_MAX_INFLIGHT or 64)")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batch size limit per quantization "
-                            "service; a batch is what queued while the "
-                            "previous one ran, never a timed wait "
-                            "(default 64)")
     serve.add_argument("--max-requests", type=int, default=None,
                        help="exit after this many responses (smoke runs; "
                             "in-process mode only)")
@@ -114,11 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-replica admission bound (default "
                               "REPRO_SERVER_MAX_INFLIGHT or 64; launched "
                               "replicas only)")
-    gateway.add_argument("--max-batch", type=int, default=64,
-                         help="micro-batch size limit per replica "
-                              "service; a batch is what queued while the "
-                              "previous one ran, never a timed wait "
-                              "(default 64)")
     gateway.add_argument("--drain-timeout-s", type=float, default=30.0,
                          help="bound on finishing in-flight requests "
                               "during a SIGTERM graceful drain "
@@ -215,7 +205,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if workers is None:
         workers = _env_int(WORKERS_ENV, 0)
     server_kwargs = dict(max_inflight=args.max_inflight,
-                         max_batch=args.max_batch,
                          read_timeout_s=args.read_timeout_s,
                          drain_timeout_s=args.drain_timeout_s)
     if workers > 0:
@@ -252,8 +241,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     import signal
 
     from ..gateway import QuantGateway, ReplicaCluster, run_gateway
-    server_kwargs = dict(max_inflight=args.max_inflight,
-                         max_batch=args.max_batch)
+    server_kwargs = dict(max_inflight=args.max_inflight)
     with contextlib.ExitStack() as stack:
         if args.upstream:
             upstreams = [u.strip() for u in args.upstream.split(",")

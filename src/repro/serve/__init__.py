@@ -1,10 +1,10 @@
-"""Batched quantization serving layer (the deployment-shaped front end).
+"""Quantization serving layer (the deployment-shaped front end).
 
-One class, :class:`QuantService`: submit tensors, get futures; compatible
-requests are micro-batched into single kernel-dispatched passes (bit-
-identical to per-tensor quantization), weight requests are memoized, and
-``packed=True`` returns true-bit-width :class:`repro.codec.PackedTensor`
-containers with measured-vs-nominal footprint reporting.
+One class, :class:`QuantService`: each request is one tensor quantized
+on the calling thread (bit-identical to the format's own quantizer),
+weight requests are memoized, and ``packed=True`` returns
+true-bit-width :class:`repro.codec.PackedTensor` containers with
+measured-vs-nominal footprint reporting.
 
 Example::
 

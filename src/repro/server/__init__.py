@@ -4,13 +4,12 @@ The deployment layer the ROADMAP's "serves heavy traffic" goal asks
 for: :mod:`repro.server.protocol` defines a versioned length-prefixed
 binary frame format (golden-pinned in
 ``tests/golden/wire_vectors.json``); :class:`QuantServer` bridges TCP
-connections onto shared, micro-batching
-:class:`~repro.serve.QuantService` pipelines with explicit ``BUSY``
-backpressure; :class:`WorkerPool` shards the port across spawned
-worker processes via ``SO_REUSEPORT``; :class:`QuantClient` /
-:class:`AsyncQuantClient` round-trip numpy arrays (or packed
-containers) bit-exactly, with per-request deadlines and bounded
-reconnect-retry. The stack is fault-tolerant end to end: the pool
+connections onto shared :class:`~repro.serve.QuantService` arms with
+explicit ``BUSY`` backpressure; :class:`WorkerPool` shards the port
+across spawned worker processes via ``SO_REUSEPORT``;
+:class:`QuantClient` / :class:`AsyncQuantClient` round-trip numpy
+arrays (or packed containers) bit-exactly, with per-request deadlines
+and bounded reconnect-retry. The stack is fault-tolerant end to end: the pool
 supervises and restarts crashed workers, SIGTERM triggers a graceful
 drain, and :class:`FaultProxy` (``repro.server.faults``) injects
 seeded network chaos for the ``tests/test_faults.py`` suite.

@@ -3,14 +3,15 @@
 ``QuantServer`` bridges socket connections onto the in-process
 :class:`~repro.serve.QuantService` stack: every request is routed to a
 shared service keyed by **(format, dispatch mode, packed)**, so
-concurrent clients asking for the same arm ride one bit-identical
-micro-batching pipeline (and one weight memo) no matter which
-connection they arrived on. One rule decides where work runs (see
-``_INLINE_MAX_ELEMENTS``): a quantize request or KV session op of at
-most 2^14 elements runs on the event loop, because it costs less than
-the thread hop would; anything larger hops to a thread (a quantize
-request to its service's collector, where it can micro-batch), so
-connections stay responsive while big CPU-bound passes run.
+concurrent clients asking for the same arm share one service (and one
+weight memo) no matter which connection they arrived on. One rule
+decides where work runs (see ``_INLINE_MAX_ELEMENTS``): a quantize
+request or KV session op of at most 2^14 elements runs on the event
+loop, because it costs less than the thread hop would; anything larger
+takes one hop through the same code to the server's one hop thread, so
+connections stay responsive while big CPU-bound passes run. A larger
+weight request that hits the memo is answered on the loop: the digest
+costs less than the hop.
 
 Admission control is a bounded in-flight counter: once
 ``max_inflight`` requests are admitted and unanswered, further requests
@@ -67,10 +68,13 @@ Example::
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import os
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from .. import obs
 from ..errors import ConfigError, ProtocolError, ServerBusy, SessionLost
@@ -122,13 +126,13 @@ def _env_float(name: str, default: float) -> float:
 #: The one inline rule: a quantize request of at most this many
 #: elements, a session APPEND of at most this many K+V elements and a
 #: session READ of at most this many held elements run on the event
-#: loop; anything larger hops to a thread. For small work the hop (a
+#: loop; anything larger hops to the server's one hop thread
+#: (``QuantServer._hop``). For small work the hop (a
 #: queue put, a thread wake-up and a future resolved across threads)
 #: costs more than the work: a decode step (1 x 64 K and V per layer),
-#: or a wire request of a few rows. Inline requests never micro-batch.
-#: Work at the bound (an m2-nvfp4 weight, the slowest) holds the loop
-#: 14-18 ms on 2 vCPUs, about as long as a hopped pass already delays
-#: a PING through the GIL.
+#: or a wire request of a few rows. Work at the bound (an m2-nvfp4
+#: weight, the slowest) holds the loop 14-18 ms on 2 vCPUs, about as
+#: long as a hopped pass already delays a PING through the GIL.
 _INLINE_MAX_ELEMENTS = 1 << 14
 
 #: Frame kinds that carry admitted (in-flight-bounded) work.
@@ -162,9 +166,6 @@ class QuantServer:
         Admission bound: requests admitted but not yet answered. At the
         bound, new requests get an immediate ``BUSY`` response.
         ``None`` reads ``REPRO_SERVER_MAX_INFLIGHT`` (default 64).
-    max_batch:
-        Forwarded to every :class:`~repro.serve.QuantService` this
-        server creates (one per (format, dispatch, packed) arm).
     max_requests:
         Stop serving after this many responses (smoke tests / CLI
         ``--max-requests``); ``None`` serves forever.
@@ -183,7 +184,7 @@ class QuantServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int | None = None, *,
-                 max_inflight: int | None = None, max_batch: int = 64,
+                 max_inflight: int | None = None,
                  max_requests: int | None = None,
                  read_timeout_s: float | None = None,
                  drain_timeout_s: float | None = None,
@@ -207,7 +208,6 @@ class QuantServer:
             if max_sessions is None else int(max_sessions)
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
-        self.max_batch = max_batch
         self.max_requests = max_requests
         self.stats = {"connections": 0, "requests": 0, "responses": 0,
                       "busy_rejections": 0, "errors": 0, "pings": 0,
@@ -223,6 +223,7 @@ class QuantServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._drained: asyncio.Event | None = None
+        self._hop_pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -232,6 +233,8 @@ class QuantServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._drained = asyncio.Event()
+        self._hop_pool = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix="repro-hop")
         if sock is not None:
             self._server = await asyncio.start_server(self._on_connection,
                                                       sock=sock)
@@ -254,6 +257,7 @@ class QuantServer:
             for svc in self._services.values():
                 svc.close()
             self._services.clear()
+            self._hop_pool.shutdown(wait=False)
             obs.registry().unregister_collector("server")
 
     def request_stop(self) -> None:
@@ -335,13 +339,25 @@ class QuantServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    async def _hop(self, fn, *args):
+        """Run ``fn(*args)`` on the server's hop thread (carrying the
+        caller's context, as ``asyncio.to_thread`` does) and await it.
+
+        One thread, not the loop's default executor (up to cpu + 4
+        threads): with 16 above-bound requests in flight (128 x 256
+        activations, 2 vCPUs), parallel hop threads fought the loop for
+        the GIL and served 20-30% fewer requests/s than one thread.
+        """
+        ctx = contextvars.copy_context()
+        return await self._loop.run_in_executor(
+            self._hop_pool, functools.partial(ctx.run, fn, *args))
+
     def _get_service(self, req: protocol.QuantRequest):
         key = (req.format_name, req.dispatch, req.packed)
         svc = self._services.get(key)
         if svc is None:
             from ..serve import QuantService
             svc = QuantService(req.format_name, packed=req.packed,
-                               max_batch=self.max_batch,
                                dispatch=req.dispatch)
             self._services[key] = svc
         return svc
@@ -462,18 +478,15 @@ class QuantServer:
                     raise ConfigError(
                         f"format fingerprint mismatch: request pinned "
                         f"{req.fingerprint}, server built {svc.fingerprint}")
-                if req.x.size <= _INLINE_MAX_ELEMENTS:
-                    result = svc.run_inline(req.x, req.op, trace=tr)
-                elif req.op == "weight":
-                    # Weight submits digest the whole tensor for the
-                    # memo — do that off the loop so big weight uploads
-                    # cannot stall other connections.
-                    fut = await asyncio.to_thread(svc.submit, req.x,
-                                                  req.op, trace=tr)
-                    result = await asyncio.wrap_future(fut)
+                # Admission (and a weight request's memo lookup) runs
+                # on the loop: the digest is one pass over bytes the
+                # frame read already made, and a hit needs no hop.
+                job = svc.admit(req.x, req.op, trace=tr)
+                if req.x.size <= _INLINE_MAX_ELEMENTS or \
+                        job.result is not None:
+                    result = svc.execute(job)
                 else:
-                    result = await asyncio.wrap_future(
-                        svc.submit(req.x, op=req.op, trace=tr))
+                    result = await self._hop(svc.execute, job)
                 if tr is not None:
                     with tr.span("serialize"):
                         data = self._encode_result(rid, req, svc, result)
@@ -598,8 +611,8 @@ class QuantServer:
     @staticmethod
     def _traced_append(session, req: dict, tr) -> dict:
         """The append with ``tr`` bound as the calling thread's trace,
-        so the codec's stage timers see it: on a worker thread, because
-        ``to_thread`` does not carry the thread-local over; on the loop,
+        so the codec's stage timers see it: on the hop thread, because
+        the hop does not carry the thread-local over; on the loop,
         because the binding is scoped to this synchronous call and no
         other request's code runs meanwhile."""
         if tr is None:
@@ -628,7 +641,7 @@ class QuantServer:
                 if req["k"].size + req["v"].size <= _INLINE_MAX_ELEMENTS:
                     ack = self._traced_append(entry.session, req, tr)
                 else:
-                    ack = await asyncio.to_thread(
+                    ack = await self._hop(
                         self._traced_append, entry.session, req, tr)
                 ack = {**ack, "seq": seq, "duplicate": False}
                 entry.last_ack = ack
@@ -656,7 +669,7 @@ class QuantServer:
         if entry.session.held_elements(layer) <= _INLINE_MAX_ELEMENTS:
             k, v = entry.session.read(layer)
         else:
-            k, v = await asyncio.to_thread(entry.session.read, layer)
+            k, v = await self._hop(entry.session.read, layer)
         return protocol.encode_session_kv(frame.request_id, k, v,
                                           session_id=sid, layer=layer)
 

@@ -27,8 +27,8 @@ workers that died earlier without a supervisor watching
 
 Why sharding beats one process: each worker has its own GIL and event
 loop, so on a multi-core host one worker's frame handling and quantize
-passes run in parallel with another's. (The micro-batching service is
-work-conserving and never idles on a timer, so on one core the workers
+passes run in parallel with another's. (A request runs as soon as its
+worker reads it and never idles on a timer, so on one core the workers
 only time-slice.) ``scripts/bench_server.py`` measures the
 sharded-vs-single ratio into ``BENCH_server.json``.
 

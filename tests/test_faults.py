@@ -27,6 +27,7 @@ import signal
 import socket
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -603,28 +604,23 @@ def test_async_session_appends_resume_bit_exact_through_kills(rng):
 
 
 class _StalledKVService:
-    """A quantize-service stub whose futures resolve on demand."""
+    """A quantize-service stub whose requests finish on demand."""
 
     def __init__(self):
         from repro.runner.formats import make_format
         self.fmt = make_format("m2xfp")
         self.fingerprint = repr(self.fmt)
-        self.futures: list = []
         self.released = threading.Event()
 
-    def submit(self, x, op="activation", *, trace=None):
-        from concurrent.futures import Future
-        fut: Future = Future()
-        self.futures.append((fut, np.zeros_like(x)))
-        if self.released.is_set():
-            fut.set_result(np.zeros_like(x))
-        return fut
+    def admit(self, x, op="activation", *, trace=None):
+        return types.SimpleNamespace(x=x, result=None)
+
+    def execute(self, job):
+        assert self.released.wait(timeout=30)
+        return np.zeros_like(job.x)
 
     def release(self):
         self.released.set()
-        for fut, result in self.futures:
-            if not fut.done():
-                fut.set_result(result)
 
 
 def test_drain_rejects_session_ops_but_admits_close(rng, monkeypatch):
@@ -636,7 +632,8 @@ def test_drain_rejects_session_ops_but_admits_close(rng, monkeypatch):
     stub = _StalledKVService()
     monkeypatch.setattr(QuantServer, "_get_service",
                         lambda self, req: stub)
-    # Only a hopped quantize request reaches the stub's stalling submit.
+    # Only a hopped quantize request leaves the loop free while the
+    # stub stalls.
     monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     st = ServerThread(port=0).__enter__()
     try:

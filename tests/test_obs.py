@@ -199,7 +199,7 @@ def test_registry_thread_safe_under_concurrent_submits(rng):
     x = rng.standard_normal((4, 64))
     n_threads, n_each = 8, 25
     snapshots: list[dict] = []
-    with QuantService("m2xfp", max_batch=8) as svc:
+    with QuantService("m2xfp") as svc:
         stop = threading.Event()
 
         def submitter():

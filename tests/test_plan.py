@@ -171,10 +171,19 @@ class TestPlanCache:
         clear_plan_cache()
         rng = np.random.default_rng(5)
         tensors = [rng.standard_normal((4 + (i % 7), 64)) for i in range(48)]
-        expected = None
-        with QuantService("m2xfp", workers=4, max_batch=8) as svc:
-            futures = [svc.submit(x, op="activation") for x in tensors]
-            results = [f.result() for f in futures]
+        results: list = [None] * len(tensors)
+        with QuantService("m2xfp") as svc:
+            # 4 caller threads share one service and the plan cache.
+            def caller(first: int) -> None:
+                for i in range(first, len(tensors), 4):
+                    results[i] = svc.quantize(tensors[i], op="activation")
+
+            callers = [threading.Thread(target=caller, args=(t,))
+                       for t in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join()
         with reference_kernels():
             fmt = make_format("m2xfp")
             expected = [fmt.quantize_activation(x, axis=-1) for x in tensors]
@@ -250,12 +259,13 @@ class TestEnvHygiene:
             monkeypatch.undo()
             assert spy.reads == 0, type(fmt).__name__
 
-    # Per request: the metrics gate at submit and at finish, the
+    # Per request: the metrics gate at admission and at finish, the
     # dispatch mode at plan lookup; weights add the memo key's dispatch
-    # mode at lookup and store, packing the codec's metrics gate.
+    # mode (one key serves lookup and store), packing the codec's
+    # metrics gate.
     @pytest.mark.parametrize("packed, op, reads", [
         (False, "activation", 3), (True, "activation", 4),
-        (False, "weight", 5), (True, "weight", 6)])
+        (False, "weight", 4), (True, "weight", 5)])
     def test_service_request_environ_reads(self, monkeypatch, packed, op,
                                            reads):
         rng = np.random.default_rng(3)
@@ -267,10 +277,8 @@ class TestEnvHygiene:
         try:
             svc.quantize(x, op=op)
         finally:
-            # The collector finishes the request after resolving its
-            # future; joining it keeps those reads inside the count.
-            svc.close()
             monkeypatch.undo()
+            svc.close()
         assert spy.reads == reads
 
     # Per append: each encode reads the codec's metrics gate and the plan

@@ -22,7 +22,7 @@ import json
 import sys
 import threading
 import time
-from concurrent.futures import Future
+import types
 from pathlib import Path
 
 import numpy as np
@@ -304,26 +304,22 @@ def test_async_client_pipelines(server, rng):
 # Backpressure
 # ----------------------------------------------------------------------
 class _StalledService:
-    """A service stub whose futures resolve only when the test says so."""
+    """A service stub whose requests finish only when the test says so."""
 
     def __init__(self):
         self.fmt = make_format("m2xfp")
         self.fingerprint = repr(self.fmt)
-        self.futures: list[Future] = []
         self.released = threading.Event()
 
-    def submit(self, x, op="activation", *, trace=None):
-        fut: Future = Future()
-        self.futures.append((fut, np.zeros_like(x)))
-        if self.released.is_set():
-            fut.set_result(np.zeros_like(x))
-        return fut
+    def admit(self, x, op="activation", *, trace=None):
+        return types.SimpleNamespace(x=x, result=None)
+
+    def execute(self, job):
+        assert self.released.wait(timeout=30)
+        return np.zeros_like(job.x)
 
     def release(self):
         self.released.set()
-        for fut, result in self.futures:
-            if not fut.done():
-                fut.set_result(result)
 
     def close(self):
         self.release()
@@ -333,7 +329,7 @@ def test_busy_backpressure_not_a_hang(rng, monkeypatch):
     """At the in-flight bound the server answers BUSY immediately."""
     stub = _StalledService()
     monkeypatch.setattr(QuantServer, "_get_service", lambda self, req: stub)
-    # Only a hopped request reaches the stub's stalling submit.
+    # Only a hopped request leaves the loop free while the stub stalls.
     monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     with ServerThread(port=0, max_inflight=2) as st:
         with QuantClient(port=st.port, timeout=30.0) as cli:
@@ -377,7 +373,7 @@ def test_drain_finishes_inflight_then_exits(rng, monkeypatch):
     x = rng.standard_normal((2, 32))
     stub = _StalledService()
     monkeypatch.setattr(QuantServer, "_get_service", lambda self, req: stub)
-    # Only a hopped request reaches the stub's stalling submit.
+    # Only a hopped request leaves the loop free while the stub stalls.
     monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     st = ServerThread(port=0).__enter__()
     try:
@@ -470,10 +466,23 @@ def test_server_thread_drain_method(rng):
 # ----------------------------------------------------------------------
 # KV session ops: on the event loop up to the bound, a thread hop above
 # ----------------------------------------------------------------------
+def _count_hops(monkeypatch) -> list:
+    """Log every ``QuantServer._hop`` (the one thread hop) in the
+    returned list, by the function it runs."""
+    real, calls = QuantServer._hop, []
+
+    async def counting(self, fn, *args):
+        calls.append(fn)
+        return await real(self, fn, *args)
+
+    monkeypatch.setattr(QuantServer, "_hop", counting)
+    return calls
+
+
 def _session_script(cli, k, v, at: int, calls: list) -> tuple[list, list]:
     """One session's ops below, at and one row above ``at`` K/V rows:
-    how many ``asyncio.to_thread`` calls (logged in ``calls``) each op
-    made, and what it answered."""
+    how many hops (logged in ``calls``) each op made, and what it
+    answered."""
     seq = iter(range(8))
     ops = [
         lambda: cli.session_append("s", 0, k[:1], v[:1], seq=next(seq)),
@@ -502,13 +511,7 @@ def test_session_ops_run_inline_up_to_the_bound(rng, monkeypatch):
     append or READ one row above the bound makes exactly one. With the
     bound at 0 every append and READ hops, and the acks and READ bytes
     are identical either way."""
-    real, calls = asyncio.to_thread, []
-
-    async def counting(fn, *args, **kwargs):
-        calls.append(fn)
-        return await real(fn, *args, **kwargs)
-
-    monkeypatch.setattr(asyncio, "to_thread", counting)
+    calls = _count_hops(monkeypatch)
     from repro.server.server import _INLINE_MAX_ELEMENTS
     at = _INLINE_MAX_ELEMENTS // (2 * 64)   # K+V rows at the bound
     k, v = rng.standard_normal((2, at + 1, 64))
@@ -537,7 +540,7 @@ def _quantize_script(x, at: int, calls: list) -> tuple[list, list, dict]:
             xs = x[:at] if rows == "at" else x
             before = len(calls)
             out = cli.quantize(xs, fmt="m2xfp", op=op, packed=packed)
-            hops.append(sorted(calls[before:]))
+            hops.append(calls[before:])
             expect = local_expected(xs, fmt="m2xfp", op=op, packed=packed)
             got = out.to_bytes() if packed else out.tobytes()
             assert got == (expect.to_bytes() if packed
@@ -552,28 +555,14 @@ def _quantize_script(x, at: int, calls: list) -> tuple[list, list, dict]:
 def test_quantize_requests_run_inline_up_to_the_bound(rng, monkeypatch,
                                                       tmp_path):
     """A quantize request of at most ``_INLINE_MAX_ELEMENTS`` elements
-    makes no hop, for either op, packed or not; one row above it goes
-    through ``QuantService.submit`` (a weight request via one
-    ``asyncio.to_thread``). Answers are the local library's bytes and
-    identical with the bound at 0, inline requests keep their spans,
-    and the ``serve.<arm>`` stats count them."""
+    makes no hop, for either op, packed or not; one row above it makes
+    exactly one hop. Answers are the local library's bytes and
+    identical with the bound at 0, both paths keep their spans, and the
+    ``serve.<arm>`` stats count them."""
     from repro.obs import TRACE_ENV, TRACE_PATH_ENV
-    from repro.serve import QuantService
     from repro.server.server import _INLINE_MAX_ELEMENTS
 
-    real_to_thread, real_submit, calls = \
-        asyncio.to_thread, QuantService.submit, []
-
-    async def counting_to_thread(fn, *args, **kwargs):
-        calls.append("to_thread")
-        return await real_to_thread(fn, *args, **kwargs)
-
-    def counting_submit(self, *args, **kwargs):
-        calls.append("submit")
-        return real_submit(self, *args, **kwargs)
-
-    monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
-    monkeypatch.setattr(QuantService, "submit", counting_submit)
+    calls = _count_hops(monkeypatch)
     width = 256
     at = _INLINE_MAX_ELEMENTS // width          # rows at the bound
     x = rng.standard_normal((at + 1, width))
@@ -582,10 +571,8 @@ def test_quantize_requests_run_inline_up_to_the_bound(rng, monkeypatch,
     monkeypatch.setenv(TRACE_PATH_ENV, str(trace_path))
     hops, inline, stats = _quantize_script(x, at, calls)
     monkeypatch.delenv(TRACE_ENV)
-    hopped_once = {"activation": ["submit"],
-                   "weight": ["submit", "to_thread"]}
-    assert hops == [[] if rows == "at" else hopped_once[op]
-                    for op, _, rows in _QUANTIZE_CASES]
+    assert [len(h) for h in hops] == [0 if rows == "at" else 1
+                                      for _, _, rows in _QUANTIZE_CASES]
     for arm in ("m2xfp:inherit:unpacked", "m2xfp:inherit:packed"):
         assert stats[f"serve.{arm}"]["requests"] == 4
         assert stats[f"serve.{arm}"]["batches"] == 4
@@ -600,8 +587,57 @@ def test_quantize_requests_run_inline_up_to_the_bound(rng, monkeypatch,
 
     monkeypatch.setattr("repro.server.server._INLINE_MAX_ELEMENTS", 0)
     hops, hopped, _ = _quantize_script(x, at, calls)
-    assert hops == [hopped_once[op] for op, _, _ in _QUANTIZE_CASES]
+    assert [len(h) for h in hops] == [1] * len(_QUANTIZE_CASES)
     assert inline == hopped
+
+
+def test_weight_memo_hit_above_the_bound_makes_no_hop(rng, monkeypatch):
+    """An above-bound weight request that hits the memo is answered on
+    the loop: only the miss hops, and the hit's bytes are the miss's."""
+    from repro.server.server import _INLINE_MAX_ELEMENTS
+
+    calls = _count_hops(monkeypatch)
+    w = rng.standard_normal((_INLINE_MAX_ELEMENTS // 256 + 1, 256))
+    with ServerThread(port=0) as st, QuantClient(port=st.port) as cli:
+        miss = cli.quantize(w, fmt="m2xfp", op="weight")
+        assert len(calls) == 1
+        hit = cli.quantize(w, fmt="m2xfp", op="weight")
+        assert len(calls) == 1
+        stats = cli.server_stats()["metrics"]["serve.m2xfp:inherit:unpacked"]
+    assert hit.tobytes() == miss.tobytes() == \
+        local_expected(w, fmt="m2xfp", op="weight").tobytes()
+    assert stats["weight_cache_hits"] == 1
+    assert stats["requests"] == 2 and stats["batches"] == 1
+
+
+def test_served_arms_add_no_threads(rng):
+    """Serving more arms, and above-bound weights, starts no per-arm
+    thread: the thread count after one arm equals the count after every
+    ``wire_bulk`` arm, and every hop runs on the server's one hop
+    thread."""
+    from repro.server.server import _INLINE_MAX_ELEMENTS
+
+    arms = (("m2xfp", False), ("m2xfp", True), ("elem-em", False),
+            ("mxfp4", True), ("nvfp4", False))
+    x = rng.standard_normal((16, 256))
+    w = rng.standard_normal((_INLINE_MAX_ELEMENTS // 256 + 1, 256))
+    with ServerThread(port=0) as st, QuantClient(port=st.port) as cli:
+        # The first hop starts the server's hop thread.
+        cli.quantize(w, fmt="m2xfp", op="weight")
+        fmt, packed = arms[0]
+        cli.quantize(x, fmt=fmt, packed=packed)
+        n_threads = threading.active_count()
+        for fmt, packed in arms[1:]:
+            cli.quantize(x, fmt=fmt, packed=packed)
+        cli.quantize(w * 2, fmt="m2xfp", op="weight")
+        assert threading.active_count() <= n_threads
+        names = [t.name for t in threading.enumerate()]
+        metrics = cli.server_stats()["metrics"]
+    for fmt, packed in arms:
+        arm = f"serve.{fmt}:inherit:{'packed' if packed else 'unpacked'}"
+        assert metrics[arm]["requests"] >= 1
+    assert not [n for n in names if n.startswith("quant-service")], names
+    assert len([n for n in names if n.startswith("repro-hop")]) == 1, names
 
 
 # ----------------------------------------------------------------------
@@ -623,15 +659,20 @@ def test_cli_serve_parses_and_wires_config(monkeypatch):
     monkeypatch.setattr(server_pkg, "QuantServer", _FakeServer)
     monkeypatch.setattr(server_pkg, "run_server", _fake_run)
     rc = cli_mod.main(["serve", "--port", "0", "--max-inflight", "7",
-                       "--max-batch", "16", "--max-requests", "3",
+                       "--max-requests", "3",
                        "--read-timeout-s", "5", "--drain-timeout-s", "9"])
     assert rc == 0 and captured["ran"]
     assert captured["port"] == 0
     assert captured["max_inflight"] == 7
-    assert captured["max_batch"] == 16
+    assert "max_batch" not in captured
     assert captured["max_requests"] == 3
     assert captured["read_timeout_s"] == 5.0
     assert captured["drain_timeout_s"] == 9.0
+    # Micro-batching is gone, and so is its flag on both commands.
+    for cmd in ("serve", "gateway"):
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.main([cmd, "--max-batch", "16"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.slow
