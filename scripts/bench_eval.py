@@ -68,8 +68,8 @@ def _env(**kv):
 
 @contextmanager
 def _no_plans():
-    """Every plan lookup finds no plan: format entry points, the codec
-    and ``QuantizedLM`` (built inside the scope) fall back to the
+    """Every plan lookup finds no plan: format entry points and
+    ``QuantizedLM`` (built inside the scope) fall back to the
     kernel-dispatched ``quantize`` paths plans replace."""
     # ``lookup_plan`` resolves ``get_plan`` in ``repro.plan.cache``;
     # ``QuantizedLM`` binds ``repro.plan.get_plan`` at construction.

@@ -11,21 +11,15 @@ eviction). Per catalog format it records:
 * **appends/s** — per-layer K/V block appends per second;
 * **measured bits/elem** — the session's packed payload footprint.
 
-Sessions run with ``verify=True`` — the serving default. On the fused
-quantize→pack path that is an O(bytes) unpack-and-compare of every
-stream against the executor's code arrays; on the re-derive path it is
-a full re-quantize against the one-shot batch quantizer — either way
-the numbers price the integrity contract, not a fast path the server
-never takes. A ``verify_off_tokens_per_s`` column
-records what the cross-check costs, and ``stage_s_per_append`` breaks
+Sessions run with ``verify=True`` — the serving default: an O(bytes)
+unpack-and-compare of every packed stream against the plan executor's
+code arrays, so the numbers price the integrity contract, not a fast
+path the server never takes. A ``verify_off_tokens_per_s`` column
+records what the cross-check costs, ``stage_s_per_append`` breaks
 each append into its quantize / pack / verify stage seconds (from
 :func:`repro.codec.collect_encode_stats`, surfaced through
-``KVCacheSession.encode_stage_stats``).
-
-The **fused** section re-runs a subset of formats with the codec's plan
-lookup patched out (:func:`_unfused`) — the re-derive path that derives
-codes from dequantized floats instead of packing the plan executor's
-code-space output — and records the fused-vs-unfused tokens/s ratio.
+``KVCacheSession.encode_stage_stats``), and ``fused_appends`` counts
+the appends packed from plan codes (every one).
 
 The **wire** section replays the same decode loop through a live
 :class:`~repro.server.ServerThread` over protocol-v3 SESSION frames
@@ -37,7 +31,8 @@ Run:  PYTHONPATH=src python scripts/bench_kv.py [--out PATH] [--quick]
 Writes ``BENCH_kv.json``. Absolute rates are machine-dependent; the
 regression gate (``scripts/check_bench_regression.py --suite kv``)
 validates structure — a fresh run must complete the decode loop with
-positive rates and a bit-exact wire replay — rather than raw speed.
+positive rates and packed-from-codes appends, and a bit-exact wire
+replay — rather than raw speed.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from unittest import mock
 
 import numpy as np
 
@@ -58,20 +52,8 @@ DEFAULT_OUT = "BENCH_kv.json"
 #: tensor-scoped both represented).
 FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em", "nvfp4", "m2-nvfp4")
 
-#: Formats the fused-vs-unfused section re-measures (all plan-compiled
-#: with code-space executors, so patching the lookup changes the path).
-FUSED_FORMATS = ("m2xfp", "mxfp4", "elem-em", "sg-em", "nvfp4", "m2-nvfp4")
-
 #: The format the over-the-wire section replays.
 WIRE_FORMAT = "m2xfp"
-
-
-def _unfused():
-    """Patch scope in which ``encode`` finds no plan and re-derives every
-    code from floats. Only the codec imports ``lookup_plan`` from
-    ``repro.plan.cache``; format entry points resolve theirs through
-    ``repro.plan`` and keep their plans, verify's quantize included."""
-    return mock.patch("repro.plan.cache.lookup_plan", lambda *args: None)
 
 
 def _blocks(rng, *, n_layers, dh, prefill, steps, channel):
@@ -111,8 +93,9 @@ def _decode_loop(fmt: str, blocks, *, n_layers, max_tokens, sink_tokens,
             stats["measured_bits_per_element"], 3),
         "evicted_tokens": stats["evicted_tokens"],
         "verify": verify,
-        # Appends whose every encode rode the fused path (one stacked
-        # K/V encode, or one each for a tensor-scoped format).
+        # Appends whose every encode packed from plan codes (one
+        # stacked K/V encode, or one each for fp16 and a tensor-scoped
+        # format).
         "fused_appends": stages["fused_appends"],
         "stage_s_per_append": {
             "quantize": round(stages["quantize_s"] / appends, 7),
@@ -190,7 +173,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         },
         "decode_loop": {},
         "wire": {},
-        "fused": {},
     }
     kw = dict(n_layers=n_layers, max_tokens=max_tokens,
               sink_tokens=sink_tokens, steps=steps)
@@ -202,26 +184,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         print(f"  {fmt:10s} {row['tokens_per_s']:8.1f} tokens/s verified "
               f"({row['verify_off_tokens_per_s']:8.1f} unverified)  "
               f"{row['measured_bits_per_element']:5.2f} bits/elem")
-
-    # --- fused quantize→pack vs the re-derive path ---------------------
-    for fmt in FUSED_FORMATS:
-        f_tps = max(_decode_loop(fmt, blocks, verify=True,
-                                 **kw)["tokens_per_s"]
-                    for _ in range(2))
-        with _unfused():
-            rows = [_decode_loop(fmt, blocks, verify=True, **kw)
-                    for _ in range(2)]
-        if any(row["fused_appends"] for row in rows):
-            raise RuntimeError(f"{fmt}: unfused arm took the fused path")
-        u_tps = max(row["tokens_per_s"] for row in rows)
-        payload["fused"][fmt] = {
-            "tokens_per_s": f_tps,
-            "unfused_tokens_per_s": u_tps,
-            "speedup_fused_pack": round(f_tps / u_tps, 3),
-        }
-        print(f"  fused {fmt:10s} {f_tps:8.1f} tokens/s  "
-              f"unfused {u_tps:8.1f}  "
-              f"({payload['fused'][fmt]['speedup_fused_pack']:.2f}x)")
 
     payload["wire"] = run_wire(blocks, **kw)
     return payload

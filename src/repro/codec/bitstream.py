@@ -49,13 +49,18 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     are OR-merged in three pairwise-doubling passes into uint64 words
     of eight, whose low ``w`` bytes are the stream bytes. Width 1 is
     ``np.packbits`` itself (the per-bit expansion degenerates to it),
-    and only widths above 16 still hit the per-bit expansion.
+    width 64 takes ``uint64`` words as they are (fp16's raw float64
+    fallback stores each value's bit pattern, sign bit included), and
+    only the widths in between still hit the per-bit expansion.
     ``tests/test_codec.py`` asserts every fast path's bytes equal the
     generic path's, and the pinned golden containers are unchanged.
     """
     if not 1 <= width <= 64:
         raise CodecError(f"field width must be in [1, 64], got {width}")
-    values = np.asarray(values, dtype=np.int64).reshape(-1)
+    values = np.asarray(values).reshape(-1)
+    if width == 64 and values.dtype == np.uint64:
+        return values.astype("<u8").view(np.uint8)
+    values = values.astype(np.int64, copy=False)
     if values.size:
         # One reduction pass validates both bounds: the OR of the
         # fields is negative iff any field is (sign bit), and has a
@@ -70,6 +75,8 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
         return values.astype(np.uint8)
     if width == 16:
         return values.astype("<u2").view(np.uint8)
+    if width == 64:
+        return values.astype("<u8").view(np.uint8)
     if width == 4:
         lo = values[0::2].astype(np.uint8)
         out = np.zeros(packed_nbytes(values.size, 4), dtype=np.uint8)
@@ -112,13 +119,16 @@ def _pack_bits_generic(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def unpack_bits(buf: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
-    """Invert :func:`pack_bits` into ``count`` int64 fields."""
+    """Invert :func:`pack_bits` into ``count`` int64 fields (``uint64``
+    words at width 64, which an int64 cannot hold)."""
     if not 1 <= width <= 64:
         raise CodecError(f"field width must be in [1, 64], got {width}")
     raw = np.frombuffer(memoryview(buf), dtype=np.uint8)
     if raw.size < packed_nbytes(count, width):
         raise CodecError(f"bitstream truncated: need "
                          f"{packed_nbytes(count, width)} bytes, have {raw.size}")
+    if width == 64:
+        return raw[: 8 * count].view("<u8").astype(np.uint64)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     if width == 8:

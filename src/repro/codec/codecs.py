@@ -11,6 +11,16 @@ repo's simulated EBW table into a measured bytes-on-the-wire number
 (``PackedTensor.bits_per_element``), and it is enforced format-by-format
 in ``tests/test_codec.py``.
 
+There is one encode path. The quantizer's output *is* the stored codes:
+:func:`encode` runs the compiled plan's code-space executor
+(:mod:`repro.plan.executors`) and packs its code arrays as they are,
+under either kernel dispatch mode; a :class:`Codec` declares the stream
+layout those arrays must match and owns the decode. The reference
+quantizers stay the oracle that tests hold :func:`decode` to. A format
+configuration no executor compiles (e.g. ``ElemEM(top_k=2)``) is not
+supported: :func:`supports` says False and :func:`encode` raises
+:class:`CodecError`.
+
 How each family packs:
 
 * **Block formats** (MXFP4/6/8, MXINT8, MSFP, GroupFP4) — one element
@@ -31,6 +41,9 @@ How each family packs:
 * **M2-NVFP4** — NVFP4 two-level scales plus the Sg-EM multiplier /
   bias search codes (weights) or the Elem-EM bias-clamp metadata
   (activations).
+* **MaxPreserving** — the inner format's streams with each group's
+  maximum re-stored as an FP16 code plus its index; the inner element
+  code at that index is dropped.
 * **fp16** — stores IEEE float16 words when the tensor is exactly
   fp16-representable; otherwise falls back to raw float64 (flagged in
   the header) because the catalog's ``Fp16Format`` is an identity
@@ -56,20 +69,16 @@ import numpy as np
 
 from .. import obs as _obs
 from ..core.elem_em import META_BITS_PER_VALUE, ElemEM, ElemEMEncoding, \
-    elem_em_decode, elem_em_encode
+    elem_em_decode
 from ..core.elem_ee import ElemEE
 from ..core.m2xfp import M2NVFP4, M2XFP
-from ..core.sg_em import SG_EM_MULTIPLIERS, SgEM, SgEMEncoding, sg_em_decode, \
-    sg_em_encode
-from ..core.sg_ee import SgEE, SgEEEncoding, sg_ee_decode, sg_ee_encode
-from ..errors import CodecError, ConfigError
-from ..formats.floatspec import FloatSpec, quantize_to_grid
+from ..core.sg_em import SG_EM_MULTIPLIERS, SgEM, SgEMEncoding, sg_em_decode
+from ..core.sg_ee import SgEE, SgEEEncoding, sg_ee_decode
+from ..errors import CodecError, ConfigError, ShapeError
+from ..formats.floatspec import FloatSpec
 from ..formats.grouping import GroupView, from_groups, to_groups
-from ..formats.intspec import GridSpec, IntSpec
-from ..formats.registry import FP4_E2M1, FP6_E2M3, FP8_E4M3, FP16
-from ..kernels.elem import elem_ee_select
-from ..kernels.search import candidate_search, gather_candidate_codes, \
-    hierarchical_select
+from ..formats.intspec import IntSpec
+from ..formats.registry import FP4_E2M1, FP6_E2M3, FP16
 from ..models.quantized import Fp16Format
 from ..mx.base import BlockFormat
 from ..mx.fp_group import GroupFP4
@@ -77,7 +86,8 @@ from ..mx.max_preserve import MaxPreserving
 from ..mx.msfp import MSFP
 from ..mx.nvfp import NVFP4
 from ..mx.smx import SMX
-from .bitstream import bits_needed, pack_bits, unpack_bits
+from ..plan.cache import get_plan
+from .bitstream import pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
 __all__ = ["encode", "decode", "join_rows", "slice_rows", "drop_rows",
@@ -101,10 +111,9 @@ def collect_encode_stats():
 
     Yields a dict accumulated in place by every :func:`encode` on this
     thread while the context is active: ``encodes`` / ``fused_encodes``
-    call counts and ``quantize_s`` / ``pack_s`` / ``verify_s`` stage
-    seconds (the legacy path cannot split quantize from pack, so its
-    whole ``encode_into`` lands in ``quantize_s``). Nestable — the inner
-    context shadows the outer one.
+    call counts (every encode packs from plan codes, so the two are
+    equal) and ``quantize_s`` / ``pack_s`` / ``verify_s`` stage
+    seconds. Nestable — the inner context shadows the outer one.
     """
     stats = {"encodes": 0, "fused_encodes": 0,
              "quantize_s": 0.0, "pack_s": 0.0, "verify_s": 0.0}
@@ -120,64 +129,27 @@ def collect_encode_stats():
 # Shared helpers
 # ----------------------------------------------------------------------
 def _element_width(element) -> int:
-    """Packed bits per element code for any scalar spec."""
+    """Packed bits per sign-magnitude element code."""
     if isinstance(element, FloatSpec):
         return element.total_bits
     if isinstance(element, IntSpec):
         return element.bits
-    if isinstance(element, GridSpec):
-        return 1 + bits_needed(element.grid.shape[0])
-    raise CodecError(f"no element packing for {type(element).__name__}")
-
-
-def _element_codes(element, scaled: np.ndarray) -> np.ndarray:
-    """Integer codes quantizing ``scaled`` values (idempotent on-grid)."""
-    if isinstance(element, FloatSpec):
-        sign, mag = element.encode(scaled)
-        return (sign << (element.exp_bits + element.man_bits)) | mag
-    if isinstance(element, IntSpec):
-        q = element.quantize(scaled)
-        sign = np.signbit(q).astype(np.int64)
-        mag = np.abs(q).astype(np.int64)
-        return (sign << (element.bits - 1)) | mag
-    if isinstance(element, GridSpec):
-        q = element.quantize(scaled)
-        sign = np.signbit(q).astype(np.int64)
-        idx = np.searchsorted(element.grid, np.abs(q))
-        return (sign << bits_needed(element.grid.shape[0])) | idx
     raise CodecError(f"no element packing for {type(element).__name__}")
 
 
 def _element_values(element, codes: np.ndarray) -> np.ndarray:
-    """Invert :func:`_element_codes` back to float64 grid values."""
+    """Sign-magnitude element codes back to float64 grid values."""
     if isinstance(element, FloatSpec):
         shift = element.exp_bits + element.man_bits
         return element.decode(codes >> shift, codes & ((1 << shift) - 1))
     if isinstance(element, IntSpec):
         mag = (codes & ((1 << (element.bits - 1)) - 1)).astype(np.float64)
         return np.where((codes >> (element.bits - 1)) != 0, -mag, mag)
-    if isinstance(element, GridSpec):
-        shift = bits_needed(element.grid.shape[0])
-        vals = element.grid[codes & ((1 << shift) - 1)]
-        return np.where((codes >> shift) != 0, -vals, vals)
     raise CodecError(f"no element packing for {type(element).__name__}")
 
 
-def _put_exponents(pt: PackedTensor, name: str, scales: np.ndarray) -> None:
-    """Store power-of-two scales as E8M0 bytes (bias 127)."""
-    e = np.log2(scales)
-    ei = e.astype(np.int64)
-    if np.any(ei != e) or np.any(np.exp2(ei.astype(np.float64)) != scales):
-        raise CodecError("scales are not exact powers of two")
-    if ei.size and (ei.min() < -127 or ei.max() > 127):
-        raise CodecError("scale exponent outside the E8M0 range "
-                         f"[{ei.min()}, {ei.max()}]; the container stores "
-                         "E8M0-range scales only")
-    pt.add_stream(name, pack_bits(ei + 127, 8), 8, ei.size)
-
-
 def _get_exponent_scales(pt: PackedTensor, name: str, count: int) -> np.ndarray:
-    """Invert :func:`_put_exponents` into float64 power-of-two scales."""
+    """E8M0 scale bytes (bias 127) to float64 power-of-two scales."""
     e = unpack_bits(pt.stream(name).data, 8, count) - 127
     return np.exp2(e.astype(np.float64))
 
@@ -221,25 +193,21 @@ def _unhex(pt: PackedTensor, key: str) -> float:
 # Codec classes
 # ----------------------------------------------------------------------
 class Codec:
-    """Base class: encode a format's streams into / out of a container."""
+    """Base class: a format's container stream layout and its decode."""
 
-    #: Stream names the fused code-space path supplies, in packing
-    #: order; None means the family has no fused layout and always
-    #: encodes from floats. :meth:`code_layout` may vary it per
-    #: container (the NVFP4 family's op and zero tensor).
-    code_streams: tuple[str, ...] | None = None
+    #: Stream names a plan's code-space result supplies, in packing
+    #: order. :meth:`code_layout` may vary it per container (the NVFP4
+    #: family's op and zero tensor, the max-preserving wrapper).
+    code_streams: tuple[str, ...] = ("scales", "elements")
 
     #: Streams holding one field per ``fmt.sub_size``-wide subgroup.
     subgroup_streams: tuple[str, ...] = ()
 
-    def encode_into(self, fmt, x: np.ndarray, pt: PackedTensor) -> None:
-        raise NotImplementedError
-
     def decode(self, fmt, pt: PackedTensor) -> np.ndarray:
         raise NotImplementedError
 
-    def code_layout(self, fmt, pt: PackedTensor) -> tuple[str, ...] | None:
-        """Expected fused stream layout for this container, or None."""
+    def code_layout(self, fmt, pt: PackedTensor) -> tuple[str, ...]:
+        """Expected code-space stream layout for this container."""
         return self.code_streams
 
     def stream_counts(self, fmt, pt: PackedTensor) -> dict[str, int]:
@@ -260,18 +228,15 @@ class Codec:
     def encode_from_codes(self, fmt, cs, pt: PackedTensor) -> None:
         """Pack a plan executor's :class:`CodeSpaceResult` directly.
 
-        The code arrays are already the exact integers ``encode_into``
-        would derive from the dequantized floats (the executor/codec
-        parity contract, DESIGN.md §11), so packing is a pure bitstream
-        write — no quantization arithmetic at all. The result's header
-        scalars go into ``pt.extra`` first, since a layout may depend on
-        them (the NVFP4 family's zero tensor has no scale stream).
+        The code arrays are already the exact integers the format
+        stores (the executor/codec contract, DESIGN.md §11), so packing
+        is a pure bitstream write — no quantization arithmetic at all.
+        The result's header scalars go into ``pt.extra`` first, since a
+        layout may depend on them (the NVFP4 family's zero tensor has no
+        scale stream).
         """
         pt.extra.update(cs.extra)
         expected = self.code_layout(fmt, pt)
-        if expected is None:
-            raise CodecError(f"{type(self).__name__} has no fused "
-                             "code-space layout")
         if cs.stream_names != tuple(expected):
             raise CodecError(f"code-space streams {cs.stream_names} do not "
                              f"match the {type(self).__name__} layout "
@@ -285,17 +250,7 @@ class Codec:
 class Fp16Codec(Codec):
     """The identity ``Fp16Format``: float16 words when exact, else raw."""
 
-    def encode_into(self, fmt, x, pt):
-        x = np.asarray(x, dtype=np.float64)
-        y16 = x.astype("<f2")
-        if y16.astype(np.float64).tobytes() == x.tobytes():
-            pt.extra["storage"] = "f16"
-            pt.add_stream("elements", y16.reshape(-1), 16, x.size)
-        else:
-            # Not fp16-representable: the catalog Fp16Format is an
-            # identity function, so raw float64 is the only exact store.
-            pt.extra["storage"] = "f64"
-            pt.add_stream("elements", x.astype("<f8").reshape(-1), 64, x.size)
+    code_streams = ("elements",)
 
     def stream_counts(self, fmt, pt):
         return {"elements": pt.n_elements}
@@ -313,30 +268,7 @@ class Fp16Codec(Codec):
 
 
 class BlockCodec(Codec):
-    """Plain :class:`BlockFormat`: element codes + E8M0 exponent bytes."""
-
-    code_streams = ("scales", "elements")
-
-    def _scales(self, fmt, groups: np.ndarray) -> np.ndarray:
-        return fmt.group_scales(groups)
-
-    def _scaled(self, fmt, groups: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        return groups / scales[:, None]
-
-    def encode_into(self, fmt, x, pt):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        scales = self._scales(fmt, groups)
-        codes = _element_codes(fmt.element, self._scaled(fmt, groups, scales))
-        self._put_scales(pt, scales)
-        width = _element_width(fmt.element)
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), width),
-                      width, codes.size)
-
-    def _put_scales(self, pt, scales):
-        _put_exponents(pt, "scales", scales)
-
-    def _get_scales(self, fmt, pt, n):
-        return _get_exponent_scales(pt, "scales", n)
+    """Plain :class:`BlockFormat` and MSFP: element codes + E8M0 bytes."""
 
     def decode(self, fmt, pt):
         view = _view(pt)
@@ -345,39 +277,12 @@ class BlockCodec(Codec):
         width = _element_width(fmt.element)
         codes = unpack_bits(pt.stream("elements").data, width, n * k)
         vals = _element_values(fmt.element, codes).reshape(n, k)
-        scales = self._get_scales(fmt, pt, n)
+        scales = _get_exponent_scales(pt, "scales", n)
         return from_groups(vals * scales[:, None], view)
 
 
-class MSFPCodec(BlockCodec):
-    """MSFP's ceil-rule exponent: take the scales the format computed."""
-
-    #: No plan executor compiles for the subclass, so the inherited
-    #: layout is never exercised; cleared to keep that explicit.
-    code_streams = None
-
-    def _scales(self, fmt, groups):
-        return fmt.quantize_groups(groups).scales
-
-
-class GroupFP4Codec(BlockCodec):
+class GroupFP4Codec(Codec):
     """FP16 group scales; zero groups flush to +0.0 exactly like the format."""
-
-    code_streams = None
-
-    def _scales(self, fmt, groups):
-        return fmt.quantize_groups(groups).scales
-
-    def _scaled(self, fmt, groups, scales):
-        safe = np.where(scales > 0, scales, 1.0)
-        return groups / safe[:, None]
-
-    def _put_scales(self, pt, scales):
-        codes = _element_codes(FP16, scales)
-        pt.add_stream("scales", pack_bits(codes, 16), 16, codes.size)
-
-    def _get_scales(self, fmt, pt, n):
-        return _element_values(FP16, unpack_bits(pt.stream("scales").data, 16, n))
 
     def decode(self, fmt, pt):
         view = _view(pt)
@@ -385,7 +290,8 @@ class GroupFP4Codec(BlockCodec):
         width = _element_width(fmt.element)
         codes = unpack_bits(pt.stream("elements").data, width, n * k)
         vals = _element_values(fmt.element, codes).reshape(n, k)
-        scales = self._get_scales(fmt, pt, n)
+        scales = _element_values(
+            FP16, unpack_bits(pt.stream("scales").data, 16, n))
         safe = np.where(scales > 0, scales, 1.0)
         dq = np.where(scales[:, None] > 0, vals * safe[:, None], 0.0)
         return from_groups(dq, view)
@@ -394,23 +300,8 @@ class GroupFP4Codec(BlockCodec):
 class SMXCodec(Codec):
     """SMX: element codes + E8M0 exponents + 1-bit pair micro-exponents."""
 
+    code_streams = ("scales", "meta", "elements")
     subgroup_streams = ("meta",)
-
-    def encode_into(self, fmt, x, pt):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        res = fmt.quantize_groups(groups)
-        scales, micro = res.scales, res.details["micro_exponents"]
-        n, k = groups.shape
-        pairs = groups.reshape(n, k // fmt.sub_size, fmt.sub_size)
-        local = scales[:, None] / np.exp2(micro)
-        q = fmt.element.quantize(pairs / local[:, :, None])
-        codes = _element_codes(fmt.element, q)
-        _put_exponents(pt, "scales", scales)
-        pt.add_stream("meta", pack_bits(micro.astype(np.int64).reshape(-1), 1),
-                      1, micro.size)
-        width = _element_width(fmt.element)
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), width),
-                      width, codes.size)
 
     def decode(self, fmt, pt):
         view = _view(pt)
@@ -425,36 +316,6 @@ class SMXCodec(Codec):
         local = scales[:, None] / np.exp2(micro)
         dq = (vals * local[:, :, None]).reshape(n, k)
         return from_groups(dq, view)
-
-
-def _nvfp4_put_scales(element, scale_format, groups: np.ndarray,
-                      pt: PackedTensor,
-                      tensor_amax: float | None = None) -> np.ndarray | None:
-    """Serialize NVFP4's two-level scales (E4M3 codes + header tensor
-    scale); returns the raw group scales ``s8 * ts``, or None for the
-    zero-tensor case (no scale stream, ``tensor_scale`` pinned to 0).
-    A tensor scale that underflows to 0 (every ``|x|`` below about
-    1.3e-320) is laid out like a zero tensor's, and its group scales
-    are all 0.
-
-    Shared by :class:`NVFP4Codec` and :class:`M2NVFP4Codec` so the scale
-    derivation cannot drift between the base format and its M2 extension.
-    """
-    if tensor_amax is None:
-        tensor_amax = float(np.max(np.abs(groups), initial=0.0))
-    if tensor_amax == 0.0:
-        pt.extra["tensor_scale"] = _hex(0.0)
-        return None
-    ts = tensor_amax / (element.max_value * scale_format.max_value)
-    pt.extra["tensor_scale"] = _hex(ts)
-    if ts == 0.0:
-        return np.zeros(groups.shape[0])
-    group_amax = np.max(np.abs(groups), axis=1)
-    ideal = group_amax / (element.max_value * ts)
-    s8 = scale_format.quantize(ideal)
-    _, s8_codes = scale_format.encode(s8)
-    pt.add_stream("scales", pack_bits(s8_codes, 8), 8, s8_codes.size)
-    return s8 * ts
 
 
 def _nvfp4_tensor_scale(pt: PackedTensor) -> float | np.ndarray:
@@ -479,7 +340,9 @@ def _nvfp4_counts(pt: PackedTensor, counts: dict) -> dict:
 
 def _nvfp4_get_scales(scale_format, pt: PackedTensor,
                       n: int) -> np.ndarray | None:
-    """Invert :func:`_nvfp4_put_scales` (None for the zero-tensor case).
+    """NVFP4's two-level group scales ``s8 * ts`` from the E4M3 codes and
+    the header tensor scale (None for a zero or underflowed tensor
+    scale, which has no scale stream).
 
     A row run's per-row tensor scales are broadcast to each row's
     groups, so every group gets the same ``s8 * ts`` multiply its own
@@ -498,27 +361,11 @@ def _nvfp4_get_scales(scale_format, pt: PackedTensor,
 class NVFP4Codec(Codec):
     """Two-level NVFP4: E4M3 scale codes + the FP32 tensor scale in-header."""
 
-    code_streams = ("scales", "elements")
-
     def code_layout(self, fmt, pt):
         return _nvfp4_layout(pt, self.code_streams)
 
     def stream_counts(self, fmt, pt):
         return _nvfp4_counts(pt, super().stream_counts(fmt, pt))
-
-    def encode_into(self, fmt, x, pt, tensor_amax: float | None = None):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        scales = _nvfp4_put_scales(fmt.element, fmt.scale_format, groups, pt,
-                                   tensor_amax)
-        if scales is None:
-            codes = _element_codes(fmt.element, groups)
-        elif "scales" not in pt.streams:
-            # An underflowed tensor scale: quantize gives +0.0 throughout.
-            codes = _element_codes(fmt.element, np.zeros_like(groups))
-        else:
-            safe = np.where(scales > 0, scales, 1.0)
-            codes = _element_codes(fmt.element, groups / safe[:, None])
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), 4), 4, codes.size)
 
     def decode(self, fmt, pt):
         view = _view(pt)
@@ -536,35 +383,17 @@ class NVFP4Codec(Codec):
 class MaxPreserveCodec(Codec):
     """Inner-format streams with the group max re-stored as FP16 + index.
 
-    When the wrapper and inner group sizes agree, the inner element code
-    at the max position is *dropped* from the element stream (the decoder
-    overwrites it anyway), so the measured footprint matches the format's
-    nominal EBW accounting exactly.
+    The wrapper and inner group sizes agree (no executor compiles
+    otherwise), and the inner element code at the max position is
+    *dropped* from the element stream (the decoder overwrites it
+    anyway), so the measured footprint matches the format's nominal EBW
+    accounting exactly.
     """
 
-    def encode_into(self, fmt, x, pt):
-        if getattr(fmt.inner, "group_size", None) != fmt.group_size:
-            raise CodecError("MaxPreserving codec requires the wrapper and "
-                             "inner formats to share a group size")
-        inner_codec = codec_for(fmt.inner)
-        inner_codec.encode_into(fmt.inner, x, pt)
-        orig, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        rows = np.arange(orig.shape[0])
-        idx = np.argmax(np.abs(orig), axis=1)
-        maxq = FP16.quantize(orig[rows, idx])
-        idx_bits = max(1, int(np.ceil(np.log2(fmt.group_size))))
-        pt.add_stream("max_idx", pack_bits(idx, idx_bits), idx_bits, idx.size)
-        max_codes = _element_codes(FP16, maxq)
-        pt.add_stream("max_val", pack_bits(max_codes, 16), 16, max_codes.size)
-        dropped = "elements" in pt.streams
-        pt.extra["dropped_max"] = bool(dropped)
-        if dropped:
-            elems = pt.streams.pop("elements")
-            codes = unpack_bits(elems.data, elems.width, elems.count)
-            k = fmt.group_size
-            keep = np.delete(codes, rows * k + idx)
-            pt.add_stream("elements", pack_bits(keep, elems.width),
-                          elems.width, keep.size)
+    def code_layout(self, fmt, pt):
+        inner = codec_for(fmt.inner).code_layout(fmt.inner, pt)
+        return tuple(s for s in inner if s != "elements") \
+            + ("max_idx", "max_val", "elements")
 
     def stream_counts(self, fmt, pt):
         counts = codec_for(fmt.inner).stream_counts(fmt.inner, pt)
@@ -609,17 +438,6 @@ class ElemEMCodec(Codec):
 
     code_streams = ("elements", "scales", "meta")
 
-    def encode_into(self, fmt, x, pt):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        enc = elem_em_encode(groups, fmt.sub_size, fmt.top_k, fmt.scale_rule)
-        codes = (enc.sign_codes << 3) | enc.mag_codes
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), 4), 4, codes.size)
-        pt.add_stream("scales", pack_bits(enc.scale_exponents + 127, 8),
-                      8, enc.scale_exponents.size)
-        pt.add_stream("meta", pack_bits(enc.metadata.reshape(-1),
-                                        META_BITS_PER_VALUE),
-                      META_BITS_PER_VALUE, enc.metadata.size)
-
     def stream_counts(self, fmt, pt):
         counts = super().stream_counts(fmt, pt)
         counts["meta"] = counts["elements"] // fmt.sub_size * fmt.top_k
@@ -645,16 +463,6 @@ class SgEMCodec(Codec):
     code_streams = ("elements", "scales", "meta")
     subgroup_streams = ("meta",)
 
-    def encode_into(self, fmt, x, pt):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        enc = sg_em_encode(groups, fmt.sub_size, fmt.adaptive, fmt.scale_rule)
-        codes = (enc.sign_codes << 3) | enc.mag_codes
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), 4), 4, codes.size)
-        pt.add_stream("scales", pack_bits(enc.scale_exponents + 127, 8),
-                      8, enc.scale_exponents.size)
-        pt.add_stream("meta", pack_bits(enc.sg_codes.reshape(-1), 2),
-                      2, enc.sg_codes.size)
-
     def decode(self, fmt, pt):
         view = _view(pt)
         n, k = _n_groups(pt), pt.group_size
@@ -673,18 +481,6 @@ class SgEECodec(Codec):
 
     code_streams = ("elements", "scales", "meta")
     subgroup_streams = ("meta",)
-
-    def encode_into(self, fmt, x, pt):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        enc = sg_ee_encode(groups, fmt.sub_size, fmt.meta_bits, fmt.adaptive,
-                           fmt.scale_rule)
-        codes = (enc.sign_codes << 3) | enc.mag_codes
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), 4), 4, codes.size)
-        pt.add_stream("scales", pack_bits(enc.scale_exponents + 127, 8),
-                      8, enc.scale_exponents.size)
-        pt.add_stream("meta", pack_bits(enc.sg_decrements.reshape(-1),
-                                        fmt.meta_bits),
-                      fmt.meta_bits, enc.sg_decrements.size)
 
     def decode(self, fmt, pt):
         view = _view(pt)
@@ -712,32 +508,6 @@ class ElemEECodec(Codec):
 
     code_streams = ("elements", "scales", "meta", "refined")
     subgroup_streams = ("meta", "refined")
-
-    def encode_into(self, fmt, x, pt):
-        from ..mx.scale_rules import shared_scale_exponent
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        n, k = groups.shape
-        n_sub = k // fmt.sub_size
-        o_max = (1 << fmt.meta_bits) - 1
-        amax = np.max(np.abs(groups), axis=1)
-        exps = shared_scale_exponent(amax, FP4_E2M1, fmt.scale_rule)
-        scaled = groups / np.exp2(exps.astype(np.float64))[:, None]
-        sign, mag = FP4_E2M1.encode(scaled)
-        codes = (sign << 3) | mag
-        mag_sub = mag.reshape(n, n_sub, fmt.sub_size)
-        top_idx = np.argmax(mag_sub, axis=2)[:, :, None]
-        top_val = np.take_along_axis(scaled.reshape(n, n_sub, fmt.sub_size),
-                                     top_idx, axis=2)[:, :, 0]
-        # The offset search is shared with the format's own kernel path
-        # (first-strict-improvement semantics), not re-derived here.
-        ref_codes, _, pick = elem_ee_select(top_val, o_max, FP4_E2M1)
-        refined = np.take_along_axis(ref_codes, pick[..., None], axis=-1)[..., 0]
-        pt.add_stream("elements", pack_bits(codes.reshape(-1), 4), 4, codes.size)
-        pt.add_stream("scales", pack_bits(exps + 127, 8), 8, exps.size)
-        pt.add_stream("meta", pack_bits(pick.reshape(-1), fmt.meta_bits),
-                      fmt.meta_bits, pick.size)
-        pt.add_stream("refined", pack_bits(refined.reshape(-1), 3),
-                      3, refined.size)
 
     def decode(self, fmt, pt):
         view = _view(pt)
@@ -773,10 +543,6 @@ class M2XFPCodec(Codec):
             return SgEMCodec(), fmt.weight_format
         return ElemEMCodec(), fmt.activation_format
 
-    def encode_into(self, fmt, x, pt):
-        codec, sub_fmt = self._delegate(fmt, pt)
-        codec.encode_into(sub_fmt, x, pt)
-
     def stream_counts(self, fmt, pt):
         codec, sub_fmt = self._delegate(fmt, pt)
         return codec.stream_counts(sub_fmt, pt)
@@ -799,13 +565,6 @@ class M2NVFP4Codec(Codec):
             layout += ("bias",)
         return _nvfp4_layout(pt, layout)
 
-    def _scales_for_encode(self, fmt, groups, pt) -> np.ndarray:
-        raw = _nvfp4_put_scales(fmt.base.element, fmt.base.scale_format,
-                                groups, pt)
-        if raw is None:     # zero tensor: base.quantize_detailed says ones
-            return np.ones(groups.shape[0])
-        return np.where(raw > 0, raw, 1.0)
-
     def stream_counts(self, fmt, pt):
         counts = super().stream_counts(fmt, pt)
         if pt.op == "weight":
@@ -818,47 +577,6 @@ class M2NVFP4Codec(Codec):
             return np.ones(n)
         return np.where(raw > 0, raw, 1.0)
 
-    def encode_into(self, fmt, x, pt):
-        groups, _ = to_groups(x, fmt.group_size, axis=pt.axis)
-        scales = self._scales_for_encode(fmt, groups, pt)
-        n, k = groups.shape
-        n_sub = k // fmt.sub_size
-        if pt.op == "weight":
-            subs = groups.reshape(n, n_sub, fmt.sub_size)
-            biases = (0.5, 1.0, 2.0) if fmt.adaptive else (1.0,)
-            mult = np.asarray(SG_EM_MULTIPLIERS)
-            cand = ((scales[:, None] * np.asarray(biases))[:, :, None]
-                    * mult).reshape(n, -1)
-            codes, err = candidate_search(subs, cand, FP4_E2M1.grid,
-                                          FP4_E2M1.boundaries)
-            outer, inner, invalid = hierarchical_select(
-                err, len(biases), len(mult), fallback_outer=biases.index(1.0))
-            if invalid.any():
-                raise CodecError("M2-NVFP4 weight search produced an invalid "
-                                 "group; inputs must be finite")
-            mag = gather_candidate_codes(codes, outer, inner, len(mult))
-            sign = np.signbit(subs).astype(np.int64)
-            elem = (sign << 3) | mag.reshape(n, n_sub, fmt.sub_size)
-            pt.add_stream("elements", pack_bits(elem.reshape(-1), 4),
-                          4, elem.size)
-            pt.add_stream("meta", pack_bits(inner.reshape(-1), 2), 2, inner.size)
-            pt.add_stream("bias", pack_bits(outer, 2), 2, outer.size)
-        else:
-            scaled = groups / scales[:, None]
-            sign, mag = FP4_E2M1.encode(scaled)
-            elem = (sign << 3) | mag
-            mag_sub = mag.reshape(n, n_sub, fmt.sub_size)
-            top_idx = np.argmax(mag_sub, axis=2)[:, :, None]
-            abs_sub = np.abs(scaled).reshape(n, n_sub, fmt.sub_size)
-            top_abs = np.take_along_axis(abs_sub, top_idx, axis=2)
-            fp6 = quantize_to_grid(top_abs, FP6_E2M3.grid)
-            fp4_top = np.take_along_axis(mag_sub, top_idx, axis=2)
-            lo = fp4_top << META_BITS_PER_VALUE
-            meta = (np.clip(fp6 + 1, lo, lo + 3) - lo)[:, :, 0]
-            pt.add_stream("elements", pack_bits(elem.reshape(-1), 4),
-                          4, elem.size)
-            pt.add_stream("meta", pack_bits(meta.reshape(-1), 2), 2, meta.size)
-
     def decode(self, fmt, pt):
         view = _view(pt)
         n, k = _n_groups(pt), pt.group_size
@@ -870,7 +588,7 @@ class M2NVFP4Codec(Codec):
             biases = (0.5, 1.0, 2.0) if fmt.adaptive else (1.0,)
             mult = np.asarray(SG_EM_MULTIPLIERS)
             cand = ((scales[:, None] * np.asarray(biases))[:, :, None]
-                    * mult).reshape(n, -1)
+                    * mult).reshape(n, len(biases) * len(mult))
             inner = unpack_bits(pt.stream("meta").data, 2,
                                 n * n_sub).reshape(n, n_sub)
             outer = unpack_bits(pt.stream("bias").data, 2, n)
@@ -914,7 +632,7 @@ _CODECS: dict[type, Codec] = {
     SgEM: SgEMCodec(),
     SgEE: SgEECodec(),
     SMX: SMXCodec(),
-    MSFP: MSFPCodec(),
+    MSFP: BlockCodec(),
     GroupFP4: GroupFP4Codec(),
     BlockFormat: BlockCodec(),
     Fp16Format: Fp16Codec(),
@@ -930,10 +648,11 @@ def codec_for(fmt) -> Codec:
 
 
 def supports(fmt) -> bool:
-    """Whether :func:`encode` can serialize this format."""
+    """Whether :func:`encode` can serialize this format: a codec decodes
+    it and a code-space executor compiles it for both operand paths
+    (the compilers decide from the configuration, not the shape)."""
     try:
-        codec_for(fmt)
-        return True
+        return all(_plan_packing(fmt, op, (1,), 0) for op in OPS)
     except CodecError:
         return False
 
@@ -967,68 +686,58 @@ def _check_header(pt: PackedTensor, fingerprint: str, group_size: int) -> None:
                          f"the format's {group_size}")
 
 
-def _dispatch_quantize(fmt, x, op: str, axis: int) -> np.ndarray:
-    return (fmt.quantize_weight(x, axis=axis) if op == "weight"
-            else fmt.quantize_activation(x, axis=axis))
-
-
 class _Packing(NamedTuple):
-    """What :func:`encode` derives from the format alone. A planned
-    signature holds it on its :class:`~repro.plan.QuantPlan`, so it is
-    derived once per ``(format, op, shape, axis)``, not per call."""
+    """What :func:`encode` derives from the format alone, held on the
+    :class:`~repro.plan.QuantPlan` of each ``(format, op, shape, axis)``
+    signature, so it is derived once per signature, not per call."""
 
     codec: Codec
     format_name: str
     fingerprint: str
     group_size: int
-    #: The plan's code-space runner when the codec has a fused layout.
-    run_codes: Callable | None
+    #: The plan's code-space runner.
+    run_codes: Callable
 
 
-def _packing(fmt, run_codes=None) -> _Packing:
+def _plan_packing(fmt, op: str, shape: tuple, axis: int) -> _Packing:
+    """The packing on the plan that encodes ``fmt`` at this signature,
+    bound on the plan's first encode. :class:`CodecError` when no codec
+    decodes the format or no code-space executor compiles it."""
+    plan = get_plan(fmt, op, shape, axis)
+    if plan is not None and plan.packing is not None:
+        return plan.packing
     codec = codec_for(fmt)
-    return _Packing(codec, _catalog_name(fmt), repr(fmt), _group_size(fmt),
-                    run_codes if codec.code_streams is not None else None)
-
-
-def _plan_packing(fmt, op: str, x: np.ndarray, axis: int) -> _Packing:
-    """The packing held on ``fmt``'s plan, bound on the plan's first
-    encode; a fresh one when no plan serves the call."""
-    from ..plan.cache import lookup_plan
-    plan = lookup_plan(fmt, op, x, axis)
-    if plan is None:
-        return _packing(fmt)
-    if plan.packing is None:    # racing binders compute equal values
-        plan.packing = _packing(fmt, plan.run_codes)
+    if plan is None or plan.run_codes is None:
+        raise CodecError(f"no code-space executor compiles {fmt!r} for "
+                         f"{op} input of shape {shape}")
+    # Racing binders compute equal values.
+    plan.packing = _Packing(codec, _catalog_name(fmt), repr(fmt),
+                            _group_size(fmt), plan.run_codes)
     return plan.packing
 
 
 def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
-           verify: bool = False, **kwargs) -> PackedTensor:
+           verify: bool = False) -> PackedTensor:
     """Serialize ``x`` under ``fmt`` into a :class:`PackedTensor`.
 
     ``op`` selects the operand path (hybrid formats quantize weights and
-    activations differently). ``verify=True`` decodes the fresh container
-    and cross-checks it bit-for-bit against the format's own quantize
-    output — cheap insurance when integrating a new format. Extra
-    ``kwargs`` go to the codec (e.g. NVFP4's calibrated ``tensor_amax``).
-
-    When a compiled plan with a code-space sibling exists for
-    ``(fmt, op, shape, axis)``, the container is packed straight from
-    the executor's integer codes — no dequantize/re-derive round trip,
-    byte-identical output — and ``verify=True`` degrades from
-    re-quantizing everything to an O(bytes) cross-check: each packed
-    stream is unpacked and compared against the executor's code arrays,
-    catching bitstream truncation and round-trip bugs without ever
-    materializing floats (the code-vs-float parity itself is pinned
-    statically by ``tests/test_fused_pack.py``).
+    activations differently). The container is packed straight from the
+    integer codes of the compiled plan's code-space executor for
+    ``(fmt, op, shape, axis)``, under either kernel dispatch mode; it
+    decodes to the format's own quantize output bit for bit (pinned
+    against the reference oracle by ``tests/test_fused_pack.py``).
+    ``verify=True`` adds an O(bytes) cross-check: each packed stream is
+    unpacked and compared against the executor's code arrays, catching
+    bitstream truncation and round-trip bugs without materializing
+    floats.
     """
     if op not in OPS:
         raise CodecError(f"op must be one of {OPS}, got {op!r}")
     x = np.asarray(x, dtype=np.float64)
-    axis = axis % x.ndim if x.ndim else 0
-    packing = _packing(fmt) if kwargs else _plan_packing(fmt, op, x, axis)
-    codec = packing.codec
+    if not x.ndim:
+        raise ShapeError("a 0-d tensor has no axis to group along")
+    axis %= x.ndim
+    packing = _plan_packing(fmt, op, x.shape, axis)
     pt = PackedTensor(format_name=packing.format_name,
                       fingerprint=packing.fingerprint, op=op, shape=x.shape,
                       axis=axis, group_size=packing.group_size)
@@ -1047,40 +756,26 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
 
     if timed:
         t0 = time.perf_counter()
-    cs = None if packing.run_codes is None else packing.run_codes(x)
+    cs = packing.run_codes(x)
     if _obs.metrics_enabled():
         with _ENCODE_TOTALS_LOCK:
             _ENCODE_TOTALS["encodes"] += 1
-            _ENCODE_TOTALS["fused_encodes"] += cs is not None
+            _ENCODE_TOTALS["fused_encodes"] += 1
     if sink is not None:
         sink["encodes"] += 1
-        sink["fused_encodes"] += cs is not None
-    if cs is not None:
-        if timed:
-            t0 = _mark("quantize", t0)
-        codec.encode_from_codes(fmt, cs, pt)
-        if timed:
-            t0 = _mark("pack", t0)
-        if verify:
-            for s in cs.streams:
-                stored = pt.stream(s.name)
-                back = unpack_bits(stored.data, stored.width, stored.count)
-                if not np.array_equal(back,
-                                      np.asarray(s.values).reshape(-1)):
-                    raise CodecError(
-                        f"fused pack round-trip mismatch for {fmt!r} "
-                        f"({op}), stream {s.name!r}")
-            if timed:
-                _mark("verify", t0)
-        return pt
-    codec.encode_into(fmt, x, pt, **kwargs)
+        sink["fused_encodes"] += 1
     if timed:
         t0 = _mark("quantize", t0)
+    packing.codec.encode_from_codes(fmt, cs, pt)
+    if timed:
+        t0 = _mark("pack", t0)
     if verify:
-        expect = _dispatch_quantize(fmt, x, op, axis)
-        got = codec.decode(fmt, pt)
-        if got.tobytes() != np.asarray(expect, dtype=np.float64).tobytes():
-            raise CodecError(f"round-trip mismatch for {fmt!r} ({op})")
+        for s in cs.streams:
+            stored = pt.stream(s.name)
+            back = unpack_bits(stored.data, stored.width, stored.count)
+            if not np.array_equal(back, np.asarray(s.values).reshape(-1)):
+                raise CodecError(f"pack round-trip mismatch for {fmt!r} "
+                                 f"({op}), stream {s.name!r}")
         if timed:
             _mark("verify", t0)
     return pt

@@ -37,6 +37,8 @@ def to_groups(x: np.ndarray, group_size: int, axis: int = -1) -> tuple[np.ndarra
     x = np.asarray(x, dtype=np.float64)
     if group_size < 1:
         raise ShapeError(f"group_size must be >= 1, got {group_size}")
+    if x.ndim == 0:
+        raise ShapeError("a 0-d tensor has no axis to group along")
     if not np.isfinite(x).all():
         # A single NaN/Inf silently poisons the group's shared scale and
         # decodes to garbage; every group-wise quantizer funnels through

@@ -264,7 +264,7 @@ def render_metrics(snapshot: dict) -> str:
     # metrics-registry snapshot that rides each replica's HEALTH meta,
     # so /metrics on the gateway is a one-stop view of the cluster.
     plan_samples, busy_samples, sess_samples = [], [], []
-    arm_req_samples, arm_batch_samples, arm_p99_samples = [], [], []
+    arm_req_samples, arm_p99_samples = [], []
     for name, info in sorted(snapshot["replicas"].items()):
         health = info.get("health") or {}
         rmetrics = health.get("metrics") or {}
@@ -288,16 +288,10 @@ def render_metrics(snapshot: dict) -> str:
             if not isinstance(svc, dict):
                 continue
             arm_label = f'{label},arm="{_esc(key[len("serve."):])}"'
-            requests = svc.get("requests", 0)
-            batches = svc.get("batches", 0)
-            batched = requests - svc.get("weight_cache_hits", 0)
             lat = rmetrics.get(f"{key}.latency") or {}
             arm_req_samples.append(
                 f'repro_gateway_replica_arm_requests_total'
-                f'{{{arm_label}}} {requests}')
-            arm_batch_samples.append(
-                f'repro_gateway_replica_arm_batch_mean{{{arm_label}}} '
-                f'{(batched / batches if batches else 0.0):g}')
+                f'{{{arm_label}}} {svc.get("requests", 0)}')
             arm_p99_samples.append(
                 f'repro_gateway_replica_arm_p99_ms{{{arm_label}}} '
                 f'{round(lat.get("p99", 0.0) * 1e3, 3):g}')
@@ -311,9 +305,6 @@ def render_metrics(snapshot: dict) -> str:
     metric("repro_gateway_replica_arm_requests_total", "counter",
            "Server-side requests per (replica, service arm).",
            arm_req_samples)
-    metric("repro_gateway_replica_arm_batch_mean", "gauge",
-           "Mean micro-batch size per (replica, service arm): "
-           "non-memoized requests / batches.", arm_batch_samples)
     metric("repro_gateway_replica_arm_p99_ms", "gauge",
            "Server-side submit->finish p99 (ms) per (replica, service "
            "arm), from the replica's latency histogram.",

@@ -154,8 +154,8 @@ def gather_candidate_codes(codes: np.ndarray, outer: np.ndarray,
     :func:`candidate_search`, replacing the reference's final re-encode
     (which would recompute exactly these codes).
     """
-    n, n_sub, _, sub = codes.shape
+    n, n_sub, n_cand, sub = codes.shape
     cand_idx = (outer[:, None] * n_inner + inner).ravel()
-    flat = codes.reshape(n * n_sub, -1, sub)
+    flat = codes.reshape(n * n_sub, n_cand, sub)
     picked = flat[np.arange(n * n_sub), cand_idx]
     return picked.reshape(n, n_sub, sub).astype(np.int64)

@@ -2,16 +2,16 @@
 
 A :class:`KVCacheSession` models the tensor that actually lives in DRAM
 between decode steps: per decode step the caller appends the new K/V
-rows for each layer, the session quantizes them **through the
-plan-compiled kernels** (the same ``quantize_weight`` /
-``quantize_activation`` entry points the batch path uses — by default
-every append cross-checks the packed bytes against that output and
+rows for each layer, and the session packs them **from the compiled
+plan's codes** (:func:`repro.codec.encode`, the same plans the batch
+path's ``quantize_weight`` / ``quantize_activation`` run — by default
+every append cross-checks each packed stream against those codes and
 raises on any mismatch, so streamed state is bit-exact *by
-construction*). A group-wise format with a fused layout encodes an
+construction*). A format whose rows encode independently encodes an
 append's K and V as one stacked block and cuts the container into its
-K and V rows (:func:`~repro.codec.slice_rows`); tensor-scoped formats
-and the formats without a fused layout (fp16 among them) encode each
-alone.
+K and V rows (:func:`~repro.codec.slice_rows`); fp16 and the
+tensor-scoped NVFP4 family, whose headers depend on the whole block,
+encode each alone.
 Each layer's K and V are kept as **arenas**: a short
 list of runs, each one row-stacked :class:`~repro.codec.PackedTensor`
 that appends extend (:func:`~repro.codec.join_rows`). A new run starts
@@ -71,6 +71,7 @@ from ..codec import PackedTensor, codec_for, collect_encode_stats, \
     drop_rows, encode, join_rows, slice_rows
 from ..codec.container import OPS
 from ..errors import ConfigError
+from ..models.quantized import Fp16Format
 from ..obs import measured_bits_per_element
 from ..obs import registry as obs_registry
 from ..serve.service import DISPATCH_MODES, _dispatch_scope, _tensor_scoped
@@ -181,12 +182,9 @@ class KVCacheSession:
         Stable identifier; auto-generated when omitted.
     verify:
         When True (default), every append cross-checks the fresh
-        container: on the fused quantize→pack path each packed stream
-        is unpacked and compared against the executor's code arrays
-        (O(bytes)); for a format without a code-space plan (or under
-        reference dispatch) the container is decoded against the
-        format's own quantize output — streamed state can never
-        silently diverge from the batch path.
+        container: each packed stream is unpacked and compared against
+        the executor's code arrays (O(bytes)) — streamed state can
+        never silently diverge from the batch path.
 
     Retained state per layer is its K and V arenas (see the module
     docstring): the packed code streams of the held rows, plus one
@@ -396,9 +394,9 @@ class KVCacheSession:
     def encode_stage_stats(self) -> dict:
         """Cumulative per-stage encode cost over every append.
 
-        ``fused_encodes`` counts the encode() calls that rode the fused
-        quantize→pack path (one per stacked append, else one each for K
-        and V) and ``fused_appends`` the appends whose every encode did;
+        ``fused_encodes`` counts the encode() calls, each packed from
+        plan codes (one per stacked append, else one each for K and V),
+        and ``fused_appends`` the appends whose every encode was;
         ``quantize_s`` / ``pack_s`` / ``verify_s``
         are the stage seconds from the codec's stage sink. Separate from
         :meth:`stats` because the wire CLOSE ack serializes that dict
@@ -498,16 +496,14 @@ class KVCacheSession:
 def _stacks_rows(fmt) -> bool:
     """Whether an append encodes K and V as one stacked block.
 
-    Only a group-wise format with a fused code-space layout stacks: its
-    rows encode independently, so :func:`~repro.codec.slice_rows` cuts
-    the stacked container into exactly the K and V containers two solo
-    encodes give. Tensor-scoped formats (the NVFP4 family: the header
-    tensor scale depends on the whole block) and the formats without a
-    fused layout (fp16, whose storage flag depends on the whole block,
-    max-preserving wrappers, SMX, MSFP, fp4) keep one encode each.
+    A format stacks when its rows encode independently, so
+    :func:`~repro.codec.slice_rows` cuts the stacked container into
+    exactly the K and V containers two solo encodes give. Two kinds set
+    a header field from the whole block and keep one encode each: fp16
+    (its ``storage`` flag) and the tensor-scoped NVFP4 family (its
+    tensor scale).
     """
-    return codec_for(fmt).code_streams is not None \
-        and not _tensor_scoped(fmt)
+    return not isinstance(fmt, Fp16Format) and not _tensor_scoped(fmt)
 
 
 def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,

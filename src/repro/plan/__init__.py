@@ -6,17 +6,17 @@ holds everything a quantize call otherwise re-derives per invocation:
 group/pad reshape geometry, boundary and bisected-threshold arrays,
 candidate scale grids for the adaptive searches, and resolved
 dispatch/env state — the hot path performs no ``os.environ`` reads and
-no lazy imports. Plans are bit-identical to the legacy kernel-dispatched
-paths by construction and by test (``tests/test_plan.py``, the golden
-vectors, and the kernel parity matrix). Plans serve only the fast
-dispatch path: under reference dispatch :func:`lookup_plan` returns
-None before touching the cache.
+no lazy imports. Plans are bit-identical to each format's own
+``quantize`` by construction and by test (``tests/test_plan.py``, the
+golden vectors, and the kernel parity matrix).
 
 Entry points: ``TensorFormat.quantize_weight`` /
 ``quantize_activation`` consult :func:`lookup_plan` transparently, so
 `QuantizedLM`, `QuantService` and the evaluation engine all ride the
 cache; reference dispatch (``REPRO_REFERENCE_KERNELS=1`` or
-``reference_kernels()``) is the one way off it.
+``reference_kernels()``) takes those entry points off it, back to the
+reference oracle. :func:`repro.codec.encode` packs from a plan's
+``run_codes`` under either dispatch mode: every catalog format has one.
 
 Example::
 

@@ -3,11 +3,15 @@
 Plans are keyed by the full identity of the computation they compile:
 the format's configuration fingerprint (``weight_cache_key`` — class
 name plus every scalar attribute, recursing into nested formats), the
-operand path, and the exact (shape, axis) signature. Plans exist only
-for the fast dispatch path: under reference dispatch (the escape hatch
-whose code paths must keep running unreplaced) :func:`lookup_plan`
-returns None before touching the cache, and the entry points stay on
-the reference implementations.
+operand path, and the exact (shape, axis) signature. A plan's output is
+bit-identical under either kernel dispatch mode, so one cache serves
+both callers:
+
+* the format entry points (``quantize_weight`` / ``quantize_activation``)
+  go through :func:`lookup_plan`, which returns None under reference
+  dispatch, so the oracle there stays the format's own ``quantize``;
+* :func:`repro.codec.encode` calls :func:`get_plan` under either mode:
+  a plan's ``run_codes`` is the codec's only encoder.
 
 The cache is a lock-protected LRU bounded at :data:`MAX_PLANS`
 entries; negative lookups are cached too, so unplannable formats cost
@@ -41,12 +45,11 @@ class QuantPlan:
 
     ``run_codes`` is the fused quantize→pack sibling: the same search
     returning a :class:`~repro.plan.codespace.CodeSpaceResult` instead
-    of a dequantized tensor. It is None for the families without a
-    matching codec stream layout; the codec falls back to the legacy
-    encode for those. ``packing`` holds the codec's constants for this
-    signature (codec, catalog name, fingerprint, group size, fused
-    runner), bound by :func:`repro.codec.encode` on the plan's first
-    encode.
+    of a dequantized tensor. It is None only for the families without a
+    codec stream layout (``MXAnt`` / ``MXMAnt``), which the codec
+    refuses. ``packing`` holds the codec's constants for this signature
+    (codec, catalog name, fingerprint, group size, code runner), bound
+    by :func:`repro.codec.encode` on the plan's first encode.
     """
 
     key: tuple
@@ -64,11 +67,13 @@ _cache: "OrderedDict[tuple, QuantPlan | None]" = OrderedDict()
 _stats = {"hits": 0, "misses": 0, "compiles": 0, "evictions": 0}
 
 
-def _group_size(fmt) -> int | None:
+def _group_size(fmt) -> int:
+    """The grouping a plan compiles for: the format's group size, its
+    activation format's (M2XFP), or 1 for an element-wise format."""
     size = getattr(fmt, "group_size", None)
     if size is None:
         inner = getattr(fmt, "activation_format", None)
-        size = getattr(inner, "group_size", None)
+        size = getattr(inner, "group_size", 1)
     return size
 
 
@@ -91,9 +96,8 @@ def get_plan(fmt, op: str, shape: tuple, axis: int) -> QuantPlan | None:
             return _cache[key]
         _stats["misses"] += 1
         plan = None
-        size = _group_size(fmt)
-        if size is not None and shape[axis % len(shape)] is not None:
-            geom = GroupGeometry(shape, axis, size)
+        if shape[axis % len(shape)] is not None:
+            geom = GroupGeometry(shape, axis, _group_size(fmt))
             run, run_codes = compile_executor(fmt, op, geom)
             if run is not None:
                 plan = QuantPlan(key=key, run=run, geometry=geom,

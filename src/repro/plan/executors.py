@@ -1,29 +1,34 @@
 """Per-format-family plan compilers.
 
-Each compiler takes ``(fmt, op, geometry)`` and returns a fused
-``run(x) -> dequantized`` closure — or ``None`` when the configuration
-is out of its scope (the cache then records "no plan" and the entry
-point stays on the legacy path). Closures capture everything the legacy
-path re-derives per call: reshape geometry, boundary/threshold arrays,
-candidate scale grids, subgroup index bases, resolved element kinds.
-They perform *exactly* the reference arithmetic (same single-rounding
-operations, same comparison and tie order, same trailing-axis
-reductions), so their outputs are bit-identical to the kernel-dispatched
-legacy paths — asserted format-by-format in ``tests/test_plan.py`` and
-by the golden-vector conformance suite.
+Each compiler takes ``(fmt, op, geometry)`` and returns a
+``(run, run_codes)`` pair, or ``None`` when the configuration is out of
+its scope (the cache then records "no plan": the format's entry points
+keep their own ``quantize`` and :func:`repro.codec.encode` refuses it).
+Closures capture everything a quantize call otherwise re-derives per
+call: reshape geometry, boundary/threshold arrays, candidate scale
+grids, subgroup index bases, resolved element kinds. They perform
+*exactly* the reference arithmetic (same single-rounding operations,
+same comparison and tie order, same trailing-axis reductions), so
+``run``'s output is bit-identical to the format's own quantize —
+asserted format-by-format in ``tests/test_plan.py`` and by the
+golden-vector conformance suite.
 
-The families with a matching codec stream layout additionally compile a
-``run_codes(x) -> CodeSpaceResult`` sibling: the same search, but
-returning the element/scale/metadata *codes* the codec would re-derive
-from floats, in the codec's stream order, with the dequantized tensor
-left lazy (see :mod:`repro.plan.codespace` and DESIGN.md §11). The
-codec's fused ``encode`` path packs these arrays directly.
+``run_codes(x) -> CodeSpaceResult`` is the same search returning the
+element/scale/metadata *codes* the format stores, in its codec's stream
+order, with the dequantized tensor left lazy (see
+:mod:`repro.plan.codespace` and DESIGN.md §11). It is the only encoder:
+:func:`repro.codec.encode` packs these arrays directly, under either
+dispatch mode.
 
 Registered families (exact instance type):
 
 * ``BlockFormat`` — MXFP4/6/8, MXINT8: fused scale + element encode.
+* ``GroupFP4`` — FP4 elements under an FP16 group scale ``amax / 6``.
+* ``MSFP`` — INT mantissas under the ceil-rule shared exponent.
+* ``SMX`` — INT mantissas, E8M0 scale and a 1-bit micro-exponent per
+  subgroup.
 * ``MXAnt`` / ``MXMAnt`` — per-group adaptive-type candidate loops
-  (no code-space sibling: the codec has no per-group-type layout).
+  (``run`` only: the codec has no per-group-type layout).
 * ``SgEM`` — the Sg-EM (bias x multiplier) search: one row-chunked
   u-space engine, with the ``candidate_search`` kernel as its exact
   fallback.
@@ -34,11 +39,15 @@ Registered families (exact instance type):
 * ``NVFP4`` — two-level scaling: the E4M3 group scale from the E4M3
   boundaries, a true division by that non-power-of-two scale, FP4
   codes; ``run`` also takes a calibrated ``tensor_amax``. The
-  code-space sibling carries the tensor scale as a header scalar
+  code-space result carries the tensor scale as a header scalar
   (``CodeSpaceResult.extra``).
 * ``M2NVFP4`` — the same scales with Elem-EM top-1 refinement
   (activations) or the bias x multiplier search on the exact
   ``candidate_search`` kernel (weights).
+* ``MaxPreserving`` — the inner format's plan, with each group's
+  maximum restored as an FP16 value plus its index.
+* ``Fp16Format`` — the identity: IEEE float16 words when the tensor is
+  exactly fp16-representable, else raw float64 words.
 """
 
 from __future__ import annotations
@@ -56,12 +65,17 @@ from ..errors import CodecError
 from ..formats.e8m0 import clamp_exponent
 from ..formats.floatspec import FloatSpec
 from ..formats.intspec import GridSpec, IntSpec
-from ..formats.registry import FP4_E2M1, FP8_E4M3
+from ..formats.registry import FP4_E2M1, FP8_E4M3, FP16
 from ..kernels.elem import elem_ee_select
 from ..kernels.search import (_CHUNK_ELEMS, candidate_search,
                               gather_candidate_codes, hierarchical_select)
+from ..models.quantized import Fp16Format
 from ..mx.base import BlockFormat
+from ..mx.fp_group import GroupFP4
+from ..mx.max_preserve import MaxPreserving
+from ..mx.msfp import MSFP
 from ..mx.nvfp import NVFP4
+from ..mx.smx import SMX
 from ..mx.scale_rules import shared_scale_exponent
 from .codespace import CodeSpaceResult, CodeStream
 from .geometry import GroupGeometry
@@ -81,6 +95,44 @@ def _sign_codes(groups: np.ndarray, mag) -> np.ndarray:
     elems = np.signbit(groups).astype(np.int64) << 3
     elems |= mag
     return elems
+
+
+def _int_codes(q: np.ndarray, bits: int) -> np.ndarray:
+    """Sign-magnitude codes ``sign << (bits - 1) | |q|`` of the integer
+    grid values ``q`` (-0.0 keeps its sign bit)."""
+    elems = np.signbit(q).astype(np.int64) << (bits - 1)
+    elems |= np.abs(q).astype(np.int64)
+    return elems
+
+
+def _e8m0_codes(e: np.ndarray) -> np.ndarray:
+    """E8M0 scale bytes (bias 127) of integer-valued exponents ``e``.
+
+    The container stores E8M0-range scales only, so an exponent outside
+    ``[-127, 127]`` (which the formats with an unclamped exponent rule,
+    MSFP and SMX, reach on extreme magnitudes) is a :class:`CodecError`.
+    """
+    ei = e.astype(np.int64)
+    if ei.size and (ei.min() < -127 or ei.max() > 127):
+        raise CodecError("scale exponent outside the E8M0 range "
+                         f"[{ei.min()}, {ei.max()}]; the container stores "
+                         "E8M0-range scales only")
+    return ei + 127
+
+
+def _fp4_scaled_finish(geom: GroupGeometry, groups: np.ndarray,
+                       safe: np.ndarray, live: np.ndarray,
+                       c: np.ndarray) -> np.ndarray:
+    """Dequantize FP4 codes ``c`` under the (not power-of-two) group
+    scales ``safe``; a group whose scale rounded to 0 (``~live``)
+    dequantizes to +0.0."""
+    v = fp4_half_ints(c).astype(np.float64)
+    v *= 0.5            # the exact FP4 grid values
+    v *= safe[:, None]
+    np.copysign(v, groups, out=v)
+    if not live.all():
+        v[~live] = 0.0
+    return geom.unpack(v)
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +229,7 @@ def _compile_block(fmt: BlockFormat, op: str, geom: GroupGeometry):
             validate_amax(amax)
             e = shared_scale_exponent(amax, elem, rule)
             q = elem.quantize(groups * _exp2(-e)[:, None])
-            elems = np.signbit(q).astype(np.int64) << (elem.bits - 1)
-            elems |= np.abs(q).astype(np.int64)
+            elems = _int_codes(q, elem.bits)
 
             def dequantize() -> np.ndarray:
                 return geom.unpack(q * _exp2(e)[:, None])
@@ -188,6 +239,123 @@ def _compile_block(fmt: BlockFormat, op: str, geom: GroupGeometry):
         return run, run_codes
 
     return None
+
+
+# ----------------------------------------------------------------------
+# GroupFP4 / MSFP / SMX: block formats with their own scale rules
+# ----------------------------------------------------------------------
+def _compile_group_fp4(fmt: GroupFP4, op: str, geom: GroupGeometry):
+    emax = fmt.element.max_value
+    bounds, grid = FP16.boundaries, FP16.grid
+
+    def _encode(x: np.ndarray):
+        """``(groups, scale codes, safe, live, FP4 codes)``: the FP16
+        scale ``amax / 6`` as one boundary search, 1.0 where it rounds
+        to 0, and a true division by it."""
+        groups = geom.pack(x)
+        ax = np.abs(groups)
+        amax = tree_amax(ax)
+        validate_amax(amax)
+        s_codes = np.searchsorted(bounds, amax / emax, side="left")
+        scales = grid[s_codes]
+        live = scales > 0
+        safe = np.where(live, scales, 1.0)
+        ax /= safe[:, None]
+        return groups, s_codes, safe, live, fp4_codes(ax)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        groups, _s, safe, live, c = _encode(x)
+        return _fp4_scaled_finish(geom, groups, safe, live, c)
+
+    def run_codes(x: np.ndarray) -> CodeSpaceResult:
+        groups, s_codes, safe, live, c = _encode(x)
+        return CodeSpaceResult(
+            (CodeStream("scales", s_codes, FP16.total_bits),
+             CodeStream("elements", _sign_codes(groups, c), 4)),
+            lambda: _fp4_scaled_finish(geom, groups, safe, live, c))
+    return run, run_codes
+
+
+def _compile_msfp(fmt: MSFP, op: str, geom: GroupGeometry):
+    elem = fmt.element
+    imax = elem.max_value
+
+    def _exponents(x: np.ndarray):
+        """``(groups, e)``: MSFP's ceil-rule exponent, unclamped."""
+        groups = geom.pack(x)
+        amax = tree_amax(np.abs(groups))
+        validate_amax(amax)
+        pos = amax > 0
+        e = np.where(pos, np.ceil(np.log2(np.where(pos, amax, 1.0) / imax)),
+                     0.0)
+        return groups, e
+
+    def _quantize(groups: np.ndarray, e: np.ndarray):
+        """``(q, scales)``: the integer values and ``(n, 1)`` scales. A
+        true division: outside the E8M0 range the reciprocal scale can
+        overflow, so a multiply would not be exact."""
+        scales = np.exp2(e)[:, None]
+        return elem.quantize(groups / scales), scales
+
+    def run(x: np.ndarray) -> np.ndarray:
+        q, scales = _quantize(*_exponents(x))
+        return geom.unpack(q * scales)
+
+    def run_codes(x: np.ndarray) -> CodeSpaceResult:
+        groups, e = _exponents(x)
+        codes = _e8m0_codes(e)
+        q, scales = _quantize(groups, e)
+        return CodeSpaceResult(
+            (CodeStream("scales", codes, 8),
+             CodeStream("elements", _int_codes(q, elem.bits), elem.bits)),
+            lambda: geom.unpack(q * scales))
+    return run, run_codes
+
+
+def _compile_smx(fmt: SMX, op: str, geom: GroupGeometry):
+    elem = fmt.element
+    imax = elem.max_value
+    p = 2.0 ** np.floor(np.log2(imax))
+    sub = fmt.sub_size
+    n_sub = fmt.group_size // sub
+
+    def _exponents(x: np.ndarray):
+        """``(groups, e)``: SMX's floor-rule exponent, unclamped."""
+        groups = geom.pack(x)
+        amax = tree_amax(np.abs(groups))
+        validate_amax(amax)
+        pos = amax > 0
+        e = np.where(pos, np.floor(np.log2(np.where(pos, amax, 1.0) / p)),
+                     0.0)
+        return groups, e
+
+    def _quantize(groups: np.ndarray, e: np.ndarray):
+        """``SMX.quantize_groups`` up to its integer values: ``(micro,
+        q, local)``."""
+        scales = np.exp2(e)
+        pairs = groups.reshape(-1, n_sub, sub)
+        pair_max = np.max(np.abs(pairs), axis=2)
+        micro = (pair_max <= scales[:, None] * imax / 2.0).astype(np.float64)
+        local = scales[:, None] / np.exp2(micro)
+        return micro, elem.quantize(pairs / local[:, :, None]), local
+
+    def _finish(q: np.ndarray, local: np.ndarray) -> np.ndarray:
+        return geom.unpack((q * local[:, :, None]).reshape(-1, n_sub * sub))
+
+    def run(x: np.ndarray) -> np.ndarray:
+        _micro, q, local = _quantize(*_exponents(x))
+        return _finish(q, local)
+
+    def run_codes(x: np.ndarray) -> CodeSpaceResult:
+        groups, e = _exponents(x)
+        codes = _e8m0_codes(e)
+        micro, q, local = _quantize(groups, e)
+        return CodeSpaceResult(
+            (CodeStream("scales", codes, 8),
+             CodeStream("meta", micro.astype(np.int64), 1),
+             CodeStream("elements", _int_codes(q, elem.bits), elem.bits)),
+            lambda: _finish(q, local))
+    return run, run_codes
 
 
 # ----------------------------------------------------------------------
@@ -662,23 +830,14 @@ def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
         ax /= safe[:, None]
         return ts, s8_codes, safe, live, fp4_codes(ax)
 
-    def _finish(groups, safe, live, c) -> np.ndarray:
-        v = fp4_half_ints(c).astype(np.float64)
-        v *= 0.5            # the exact FP4 grid values
-        v *= safe[:, None]
-        np.copysign(v, groups, out=v)
-        if not live.all():  # a scale that rounds to 0 dequantizes to +0.0
-            v[~live] = 0.0
-        return geom.unpack(v)
-
     def run(x: np.ndarray, tensor_amax: float | None = None) -> np.ndarray:
         groups = geom.pack(x)
         _ts, _s8, safe, live, c = _encode(groups, tensor_amax)
         if live is None:        # zero tensor: the input, unchanged
             return geom.unpack(groups)
-        return _finish(groups, safe, live, c)
+        return _fp4_scaled_finish(geom, groups, safe, live, c)
 
-    def run_codes(x: np.ndarray) -> CodeSpaceResult | None:
+    def run_codes(x: np.ndarray) -> CodeSpaceResult:
         groups = geom.pack(x)
         ts, s8_codes, safe, live, c = _encode(groups)
         if live is None:
@@ -688,10 +847,10 @@ def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
         if s8_codes is None:    # underflowed tensor scale: +0.0 throughout
             return _nvfp4_result(
                 ts, None, (CodeStream("elements", np.zeros_like(c), 4),),
-                lambda: _finish(groups, safe, live, c))
+                lambda: _fp4_scaled_finish(geom, groups, safe, live, c))
         return _nvfp4_result(
             ts, s8_codes, (CodeStream("elements", _sign_codes(groups, c), 4),),
-            lambda: _finish(groups, safe, live, c))
+            lambda: _fp4_scaled_finish(geom, groups, safe, live, c))
     return run, run_codes
 
 
@@ -740,7 +899,7 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
             groups, _ts, _s8, safe, c, flat, _meta, refined2 = _encode(x)
             return _finish(groups, safe, c, flat, refined2)
 
-        def run_codes(x: np.ndarray) -> CodeSpaceResult | None:
+        def run_codes(x: np.ndarray) -> CodeSpaceResult:
             groups, ts, s8_codes, safe, c, flat, meta, refined2 = _encode(x)
             return _nvfp4_result(
                 ts, s8_codes,
@@ -759,7 +918,8 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
         n = groups.shape[0]
         _ax, ts, s8_codes, safe = _scales(groups)
         subs = groups.reshape(n, n_sub, sub)
-        cand = ((safe[:, None] * bias_arr)[:, :, None] * mult).reshape(n, -1)
+        cand = ((safe[:, None] * bias_arr)[:, :, None] * mult).reshape(
+            n, len(biases) * n_inner)
         codes, err = candidate_search(subs, cand, FP4_E2M1.grid,
                                       FP4_E2M1.boundaries)
         outer, inner, invalid = hierarchical_select(
@@ -783,7 +943,7 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
             _encode_w(x)
         return _finish_w(groups, subs, cand, outer, inner, invalid, mag)
 
-    def run_codes_w(x: np.ndarray) -> CodeSpaceResult | None:
+    def run_codes_w(x: np.ndarray) -> CodeSpaceResult:
         groups, subs, ts, s8_codes, cand, outer, inner, invalid, mag = \
             _encode_w(x)
         if invalid.any():
@@ -807,10 +967,84 @@ def _compile_m2xfp(fmt: M2XFP, op: str, geom: GroupGeometry):
     return compile_executor(inner, op, geom)
 
 
+# ----------------------------------------------------------------------
+# MaxPreserving / fp16
+# ----------------------------------------------------------------------
+def _compile_max_preserving(fmt: MaxPreserving, op: str, geom: GroupGeometry):
+    """The inner plan plus each group's first maximum-magnitude element
+    as an FP16 code and its index. The inner element code at that
+    index is dropped from the element stream (the decoder overwrites
+    it anyway), so the footprint matches the nominal EBW."""
+    if getattr(fmt.inner, "group_size", None) != fmt.group_size:
+        return None
+    run_inner, codes_inner = compile_executor(fmt.inner, op, geom)
+    if codes_inner is None:
+        return None
+    k = fmt.group_size
+    idx_bits = max(1, int(np.ceil(np.log2(k))))
+    rows = np.arange(geom.n_groups)
+    bounds, grid = FP16.boundaries, FP16.grid
+
+    def _max(x: np.ndarray):
+        """``(index, sign, FP16 magnitude code)`` of each group's max."""
+        groups = geom.pack(x)
+        idx = np.argmax(np.abs(groups), axis=1)
+        top = groups[rows, idx]
+        return idx, np.signbit(top), \
+            np.searchsorted(bounds, np.abs(top), side="left")
+
+    def _restore(dq: np.ndarray, idx, sign, mag) -> np.ndarray:
+        quant = geom.pack(dq)
+        vals = grid[mag]
+        quant[rows, idx] = np.where(sign, -vals, vals)
+        return geom.unpack(quant)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        dq = run_inner(x)
+        return _restore(dq, *_max(x))
+
+    def run_codes(x: np.ndarray) -> CodeSpaceResult:
+        cs = codes_inner(x)
+        idx, sign, mag = _max(x)
+        streams = [s for s in cs.streams if s.name != "elements"]
+        elems = next(s for s in cs.streams if s.name == "elements")
+        kept = np.delete(np.asarray(elems.values).reshape(-1), rows * k + idx)
+        streams += [CodeStream("max_idx", idx, idx_bits),
+                    CodeStream("max_val",
+                               (sign.astype(np.int64) << 15) | mag, 16),
+                    CodeStream("elements", kept, elems.width)]
+        return CodeSpaceResult(
+            streams, lambda: _restore(cs.dequantized, idx, sign, mag),
+            extra={**cs.extra, "dropped_max": True})
+    return run, run_codes
+
+
+def _compile_fp16(fmt: Fp16Format, op: str, geom: GroupGeometry):
+    def run(x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64)
+
+    def run_codes(x: np.ndarray) -> CodeSpaceResult:
+        x = np.asarray(x, dtype=np.float64)
+        y16 = x.astype("<f2")
+        if y16.astype(np.float64).tobytes() == x.tobytes():
+            words, width, storage = y16.view("<u2"), 16, "f16"
+        else:
+            # Not fp16-representable: the catalog Fp16Format is an
+            # identity function, so raw float64 is the only exact store.
+            words, width, storage = x.astype("<f8").view("<u8"), 64, "f64"
+        return CodeSpaceResult(
+            (CodeStream("elements", words.reshape(-1), width),),
+            lambda: x, extra={"storage": storage})
+    return run, run_codes
+
+
 #: Exact instance type -> compiler. Subclasses do not inherit an entry:
 #: an unknown subclass may override the semantics the executor fuses.
 EXECUTOR_COMPILERS = {
     BlockFormat: _compile_block,
+    GroupFP4: _compile_group_fp4,
+    MSFP: _compile_msfp,
+    SMX: _compile_smx,
     MXAnt: _compile_ant,
     MXMAnt: _compile_mant,
     SgEM: _compile_sg_em,
@@ -820,15 +1054,17 @@ EXECUTOR_COMPILERS = {
     M2XFP: _compile_m2xfp,
     NVFP4: _compile_nvfp4,
     M2NVFP4: _compile_m2nvfp4,
+    MaxPreserving: _compile_max_preserving,
+    Fp16Format: _compile_fp16,
 }
 
 
 def compile_executor(fmt, op: str, geom: GroupGeometry):
     """The ``(run, run_codes)`` pair for ``fmt``/``op``.
 
-    ``run`` is the fused dequantizing closure (or None when the
-    configuration is out of scope); ``run_codes`` is the code-space
-    sibling, None for the families without a codec stream layout.
+    Both are None when the configuration is out of every compiler's
+    scope; ``run_codes`` alone is None for the families without a codec
+    stream layout (``MXAnt`` / ``MXMAnt``).
     """
     compiler = EXECUTOR_COMPILERS.get(type(fmt))
     if compiler is None:

@@ -45,7 +45,8 @@ from repro.algos import (BlockDialect, MicroScopiQWeights, MXAnt,
 from repro.codec import PackedTensor, codec_for, decode, drop_rows, encode, \
     join_rows, supports
 from repro.codec.container import MAGIC
-from repro.errors import CodecError
+from repro.core import ElemEM
+from repro.errors import CodecError, ReproError
 from repro.kernels import fast_kernels, reference_kernels
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 
@@ -295,6 +296,35 @@ def test_subclass_formats_have_no_codec(name, heavy_tensor):
     for op in ("weight", "activation"):
         with pytest.raises(CodecError, match="no codec"):
             encode(fmt, heavy_tensor, op=op)
+
+
+def test_uncompiled_configuration_is_unsupported(heavy_tensor):
+    """A configuration no code-space executor compiles (Elem-EM with two
+    refined elements per subgroup) is refused, though its class has a
+    codec."""
+    fmt = ElemEM(top_k=2)
+    assert not supports(fmt)
+    for op in ("weight", "activation"):
+        with pytest.raises(CodecError, match="no code-space executor"):
+            encode(fmt, heavy_tensor, op=op)
+
+
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_zero_d_input_is_a_typed_error(name):
+    """A 0-d input round-trips through quantize or raises a
+    ``ReproError`` (it has no axis to group along), and so does
+    ``encode``."""
+    fmt = make_format(name)
+    x = np.float64(1.5)
+    for op in ("weight", "activation"):
+        for fn in (fmt.quantize_weight if op == "weight"
+                   else fmt.quantize_activation,
+                   lambda x: decode(encode(fmt, x, op=op))):
+            try:
+                got = fn(x)
+            except ReproError:
+                continue
+            assert np.asarray(got).tobytes() == x.tobytes(), (name, op)
 
 
 def test_n_elements_is_exact():
@@ -668,3 +698,26 @@ class TestBitstreamFastPaths:
 
         blob = pack_bits(np.array([0xF, 0xF, 0xF]), 4)
         assert blob.tolist() == [0xFF, 0x0F]
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 255])
+    def test_width64_takes_uint64_words(self, count):
+        """Width 64 packs ``uint64`` words as they are, sign bit set
+        included (fp16's raw float64 fallback), and unpacks them back
+        as ``uint64``; int64 fields give the same bytes."""
+        from repro.codec.bitstream import (_pack_bits_generic, pack_bits,
+                                           unpack_bits)
+
+        words = np.random.default_rng(count).standard_normal(count) \
+            .view(np.uint64)
+        blob = pack_bits(words, 64)
+        assert blob.tobytes() == words.astype("<u8").tobytes()
+        back = unpack_bits(blob.tobytes(), 64, count)
+        assert back.dtype == np.uint64 and np.array_equal(back, words)
+        low = words >> np.uint64(1)
+        assert pack_bits(low.astype(np.int64), 64).tobytes() \
+            == pack_bits(low, 64).tobytes()
+        if count:
+            assert pack_bits(low, 64).tobytes() == _pack_bits_generic(
+                low.astype(np.int64), 64).tobytes()
+        with pytest.raises(CodecError, match="64 unsigned bits"):
+            pack_bits(np.array([-1]), 64)

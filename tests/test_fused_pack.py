@@ -1,26 +1,27 @@
-"""Fused quantize→pack conformance: the code-space contract end to end.
+"""Quantize→pack conformance: the code-space contract end to end.
 
-Three layers, mirroring DESIGN.md §11:
+Every encode packs a compiled plan's codes, under either dispatch mode;
+the reference quantizers are the oracle. Three layers, mirroring
+DESIGN.md §11:
 
-* **Byte identity with the re-derive path** — for every catalog format,
-  both operand paths and the adversarial tensor family (zeros,
-  subnormal magnitudes, near-overflow-but-finite, ragged trailing
-  groups, single-element groups), the fused container bytes equal both
-  the codec's ``encode_into`` re-derivation from floats and the
-  container ``encode`` builds under reference dispatch, where plans do
-  not compile.
-* **Code-space contract** — for the thirteen fused formats the plan's
+* **The oracle** — for every catalog format, both operand paths and
+  the adversarial tensor family (zeros, subnormal magnitudes,
+  near-overflow-but-finite, ragged trailing groups, single-element
+  groups, an NVFP4 tensor scale that underflows), ``decode(encode(x,
+  verify=True))`` equals ``quantize_*`` under reference dispatch byte
+  for byte, the container bytes (or the error raised) do not depend
+  on the dispatch mode, and ``collect_encode_stats`` counts every
+  encode as packed from codes.
+* **Code-space contract** — for every catalog format the plan's
   ``run_codes`` emits streams in the codec's declared ``code_layout``
   order, every stream's values fit its declared bit width, the lazy
   ``dequantized`` tensor is bit-identical to the format's own quantize
-  output, and ``encode_from_codes`` reproduces ``encode_into``'s
-  container byte for byte. Engagement is asserted through
-  ``collect_encode_stats`` so a silently-disabled fused path cannot
-  pass vacuously.
+  output, and ``encode_from_codes`` packs exactly the container
+  ``encode`` returns.
 * **Golden vectors** — the committed packed / wire / HTTP vectors are
-  reproduced byte-identically by the fused path AND the re-derive
-  path, and a ``KVCacheSession`` run fused reads back the same packed
-  K/V bytes as one run under reference dispatch.
+  reproduced byte-identically under fast AND reference dispatch, and a
+  ``KVCacheSession`` run under fast dispatch reads back the same K/V
+  bytes as one run under reference dispatch.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import pytest
 
 from repro.codec import PackedTensor, collect_encode_stats, decode, encode
 from repro.codec.codecs import codec_for
+from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
 from repro.kernels.search import _CHUNK_ELEMS
 from repro.kv import KVCacheSession, KVPolicy
@@ -44,14 +46,6 @@ from repro.server import protocol
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ALL_FORMATS = sorted(FORMAT_REGISTRY)
-
-#: The families whose plan executors emit a code-space result; every
-#: one must actually *take* the fused path on plan-compilable input —
-#: pinned here so a regression that silently falls back to the legacy
-#: float path fails loudly instead of passing by byte-equality alone.
-FUSED_FORMATS = ("elem-ee", "elem-em", "m2-nvfp4", "m2xfp", "mxfp4",
-                 "mxfp6-e2m3", "mxfp6-e3m2", "mxfp8-e4m3", "mxfp8-e5m2",
-                 "mxint8", "nvfp4", "sg-ee", "sg-em")
 
 
 DISPATCH = {"fast": fast_kernels, "reference": reference_kernels}
@@ -71,6 +65,7 @@ def _adversarial_cases(rng) -> dict:
             3 * rng.standard_normal((4, 64))),
         "ragged": rng.standard_normal((5, 50)),    # partial trailing group
         "single_elem_groups": rng.standard_normal((6, 1)),
+        "empty": np.zeros((0, 64)),
         "1d": rng.standard_normal(70),
         # 2.5 Sg chunks (a partial last one), in and out of the
         # engine's regime: a subnormal row and an E8M0-edge row in later
@@ -85,23 +80,12 @@ def _adversarial_cases(rng) -> dict:
     }
 
 
-def _rederived(name, x, op):
-    """The container of ``name``'s codec re-deriving every code from the
-    dequantized floats (``encode_into``) — what ``encode`` packs for a
-    format without a code-space plan."""
-    fmt = make_format(name)
-    x = np.asarray(x, dtype=np.float64)
-    pt = PackedTensor(format_name=name, fingerprint=repr(fmt), op=op,
-                      shape=x.shape, axis=x.ndim - 1,
-                      group_size=int(getattr(fmt, "group_size", 1)))
-    codec_for(fmt).encode_into(fmt, x, pt)
-    return pt
-
-
 def _both_paths(name, x, op):
-    """(fused PackedTensor, re-derived PackedTensor) for one input."""
-    fused = encode(make_format(name), x, op=op, verify=True)
-    return fused, _rederived(name, x, op)
+    """(fast-dispatch container, reference-dispatch container)."""
+    fmt = make_format(name)
+    with reference_kernels():
+        reference = encode(fmt, x, op=op, verify=True)
+    return encode(fmt, x, op=op, verify=True), reference
 
 
 def _outcome(path):
@@ -114,11 +98,67 @@ def _outcome(path):
 
 
 # ----------------------------------------------------------------------
-# Byte identity with the re-derive path, whole catalog
+# The oracle, whole catalog
 # ----------------------------------------------------------------------
+def _oracle(fmt, x, op):
+    """``quantize_*`` under reference dispatch: what decode must give."""
+    with reference_kernels():
+        if op == "weight":
+            return fmt.quantize_weight(x, axis=-1)
+        return fmt.quantize_activation(x, axis=-1)
+
+
+def _underflow_block() -> np.ndarray:
+    """A 1 x 64 row whose NVFP4 tensor scale underflows to 0."""
+    x = np.zeros((1, 64))
+    x[0, 0], x[0, 2] = 1.5e-323, -5e-324
+    return x
+
+
+#: The cases holding a group whose MSFP / SMX exponent falls outside
+#: E8M0's [-127, 127] (magnitudes near 1e-310, 1e40 or 1e307).
+_BEYOND_E8M0 = ("subnormal", "huge", "multi_chunk_fallback", "underflow")
+
+
+@pytest.mark.parametrize("name", ALL_FORMATS)
+@pytest.mark.parametrize("op", ["weight", "activation"])
+def test_decode_matches_oracle(name, op, rng):
+    """``decode(encode(x, verify=True))`` is the reference quantize
+    output byte for byte under both dispatch modes, and every encode is
+    counted as packed from codes. Two refusals are ``CodecError`` by
+    design: a scale the container cannot hold (MSFP's and SMX's
+    unclamped exponents beyond E8M0) and an M2-NVFP4 weight group whose
+    candidate errors all overflow (no code wins the search)."""
+    fmt = make_format(name)
+    cases = {**_adversarial_cases(rng), "underflow": _underflow_block()}
+    # SMX's own quantize divides by a scale that underflows to 0 on the
+    # underflow block; the bytes, not the warnings, are under test.
+    with np.errstate(all="ignore"):
+        for case, x in cases.items():
+            want = _oracle(fmt, x, op)
+            for mode, dispatch in DISPATCH.items():
+                with dispatch(), collect_encode_stats() as stats:
+                    try:
+                        pt = encode(fmt, x, op=op, verify=True)
+                    except CodecError:
+                        assert (name.startswith(("msfp", "smx"))
+                                and case in _BEYOND_E8M0) or \
+                            (name, op, case) == ("m2-nvfp4", "weight",
+                                                 "huge"), \
+                            f"{name}:{op} refused '{case}' under {mode}"
+                        continue
+                got = decode(PackedTensor.from_bytes(pt.to_bytes()))
+                assert got.tobytes() == want.tobytes(), \
+                    f"{name}:{op} decode != oracle on '{case}' ({mode})"
+                assert stats["fused_encodes"] == stats["encodes"] == 1, \
+                    f"{name}:{op} '{case}' ({mode}): {stats}"
+
+
 @pytest.mark.parametrize("name", ALL_FORMATS)
 @pytest.mark.parametrize("op", ["weight", "activation"])
 def test_fused_bytes_match_fallback(name, op, rng):
+    """The container bytes, or the error type, do not depend on the
+    dispatch mode."""
     fmt = make_format(name)
 
     def outcome(x):
@@ -126,46 +166,42 @@ def test_fused_bytes_match_fallback(name, op, rng):
 
     with np.errstate(over="ignore"):
         for case, x in _adversarial_cases(rng).items():
-            fused = outcome(x)
-            assert _outcome(lambda: _rederived(name, x, op)) == fused, \
-                f"{name}:{op} fused container diverged on '{case}'"
+            fast = outcome(x)
             with reference_kernels():
-                assert outcome(x) == fused, \
+                assert outcome(x) == fast, \
                     f"{name}:{op} container diverged from reference on '{case}'"
 
 
 @pytest.mark.parametrize("dispatch", sorted(DISPATCH))
-@pytest.mark.parametrize("name", FUSED_FORMATS)
+@pytest.mark.parametrize("name", ALL_FORMATS)
 def test_fused_bytes_match_fallback_across_dispatch(name, dispatch,
                                                     heavy_tensor):
-    # Plans only compile under the fast dispatch, so in reference
-    # mode ``encode`` itself re-derives: identical bytes either way.
-    with DISPATCH[dispatch]():
-        for op in ("weight", "activation"):
-            fused, rederived = _both_paths(name, heavy_tensor, op)
-            assert fused.to_bytes() == rederived.to_bytes(), \
-                f"{name}:{op} fused container diverged under {dispatch}"
+    fmt = make_format(name)
+    for op in ("weight", "activation"):
+        with DISPATCH[dispatch]():
+            pt = encode(fmt, heavy_tensor, op=op, verify=True)
+        assert pt.to_bytes() == encode(fmt, heavy_tensor, op=op).to_bytes(), \
+            f"{name}:{op} container diverged under {dispatch}"
+        assert decode(pt).tobytes() == \
+            _oracle(fmt, heavy_tensor, op).tobytes(), f"{name}:{op}"
 
 
 def test_fused_path_engages_for_every_fused_family(rng):
     x = rng.standard_normal((8, 64))
-    for name in FUSED_FORMATS:
+    for name in ALL_FORMATS:
         fmt = make_format(name)
         for op in ("weight", "activation"):
-            with collect_encode_stats() as stats:
-                encode(fmt, x, op=op)
-            assert stats["fused_encodes"] == 1, \
-                f"{name}:{op} did not take the fused quantize→pack path"
-            with reference_kernels(), collect_encode_stats() as stats:
-                encode(fmt, x, op=op)
-            assert stats["fused_encodes"] == 0, \
-                f"{name}:{op} took the fused path under reference dispatch"
+            for mode, dispatch in DISPATCH.items():
+                with dispatch(), collect_encode_stats() as stats:
+                    encode(fmt, x, op=op)
+                assert stats["fused_encodes"] == 1, \
+                    f"{name}:{op} did not pack from plan codes ({mode})"
 
 
 # ----------------------------------------------------------------------
 # The code-space contract itself
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", FUSED_FORMATS)
+@pytest.mark.parametrize("name", ALL_FORMATS)
 @pytest.mark.parametrize("op", ["weight", "activation"])
 def test_code_space_result_matches_codec_contract(name, op, heavy_tensor):
     fmt = make_format(name)
@@ -184,8 +220,9 @@ def test_code_space_result_matches_codec_contract(name, op, heavy_tensor):
     for stream in cs.streams:
         values = np.asarray(stream.values)
         assert values.min() >= 0, f"{name}:{op} '{stream.name}' negative code"
-        assert values.max() < (1 << stream.width), \
-            f"{name}:{op} '{stream.name}' overflows width {stream.width}"
+        if stream.width < 64:
+            assert values.max() < (1 << stream.width), \
+                f"{name}:{op} '{stream.name}' overflows width {stream.width}"
 
     # The lazy dequantized view is the format's own quantize output.
     if op == "weight":
@@ -195,15 +232,10 @@ def test_code_space_result_matches_codec_contract(name, op, heavy_tensor):
     assert cs.dequantized.tobytes() == expect.tobytes(), \
         f"{name}:{op} code-space dequantized drifted from quantize output"
 
-    # encode_from_codes packs the exact container encode_into derives
-    # from the dequantized floats.
+    # encode_from_codes packs exactly the container encode returns.
     codec.encode_from_codes(fmt, cs, pt)
-    legacy = PackedTensor(format_name=name, fingerprint=repr(fmt), op=op,
-                          shape=x.shape, axis=x.ndim - 1,
-                          group_size=int(getattr(fmt, "group_size", 1)))
-    codec.encode_into(fmt, x, legacy)
-    assert pt.to_bytes() == legacy.to_bytes(), \
-        f"{name}:{op} encode_from_codes container drifted from encode_into"
+    assert pt.to_bytes() == encode(fmt, x, op=op).to_bytes(), \
+        f"{name}:{op} encode_from_codes container drifted from encode"
     # And the packed bytes decode back to the dequantized view.
     assert decode(PackedTensor.from_bytes(pt.to_bytes())).tobytes() \
         == expect.tobytes()
@@ -286,13 +318,6 @@ def test_nvfp4_family_executors_match_reference(name, op):
                     f"nvfp4 case {i}: calibrated tensor_amax {tensor_amax}"
 
 
-def _underflow_block() -> np.ndarray:
-    """A 1 x 64 row whose NVFP4 tensor scale underflows to 0."""
-    x = np.zeros((1, 64))
-    x[0, 0], x[0, 2] = 1.5e-323, -5e-324
-    return x
-
-
 @pytest.mark.parametrize("dispatch", ["fast", "reference"])
 @pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
 @pytest.mark.parametrize("op", ["weight", "activation"])
@@ -300,8 +325,8 @@ def test_nvfp4_family_tensor_scale_underflow(name, op, dispatch):
     """Every |x| below about 1.3e-320 underflows the tensor scale to 0:
     the container (laid out like a zero tensor's, no scale stream)
     decodes to quantize's exact bytes, +0.0 throughout for NVFP4, with
-    verify on and no floating-point warning; fused and re-derived
-    containers agree."""
+    verify on and no floating-point warning, packed from plan codes
+    under either dispatch mode."""
     fmt = make_format(name)
     x = _underflow_block()
     with warnings.catch_warnings(), DISPATCH[dispatch]():
@@ -311,11 +336,9 @@ def test_nvfp4_family_tensor_scale_underflow(name, op, dispatch):
         with collect_encode_stats() as stats:
             pt = encode(fmt, x, op=op, verify=True)
         got = decode(pt.to_bytes(), fmt=fmt)
-        rederived = _rederived(name, x, op)
     assert got.tobytes() == want.tobytes()
-    assert pt.to_bytes() == rederived.to_bytes()
     assert "scales" not in pt.streams
-    assert stats["fused_encodes"] == (dispatch == "fast")
+    assert stats["fused_encodes"] == 1
     if name == "nvfp4":
         assert not np.signbit(got).any() and not got.any()
 
@@ -330,7 +353,7 @@ def test_plan_cache_serves_the_codes_sibling(rng):
 
 
 # ----------------------------------------------------------------------
-# Golden vectors, fused AND re-derived
+# Golden vectors under both dispatch modes
 # ----------------------------------------------------------------------
 def _unhex_input(payload) -> np.ndarray:
     vals = [float.fromhex(h) for h in payload["input_hex"]]
@@ -341,11 +364,11 @@ def test_golden_packed_vectors_fused_and_unfused():
     payload = json.loads((GOLDEN_DIR / "packed_vectors.json").read_text())
     x = _unhex_input(payload)
     for key, case in sorted(payload["cases"].items()):
-        fused, rederived = _both_paths(case["format"], x, case["op"])
-        assert fused.to_bytes().hex() == case["packed_hex"], \
-            f"{key}: fused container drifted from the golden bytes"
-        assert rederived.to_bytes().hex() == case["packed_hex"], \
-            f"{key}: re-derived container drifted from the golden bytes"
+        fast, reference = _both_paths(case["format"], x, case["op"])
+        assert fast.to_bytes().hex() == case["packed_hex"], \
+            f"{key}: fast container drifted from the golden bytes"
+        assert reference.to_bytes().hex() == case["packed_hex"], \
+            f"{key}: reference container drifted from the golden bytes"
 
 
 def test_golden_wire_vectors_fused_and_unfused():
@@ -355,7 +378,7 @@ def test_golden_wire_vectors_fused_and_unfused():
         if not case["packed"]:
             continue
         fmt = make_format(case["format"])
-        for mode, pt in zip(("fused", "re-derived"),
+        for mode, pt in zip(("fast", "reference"),
                             _both_paths(case["format"], x, case["op"])):
             frame = protocol.encode_response_packed(
                 case["request_id"], pt.to_bytes(), fingerprint=repr(fmt))
@@ -370,14 +393,14 @@ def test_golden_http_vectors_fused_and_unfused():
         if not case["packed"]:
             continue
         pinned = bytes.fromhex(case["response_hex"])
-        for mode, pt in zip(("fused", "re-derived"),
+        for mode, pt in zip(("fast", "reference"),
                             _both_paths(case["format"], x, case["op"])):
             assert pt.to_bytes() in pinned, \
                 f"{key}: {mode} container missing from the golden HTTP body"
 
 
 # ----------------------------------------------------------------------
-# KV sessions ride the fused path
+# KV sessions pack from plan codes under either dispatch mode
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fmt", ["m2xfp", "mxfp4", "elem-em", "sg-em"])
 def test_kv_session_blobs_match_fallback(fmt, rng):
@@ -399,12 +422,14 @@ def test_kv_session_blobs_match_fallback(fmt, rng):
         return out, fused_encodes
 
     fused_out, fused_encodes = run_session("fast")
-    # One fused encode per append: K and V ride it stacked.
+    # One encode per append, packed from plan codes: K and V ride it
+    # stacked.
     assert fused_encodes == len(blocks), \
-        f"{fmt}: session appends did not ride the fused path"
-    unfused_out, unfused_encodes = run_session("reference")
-    assert unfused_encodes == 0
-    for layer, ((kf, vf), (ku, vu)) in enumerate(zip(fused_out, unfused_out)):
+        f"{fmt}: session appends did not pack from plan codes"
+    reference_out, reference_encodes = run_session("reference")
+    assert reference_encodes == len(blocks)
+    for layer, ((kf, vf), (ku, vu)) in enumerate(zip(fused_out,
+                                                     reference_out)):
         assert kf.tobytes() == ku.tobytes(), \
             f"{fmt}: layer {layer} K blob diverged fused vs reference"
         assert vf.tobytes() == vu.tobytes(), \

@@ -441,12 +441,6 @@ def test_federated_replica_metrics_match_server_stats_exactly(cluster,
                 arm_label = f'{label},arm="{key[len("serve."):]}"'
                 assert (f'repro_gateway_replica_arm_requests_total'
                         f'{{{arm_label}}} {svc["requests"]}') in text
-                batched = svc["requests"] - svc.get(
-                    "weight_cache_hits", 0)
-                mean = (batched / svc["batches"]
-                        if svc.get("batches") else 0.0)
-                assert (f'repro_gateway_replica_arm_batch_mean'
-                        f'{{{arm_label}}} {mean:g}') in text
                 p99 = round((lat or {}).get("p99", 0.0) * 1e3, 3)
                 assert (f'repro_gateway_replica_arm_p99_ms'
                         f'{{{arm_label}}} {p99:g}') in text

@@ -279,11 +279,10 @@ def test_arena_read_matches_per_block_decode(name, op, rng, monkeypatch):
     assert sess.stats()["evicted_blocks"] == 2 * 5
 
 
-#: The group-wise catalog formats with a fused code-space layout: an
-#: append encodes their K and V as one stacked block.
-STACKED = {"elem-ee", "elem-em", "m2xfp", "mxfp4", "mxfp6-e2m3",
-           "mxfp6-e3m2", "mxfp8-e4m3", "mxfp8-e5m2", "mxint8", "sg-ee",
-           "sg-em"}
+#: The catalog formats whose rows encode independently: an append
+#: encodes their K and V as one stacked block. fp16 and the NVFP4
+#: family set a header field from the whole block.
+STACKED = set(list_formats()) - {"fp16", "nvfp4", "m2-nvfp4"}
 
 
 @pytest.mark.parametrize("dispatch", DISPATCHES)
@@ -294,9 +293,9 @@ def test_stacked_append_matches_solo_encodes(name, op, dispatch, rng,
     """A stacked append's K and V containers equal two solo encodes
     byte for byte (header and payload, and so the session's
     ``header_bytes`` / ``payload_bytes`` stats), at widths 64 and 20
-    (unaligned Elem-EE refined codes cut by a repack). fp16,
-    mxfp4-maxkeep and the NVFP4 family, whose header depends on the
-    whole block, are encoded one by one."""
+    (unaligned Elem-EE refined codes cut by a repack). fp16 and the
+    NVFP4 family, whose header depends on the whole block, are encoded
+    one by one."""
     import repro.kv.session as session_mod
 
     fmt = make_format(name)
@@ -369,6 +368,25 @@ def test_append_of_underflowing_tensor_scale(name, rng):
         [decode(encode(fmt, b, op="weight").to_bytes(), fmt=fmt)
          for b in blocks])
     assert K.tobytes() == V.tobytes() == expect.tobytes()
+
+
+def test_fp16_append_keeps_each_storage(rng):
+    """An fp16 append of one fp16-exact tensor and one that is not:
+    each is encoded alone, so K keeps 16-bit words and V raw float64,
+    and each retained container is byte-identical to its solo encode."""
+    fmt = make_format("fp16")
+    k = rng.standard_normal((2, 8)).astype(np.float16).astype(np.float64)
+    v = rng.standard_normal((2, 8))
+    sess = KVCacheSession(1, "fp16")
+    sess.append(0, k, v)
+    (pk,), (pv,) = sess._arenas[0]
+    K, V = sess.read(0)
+    sess.close()
+    for got, x, storage in ((pk, k, "f16"), (pv, v, "f64")):
+        solo = encode(fmt, x, op="weight", axis=-1)
+        assert solo.extra["storage"] == storage
+        assert got.to_bytes() == solo.to_bytes()
+    assert K.tobytes() == k.tobytes() and V.tobytes() == v.tobytes()
 
 
 def test_arena_fp16_mixed_storage(rng, monkeypatch):

@@ -89,6 +89,13 @@ class TestPlanParity:
                 with reference_kernels():
                     ref = fn(tensor, axis=-1)
                 assert fast.tobytes() == ref.tobytes(), (name, op)
+                # Every catalog format compiles a plan; its run is the
+                # reference output even where the entry point does not
+                # route through it (the max-preserving wrapper's
+                # overrides).
+                plan = get_plan(fmt, op, tensor.shape, -1)
+                assert plan.run(tensor).tobytes() == ref.tobytes(), \
+                    (name, op)
 
     def test_axis_zero_parity(self):
         x = _RNG.standard_normal((64, 9))
@@ -259,13 +266,14 @@ class TestEnvHygiene:
             monkeypatch.undo()
             assert spy.reads == 0, type(fmt).__name__
 
-    # Per request: the metrics gate at admission and at finish, the
-    # dispatch mode at plan lookup; weights add the memo key's dispatch
-    # mode (one key serves lookup and store), packing the codec's
-    # metrics gate.
+    # Per request: the metrics gate at admission and at finish; a dense
+    # request adds the dispatch mode at plan lookup, a packed one the
+    # codec's metrics gate (encode looks its plan up under either
+    # mode); weights add the memo key's dispatch mode (one key serves
+    # lookup and store).
     @pytest.mark.parametrize("packed, op, reads", [
-        (False, "activation", 3), (True, "activation", 4),
-        (False, "weight", 4), (True, "weight", 5)])
+        (False, "activation", 3), (True, "activation", 3),
+        (False, "weight", 4), (True, "weight", 4)])
     def test_service_request_environ_reads(self, monkeypatch, packed, op,
                                            reads):
         rng = np.random.default_rng(3)
@@ -281,11 +289,11 @@ class TestEnvHygiene:
             svc.close()
         assert spy.reads == reads
 
-    # Per append: each encode reads the codec's metrics gate and the plan
-    # lookup's dispatch mode. m2xfp encodes K and V as one stacked
-    # block; nvfp4 is tensor-scoped, so K and V are encoded one by one,
-    # each on its fused plan.
-    @pytest.mark.parametrize("name, reads", [("m2xfp", 2), ("nvfp4", 4)])
+    # Per append: each encode reads the codec's metrics gate, and no
+    # dispatch mode (encode packs from plan codes under either mode).
+    # m2xfp encodes K and V as one stacked block; nvfp4 is
+    # tensor-scoped, so K and V are encoded one by one.
+    @pytest.mark.parametrize("name, reads", [("m2xfp", 1), ("nvfp4", 2)])
     def test_kv_append_environ_reads(self, monkeypatch, name, reads):
         rng = np.random.default_rng(4)
         sess = KVCacheSession(2, KVPolicy(name), max_tokens=64,
