@@ -94,8 +94,7 @@ def _decode_loop(fmt: str, blocks, *, n_layers, max_tokens, sink_tokens,
         "evicted_tokens": stats["evicted_tokens"],
         "verify": verify,
         # Appends whose every encode packed from plan codes (one
-        # stacked K/V encode, or one each for fp16 and a tensor-scoped
-        # format).
+        # stacked K/V encode, or one each for fp16).
         "fused_appends": stages["fused_appends"],
         "stage_s_per_append": {
             "quantize": round(stages["quantize_s"] / appends, 7),

@@ -7,7 +7,7 @@ Two sections, both consumed by
   (``Counter.inc``, ``Histogram.observe``) and of a full
   ``MetricsRegistry.snapshot``, measured with metrics **enabled** and
   with ``REPRO_NO_METRICS=1``. The disabled numbers pin the promise
-  that a gated write degenerates to one env check.
+  that a gated write degenerates to one cached boolean check.
 * **overhead** — end-to-end :class:`~repro.serve.QuantService`
   requests/s with metrics on vs off, run as **interleaved** trials
   (on/off/on/off…) so drift in machine load hits both modes equally.
@@ -33,7 +33,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.obs import NO_METRICS_ENV, Counter, Histogram, MetricsRegistry
+from repro.obs import NO_METRICS_ENV, Counter, Histogram, MetricsRegistry, \
+    refresh_metrics_enabled
 from repro.serve import QuantService
 
 DEFAULT_OUT = "BENCH_obs.json"
@@ -47,6 +48,7 @@ def _metrics(enabled: bool):
     """Force metrics on or off for the duration of the block."""
     prev = os.environ.get(NO_METRICS_ENV)
     os.environ[NO_METRICS_ENV] = "" if enabled else "1"
+    refresh_metrics_enabled()
     try:
         yield
     finally:
@@ -54,6 +56,7 @@ def _metrics(enabled: bool):
             del os.environ[NO_METRICS_ENV]
         else:
             os.environ[NO_METRICS_ENV] = prev
+        refresh_metrics_enabled()
 
 
 def _per_op(fn, n: int) -> dict:

@@ -28,7 +28,8 @@ How each family packs:
   exponent byte, or FP16 codes for GroupFP4).
 * **SMX** — block layout plus a 1-bit micro-exponent per element pair.
 * **NVFP4** — FP4 element stream, E4M3 group-scale codes, and the FP32
-  tensor scale in the header (as ``float.hex()`` text).
+  tensor scale in the header (as ``float.hex()`` text; an encode of
+  several row blocks, or a row run, holds one per row in memory).
 * **Elem-EM / Sg-EM / Sg-EE** — the bit-level encodings from
   :mod:`repro.core` with their 2-bit metadata streams.
 * **Elem-EE** — baseline FP4 codes plus, per subgroup, the 2-bit offset
@@ -62,8 +63,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -87,7 +87,8 @@ from ..mx.msfp import MSFP
 from ..mx.nvfp import NVFP4
 from ..mx.smx import SMX
 from ..plan.cache import get_plan
-from .bitstream import pack_bits, unpack_bits
+from ..plan.executors import tensor_scoped
+from .bitstream import pack_bits, stream_codec, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
 __all__ = ["encode", "decode", "join_rows", "slice_rows", "drop_rows",
@@ -175,10 +176,6 @@ def _hex(value: float) -> str:
     return float(value).hex()
 
 
-#: The header tensor scale of an NVFP4-family zero tensor.
-_ZERO_HEX = _hex(0.0)
-
-
 def _unhex(pt: PackedTensor, key: str) -> float:
     """Read back a :func:`_hex` scalar stored in the container's extra."""
     text = pt.extra.get(key)
@@ -225,7 +222,8 @@ class Codec:
             counts[name] = n * (pt.group_size // fmt.sub_size)
         return counts
 
-    def encode_from_codes(self, fmt, cs, pt: PackedTensor) -> None:
+    def encode_from_codes(self, fmt, cs, pt: PackedTensor,
+                          fields: Callable = stream_codec) -> list:
         """Pack a plan executor's :class:`CodeSpaceResult` directly.
 
         The code arrays are already the exact integers the format
@@ -233,7 +231,10 @@ class Codec:
         is a pure bitstream write — no quantization arithmetic at all.
         The result's header scalars go into ``pt.extra`` first, since a
         layout may depend on them (the NVFP4 family's zero tensor has no
-        scale stream).
+        scale stream). ``fields(width, count)`` gives each stream's
+        ``(pack, unpack)`` routines (:func:`~.bitstream.stream_codec`;
+        :func:`encode` passes the ones bound on the plan). Returns the
+        flat code arrays in stream order.
         """
         pt.extra.update(cs.extra)
         expected = self.code_layout(fmt, pt)
@@ -241,10 +242,14 @@ class Codec:
             raise CodecError(f"code-space streams {cs.stream_names} do not "
                              f"match the {type(self).__name__} layout "
                              f"{tuple(expected)}")
+        flat = []
         for s in cs.streams:
             values = np.asarray(s.values).reshape(-1)
-            pt.add_stream(s.name, pack_bits(values, s.width),
-                          s.width, values.size)
+            pack, _ = fields(s.width, values.size)
+            pt.streams[s.name] = Stream(s.name, pack(values), s.width,
+                                        values.size)
+            flat.append(values)
+        return flat
 
 
 class Fp16Codec(Codec):
@@ -320,15 +325,18 @@ class SMXCodec(Codec):
 
 def _nvfp4_tensor_scale(pt: PackedTensor) -> float | np.ndarray:
     """The header tensor scale (0.0 for a zero tensor), or the per-row
-    float64 array a row run from :func:`join_rows` carries instead."""
+    float64 array a row run from :func:`join_rows`, or an encode of
+    several row blocks, carries instead."""
     ts = pt.extra.get("tensor_scale")
     return ts if isinstance(ts, np.ndarray) else _unhex(pt, "tensor_scale")
 
 
 def _nvfp4_layout(pt: PackedTensor, layout: tuple) -> tuple:
-    """``layout`` without its leading scale stream for a zero tensor."""
-    return layout[1:] if pt.extra.get("tensor_scale") == _ZERO_HEX \
-        else layout
+    """``layout`` without its leading scale stream when the header's
+    tensor scales are all 0 (a zero or underflowed tensor)."""
+    if "tensor_scale" in pt.extra and not np.any(_nvfp4_tensor_scale(pt)):
+        return layout[1:]
+    return layout
 
 
 def _nvfp4_counts(pt: PackedTensor, counts: dict) -> dict:
@@ -377,6 +385,12 @@ class NVFP4Codec(Codec):
             return from_groups(vals, view)
         safe = np.where(scales > 0, scales, 1.0)
         dq = np.where(scales[:, None] > 0, vals * safe[:, None], 0.0)
+        ts = pt.extra["tensor_scale"]
+        if isinstance(ts, np.ndarray) and not ts.all():
+            # Rows of a zero or underflowed block (an encode of several
+            # row blocks) decode as that block alone does: unscaled.
+            dead = np.repeat(ts == 0, n // ts.size)
+            dq[dead] = vals[dead]
         return from_groups(dq, view)
 
 
@@ -686,17 +700,36 @@ def _check_header(pt: PackedTensor, fingerprint: str, group_size: int) -> None:
                          f"the format's {group_size}")
 
 
-class _Packing(NamedTuple):
-    """What :func:`encode` derives from the format alone, held on the
-    :class:`~repro.plan.QuantPlan` of each ``(format, op, shape, axis)``
-    signature, so it is derived once per signature, not per call."""
+class _Packing:
+    """What :func:`encode` derives from the format and the signature
+    alone, held on the :class:`~repro.plan.QuantPlan` of each
+    ``(format, op, shape, axis)`` signature, so it is derived once per
+    signature, not per call: the codec, the header's catalog name,
+    fingerprint and group size, the plan's code-space runner, whether
+    that runner takes row blocks (:func:`~repro.plan.tensor_scoped`),
+    and each stream's pack and unpack routines, bound on first use."""
 
-    codec: Codec
-    format_name: str
-    fingerprint: str
-    group_size: int
-    #: The plan's code-space runner.
-    run_codes: Callable
+    __slots__ = ("codec", "format_name", "fingerprint", "group_size",
+                 "run_codes", "tensor_scoped", "_fields")
+
+    def __init__(self, fmt, codec: Codec, run_codes: Callable) -> None:
+        self.codec = codec
+        self.format_name = _catalog_name(fmt)
+        self.fingerprint = repr(fmt)
+        self.group_size = _group_size(fmt)
+        self.run_codes = run_codes
+        self.tensor_scoped = tensor_scoped(fmt)
+        self._fields: dict = {}
+
+    def fields(self, width: int, count: int) -> tuple:
+        """The ``(pack, unpack)`` routines of a ``count``-field stream
+        of ``width`` bits (:func:`~.bitstream.stream_codec`)."""
+        routines = self._fields.get((width, count))
+        if routines is None:
+            # Racing binders compute equal routines.
+            routines = self._fields[width, count] = \
+                stream_codec(width, count)
+        return routines
 
 
 def _plan_packing(fmt, op: str, shape: tuple, axis: int) -> _Packing:
@@ -711,13 +744,12 @@ def _plan_packing(fmt, op: str, shape: tuple, axis: int) -> _Packing:
         raise CodecError(f"no code-space executor compiles {fmt!r} for "
                          f"{op} input of shape {shape}")
     # Racing binders compute equal values.
-    plan.packing = _Packing(codec, _catalog_name(fmt), repr(fmt),
-                            _group_size(fmt), plan.run_codes)
+    plan.packing = _Packing(fmt, codec, plan.run_codes)
     return plan.packing
 
 
 def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
-           verify: bool = False) -> PackedTensor:
+           verify: bool = False, row_blocks: int = 1) -> PackedTensor:
     """Serialize ``x`` under ``fmt`` into a :class:`PackedTensor`.
 
     ``op`` selects the operand path (hybrid formats quantize weights and
@@ -730,6 +762,15 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     unpacked and compared against the executor's code arrays, catching
     bitstream truncation and round-trip bugs without materializing
     floats.
+
+    ``row_blocks`` splits the leading axis of a tensor grouped on its
+    last axis into that many equal blocks, each its own scaling scope:
+    the tensor-scoped NVFP4 family then takes one tensor scale per
+    block and the container carries one per row, so
+    :func:`slice_rows` cuts out each block as exactly the container
+    encoding it alone gives (a KV append encodes its stacked K and V
+    this way). Rows of every other format encode independently, so it
+    changes nothing for them.
     """
     if op not in OPS:
         raise CodecError(f"op must be one of {OPS}, got {op!r}")
@@ -737,6 +778,11 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     if not x.ndim:
         raise ShapeError("a 0-d tensor has no axis to group along")
     axis %= x.ndim
+    if row_blocks != 1 and not (
+            row_blocks > 1 and x.ndim >= 2 and axis == x.ndim - 1
+            and x.shape[0] % row_blocks == 0):
+        raise ShapeError(f"cannot split a shape {x.shape} tensor grouped "
+                         f"on axis {axis} into {row_blocks} row blocks")
     packing = _plan_packing(fmt, op, x.shape, axis)
     pt = PackedTensor(format_name=packing.format_name,
                       fingerprint=packing.fingerprint, op=op, shape=x.shape,
@@ -756,7 +802,9 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
 
     if timed:
         t0 = time.perf_counter()
-    cs = packing.run_codes(x)
+    cs = packing.run_codes(x, row_blocks) \
+        if row_blocks != 1 and packing.tensor_scoped \
+        else packing.run_codes(x)
     if _obs.metrics_enabled():
         with _ENCODE_TOTALS_LOCK:
             _ENCODE_TOTALS["encodes"] += 1
@@ -766,16 +814,15 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
         sink["fused_encodes"] += 1
     if timed:
         t0 = _mark("quantize", t0)
-    packing.codec.encode_from_codes(fmt, cs, pt)
+    flat = packing.codec.encode_from_codes(fmt, cs, pt, packing.fields)
     if timed:
         t0 = _mark("pack", t0)
     if verify:
-        for s in cs.streams:
-            stored = pt.stream(s.name)
-            back = unpack_bits(stored.data, stored.width, stored.count)
-            if not np.array_equal(back, np.asarray(s.values).reshape(-1)):
+        for stored, values in zip(pt.streams.values(), flat):
+            _, unpack = packing.fields(stored.width, stored.count)
+            if not (unpack(stored.data) == values).all():
                 raise CodecError(f"pack round-trip mismatch for {fmt!r} "
-                                 f"({op}), stream {s.name!r}")
+                                 f"({op}), stream {stored.name!r}")
         if timed:
             _mark("verify", t0)
     return pt
@@ -827,13 +874,25 @@ def _row_layout(pt: PackedTensor) -> tuple:
 
 
 def _row_scales(pt: PackedTensor, rows: int) -> np.ndarray | None:
-    """A non-zero tensor scale per row, or None (no or a zero scale)."""
-    if "tensor_scale" not in pt.extra:
+    """A tensor scale per row, or None (no scale, or all of them 0)."""
+    ts = pt.extra.get("tensor_scale")
+    if ts is None:
         return None
-    ts = _nvfp4_tensor_scale(pt)
-    if not np.any(ts):
-        return None
-    return ts if isinstance(ts, np.ndarray) else np.full(rows, ts)
+    if isinstance(ts, np.ndarray):
+        return ts if ts.any() else None
+    ts = _unhex(pt, "tensor_scale")
+    return np.full(rows, ts) if ts else None
+
+
+def _with_rows(pt: PackedTensor, rows: int, streams: dict,
+               extra: dict) -> PackedTensor:
+    """``pt``'s header with ``rows`` leading rows, ``streams`` and
+    ``extra``."""
+    return PackedTensor(format_name=pt.format_name,
+                        fingerprint=pt.fingerprint, op=pt.op,
+                        shape=(rows, *pt.shape[1:]), axis=pt.axis,
+                        group_size=pt.group_size, streams=streams,
+                        extra=extra)
 
 
 def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
@@ -864,8 +923,7 @@ def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
         streams[h.name] = Stream(h.name, data, h.width, h.count + t.count)
     extra = head.extra if hs is None else \
         {**head.extra, "tensor_scale": np.concatenate([hs, ts])}
-    return replace(head, shape=(hr + tr, *head.shape[1:]), streams=streams,
-                   extra=extra)
+    return _with_rows(head, hr + tr, streams, extra)
 
 
 def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
@@ -874,16 +932,32 @@ def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
 
     Each stream is byte-sliced when both cuts fall on a byte boundary
     (or the end of the stream), else unpacked, sliced and repacked; a
-    per-row tensor scale array is sliced with the rows. Rows of a
-    group-wise format encode independently, so its slice is
-    byte-identical to encoding those rows alone.
+    per-row tensor scale array is sliced with the rows, and becomes the
+    header scalar when the sliced rows share one scale (with no scale
+    stream when that scale is 0). Rows of a group-wise format encode
+    independently, so its slice is byte-identical to encoding those
+    rows alone; so is a row block of an NVFP4-family encode with
+    ``row_blocks`` (see :func:`encode`).
     """
     rows = _rows(pt)
     if not 0 <= start < stop <= rows:
         raise CodecError(f"cannot take rows {start}:{stop} of a shape "
                          f"{pt.shape} container grouped on axis {pt.axis}")
+    extra, skip = pt.extra, None
+    ts = extra.get("tensor_scale")
+    if isinstance(ts, np.ndarray):
+        ts = ts[start:stop]
+        if (ts == ts[0]).all():
+            # Rows of one tensor scale carry it in the header, as their
+            # own encode does; a zero one has no scale stream.
+            extra = {**extra, "tensor_scale": _hex(ts[0])}
+            skip = None if ts[0] else "scales"
+        else:
+            extra = {**extra, "tensor_scale": ts.copy()}
     streams = {}
     for s in pt.streams.values():
+        if s.name == skip:
+            continue
         per = s.count // rows
         lo, hi = per * start, per * stop
         if lo * s.width % 8 == 0 and \
@@ -893,12 +967,7 @@ def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
             data = pack_bits(unpack_bits(s.data, s.width, s.count)[lo:hi],
                              s.width).tobytes()
         streams[s.name] = Stream(s.name, data, s.width, hi - lo)
-    extra = pt.extra
-    if isinstance(extra.get("tensor_scale"), np.ndarray):
-        extra = {**extra,
-                 "tensor_scale": extra["tensor_scale"][start:stop].copy()}
-    return replace(pt, shape=(stop - start, *pt.shape[1:]), streams=streams,
-                   extra=extra)
+    return _with_rows(pt, stop - start, streams, extra)
 
 
 def drop_rows(pt: PackedTensor, n: int) -> PackedTensor:

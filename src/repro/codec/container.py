@@ -48,6 +48,19 @@ OPS = ("weight", "activation")
 _HEADER_KEYS = frozenset(("format", "fingerprint", "op", "shape", "axis",
                           "group_size", "streams", "extra"))
 
+#: JSON header lengths with an empty ``extra``, keyed by every other
+#: header field: :attr:`PackedTensor.header_bytes` adds the ``extra``
+#: object's own length instead of dumping the whole header. Cleared
+#: when it reaches :data:`_MAX_HEADER_LENGTHS` signatures.
+_HEADER_LENGTHS: dict = {}
+_MAX_HEADER_LENGTHS = 1024
+
+
+def _json(obj) -> bytes:
+    """The canonical header JSON: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
+
 
 def _is_count(value) -> bool:
     """A JSON non-negative integer (``true``/``false`` are not counts)."""
@@ -172,8 +185,23 @@ class PackedTensor:
 
     @property
     def header_bytes(self) -> int:
-        """Bytes of magic + length word + JSON header."""
-        return len(MAGIC) + 4 + len(self._header_json())
+        """Bytes of magic + length word + JSON header.
+
+        The JSON nests ``extra`` as one value, so its length is the
+        length with an empty ``extra`` (computed once per signature)
+        plus ``extra``'s own JSON length less the two bytes of ``{}``.
+        """
+        key = (self.format_name, self.fingerprint, self.op,
+               tuple(self.shape), self.axis, self.group_size,
+               tuple((s.name, s.width, s.count, s.nbytes)
+                     for s in self.streams.values()))
+        fixed = _HEADER_LENGTHS.get(key)
+        if fixed is None:
+            if len(_HEADER_LENGTHS) >= _MAX_HEADER_LENGTHS:
+                _HEADER_LENGTHS.clear()
+            fixed = _HEADER_LENGTHS[key] = len(self._header_json({}))
+        extra = len(_json(self.extra)) - 2 if self.extra else 0
+        return len(MAGIC) + 4 + fixed + extra
 
     @property
     def total_bytes(self) -> int:
@@ -193,7 +221,9 @@ class PackedTensor:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def _header_json(self) -> bytes:
+    def _header_json(self, extra: dict | None = None) -> bytes:
+        """The JSON header, with ``extra`` in place of the container's
+        own when given."""
         header = {
             "version": CONTAINER_VERSION,
             "format": self.format_name,
@@ -204,10 +234,9 @@ class PackedTensor:
             "group_size": self.group_size,
             "streams": [[s.name, s.width, s.count, s.nbytes]
                         for s in self.streams.values()],
-            "extra": self.extra,
+            "extra": self.extra if extra is None else extra,
         }
-        return json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode("ascii")
+        return _json(header)
 
     def to_bytes(self) -> bytes:
         """Serialize to one contiguous, self-describing byte string."""

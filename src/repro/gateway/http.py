@@ -226,9 +226,9 @@ async def read_http_request(reader: asyncio.StreamReader,
         return request
 
     try:
-        if read_timeout_s is None:
+        # A deadline on this task, not a wrapping task per request.
+        async with asyncio.timeout(read_timeout_s):
             return await _rest()
-        return await asyncio.wait_for(_rest(), read_timeout_s)
     except asyncio.TimeoutError:
         raise ProtocolError(
             f"request not completed within {read_timeout_s:g}s of its "

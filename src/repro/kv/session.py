@@ -7,11 +7,12 @@ plan's codes** (:func:`repro.codec.encode`, the same plans the batch
 path's ``quantize_weight`` / ``quantize_activation`` run — by default
 every append cross-checks each packed stream against those codes and
 raises on any mismatch, so streamed state is bit-exact *by
-construction*). A format whose rows encode independently encodes an
-append's K and V as one stacked block and cuts the container into its
-K and V rows (:func:`~repro.codec.slice_rows`); fp16 and the
-tensor-scoped NVFP4 family, whose headers depend on the whole block,
-encode each alone.
+construction*). An append encodes its K and V as one stacked block,
+in one plan call, and cuts the container into its K and V rows
+(:func:`~repro.codec.slice_rows`), each exactly the container encoding
+it alone gives: the tensor-scoped NVFP4 family takes K's and V's tensor
+scales separately (``row_blocks=2``). Only fp16, whose storage flag
+depends on the whole block, encodes each alone.
 Each layer's K and V are kept as **arenas**: a short
 list of runs, each one row-stacked :class:`~repro.codec.PackedTensor`
 that appends extend (:func:`~repro.codec.join_rows`). A new run starts
@@ -42,8 +43,7 @@ every catalog format under every dispatch mode):
   the batch cache are the same bytes. Tensor-scoped formats (NVFP4 /
   M2-NVFP4 and MaxPreserving wrappers of them) are **block-scoped** by
   design: their tensor-level scale depends on the whole input, so each
-  appended block is its own scaling scope (the session analogue of
-  ``QuantService`` never cross-batching them).
+  appended K or V block is its own scaling scope.
 
 Example::
 
@@ -74,7 +74,7 @@ from ..errors import ConfigError
 from ..models.quantized import Fp16Format
 from ..obs import measured_bits_per_element
 from ..obs import registry as obs_registry
-from ..serve.service import DISPATCH_MODES, _dispatch_scope, _tensor_scoped
+from ..serve.service import DISPATCH_MODES, _dispatch_scope
 
 __all__ = ["KVCacheSession", "KVPolicy"]
 
@@ -283,15 +283,13 @@ class KVCacheSession:
         with _dispatch_scope(self.dispatch), collect_encode_stats() as es:
             if _stacks_rows(fmt):
                 kv = encode(fmt, np.concatenate([k, v]), op=op, axis=-1,
-                            verify=self.verify)
+                            verify=self.verify, row_blocks=2)
                 pk = slice_rows(kv, 0, tokens)
                 pv = slice_rows(kv, tokens, 2 * tokens)
-                # The two slices share one header: dump it once.
-                header_bytes = 2 * pk.header_bytes
             else:
                 pk = encode(fmt, k, op=op, axis=-1, verify=self.verify)
                 pv = encode(fmt, v, op=op, axis=-1, verify=self.verify)
-                header_bytes = pk.header_bytes + pv.header_bytes
+        header_bytes = pk.header_bytes + pv.header_bytes
         with self._lock:
             self._check_open()
             arenas = self._arenas[layer]
@@ -496,14 +494,16 @@ class KVCacheSession:
 def _stacks_rows(fmt) -> bool:
     """Whether an append encodes K and V as one stacked block.
 
-    A format stacks when its rows encode independently, so
-    :func:`~repro.codec.slice_rows` cuts the stacked container into
-    exactly the K and V containers two solo encodes give. Two kinds set
-    a header field from the whole block and keep one encode each: fp16
-    (its ``storage`` flag) and the tensor-scoped NVFP4 family (its
-    tensor scale).
+    Every format but fp16 does: :func:`~repro.codec.slice_rows` cuts
+    the stacked container into exactly the K and V containers two solo
+    encodes give, header included. Group-wise rows encode independently;
+    the tensor-scoped NVFP4 family is encoded with ``row_blocks=2``, so
+    K and V each get their own tensor scale, and a slice whose rows
+    share one scale carries it in the header as a solo encode does
+    (zero and underflowed blocks included). fp16 sets its ``storage``
+    flag from the whole block, so it keeps one encode each.
     """
-    return not isinstance(fmt, Fp16Format) and not _tensor_scoped(fmt)
+    return not isinstance(fmt, Fp16Format)
 
 
 def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,

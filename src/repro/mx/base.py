@@ -19,7 +19,12 @@ from ..formats.e8m0 import E8M0_BITS
 from ..formats.grouping import from_groups, to_groups
 from .scale_rules import shared_scale_exponent
 
-__all__ = ["TensorFormat", "BlockFormat", "QuantResult"]
+__all__ = ["TensorFormat", "BlockFormat", "QuantResult", "MIN_POW2_SCALE"]
+
+#: The smallest positive float64, ``2**-1074``. A power-of-two scale
+#: below it is 0, and dividing a group by it gives inf or NaN, so the
+#: unclamped exponent rules (MSFP, SMX) never go below it.
+MIN_POW2_SCALE = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass

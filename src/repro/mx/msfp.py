@@ -11,7 +11,7 @@ import numpy as np
 
 from ..formats.e8m0 import E8M0_BITS
 from ..formats.intspec import IntSpec
-from .base import BlockFormat, QuantResult
+from .base import MIN_POW2_SCALE, BlockFormat, QuantResult
 
 __all__ = ["MSFP", "MSFP12", "MSFP16", "msfp12", "msfp16"]
 
@@ -27,7 +27,10 @@ class MSFP(BlockFormat):
     def quantize_groups(self, groups: np.ndarray) -> QuantResult:
         imax = self.element.max_value
         amax = np.max(np.abs(groups), axis=1)
-        e = np.where(amax > 0, np.ceil(np.log2(np.where(amax > 0, amax, 1.0) / imax)), 0.0)
+        # The exponent never goes below 2**-1074's: a group whose
+        # ``amax / imax`` underflows to 0 keeps a nonzero scale.
+        ratio = np.maximum(np.where(amax > 0, amax, 1.0) / imax, MIN_POW2_SCALE)
+        e = np.where(amax > 0, np.ceil(np.log2(ratio)), 0.0)
         scales = np.exp2(e)
         q = self.element.quantize(groups / scales[:, None])
         return QuantResult(dequantized=q * scales[:, None], scales=scales, ebw=self.ebw)

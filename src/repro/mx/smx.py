@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..formats.e8m0 import E8M0_BITS
 from ..formats.intspec import IntSpec
-from .base import BlockFormat, QuantResult
+from .base import MIN_POW2_SCALE, BlockFormat, QuantResult
 
 __all__ = ["SMX", "SMX4", "SMX6", "SMX9", "smx4"]
 
@@ -40,14 +40,18 @@ class SMX(BlockFormat):
         # (and like MXFP4's floor rule): the block maximum can clip, which
         # is the error mode that makes SMX4 collapse at 4 bits.
         p = 2.0 ** np.floor(np.log2(imax))
-        e = np.where(amax > 0,
-                     np.floor(np.log2(np.where(amax > 0, amax, 1.0) / p)), 0.0)
+        # The scale never goes below 2**-1074 (a group whose ``amax / p``
+        # underflows to 0 keeps a nonzero scale), and a scale at that
+        # floor is never halved, so no local scale is 0.
+        ratio = np.maximum(np.where(amax > 0, amax, 1.0) / p, MIN_POW2_SCALE)
+        e = np.where(amax > 0, np.floor(np.log2(ratio)), 0.0)
         scales = np.exp2(e)
         n, k = groups.shape
         pairs = groups.reshape(n, k // self.sub_size, self.sub_size)
         pair_max = np.max(np.abs(pairs), axis=2)
         # Micro-exponent bit: halve the local scale when the pair fits.
-        micro = (pair_max <= scales[:, None] * imax / 2.0).astype(np.float64)
+        micro = ((pair_max <= scales[:, None] * imax / 2.0)
+                 & (scales > MIN_POW2_SCALE)[:, None]).astype(np.float64)
         local = scales[:, None] / np.exp2(micro)
         q = self.element.quantize(pairs / local[:, :, None])
         dq = (q * local[:, :, None]).reshape(n, k)

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     metrics_enabled,
     quantile,
+    refresh_metrics_enabled,
     registry,
 )
 from repro.obs.trace import (
@@ -42,6 +43,7 @@ __all__ = [
     "measured_bits_per_element",
     "metrics_enabled",
     "quantile",
+    "refresh_metrics_enabled",
     "registry",
     "start_trace",
     "trace_enabled",

@@ -17,7 +17,9 @@ Two registration styles:
   :class:`Histogram`) are owned by the registry and written on the hot
   path. Their writes are *gated*: with ``REPRO_NO_METRICS=1`` every
   ``inc``/``set``/``observe`` is a no-op, so the disabled-path cost is
-  one env-cached boolean check (pinned by ``scripts/bench_obs.py``).
+  one cached boolean check (pinned by ``scripts/bench_obs.py``). The
+  switch is read from the environment at import; code that flips it
+  later calls :func:`refresh_metrics_enabled`.
   Construct with ``gated=False`` for accounting the program itself
   relies on (e.g. gateway routing stats).
 * **Collectors** are zero-hot-path-overhead callbacks: a component
@@ -47,9 +49,26 @@ NO_METRICS_ENV = "REPRO_NO_METRICS"
 DEFAULT_WINDOW = 4096
 
 
-def metrics_enabled() -> bool:
-    """True unless ``REPRO_NO_METRICS=1`` (read per call: tests flip it)."""
+def _read_switch() -> bool:
     return os.environ.get(NO_METRICS_ENV, "") != "1"
+
+
+_enabled = _read_switch()
+
+
+def metrics_enabled() -> bool:
+    """True unless ``REPRO_NO_METRICS=1`` was set when the switch was
+    last read (at import, or by :func:`refresh_metrics_enabled`)."""
+    return _enabled
+
+
+def refresh_metrics_enabled() -> bool:
+    """Re-read ``REPRO_NO_METRICS`` from the environment (for code that
+    sets it after import, such as tests and ``scripts/bench_obs.py``)
+    and return the new :func:`metrics_enabled` value."""
+    global _enabled
+    _enabled = _read_switch()
+    return _enabled
 
 
 def quantile(sorted_values, q: float) -> float:

@@ -33,8 +33,9 @@ Example::
 from .cache import (MAX_PLANS, QuantPlan, clear_plan_cache, get_plan,
                     lookup_plan, plan_cache_stats)
 from .codespace import CodeSpaceResult, CodeStream
+from .executors import tensor_scoped
 from .geometry import GroupGeometry
 
 __all__ = ["QuantPlan", "GroupGeometry", "CodeSpaceResult", "CodeStream",
            "MAX_PLANS", "get_plan", "lookup_plan", "clear_plan_cache",
-           "plan_cache_stats"]
+           "plan_cache_stats", "tensor_scoped"]

@@ -21,6 +21,7 @@ one dict probe per call, not a compile attempt.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,15 +78,31 @@ def _group_size(fmt) -> int:
     return size
 
 
+#: ``fmt.weight_cache_key`` per format instance. The key walks the
+#: format's attributes recursively, and a format is not reconfigured
+#: after construction, so the walk runs once per instance.
+_fingerprints: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _fingerprint(fmt):
+    """``fmt.weight_cache_key``, computed on the instance's first call
+    (None, for a format it cannot fingerprint, is remembered too)."""
+    try:
+        return _fingerprints[fmt]
+    except KeyError:
+        key = _fingerprints[fmt] = fmt.weight_cache_key
+        return key
+
+
 def get_plan(fmt, op: str, shape: tuple, axis: int) -> QuantPlan | None:
     """The cached fast-path plan for ``(fmt, op, shape, axis)``, or None.
 
-    The fingerprint comes from ``fmt.weight_cache_key``; formats it
-    cannot fingerprint are never planned.
+    The fingerprint comes from ``fmt.weight_cache_key``, once per format
+    instance; formats it cannot fingerprint are never planned.
     """
     if op not in _OPS:
         raise ValueError(f"op must be one of {_OPS}, got {op!r}")
-    fingerprint = fmt.weight_cache_key
+    fingerprint = _fingerprint(fmt)
     if fingerprint is None or not shape:
         return None
     key = (fingerprint, op, tuple(shape), axis)

@@ -20,8 +20,8 @@ Ownership and materialization rules (DESIGN.md §11):
   meta[, refined]`` for the metadata-augmented families), which lets the
   codec's ``encode_from_codes`` validate the pairing structurally;
 * ``extra`` holds the container header scalars the streams depend on
-  (the NVFP4 family's ``float.hex()`` tensor scale, fp16's storage
-  flag), which
+  (the NVFP4 family's ``float.hex()`` tensor scale, or its per-row
+  float64 array for several row blocks, fp16's storage flag), which
   ``encode_from_codes`` writes into the header before it checks the
   layout.
 """

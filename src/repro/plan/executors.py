@@ -40,7 +40,10 @@ Registered families (exact instance type):
   boundaries, a true division by that non-power-of-two scale, FP4
   codes; ``run`` also takes a calibrated ``tensor_amax``. The
   code-space result carries the tensor scale as a header scalar
-  (``CodeSpaceResult.extra``).
+  (``CodeSpaceResult.extra``). ``run_codes(x, blocks)`` takes one
+  tensor scale per each of ``blocks`` equal row blocks, and then
+  carries one scale per row: a KV append encodes its stacked K and V
+  rows in one call.
 * ``M2NVFP4`` — the same scales with Elem-EM top-1 refinement
   (activations) or the bias x multiplier search on the exact
   ``candidate_search`` kernel (weights).
@@ -70,7 +73,7 @@ from ..kernels.elem import elem_ee_select
 from ..kernels.search import (_CHUNK_ELEMS, candidate_search,
                               gather_candidate_codes, hierarchical_select)
 from ..models.quantized import Fp16Format
-from ..mx.base import BlockFormat
+from ..mx.base import MIN_POW2_SCALE, BlockFormat
 from ..mx.fp_group import GroupFP4
 from ..mx.max_preserve import MaxPreserving
 from ..mx.msfp import MSFP
@@ -82,7 +85,7 @@ from .geometry import GroupGeometry
 from .ops import (fp4_codes, fp4_half_ints, fp6_window_codes,
                   small_grid_encoder, subgroup_top1, tree_amax, validate_amax)
 
-__all__ = ["EXECUTOR_COMPILERS", "compile_executor"]
+__all__ = ["EXECUTOR_COMPILERS", "compile_executor", "tensor_scoped"]
 
 
 def _exp2(e: np.ndarray) -> np.ndarray:
@@ -281,13 +284,14 @@ def _compile_msfp(fmt: MSFP, op: str, geom: GroupGeometry):
     imax = elem.max_value
 
     def _exponents(x: np.ndarray):
-        """``(groups, e)``: MSFP's ceil-rule exponent, unclamped."""
+        """``(groups, e)``: MSFP's ceil-rule exponent, not clamped to
+        the E8M0 range, only floored at ``MIN_POW2_SCALE``'s."""
         groups = geom.pack(x)
         amax = tree_amax(np.abs(groups))
         validate_amax(amax)
         pos = amax > 0
-        e = np.where(pos, np.ceil(np.log2(np.where(pos, amax, 1.0) / imax)),
-                     0.0)
+        ratio = np.maximum(np.where(pos, amax, 1.0) / imax, MIN_POW2_SCALE)
+        e = np.where(pos, np.ceil(np.log2(ratio)), 0.0)
         return groups, e
 
     def _quantize(groups: np.ndarray, e: np.ndarray):
@@ -320,13 +324,14 @@ def _compile_smx(fmt: SMX, op: str, geom: GroupGeometry):
     n_sub = fmt.group_size // sub
 
     def _exponents(x: np.ndarray):
-        """``(groups, e)``: SMX's floor-rule exponent, unclamped."""
+        """``(groups, e)``: SMX's floor-rule exponent, not clamped to
+        the E8M0 range, only floored at ``MIN_POW2_SCALE``'s."""
         groups = geom.pack(x)
         amax = tree_amax(np.abs(groups))
         validate_amax(amax)
         pos = amax > 0
-        e = np.where(pos, np.floor(np.log2(np.where(pos, amax, 1.0) / p)),
-                     0.0)
+        ratio = np.maximum(np.where(pos, amax, 1.0) / p, MIN_POW2_SCALE)
+        e = np.where(pos, np.floor(np.log2(ratio)), 0.0)
         return groups, e
 
     def _quantize(groups: np.ndarray, e: np.ndarray):
@@ -335,7 +340,8 @@ def _compile_smx(fmt: SMX, op: str, geom: GroupGeometry):
         scales = np.exp2(e)
         pairs = groups.reshape(-1, n_sub, sub)
         pair_max = np.max(np.abs(pairs), axis=2)
-        micro = (pair_max <= scales[:, None] * imax / 2.0).astype(np.float64)
+        micro = ((pair_max <= scales[:, None] * imax / 2.0)
+                 & (scales > MIN_POW2_SCALE)[:, None]).astype(np.float64)
         local = scales[:, None] / np.exp2(micro)
         return micro, elem.quantize(pairs / local[:, :, None]), local
 
@@ -766,19 +772,35 @@ def _compile_elem_ee(fmt: ElemEE, op: str, geom: GroupGeometry):
 # ----------------------------------------------------------------------
 # NVFP4 / M2-NVFP4: two-level (E4M3 group x FP32 tensor) scaling
 # ----------------------------------------------------------------------
-def _nvfp4_scaler(base: NVFP4):
-    """NVFP4's two-level scale derivation over ``|groups|``.
+def tensor_scoped(fmt) -> bool:
+    """Whether ``fmt`` scales by a tensor-level amax: the NVFP4 family,
+    or a MaxPreserving wrapper of it. Its ``run_codes(x, blocks)`` then
+    takes the number of equal leading-axis row blocks that each get
+    their own tensor scale (see :func:`_nvfp4_scaler`)."""
+    if isinstance(fmt, (NVFP4, M2NVFP4)):
+        return True
+    if isinstance(fmt, MaxPreserving):
+        return tensor_scoped(fmt.inner)
+    return False
 
-    Returns ``scale(ax, tensor_amax=None) -> (ts, s8_codes, scales)``:
-    the tensor scale, the E4M3 group-scale codes and the raw group
-    scales ``s8 * ts``; for a zero tensor (``tensor_amax == 0``) the
-    last two are None. A tensor scale that underflows to 0 (every
-    ``|x|`` below about 1.3e-320) has no scale codes and all-zero group
-    scales, so every group dequantizes to +0.0. Finiteness is
-    validated first, as ``to_groups`` does, even when a calibrated
-    ``tensor_amax`` is given. The arithmetic is
-    ``NVFP4.quantize_detailed``'s operation for operation: the same
-    Python-float tensor scale, the same ``amax / (M * ts)`` division,
+
+def _nvfp4_scaler(base: NVFP4):
+    """NVFP4's two-level scale derivation over ``|groups|``, one tensor
+    scale per row block.
+
+    Returns ``scale(ax, blocks=1, tensor_amax=None) -> (tamax, ts,
+    s8_codes, scales)``. The groups split into ``blocks`` equal runs
+    (the row blocks of a tensor grouped on its last axis); each block's
+    tensor amax ``tamax`` is its groups' maximum, or the calibrated
+    ``tensor_amax`` (one block), and ``ts`` its tensor scale (float64
+    arrays of ``blocks``). Per group come the E4M3 scale code and the
+    raw group scale ``s8 * ts``. A block whose tensor scale is 0 — a
+    zero block, or one whose tensor scale underflows (every ``|x|``
+    below about 1.3e-320) — has code 0 and scale 0 in every group.
+    Finiteness is validated first, as ``to_groups`` does, even when a
+    calibrated ``tensor_amax`` is given. The arithmetic is
+    ``NVFP4.quantize_detailed``'s operation for operation, block by
+    block: the same tensor scale, the same ``amax / (M * ts)`` division,
     and the E4M3 quantize as one boundary search with the sign
     re-applied.
     """
@@ -786,30 +808,43 @@ def _nvfp4_scaler(base: NVFP4):
     denom = emax * base.scale_format.max_value
     bounds, grid = base.scale_format.boundaries, base.scale_format.grid
 
-    def scale(ax: np.ndarray, tensor_amax: float | None = None):
+    def scale(ax: np.ndarray, blocks: int = 1,
+              tensor_amax: float | None = None):
         amax = tree_amax(ax)
         validate_amax(amax)
         if tensor_amax is None:
-            tensor_amax = float(amax.max(initial=0.0))
-        if tensor_amax == 0.0:
-            return 0.0, None, None
-        ts = tensor_amax / denom
-        if ts == 0.0:
-            return 0.0, None, np.zeros(len(amax))
-        ideal = amax / (emax * ts)
-        codes = np.searchsorted(bounds, np.abs(ideal), side="left")
-        return ts, codes, np.copysign(grid[codes], ideal) * ts
+            tamax = amax.reshape(blocks, -1).max(axis=1, initial=0.0)
+        else:
+            tamax = np.array([float(tensor_amax)])
+        ts = tamax / denom
+        per = amax.size // blocks
+        ts_g = ts[0] if blocks == 1 else np.repeat(ts, per)
+        if ts.all():
+            ideal = amax / (emax * ts_g)
+            codes = np.searchsorted(bounds, np.abs(ideal), side="left")
+            return tamax, ts, codes, np.copysign(grid[codes], ideal) * ts_g
+        live = np.repeat(ts > 0, per)
+        ideal = amax / (emax * np.where(live, ts_g, 1.0))
+        codes = np.where(
+            live, np.searchsorted(bounds, np.abs(ideal), side="left"), 0)
+        return tamax, ts, codes, \
+            np.where(live, np.copysign(grid[codes], ideal) * ts_g, 0.0)
     return scale
 
 
-def _nvfp4_result(ts: float, s8_codes, streams: tuple, dequantize):
+def _nvfp4_result(geom: GroupGeometry, ts: np.ndarray, s8_codes,
+                  streams: tuple, dequantize):
     """A code-space result in the NVFP4-family codec layout: the scale
-    stream first (absent under a zero tensor scale), the tensor scale a
-    header scalar."""
-    if s8_codes is not None:
+    stream first (absent when every tensor scale is 0). One block's
+    tensor scale is a ``float.hex()`` header scalar; several blocks give
+    each row its block's scale, as a float64 array (the form
+    :func:`repro.codec.join_rows` runs hold)."""
+    if ts.any():
         streams = (CodeStream("scales", s8_codes, 8),) + streams
+    tensor_scale = float(ts[0]).hex() if ts.size == 1 \
+        else np.repeat(ts, geom.shape[0] // ts.size)
     return CodeSpaceResult(streams, dequantize,
-                           extra={"tensor_scale": float(ts).hex()})
+                           extra={"tensor_scale": tensor_scale})
 
 
 def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
@@ -817,39 +852,36 @@ def _compile_nvfp4(fmt: NVFP4, op: str, geom: GroupGeometry):
         return None
     scale = _nvfp4_scaler(fmt)
 
-    def _encode(groups: np.ndarray, tensor_amax=None):
-        """``(ts, s8_codes, safe, live, codes)``, the last four None for
-        a zero tensor."""
+    def _encode(groups: np.ndarray, blocks: int = 1, tensor_amax=None):
+        """``(tamax, ts, s8_codes, safe, live, codes)``; a group is live
+        while its scale is not 0."""
         ax = np.abs(groups)
-        ts, s8_codes, scales = scale(ax, tensor_amax)
-        if scales is None:
-            return ts, None, None, None, None
+        tamax, ts, s8_codes, scales = scale(ax, blocks, tensor_amax)
         live = scales > 0
         safe = np.where(live, scales, 1.0)
         # A true division: the group scale is not a power of two.
         ax /= safe[:, None]
-        return ts, s8_codes, safe, live, fp4_codes(ax)
+        return tamax, ts, s8_codes, safe, live, fp4_codes(ax)
 
     def run(x: np.ndarray, tensor_amax: float | None = None) -> np.ndarray:
         groups = geom.pack(x)
-        _ts, _s8, safe, live, c = _encode(groups, tensor_amax)
-        if live is None:        # zero tensor: the input, unchanged
+        tamax, _ts, _s8, safe, live, c = _encode(groups, 1, tensor_amax)
+        if not tamax[0]:        # zero tensor: the input, unchanged
             return geom.unpack(groups)
         return _fp4_scaled_finish(geom, groups, safe, live, c)
 
-    def run_codes(x: np.ndarray) -> CodeSpaceResult:
+    def run_codes(x: np.ndarray, blocks: int = 1) -> CodeSpaceResult:
         groups = geom.pack(x)
-        ts, s8_codes, safe, live, c = _encode(groups)
-        if live is None:
-            return _nvfp4_result(
-                ts, None, (CodeStream("elements", _sign_codes(groups, 0), 4),),
-                lambda: geom.unpack(groups))
-        if s8_codes is None:    # underflowed tensor scale: +0.0 throughout
-            return _nvfp4_result(
-                ts, None, (CodeStream("elements", np.zeros_like(c), 4),),
-                lambda: _fp4_scaled_finish(geom, groups, safe, live, c))
+        tamax, ts, s8_codes, safe, live, c = _encode(groups, blocks)
+        elems = _sign_codes(groups, c)
+        if not ts.all():
+            per = len(groups) // blocks
+            # A zero block keeps its signed zeros (all its codes are
+            # sign bits); an underflowed one is +0.0 throughout.
+            elems[np.repeat((tamax > 0) & (ts == 0), per)] = 0
+            live = live | np.repeat(tamax == 0, per)
         return _nvfp4_result(
-            ts, s8_codes, (CodeStream("elements", _sign_codes(groups, c), 4),),
+            geom, ts, s8_codes, (CodeStream("elements", elems, 4),),
             lambda: _fp4_scaled_finish(geom, groups, safe, live, c))
     return run, run_codes
 
@@ -863,21 +895,20 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
     sub = fmt.sub_size
     n_sub = fmt.group_size // sub
 
-    def _scales(groups: np.ndarray):
+    def _scales(groups: np.ndarray, blocks: int):
         """``(|groups|, ts, s8_codes, safe)``: ``M2NVFP4._scaled_groups``'
-        scales, ones for a zero tensor and 1.0 where one rounds to 0."""
+        scales per row block, 1.0 where one is 0 (a zero or underflowed
+        block, or a group scale that rounds to 0)."""
         ax = np.abs(groups)
-        ts, s8_codes, scales = scale(ax)
-        safe = np.ones(groups.shape[0]) if scales is None \
-            else np.where(scales > 0, scales, 1.0)
-        return ax, ts, s8_codes, safe
+        _tamax, ts, s8_codes, scales = scale(ax, blocks)
+        return ax, ts, s8_codes, np.where(scales > 0, scales, 1.0)
 
     if op == "activation":
         flat_base = np.arange(geom.n_groups * n_sub) * sub
 
-        def _encode(x: np.ndarray):
+        def _encode(x: np.ndarray, blocks: int = 1):
             groups = geom.pack(x)
-            ax, ts, s8_codes, safe = _scales(groups)
+            ax, ts, s8_codes, safe = _scales(groups, blocks)
             ax /= safe[:, None]
             c = fp4_codes(ax)
             top = subgroup_top1(c.reshape(-1, n_sub, sub))
@@ -899,10 +930,11 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
             groups, _ts, _s8, safe, c, flat, _meta, refined2 = _encode(x)
             return _finish(groups, safe, c, flat, refined2)
 
-        def run_codes(x: np.ndarray) -> CodeSpaceResult:
-            groups, ts, s8_codes, safe, c, flat, meta, refined2 = _encode(x)
+        def run_codes(x: np.ndarray, blocks: int = 1) -> CodeSpaceResult:
+            groups, ts, s8_codes, safe, c, flat, meta, refined2 = \
+                _encode(x, blocks)
             return _nvfp4_result(
-                ts, s8_codes,
+                geom, ts, s8_codes,
                 (CodeStream("elements", _sign_codes(groups, c), 4),
                  CodeStream("meta", meta, META_BITS_PER_VALUE)),
                 lambda: _finish(groups, safe, c, flat, refined2))
@@ -913,10 +945,10 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
     mult = np.asarray(SG_EM_MULTIPLIERS)
     n_inner = len(mult)
 
-    def _encode_w(x: np.ndarray):
+    def _encode_w(x: np.ndarray, blocks: int = 1):
         groups = geom.pack(x)
         n = groups.shape[0]
-        _ax, ts, s8_codes, safe = _scales(groups)
+        _ax, ts, s8_codes, safe = _scales(groups, blocks)
         subs = groups.reshape(n, n_sub, sub)
         cand = ((safe[:, None] * bias_arr)[:, :, None] * mult).reshape(
             n, len(biases) * n_inner)
@@ -943,14 +975,14 @@ def _compile_m2nvfp4(fmt: M2NVFP4, op: str, geom: GroupGeometry):
             _encode_w(x)
         return _finish_w(groups, subs, cand, outer, inner, invalid, mag)
 
-    def run_codes_w(x: np.ndarray) -> CodeSpaceResult:
+    def run_codes_w(x: np.ndarray, blocks: int = 1) -> CodeSpaceResult:
         groups, subs, ts, s8_codes, cand, outer, inner, invalid, mag = \
-            _encode_w(x)
+            _encode_w(x, blocks)
         if invalid.any():
             raise CodecError("M2-NVFP4 weight search produced an invalid "
                              "group; inputs must be finite")
         return _nvfp4_result(
-            ts, s8_codes,
+            geom, ts, s8_codes,
             (CodeStream("elements",
                         _sign_codes(groups, mag.reshape(groups.shape)), 4),
              CodeStream("meta", inner, 2), CodeStream("bias", outer, 2)),
@@ -1003,8 +1035,8 @@ def _compile_max_preserving(fmt: MaxPreserving, op: str, geom: GroupGeometry):
         dq = run_inner(x)
         return _restore(dq, *_max(x))
 
-    def run_codes(x: np.ndarray) -> CodeSpaceResult:
-        cs = codes_inner(x)
+    def run_codes(x: np.ndarray, *blocks) -> CodeSpaceResult:
+        cs = codes_inner(x, *blocks)
         idx, sign, mag = _max(x)
         streams = [s for s in cs.streams if s.name != "elements"]
         elems = next(s for s in cs.streams if s.name == "elements")

@@ -40,11 +40,8 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ..core.m2xfp import M2NVFP4
 from ..errors import ConfigError
 from ..mx.base import TensorFormat
-from ..mx.max_preserve import MaxPreserving
-from ..mx.nvfp import NVFP4
 from ..obs import current_trace, measured_bits_per_element, \
     metrics_enabled, use_trace
 from ..obs import registry as obs_registry
@@ -69,15 +66,6 @@ def _dispatch_scope(mode: str):
     if mode == "reference":
         return reference_kernels()
     return nullcontext()
-
-
-def _tensor_scoped(fmt) -> bool:
-    """True when quantization depends on whole-tensor state (no stacking)."""
-    if isinstance(fmt, (NVFP4, M2NVFP4)):
-        return True
-    if isinstance(fmt, MaxPreserving):
-        return _tensor_scoped(fmt.inner)
-    return False
 
 
 def _digest(x: np.ndarray) -> str:

@@ -548,9 +548,9 @@ class AsyncQuantClient(_ClientCore):
 
     async def _open(self) -> None:
         try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                self.timeout)
+            async with asyncio.timeout(self.timeout):
+                self._reader, self._writer = await asyncio.open_connection(
+                    self.host, self.port)
         except asyncio.TimeoutError:
             raise RequestTimeout(
                 f"connect to {self.host}:{self.port} timed out after "
@@ -647,7 +647,8 @@ class AsyncQuantClient(_ClientCore):
         self._pending[rid] = fut
         try:
             self._writer.write(encoder(rid, *args, **kwargs))
-            await asyncio.wait_for(self._writer.drain(), self.timeout)
+            async with asyncio.timeout(self.timeout):
+                await self._writer.drain()
         except asyncio.TimeoutError:
             self._pending.pop(rid, None)
             raise RequestTimeout(
@@ -663,7 +664,10 @@ class AsyncQuantClient(_ClientCore):
                            deadline_s: float | None) -> protocol.Frame:
         budget = self._deadline_s(deadline_s)
         try:
-            return await asyncio.wait_for(fut, budget)
+            # Expiry cancels the await and with it ``fut``, as wait_for
+            # did, without a wrapping task per request.
+            async with asyncio.timeout(budget):
+                return await fut
         except asyncio.TimeoutError:
             raise RequestTimeout(
                 f"no response to request {fut._repro_request_id} within "

@@ -276,19 +276,15 @@ async def read_frame(reader, frame_timeout_s: float | None = None) \
             return None
         raise ConnectionLost("connection closed mid-frame") from exc
 
-    async def _rest() -> bytes:
-        prefix = first + await reader.readexactly(_LEN.size - 1)
-        (body_len,) = _LEN.unpack(prefix)
-        if body_len > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {body_len} exceeds the "
-                                f"{MAX_FRAME_BYTES}-byte protocol limit")
-        return await reader.readexactly(body_len)
-
     try:
-        if frame_timeout_s is None:
-            body = await _rest()
-        else:
-            body = await asyncio.wait_for(_rest(), frame_timeout_s)
+        # A deadline on this task, not a wrapping task per frame.
+        async with asyncio.timeout(frame_timeout_s):
+            prefix = first + await reader.readexactly(_LEN.size - 1)
+            (body_len,) = _LEN.unpack(prefix)
+            if body_len > MAX_FRAME_BYTES:
+                raise ProtocolError(f"frame length {body_len} exceeds the "
+                                    f"{MAX_FRAME_BYTES}-byte protocol limit")
+            body = await reader.readexactly(body_len)
     except asyncio.IncompleteReadError as exc:
         raise ConnectionLost("connection closed mid-frame") from exc
     except asyncio.TimeoutError:

@@ -24,6 +24,11 @@ Layers:
   exactly their per-container ``decode`` bytes, ``drop_rows`` leaves
   exactly the remaining rows' bytes, and a container that disagrees
   with a run never joins it.
+* **Row blocks** — ``encode(..., row_blocks=n)`` gives each equal row
+  block its own scaling scope: every block ``slice_rows`` cuts out is
+  its solo encode byte for byte (header included) for ordinary, zero,
+  -0.0 and underflowed NVFP4-family blocks, and the whole container
+  decodes to the solo decodes stacked.
 * **Golden packed bytes** — the serialized m2xfp / m2-nvfp4 containers
   are pinned in ``tests/golden/packed_vectors.json`` (regen via
   ``scripts/regen_packed_vectors.py --regen``); any header, stream-order
@@ -43,10 +48,10 @@ import pytest
 from repro.algos import (BlockDialect, MicroScopiQWeights, MXAnt,
                          MXIntActivations, MXMAnt, MXOliVe)
 from repro.codec import PackedTensor, codec_for, decode, drop_rows, encode, \
-    join_rows, supports
+    join_rows, slice_rows, supports
 from repro.codec.container import MAGIC
 from repro.core import ElemEM
-from repro.errors import CodecError, ReproError
+from repro.errors import CodecError, ReproError, ShapeError
 from repro.kernels import fast_kernels, reference_kernels
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 
@@ -420,6 +425,68 @@ def test_verify_flag_roundtrips(rng):
            op="weight", verify=True)
 
 
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_header_bytes_is_the_serialized_header(name, rng):
+    """``header_bytes`` (the JSON length without ``extra`` once per
+    signature, plus ``extra``'s) is what ``to_bytes`` writes, for fresh
+    containers and row slices, NVFP4-family tensor scales of any
+    ``float.hex()`` length included."""
+    fmt = make_format(name)
+    for x in (rng.standard_normal((3, 40)) * 10.0 ** rng.integers(-9, 9),
+              np.zeros((2, 16)), np.full((2, 16), 0.5)):
+        pt = encode(fmt, x, op="weight")
+        for cut in (pt, slice_rows(pt, 0, 1), slice_rows(pt, 1, 2)):
+            assert cut.header_bytes == len(cut.to_bytes()) \
+                - cut.payload_bytes, f"{name} {cut.shape}"
+
+
+# ----------------------------------------------------------------------
+# Row blocks: one encode, each block its own scaling scope
+# ----------------------------------------------------------------------
+def _edge_blocks(rng, rows: int = 2, width: int = 48) -> list:
+    """An ordinary block, a -0.0 zero block, a block whose NVFP4 tensor
+    scale underflows (|x| about 1e-321) and a large-magnitude block."""
+    zero = np.zeros((rows, width))
+    zero[:, ::3] = -0.0
+    tiny = np.zeros((rows, width))
+    tiny[0, 0], tiny[-1, 5] = 1.5e-321, -5e-322
+    return [rng.standard_normal((rows, width)), zero, tiny,
+            rng.standard_normal((rows, width)) * 1e3]
+
+
+@pytest.mark.parametrize("dispatch", sorted(DISPATCH))
+@pytest.mark.parametrize("op", ["weight", "activation"])
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4", "mxfp4", "m2xfp"])
+def test_row_blocks_slice_to_solo_encodes(name, op, dispatch, rng):
+    """Each row block of an ``encode(row_blocks=n)`` container, cut out
+    with ``slice_rows``, is its solo encode byte for byte, header
+    included, and the container decodes to the solo decodes stacked;
+    also when every block is zero or underflowed (no scale stream at
+    all). For group-wise formats ``row_blocks`` changes nothing."""
+    fmt = make_format(name)
+    blocks = _edge_blocks(rng)
+    for group in (blocks, blocks[1:3]):
+        x = np.concatenate(group)
+        with DISPATCH[dispatch]():
+            pt = encode(fmt, x, op=op, verify=True, row_blocks=len(group))
+            solo = [encode(fmt, b, op=op) for b in group]
+            if name in ("mxfp4", "m2xfp"):
+                assert pt.to_bytes() == encode(fmt, x, op=op).to_bytes()
+        for i, want in enumerate(solo):
+            got = slice_rows(pt, 2 * i, 2 * i + 2)
+            assert got.to_bytes() == want.to_bytes(), f"{name} block {i}"
+        assert decode(pt, fmt=fmt).tobytes() == np.concatenate(
+            [decode(p, fmt=fmt) for p in solo]).tobytes()
+
+
+@pytest.mark.parametrize("shape, axis, blocks", [
+    ((5, 16), -1, 2), ((4, 16), 0, 2), ((32,), -1, 2), ((4, 16), -1, 0)])
+def test_row_blocks_need_equal_leading_blocks(shape, axis, blocks):
+    with pytest.raises(ShapeError):
+        encode(make_format("nvfp4"), np.ones(shape), axis=axis,
+               row_blocks=blocks)
+
+
 # ----------------------------------------------------------------------
 # Row operations: decoding joined rows equals per-container decode
 # ----------------------------------------------------------------------
@@ -692,6 +759,30 @@ class TestBitstreamFastPaths:
         fast = unpack_bits(raw, width, count)
         generic = _unpack_bits_generic(raw, width, count)
         assert np.array_equal(fast, generic)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 16, 64])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 16, 255, 256, 257, 4097])
+    def test_stream_codec_matches_pack_and_unpack(self, width, count):
+        """The per-signature routines write ``pack_bits``' bytes and
+        read back ``unpack_bits``' fields on both sides of the short
+        threshold, and refuse what those refuse."""
+        from repro.codec.bitstream import pack_bits, stream_codec, \
+            unpack_bits
+
+        pack, unpack = stream_codec(width, count)
+        values = np.random.default_rng(width * 31 + count).integers(
+            0, 1 << min(width, 63), count)
+        blob = pack(values)
+        assert blob == pack_bits(values, width).tobytes()
+        assert np.array_equal(unpack(blob), values)
+        assert np.array_equal(unpack(blob), unpack_bits(blob, width, count))
+        if count and width < 64:
+            with pytest.raises(CodecError):
+                pack(np.full(count, 1 << width))
+            with pytest.raises(CodecError):
+                pack(np.full(count, -1))
+            with pytest.raises(CodecError):
+                unpack(blob[:-1])
 
     def test_width4_odd_count_zero_pads_high_nibble(self):
         from repro.codec.bitstream import pack_bits

@@ -45,10 +45,9 @@ from repro.codec import codec_for, decode, encode
 from repro.errors import ConfigError, ProtocolError, SessionLost
 from repro.kernels import fast_kernels, reference_kernels
 from repro.kv import KVCacheSession, KVPolicy
-from repro.obs import NO_METRICS_ENV
 from repro.obs import registry as obs_registry
 from repro.runner.formats import list_formats, make_format
-from repro.serve.service import _tensor_scoped
+from repro.plan import tensor_scoped
 from repro.server import QuantClient, ServerThread, protocol
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "wire_vectors.json"
@@ -94,7 +93,7 @@ def test_stream_equals_batch(name, dispatch, rng):
     # Contract 2 (group-wise formats only): one-shot of the
     # concatenation. Tensor-scoped formats are block-scoped by design —
     # their tensor-level scale depends on the whole input.
-    if not _tensor_scoped(fmt):
+    if not tensor_scoped(fmt):
         whole = decode(encode(fmt, np.concatenate(kblocks, axis=0),
                               op="weight", axis=-1).to_bytes(), fmt=fmt)
         assert K.tobytes() == whole.tobytes(), \
@@ -279,10 +278,10 @@ def test_arena_read_matches_per_block_decode(name, op, rng, monkeypatch):
     assert sess.stats()["evicted_blocks"] == 2 * 5
 
 
-#: The catalog formats whose rows encode independently: an append
-#: encodes their K and V as one stacked block. fp16 and the NVFP4
-#: family set a header field from the whole block.
-STACKED = set(list_formats()) - {"fp16", "nvfp4", "m2-nvfp4"}
+#: The catalog formats an append encodes as one stacked K/V block:
+#: all but fp16, which sets its storage flag from the whole block. The
+#: NVFP4 family takes one tensor scale per row block.
+STACKED = set(list_formats()) - {"fp16"}
 
 
 @pytest.mark.parametrize("dispatch", DISPATCHES)
@@ -293,9 +292,9 @@ def test_stacked_append_matches_solo_encodes(name, op, dispatch, rng,
     """A stacked append's K and V containers equal two solo encodes
     byte for byte (header and payload, and so the session's
     ``header_bytes`` / ``payload_bytes`` stats), at widths 64 and 20
-    (unaligned Elem-EE refined codes cut by a repack). fp16 and the
-    NVFP4 family, whose header depends on the whole block, are encoded
-    one by one."""
+    (unaligned Elem-EE refined codes cut by a repack). The NVFP4 family
+    stacks too, with K's and V's own tensor scales; fp16, whose header
+    depends on the whole block, is encoded one by one."""
     import repro.kv.session as session_mod
 
     fmt = make_format(name)
@@ -323,6 +322,85 @@ def test_stacked_append_matches_solo_encodes(name, op, dispatch, rng,
             assert got.to_bytes() == want.to_bytes(), f"{name} w{width}"
         assert stats["header_bytes"] == sum(p.header_bytes for p in solo)
         assert stats["payload_bytes"] == sum(p.payload_bytes for p in solo)
+
+
+def _tensor_scale_cases(rng) -> dict:
+    """K/V pairs at the NVFP4 family's edges: an all-zero (-0.0) K or V
+    next to an ordinary block, a tensor scale that underflows (|x|
+    about 1e-321) on either side, and a 16-row prefill block."""
+    zero = np.zeros((1, 64))
+    zero[0, ::3] = -0.0
+    tiny = np.zeros((1, 64))
+    tiny[0, 0], tiny[0, 9] = 1.5e-321, -5e-322
+    return {"zero K": (zero, _block(rng, 1)),
+            "zero V": (_block(rng, 1), zero),
+            "underflow K": (tiny, _block(rng, 1)),
+            "underflow V": (_block(rng, 1) * 1e-3, tiny),
+            "zero K, underflow V": (zero, tiny),
+            "prefill": (_block(rng, 16), _block(rng, 16) * 1e2)}
+
+
+@pytest.mark.parametrize("dispatch", DISPATCHES)
+@pytest.mark.parametrize("op", ["weight", "activation"])
+@pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
+def test_stacked_tensor_scale_edges_match_solo_encodes(name, op, dispatch,
+                                                       rng, monkeypatch):
+    """One stacked encode per append, and K and V each keep their own
+    tensor scale: the retained containers, the header/payload stats and
+    the read are exactly two solo encodes', for zero, underflowed and
+    multi-row blocks."""
+    import repro.kv.session as session_mod
+
+    fmt = make_format(name)
+    calls = []
+    real = session_mod.encode
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(session_mod, "encode", spy)
+    for case, (k, v) in _tensor_scale_cases(rng).items():
+        sess = KVCacheSession(1, KVPolicy(name, op=op), dispatch=dispatch)
+        sess.append(0, k, v)
+        assert calls == [(2 * len(k), 64)], case
+        del calls[:]
+        (pk,), (pv,) = sess._arenas[0]
+        stats = sess.stats()
+        K, V = sess.read(0)
+        sess.close()
+        with DISPATCH[dispatch]():
+            solo = [real(fmt, x, op=op, axis=-1) for x in (k, v)]
+        for got, want in zip((pk, pv), solo):
+            assert got.to_bytes() == want.to_bytes(), case
+        assert stats["header_bytes"] == sum(p.header_bytes for p in solo)
+        assert stats["payload_bytes"] == sum(p.payload_bytes for p in solo)
+        assert K.tobytes() == decode(solo[0], fmt=fmt).tobytes(), case
+        assert V.tobytes() == decode(solo[1], fmt=fmt).tobytes(), case
+
+
+def test_kv_decode_policy_appends_encode_once_per_layer(rng, monkeypatch):
+    """Under the ``kv_decode`` benchmark's mixed policy (m2xfp, with
+    nvfp4 on layer 1 and m2-nvfp4 on layer 3, weight path), a decode
+    step's appends make exactly one ``encode`` call per layer."""
+    import repro.kv.session as session_mod
+
+    calls = []
+    real = session_mod.encode
+
+    def spy(fmt, x, **kwargs):
+        calls.append(type(fmt).__name__)
+        return real(fmt, x, **kwargs)
+
+    monkeypatch.setattr(session_mod, "encode", spy)
+    policy = {"default": "m2xfp", "overrides": {"1": "nvfp4", "3": "m2-nvfp4"}}
+    sess = KVCacheSession(4, policy, max_tokens=96, sink_tokens=8)
+    for tokens in (16, 1, 1):
+        del calls[:]
+        for layer in range(4):
+            sess.append(layer, _block(rng, tokens), _block(rng, tokens))
+        assert calls == ["M2XFP", "NVFP4", "M2XFP", "M2NVFP4"]
+    sess.close()
 
 
 @pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
@@ -408,12 +486,12 @@ def test_arena_fp16_mixed_storage(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("name", list_formats())
-def test_retained_bytes_is_payload(name, monkeypatch):
+def test_retained_bytes_is_payload(name, metrics_env):
     """A decode-step window (1 x 64 blocks, 96 tokens with 8 sinks, a
     16-token prefill then 128 steps): the arenas hold at most the held
     blocks' payload bytes, plus one float64 tensor scale per K and V row
     for tensor-scoped formats. Headers and float64 copies are gone."""
-    monkeypatch.delenv(NO_METRICS_ENV, raising=False)
+    metrics_env(True)
     rng = np.random.default_rng(21)
     fmt = make_format(name)
     sess = KVCacheSession(1, name, max_tokens=96, sink_tokens=8)
@@ -427,7 +505,7 @@ def test_retained_bytes_is_payload(name, monkeypatch):
     sess.read(0)
     held = sess.positions(0)
     bound = sum(payload[start] for start, _ in held)
-    if _tensor_scoped(fmt):
+    if tensor_scoped(fmt):
         bound += 8 * 2 * sess.tokens_held(0)
     counters = obs_registry().snapshot()[f"kv.{sess.session_id}"]
     assert 0 < counters["retained_bytes"] <= bound
@@ -729,14 +807,14 @@ def _fd_count() -> int:
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts open descriptors through /proc")
-def test_session_churn_soak_stays_bounded(monkeypatch):
+def test_session_churn_soak_stays_bounded(metrics_env):
     """About 2,000 session ops on one server: appends of 1 to 300 rows
     (some above the inline bound), reads, open/close churn, resumes and
     a few connections dropped with an append in flight. Threads, file
     descriptors and the session table stay bounded, every ``kv.soak-*``
     registry collector reports its live session, and none outlives
     it."""
-    monkeypatch.delenv(NO_METRICS_ENV, raising=False)
+    metrics_env(True)
     rng = np.random.default_rng(43)
     threads0, fds0 = threading.active_count(), _fd_count()
     peaks = {"threads": 0, "fds": 0, "sessions": 0}

@@ -94,6 +94,25 @@ class TestSMX:
         assert micro[1] >= micro[0]
 
 
+@pytest.mark.parametrize("name", ["smx4", "smx6", "smx9", "msfp12", "msfp16"])
+@pytest.mark.parametrize("op", ["weight", "activation"])
+@pytest.mark.parametrize("mode", ["fast", "reference"])
+def test_bottom_of_subnormal_range_stays_finite(name, op, mode):
+    """A group whose max sits at the bottom of the subnormal range (its
+    ``amax / imax`` underflows to 0) keeps a 2**-1074 scale: the output
+    is finite and, on these multiples of 2**-1074, exact. Before, the
+    exponent was -inf and 14 of the 64 outputs were NaN."""
+    from repro.kernels import fast_kernels, reference_kernels
+    from repro.runner.formats import make_format
+    x = np.zeros((1, 64))
+    x[0, 0], x[0, 2] = 1.5e-323, -5e-324
+    pin = fast_kernels if mode == "fast" else reference_kernels
+    with pin(), np.errstate(divide="raise", invalid="raise"):
+        y = getattr(make_format(name), f"quantize_{op}")(x)
+    assert np.isfinite(y).all()
+    assert y.tobytes() == x.tobytes()
+
+
 class TestOtherFormats:
     def test_msfp12_ebw(self):
         assert MSFP12().ebw == 4.5

@@ -22,7 +22,6 @@ import pytest
 
 from repro.obs import (
     DEFAULT_WINDOW,
-    NO_METRICS_ENV,
     TRACE_ENV,
     TRACE_PATH_ENV,
     Counter,
@@ -120,10 +119,10 @@ def test_histogram_ring_matches_sorted_window_quantiles(n):
         assert hist.quantile(q) == quantile(window, q)
 
 
-def test_gated_instruments_noop_when_disabled(monkeypatch):
+def test_gated_instruments_noop_when_disabled(metrics_env):
     counter, gauge, hist = Counter(), Gauge(), Histogram()
     ungated = Counter(gated=False)
-    monkeypatch.setenv(NO_METRICS_ENV, "1")
+    metrics_env(False)
     assert not metrics_enabled()
     counter.inc()
     gauge.set(3.5)
@@ -131,7 +130,7 @@ def test_gated_instruments_noop_when_disabled(monkeypatch):
     ungated.inc()
     assert counter.value == 0 and gauge.value == 0.0 and hist.count == 0
     assert ungated.value == 1  # gateway-style accounting survives
-    monkeypatch.delenv(NO_METRICS_ENV)
+    metrics_env(True)
     counter.inc()
     assert counter.value == 1
 
@@ -163,10 +162,10 @@ def test_registry_snapshot_deterministic_and_json_safe():
     assert snap1["c.stats"] == {"requests": 7}
 
 
-def test_registry_snapshot_empty_when_disabled(monkeypatch):
+def test_registry_snapshot_empty_when_disabled(metrics_env):
     reg = MetricsRegistry()
     reg.counter("x").inc()
-    monkeypatch.setenv(NO_METRICS_ENV, "1")
+    metrics_env(False)
     assert reg.snapshot() == {}
 
 

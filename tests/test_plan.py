@@ -158,6 +158,35 @@ class TestPlanCache:
         # Same configuration from a fresh instance shares the entry.
         assert get_plan(SgEM(scale_rule="floor"), "weight", shape, -1) is floor
 
+    def test_fingerprint_walked_once_per_instance(self, monkeypatch):
+        """``weight_cache_key`` (a recursive attribute walk) runs on an
+        instance's first ``get_plan`` only; a fresh instance walks again,
+        and an unfingerprintable format stays unplannable."""
+        from repro.mx.base import TensorFormat
+        walks = []
+        real = TensorFormat.weight_cache_key
+
+        def counted(self):
+            walks.append(type(self).__name__)
+            return real.fget(self)
+
+        monkeypatch.setattr(TensorFormat, "weight_cache_key",
+                            property(counted))
+        fmt = make_format("mxfp4")
+        plan = get_plan(fmt, "activation", (2, 32), -1)
+        assert walks == ["BlockFormat"]
+        assert get_plan(fmt, "activation", (2, 32), -1) is plan
+        assert get_plan(fmt, "weight", (4, 64), -1) is not None
+        assert walks == ["BlockFormat"]
+        assert get_plan(make_format("mxfp4"), "activation", (2, 32),
+                        -1) is plan
+        assert walks == ["BlockFormat"] * 2
+        odd = make_format("mxfp4")
+        odd.tag = object()              # not fingerprintable
+        assert get_plan(odd, "activation", (2, 32), -1) is None
+        assert get_plan(odd, "activation", (2, 32), -1) is None
+        assert walks == ["BlockFormat"] * 3
+
     def test_ops_get_distinct_plans(self):
         fmt = M2XFP()
         w = get_plan(fmt, "weight", (8, 64), -1)
@@ -266,14 +295,14 @@ class TestEnvHygiene:
             monkeypatch.undo()
             assert spy.reads == 0, type(fmt).__name__
 
-    # Per request: the metrics gate at admission and at finish; a dense
-    # request adds the dispatch mode at plan lookup, a packed one the
-    # codec's metrics gate (encode looks its plan up under either
-    # mode); weights add the memo key's dispatch mode (one key serves
-    # lookup and store).
+    # Per request: the metrics gate is read once per process, so a
+    # dense request reads only the dispatch mode at plan lookup, and a
+    # packed one nothing (encode looks its plan up under either mode);
+    # weights add the memo key's dispatch mode (one key serves lookup
+    # and store).
     @pytest.mark.parametrize("packed, op, reads", [
-        (False, "activation", 3), (True, "activation", 3),
-        (False, "weight", 4), (True, "weight", 4)])
+        (False, "activation", 1), (True, "activation", 0),
+        (False, "weight", 2), (True, "weight", 1)])
     def test_service_request_environ_reads(self, monkeypatch, packed, op,
                                            reads):
         rng = np.random.default_rng(3)
@@ -289,11 +318,11 @@ class TestEnvHygiene:
             svc.close()
         assert spy.reads == reads
 
-    # Per append: each encode reads the codec's metrics gate, and no
-    # dispatch mode (encode packs from plan codes under either mode).
-    # m2xfp encodes K and V as one stacked block; nvfp4 is
-    # tensor-scoped, so K and V are encoded one by one.
-    @pytest.mark.parametrize("name, reads", [("m2xfp", 1), ("nvfp4", 2)])
+    # Per append: none. The codec's metrics gate is read once per
+    # process, and encode reads no dispatch mode (it packs from plan
+    # codes under either mode); m2xfp and the tensor-scoped nvfp4 alike
+    # encode K and V as one stacked block.
+    @pytest.mark.parametrize("name, reads", [("m2xfp", 0), ("nvfp4", 0)])
     def test_kv_append_environ_reads(self, monkeypatch, name, reads):
         rng = np.random.default_rng(4)
         sess = KVCacheSession(2, KVPolicy(name), max_tokens=64,

@@ -25,7 +25,8 @@ from repro.kernels.dispatch import (fast_kernels, reference_kernels,
 from repro.models.quantized import QuantizedLM
 from repro.runner.formats import make_format
 from repro.serve import QuantService
-from repro.serve.service import _dispatch_scope, _tensor_scoped
+from repro.plan import tensor_scoped
+from repro.serve.service import _dispatch_scope
 
 
 @pytest.fixture()
@@ -56,9 +57,9 @@ def test_weight_path_batched_and_exact(tensors):
 def test_tensor_scoped_formats_never_cross_batch(rng):
     # NVFP4's tensor-level scale depends on the whole input: stacking two
     # tensors would change both results, so each request keeps its own.
-    assert _tensor_scoped(make_format("nvfp4"))
-    assert _tensor_scoped(make_format("m2-nvfp4"))
-    assert not _tensor_scoped(make_format("m2xfp"))
+    assert tensor_scoped(make_format("nvfp4"))
+    assert tensor_scoped(make_format("m2-nvfp4"))
+    assert not tensor_scoped(make_format("m2xfp"))
     fmt = make_format("nvfp4")
     xs = [rng.standard_normal((4, 64)), rng.standard_normal((4, 64)) * 1000]
     with QuantService(fmt) as svc:
