@@ -21,12 +21,7 @@ import numpy as np
 
 from ..errors import CodecError
 
-__all__ = ["pack_bits", "unpack_bits", "packed_nbytes", "bits_needed",
-           "stream_codec"]
-
-#: Sub-byte streams of at most this many fields take the
-#: ``np.unpackbits`` / ``np.packbits`` path in :func:`stream_codec`.
-_SHORT_FIELDS = 256
+__all__ = ["pack_bits", "unpack_bits", "packed_nbytes", "bits_needed"]
 
 
 def bits_needed(n_values: int) -> int:
@@ -66,7 +61,14 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     if width == 64 and values.dtype == np.uint64:
         return values.astype("<u8").view(np.uint8)
     values = values.astype(np.int64, copy=False)
-    _check_fields(values, width)
+    if values.size:
+        # One reduction pass validates both bounds: the OR of the
+        # fields is negative iff any field is (sign bit), and has a
+        # bit at or above ``width`` iff any field does.
+        merged = int(np.bitwise_or.reduce(values))
+        if merged < 0 or (width < 64 and merged >= (1 << width)):
+            raise CodecError(
+                f"field values must fit in {width} unsigned bits")
     if values.size == 0:
         return np.zeros(0, dtype=np.uint8)
     if width == 8:
@@ -87,60 +89,6 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     if 1 < width < 8:
         return _pack_bits_words(values, width)
     return _pack_bits_generic(values, width)
-
-
-def _check_fields(values: np.ndarray, width: int) -> None:
-    """Refuse a field below 0 or at or above ``2**width``. One reduction
-    pass validates both bounds: the OR of the fields is negative iff
-    any field is (sign bit), and has a bit at or above ``width`` iff any
-    field does."""
-    if values.size:
-        merged = int(np.bitwise_or.reduce(values))
-        if merged < 0 or (width < 64 and merged >= (1 << width)):
-            raise CodecError(
-                f"field values must fit in {width} unsigned bits")
-
-
-def stream_codec(width: int, count: int):
-    """``(pack, unpack)`` for a stream of exactly ``count`` fields of
-    ``width`` bits, the path chosen once for that signature.
-
-    ``pack(values) -> bytes`` takes a flat integer array and returns
-    :func:`pack_bits`' bytes, after the same range check;
-    ``unpack(data)`` returns :func:`unpack_bits`' fields (as a narrower
-    integer dtype on the short path). Short sub-byte streams (at most
-    ``_SHORT_FIELDS`` fields, such as a KV append's 2-bit metadata)
-    expand to a bit matrix and back through ``np.unpackbits`` /
-    ``np.packbits``, two C calls where the word paths take several
-    numpy calls each. Everything else runs :func:`pack_bits` /
-    :func:`unpack_bits`.
-    """
-    if not 1 <= width <= 64:
-        raise CodecError(f"field width must be in [1, 64], got {width}")
-    nbytes = packed_nbytes(count, width)
-    if width < 8 and width != 4 and count <= _SHORT_FIELDS:
-        def pack(values: np.ndarray) -> bytes:
-            _check_fields(values, width)
-            bits = np.unpackbits(values.astype(np.uint8)[:, None], axis=1,
-                                 count=width, bitorder="little")
-            return np.packbits(bits, bitorder="little").tobytes()
-
-        def unpack(data: bytes) -> np.ndarray:
-            if len(data) < nbytes:
-                raise CodecError(f"bitstream truncated: need {nbytes} "
-                                 f"bytes, have {len(data)}")
-            bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
-                                 count=count * width, bitorder="little")
-            return np.packbits(bits.reshape(count, width), axis=1,
-                               bitorder="little").reshape(count)
-        return pack, unpack
-
-    def pack(values: np.ndarray) -> bytes:
-        return pack_bits(values, width).tobytes()
-
-    def unpack(data: bytes) -> np.ndarray:
-        return unpack_bits(data, width, count)
-    return pack, unpack
 
 
 def _pack_bits_words(values: np.ndarray, width: int) -> np.ndarray:

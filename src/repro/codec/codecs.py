@@ -63,7 +63,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,7 +88,7 @@ from ..mx.nvfp import NVFP4
 from ..mx.smx import SMX
 from ..plan.cache import get_plan
 from ..plan.executors import tensor_scoped
-from .bitstream import pack_bits, stream_codec, unpack_bits
+from .bitstream import pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
 __all__ = ["encode", "decode", "join_rows", "slice_rows", "drop_rows",
@@ -222,8 +222,7 @@ class Codec:
             counts[name] = n * (pt.group_size // fmt.sub_size)
         return counts
 
-    def encode_from_codes(self, fmt, cs, pt: PackedTensor,
-                          fields: Callable = stream_codec) -> list:
+    def encode_from_codes(self, fmt, cs, pt: PackedTensor) -> list:
         """Pack a plan executor's :class:`CodeSpaceResult` directly.
 
         The code arrays are already the exact integers the format
@@ -231,10 +230,7 @@ class Codec:
         is a pure bitstream write — no quantization arithmetic at all.
         The result's header scalars go into ``pt.extra`` first, since a
         layout may depend on them (the NVFP4 family's zero tensor has no
-        scale stream). ``fields(width, count)`` gives each stream's
-        ``(pack, unpack)`` routines (:func:`~.bitstream.stream_codec`;
-        :func:`encode` passes the ones bound on the plan). Returns the
-        flat code arrays in stream order.
+        scale stream). Returns the flat code arrays in stream order.
         """
         pt.extra.update(cs.extra)
         expected = self.code_layout(fmt, pt)
@@ -245,9 +241,9 @@ class Codec:
         flat = []
         for s in cs.streams:
             values = np.asarray(s.values).reshape(-1)
-            pack, _ = fields(s.width, values.size)
-            pt.streams[s.name] = Stream(s.name, pack(values), s.width,
-                                        values.size)
+            pt.streams[s.name] = Stream(s.name,
+                                        pack_bits(values, s.width).tobytes(),
+                                        s.width, values.size)
             flat.append(values)
         return flat
 
@@ -700,36 +696,24 @@ def _check_header(pt: PackedTensor, fingerprint: str, group_size: int) -> None:
                          f"the format's {group_size}")
 
 
-class _Packing:
-    """What :func:`encode` derives from the format and the signature
-    alone, held on the :class:`~repro.plan.QuantPlan` of each
-    ``(format, op, shape, axis)`` signature, so it is derived once per
-    signature, not per call: the codec, the header's catalog name,
-    fingerprint and group size, the plan's code-space runner, whether
-    that runner takes row blocks (:func:`~repro.plan.tensor_scoped`),
-    and each stream's pack and unpack routines, bound on first use."""
+class _Packing(NamedTuple):
+    """What :func:`encode` derives from the format alone, held on the
+    :class:`~repro.plan.QuantPlan` of each ``(format, op, shape, axis)``
+    signature, so it is derived once per signature, not per call."""
 
-    __slots__ = ("codec", "format_name", "fingerprint", "group_size",
-                 "run_codes", "tensor_scoped", "_fields")
-
-    def __init__(self, fmt, codec: Codec, run_codes: Callable) -> None:
-        self.codec = codec
-        self.format_name = _catalog_name(fmt)
-        self.fingerprint = repr(fmt)
-        self.group_size = _group_size(fmt)
-        self.run_codes = run_codes
-        self.tensor_scoped = tensor_scoped(fmt)
-        self._fields: dict = {}
-
-    def fields(self, width: int, count: int) -> tuple:
-        """The ``(pack, unpack)`` routines of a ``count``-field stream
-        of ``width`` bits (:func:`~.bitstream.stream_codec`)."""
-        routines = self._fields.get((width, count))
-        if routines is None:
-            # Racing binders compute equal routines.
-            routines = self._fields[width, count] = \
-                stream_codec(width, count)
-        return routines
+    codec: Codec
+    format_name: str
+    fingerprint: str
+    group_size: int
+    #: The plan's code-space runner.
+    run_codes: Callable
+    #: Whether ``run_codes`` takes row blocks
+    #: (:func:`~repro.plan.tensor_scoped`).
+    tensor_scoped: bool
+    #: Header JSON lengths without ``extra`` of this plan's containers
+    #: and their :func:`slice_rows` cuts
+    #: (:attr:`~.container.PackedTensor.header_lengths`).
+    header_lengths: dict
 
 
 def _plan_packing(fmt, op: str, shape: tuple, axis: int) -> _Packing:
@@ -744,7 +728,9 @@ def _plan_packing(fmt, op: str, shape: tuple, axis: int) -> _Packing:
         raise CodecError(f"no code-space executor compiles {fmt!r} for "
                          f"{op} input of shape {shape}")
     # Racing binders compute equal values.
-    plan.packing = _Packing(fmt, codec, plan.run_codes)
+    plan.packing = _Packing(codec, _catalog_name(fmt), repr(fmt),
+                            _group_size(fmt), plan.run_codes,
+                            tensor_scoped(fmt), {})
     return plan.packing
 
 
@@ -786,7 +772,8 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     packing = _plan_packing(fmt, op, x.shape, axis)
     pt = PackedTensor(format_name=packing.format_name,
                       fingerprint=packing.fingerprint, op=op, shape=x.shape,
-                      axis=axis, group_size=packing.group_size)
+                      axis=axis, group_size=packing.group_size,
+                      header_lengths=packing.header_lengths)
     sink = getattr(_STAGE_SINK, "stats", None)
     tr = _obs.current_trace()
     timed = sink is not None or tr is not None
@@ -814,13 +801,13 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
         sink["fused_encodes"] += 1
     if timed:
         t0 = _mark("quantize", t0)
-    flat = packing.codec.encode_from_codes(fmt, cs, pt, packing.fields)
+    flat = packing.codec.encode_from_codes(fmt, cs, pt)
     if timed:
         t0 = _mark("pack", t0)
     if verify:
         for stored, values in zip(pt.streams.values(), flat):
-            _, unpack = packing.fields(stored.width, stored.count)
-            if not (unpack(stored.data) == values).all():
+            back = unpack_bits(stored.data, stored.width, stored.count)
+            if not (back == values).all():
                 raise CodecError(f"pack round-trip mismatch for {fmt!r} "
                                  f"({op}), stream {stored.name!r}")
         if timed:
@@ -884,15 +871,15 @@ def _row_scales(pt: PackedTensor, rows: int) -> np.ndarray | None:
     return np.full(rows, ts) if ts else None
 
 
-def _with_rows(pt: PackedTensor, rows: int, streams: dict,
-               extra: dict) -> PackedTensor:
-    """``pt``'s header with ``rows`` leading rows, ``streams`` and
-    ``extra``."""
+def _with_rows(pt: PackedTensor, rows: int, streams: dict, extra: dict,
+               header_lengths: dict | None = None) -> PackedTensor:
+    """``pt``'s header with ``rows`` leading rows, ``streams``,
+    ``extra`` and ``header_lengths``."""
     return PackedTensor(format_name=pt.format_name,
                         fingerprint=pt.fingerprint, op=pt.op,
                         shape=(rows, *pt.shape[1:]), axis=pt.axis,
                         group_size=pt.group_size, streams=streams,
-                        extra=extra)
+                        extra=extra, header_lengths=header_lengths)
 
 
 def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
@@ -967,7 +954,10 @@ def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
             data = pack_bits(unpack_bits(s.data, s.width, s.count)[lo:hi],
                              s.width).tobytes()
         streams[s.name] = Stream(s.name, data, s.width, hi - lo)
-    return _with_rows(pt, stop - start, streams, extra)
+    # A cut holds no more rows than its encode, so it shares the
+    # encode's header lengths; a join_rows run may hold more, and
+    # does not.
+    return _with_rows(pt, stop - start, streams, extra, pt.header_lengths)
 
 
 def drop_rows(pt: PackedTensor, n: int) -> PackedTensor:

@@ -48,14 +48,6 @@ OPS = ("weight", "activation")
 _HEADER_KEYS = frozenset(("format", "fingerprint", "op", "shape", "axis",
                           "group_size", "streams", "extra"))
 
-#: JSON header lengths with an empty ``extra``, keyed by every other
-#: header field: :attr:`PackedTensor.header_bytes` adds the ``extra``
-#: object's own length instead of dumping the whole header. Cleared
-#: when it reaches :data:`_MAX_HEADER_LENGTHS` signatures.
-_HEADER_LENGTHS: dict = {}
-_MAX_HEADER_LENGTHS = 1024
-
-
 def _json(obj) -> bytes:
     """The canonical header JSON: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True,
@@ -150,6 +142,13 @@ class PackedTensor:
     group_size: int
     streams: dict[str, Stream] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    #: Header JSON lengths with an empty ``extra``, keyed by shape and
+    #: stream records, shared by the containers of one encode plan
+    #: (its ``QuantPlan.packing``) and their row cuts, whose other
+    #: header fields are the plan's. None: :attr:`header_bytes` dumps
+    #: the header. Not serialized, not compared.
+    header_lengths: dict | None = field(default=None, repr=False,
+                                        compare=False)
 
     # ------------------------------------------------------------------
     # Stream plumbing
@@ -187,19 +186,21 @@ class PackedTensor:
     def header_bytes(self) -> int:
         """Bytes of magic + length word + JSON header.
 
-        The JSON nests ``extra`` as one value, so its length is the
-        length with an empty ``extra`` (computed once per signature)
-        plus ``extra``'s own JSON length less the two bytes of ``{}``.
+        The JSON nests ``extra`` as one value, so with
+        :attr:`header_lengths` its length is the length with an empty
+        ``extra`` (looked up there, dumped once per shape and stream
+        records) plus ``extra``'s own JSON length less the two bytes of
+        ``{}``.
         """
-        key = (self.format_name, self.fingerprint, self.op,
-               tuple(self.shape), self.axis, self.group_size,
+        lengths = self.header_lengths
+        if lengths is None:
+            return len(MAGIC) + 4 + len(self._header_json())
+        key = (tuple(self.shape),
                tuple((s.name, s.width, s.count, s.nbytes)
                      for s in self.streams.values()))
-        fixed = _HEADER_LENGTHS.get(key)
+        fixed = lengths.get(key)
         if fixed is None:
-            if len(_HEADER_LENGTHS) >= _MAX_HEADER_LENGTHS:
-                _HEADER_LENGTHS.clear()
-            fixed = _HEADER_LENGTHS[key] = len(self._header_json({}))
+            fixed = lengths[key] = len(self._header_json({}))
         extra = len(_json(self.extra)) - 2 if self.extra else 0
         return len(MAGIC) + 4 + fixed + extra
 

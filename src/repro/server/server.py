@@ -70,6 +70,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import functools
+import itertools
 import os
 import signal
 import threading
@@ -134,6 +135,14 @@ def _env_float(name: str, default: float) -> float:
 #: weight, the slowest) holds the loop 14-18 ms on 2 vCPUs, about as
 #: long as a hopped pass already delays a PING through the GIL.
 _INLINE_MAX_ELEMENTS = 1 << 14
+
+#: A connection's read loop yields to the event loop after this many
+#: frames. ``protocol.read_frame`` returns an already buffered frame
+#: without suspending, so without the yield one connection's pipelined
+#: burst would all be read (and fill ``max_inflight``) before another
+#: connection's first frame; yielding after every frame instead cost
+#: wire_bulk about 12% of its throughput (5 alternating pairs, 2 vCPUs).
+_FRAMES_PER_TURN = 8
 
 #: Frame kinds that carry admitted (in-flight-bounded) work.
 _SESSION_KINDS = (protocol.KIND_SESSION_OPEN, protocol.KIND_SESSION_APPEND,
@@ -374,11 +383,13 @@ class QuantServer:
         wlock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
-            while True:
+            for n_read in itertools.count(1):
                 frame = await protocol.read_frame(
                     reader, self.read_timeout_s or None)
                 if frame is None:
                     break
+                if n_read % _FRAMES_PER_TURN == 0:
+                    await asyncio.sleep(0)
                 if frame.kind == protocol.KIND_PING:
                     self.stats["pings"] += 1
                     await self._answer(writer, wlock, protocol.encode_health(

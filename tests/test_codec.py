@@ -427,15 +427,23 @@ def test_verify_flag_roundtrips(rng):
 
 @pytest.mark.parametrize("name", ALL_FORMATS)
 def test_header_bytes_is_the_serialized_header(name, rng):
-    """``header_bytes`` (the JSON length without ``extra`` once per
-    signature, plus ``extra``'s) is what ``to_bytes`` writes, for fresh
-    containers and row slices, NVFP4-family tensor scales of any
-    ``float.hex()`` length included."""
+    """``header_bytes`` (the JSON length without ``extra``, held on the
+    encode plan's packing, plus ``extra``'s) is what ``to_bytes``
+    writes, for fresh containers, row slices and parsed containers, NVFP4-family tensor scales of any ``float.hex()``
+    length included. Encodes of one plan and their cuts share the
+    plan's lengths; a join, which may outgrow the plan, does not."""
     fmt = make_format(name)
     for x in (rng.standard_normal((3, 40)) * 10.0 ** rng.integers(-9, 9),
               np.zeros((2, 16)), np.full((2, 16), 0.5)):
         pt = encode(fmt, x, op="weight")
-        for cut in (pt, slice_rows(pt, 0, 1), slice_rows(pt, 1, 2)):
+        lengths = encode(fmt, x, op="weight").header_lengths
+        assert lengths is pt.header_lengths is not None
+        cuts = (slice_rows(pt, 0, 1), slice_rows(pt, 1, 2))
+        assert all(c.header_lengths is lengths for c in cuts)
+        joined = join_rows(*cuts)
+        assert joined is None or joined.header_lengths is None
+        parsed = PackedTensor.from_bytes(pt.to_bytes())
+        for cut in (pt, *cuts, parsed):
             assert cut.header_bytes == len(cut.to_bytes()) \
                 - cut.payload_bytes, f"{name} {cut.shape}"
 
@@ -759,30 +767,6 @@ class TestBitstreamFastPaths:
         fast = unpack_bits(raw, width, count)
         generic = _unpack_bits_generic(raw, width, count)
         assert np.array_equal(fast, generic)
-
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 16, 64])
-    @pytest.mark.parametrize("count", [0, 1, 2, 7, 16, 255, 256, 257, 4097])
-    def test_stream_codec_matches_pack_and_unpack(self, width, count):
-        """The per-signature routines write ``pack_bits``' bytes and
-        read back ``unpack_bits``' fields on both sides of the short
-        threshold, and refuse what those refuse."""
-        from repro.codec.bitstream import pack_bits, stream_codec, \
-            unpack_bits
-
-        pack, unpack = stream_codec(width, count)
-        values = np.random.default_rng(width * 31 + count).integers(
-            0, 1 << min(width, 63), count)
-        blob = pack(values)
-        assert blob == pack_bits(values, width).tobytes()
-        assert np.array_equal(unpack(blob), values)
-        assert np.array_equal(unpack(blob), unpack_bits(blob, width, count))
-        if count and width < 64:
-            with pytest.raises(CodecError):
-                pack(np.full(count, 1 << width))
-            with pytest.raises(CodecError):
-                pack(np.full(count, -1))
-            with pytest.raises(CodecError):
-                unpack(blob[:-1])
 
     def test_width4_odd_count_zero_pads_high_nibble(self):
         from repro.codec.bitstream import pack_bits

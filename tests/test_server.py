@@ -325,6 +325,56 @@ class _StalledService:
         self.release()
 
 
+class _NullWriter:
+    """A StreamWriter stand-in that discards what the server writes."""
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def test_buffered_burst_does_not_starve_other_connections():
+    """A connection whose pipelined frames are all buffered yields to
+    the other connections every ``_FRAMES_PER_TURN`` frames: a lone
+    request on a second connection is served among the first of a
+    long burst, not after all of it."""
+    from repro.server import server as server_mod
+
+    per_turn = server_mod._FRAMES_PER_TURN
+    srv = QuantServer(port=0, max_inflight=1000)
+    served = []
+
+    async def record(frame, writer, wlock):
+        served.append(frame.request_id)
+        srv._inflight -= 1
+
+    srv._respond = record
+    x = np.ones((1, 32))
+
+    async def main():
+        burst, lone = asyncio.StreamReader(), asyncio.StreamReader()
+        burst.feed_data(b"".join(
+            protocol.encode_request(i, x, fmt="mxfp4")
+            for i in range(1, 4 * per_turn + 1)))
+        lone.feed_data(protocol.encode_request(0, x, fmt="mxfp4"))
+        for reader in (burst, lone):
+            reader.feed_eof()
+        await asyncio.gather(srv._on_connection(burst, _NullWriter()),
+                             srv._on_connection(lone, _NullWriter()))
+
+    asyncio.run(main())
+    assert sorted(served) == list(range(4 * per_turn + 1))
+    assert served.index(0) <= per_turn, served
+
+
 def test_busy_backpressure_not_a_hang(rng, monkeypatch):
     """At the in-flight bound the server answers BUSY immediately."""
     stub = _StalledService()
