@@ -45,18 +45,20 @@ def test_nvfp4_throughput(benchmark):
 
 
 def test_elem_em_throughput(benchmark):
-    _throughput(benchmark, lambda: ElemEM().quantize(_ACT, axis=-1), _ACT.size)
+    _throughput(benchmark,
+                lambda: ElemEM().quantize_activation(_ACT, axis=-1),
+                _ACT.size)
 
 
 def test_sg_em_adaptive_throughput(benchmark):
     _throughput(benchmark,
-                lambda: SgEM(adaptive=True).quantize(_WEIGHT, axis=-1),
+                lambda: SgEM(adaptive=True).quantize_weight(_WEIGHT, axis=-1),
                 _WEIGHT.size)
 
 
 def test_sg_ee_adaptive_throughput(benchmark):
     _throughput(benchmark,
-                lambda: SgEE(adaptive=True).quantize(_WEIGHT, axis=-1),
+                lambda: SgEE(adaptive=True).quantize_weight(_WEIGHT, axis=-1),
                 _WEIGHT.size)
 
 
@@ -67,7 +69,7 @@ def test_m2nvfp4_weight_throughput(benchmark):
 
 
 def test_sg_em_fast_beats_reference():
-    """Cheap inline sanity check that the dispatch actually engages."""
+    """Cheap inline sanity check that the weight plan actually engages."""
     import time
 
     def _timed(fn):
@@ -82,15 +84,15 @@ def test_sg_em_fast_beats_reference():
     w = _RNG.standard_normal((1024, 32))
     fmt = SgEM(adaptive=True)
     with reference_kernels():
-        ref = fmt.quantize(w, axis=-1)
-        t_ref = best_of(lambda: fmt.quantize(w, axis=-1))
+        ref = fmt.quantize_weight(w, axis=-1)
+        t_ref = best_of(lambda: fmt.quantize_weight(w, axis=-1))
     with fast_kernels():
-        fast = fmt.quantize(w, axis=-1)
-        t_fast = best_of(lambda: fmt.quantize(w, axis=-1))
+        fast = fmt.quantize_weight(w, axis=-1)
+        t_fast = best_of(lambda: fmt.quantize_weight(w, axis=-1))
     assert fast.tobytes() == ref.tobytes()
     # Conservative bound: the recorded speedup is ~5-9x; anything under
-    # 1.5x on warmed best-of-3 timings means the fast path silently
-    # stopped dispatching.
+    # 1.5x on warmed best-of-3 timings means the plan silently stopped
+    # dispatching.
     assert t_fast < t_ref / 1.5
 
 

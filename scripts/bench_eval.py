@@ -4,15 +4,17 @@ Two sections, written to ``BENCH_eval.json``:
 
 * **activation_quantize** — repeated ``quantize_activation`` calls per
   format at an eval-batch shape and a serving (single-sequence) shape,
-  three ways: compiled plans (the default), the legacy fast path
-  (``fmt.quantize``, the kernel-dispatched quantizer a plan replaces)
-  and the reference kernels. The speedup columns are the stable,
+  three ways: compiled plans (the default), the legacy path
+  (``fmt.quantize``, the format's own quantizer a plan replaces) and
+  the reference kernels. The speedup columns are the stable,
   machine-portable part.
 * **eval_grids** — the Tbl. 3 and Tbl. 8 multi-format arms over
   preloaded runtimes (profile calibration excluded — it is identical
   work in every mode), run as one engine session (tbl3 then tbl8, so
-  tbl8's floor-rule cells hit the session memo) vs the legacy per-cell
-  path with plan lookups patched out (:func:`_no_plans`).
+  tbl8's floor-rule cells hit the session memo) vs the legacy side:
+  plan lookups patched out (:func:`_no_plans`) and a fresh engine per
+  table call (:func:`_fresh_engines`), so no cell reuses another's
+  wrapper or perplexity.
 
 Run:  PYTHONPATH=src python scripts/bench_eval.py [--out PATH] [--quick]
           [--pre-pr PATH]
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from contextlib import contextmanager
 from unittest import mock
@@ -53,29 +54,26 @@ def _best_time(fn, reps: int) -> float:
 
 
 @contextmanager
-def _env(**kv):
-    old = {k: os.environ.get(k) for k in kv}
-    os.environ.update({k: v for k, v in kv.items() if v is not None})
-    try:
-        yield
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-@contextmanager
 def _no_plans():
     """Every plan lookup finds no plan: format entry points and
-    ``QuantizedLM`` (built inside the scope) fall back to the
-    kernel-dispatched ``quantize`` paths plans replace."""
+    ``QuantizedLM`` (built inside the scope) fall back to the formats'
+    own ``quantize`` paths plans replace."""
     # ``lookup_plan`` resolves ``get_plan`` in ``repro.plan.cache``;
     # ``QuantizedLM`` binds ``repro.plan.get_plan`` at construction.
     no_plan = lambda *args: None
     with mock.patch("repro.plan.cache.get_plan", no_plan), \
             mock.patch("repro.plan.get_plan", no_plan):
+        yield
+
+
+@contextmanager
+def _fresh_engines():
+    """Every table call gets a new, empty ``EvalEngine``: no wrapper,
+    task item or perplexity is shared between calls."""
+    # The eval entry points bind ``default_engine`` at import.
+    from repro.eval.engine import EvalEngine
+    with mock.patch("repro.eval.perplexity.default_engine", EvalEngine), \
+            mock.patch("repro.eval.harness.default_engine", EvalEngine):
         yield
 
 
@@ -147,7 +145,7 @@ def bench_eval_grids(quick: bool = False) -> dict:
             runtime.model.__dict__.pop("_quant_weight_cache", None)
 
     _clear_weight_caches()
-    with _env(REPRO_NO_EVAL_ENGINE="1"), _no_plans():
+    with _fresh_engines(), _no_plans():
         legacy = _grid_session(profiles, fast=quick)
     _clear_weight_caches()
     reset_default_engine()
@@ -175,8 +173,8 @@ def run_benchmarks(quick: bool = False) -> dict:
     return {
         "schema": 1,
         "quick": bool(quick),
-        "note": ("compiled plans + eval engine vs the legacy fast path "
-                 "(no plans / REPRO_NO_EVAL_ENGINE=1) and the "
+        "note": ("compiled plans + eval engine vs the legacy path "
+                 "(no plans, a fresh engine per table call) and the "
                  "reference kernels, one machine; speedups are the stable "
                  "columns"),
         "activation_quantize": bench_activation(quick),

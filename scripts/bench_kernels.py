@@ -1,7 +1,8 @@
 """Benchmark the fast kernels against the reference paths.
 
-Times every hot quantization path twice — once through the fast kernel
-package (the default) and once through the reference implementations
+Times every hot quantization path twice — once through the fast path
+(the default: compiled plans for the format arms, the boundary-cache
+kernels for scalar encodes) and once through the reference oracle
 (``REPRO_REFERENCE_KERNELS=1`` semantics) — and writes the results to
 ``BENCH_kernels.json`` so future changes have a trajectory to beat.
 ``scripts/check_bench_regression.py`` compares a fresh run against the
@@ -76,17 +77,19 @@ def run_benchmarks(quick: bool = False) -> dict:
     results["nvfp4_quantize"] = _bench_pair(
         lambda: NVFP4().quantize(w_act, axis=-1), w_act.size)
     results["elem_em_top1"] = _bench_pair(
-        lambda: ElemEM().quantize(w_act, axis=-1), w_act.size)
+        lambda: ElemEM().quantize_activation(w_act, axis=-1), w_act.size)
 
     # --- adaptive searches ---------------------------------------------
     # The headline micro-benchmark: Sg-EM adaptive weight quantization of
     # an LLM-layer-sized matrix (the M2XFP offline path).
     w_big = rng.standard_normal((2048 // scale, 2048))
     results["sg_em_adaptive_weight"] = _bench_pair(
-        lambda: SgEM(adaptive=True).quantize(w_big, axis=-1), w_big.size)
+        lambda: SgEM(adaptive=True).quantize_weight(w_big, axis=-1),
+        w_big.size)
     w_mid = rng.standard_normal((1024 // scale, 1024))
     results["sg_ee_adaptive"] = _bench_pair(
-        lambda: SgEE(adaptive=True).quantize(w_mid, axis=-1), w_mid.size)
+        lambda: SgEE(adaptive=True).quantize_weight(w_mid, axis=-1),
+        w_mid.size)
     results["m2nvfp4_weight"] = _bench_pair(
         lambda: M2NVFP4().quantize_weight(w_mid, axis=-1), w_mid.size)
 

@@ -58,16 +58,18 @@ Every quantization hot path runs through the fast kernel subsystem in
   decision boundaries at construction, so encode/quantize is a single
   `searchsorted` (and grids quantized via `quantize_to_grid` hit a
   per-grid boundary cache);
-* **two implementations** — the fast kernels and the reference
-  path are the only dispatch choices; `REPRO_REFERENCE_KERNELS=1`
-  selects the reference process-wide, `reference_kernels()` for the
-  calling thread only;
+* **two implementations** — each format's compiled plan and the
+  reference oracle in `repro/core/` (and `repro/formats/`,
+  `repro/mx/`) are the only dispatch choices;
+  `REPRO_REFERENCE_KERNELS=1` selects the reference process-wide (no
+  plans), `reference_kernels()` for the calling thread only;
 * **batched code-space search** — the Sg-EM / adaptive Sg-EE / M2-NVFP4
   (bias x multiplier) searches quantize the whole candidate grid in one
   chunked, cache-resident pass (`repro/kernels/search.py`) instead of 12
   sequential quantization sweeps;
-* **fused Elem-EM round trip** — the encode+decode transfer function
-  collapses into one pass (`repro/kernels/elem.py`);
+* **fused Elem-EM round trip** — the Elem-EM plan collapses the
+  encode+decode transfer function into one code-space pass
+  (`repro/plan/ops.py`);
 * **weight-quantization cache** — `QuantizedLM` memoizes offline weight
   quantization per `(format fingerprint, projection)` on the model
   instance, so experiment arms sharing a model and format skip the
@@ -77,12 +79,12 @@ Every quantization hot path runs through the fast kernel subsystem in
   (`src/repro/plan/`) compiled once per (format, op, shape): fused
   executors with precompiled geometry, bisected grid thresholds and
   candidate scale sets, no per-call env reads (`BENCH_eval.json`
-  records the measured effect against the kernel-dispatched path);
+  records the measured effect against the formats' own `quantize`);
 * **single-pass eval engine** — the table grids share runtimes,
   `QuantizedLM` arms, task items and per-arm perplexities across
-  formats and experiments (`src/repro/eval/engine.py`,
-  `REPRO_NO_EVAL_ENGINE=1` disables; artifacts are byte-identical
-  either way);
+  formats and experiments (`src/repro/eval/engine.py`, the only
+  evaluation path; its grids are byte-identical to a cell-by-cell
+  evaluation);
 * **network serving** — `src/repro/server/` ships quantized (or
   packed) tensors over a versioned binary TCP protocol, bridging
   connections onto one shared service per format arm with explicit

@@ -49,9 +49,20 @@ _HEADER_KEYS = frozenset(("format", "fingerprint", "op", "shape", "axis",
                           "group_size", "streams", "extra"))
 
 def _json(obj) -> bytes:
-    """The canonical header JSON: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("ascii")
+    """The canonical header JSON: sorted keys, no whitespace.
+
+    A container holding one NVFP4 tensor scale per row (an encode with
+    ``row_blocks``, or a :func:`~repro.codec.join_rows` run) carries the
+    scales as an array the header cannot hold: it raises
+    :class:`CodecError`.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True,
+                          separators=(",", ":")).encode("ascii")
+    except TypeError as exc:
+        raise CodecError(f"container header cannot be serialized ({exc}): "
+                         f"a container with one tensor scale per row "
+                         f"lives in memory only") from exc
 
 
 def _is_count(value) -> bool:

@@ -16,8 +16,6 @@ from ..errors import ShapeError
 from ..formats.e8m0 import E8M0_BITS
 from ..formats.grouping import from_groups, to_groups
 from ..formats.registry import FP4_E2M1
-from ..kernels.dispatch import use_reference
-from ..kernels.elem import elem_ee_offsets
 from ..mx.base import TensorFormat
 from ..mx.scale_rules import shared_scale_exponent
 
@@ -48,19 +46,15 @@ def elem_ee_quantize_groups(groups: np.ndarray, sub_size: int = 8,
     scaled_sub = scaled.reshape(n, n_sub, sub_size)
     top_val = np.take_along_axis(scaled_sub, top_idx, axis=2)
 
-    # Pick the exponent increment minimizing the top element's error. The
-    # fast path evaluates every offset in one batched kernel call.
-    if not use_reference():
-        best = elem_ee_offsets(top_val, o_max, FP4_E2M1)
-    else:
-        best = FP4_E2M1.quantize(top_val)
-        best_err = np.abs(best - top_val)
-        for off in range(1, o_max + 1):
-            cand = FP4_E2M1.quantize(top_val / (1 << off)) * (1 << off)
-            err = np.abs(cand - top_val)
-            better = err < best_err
-            best = np.where(better, cand, best)
-            best_err = np.where(better, err, best_err)
+    # Pick the exponent increment minimizing the top element's error.
+    best = FP4_E2M1.quantize(top_val)
+    best_err = np.abs(best - top_val)
+    for off in range(1, o_max + 1):
+        cand = FP4_E2M1.quantize(top_val / (1 << off)) * (1 << off)
+        err = np.abs(cand - top_val)
+        better = err < best_err
+        best = np.where(better, cand, best)
+        best_err = np.where(better, err, best_err)
 
     out = dq.reshape(n, n_sub, sub_size).copy()
     np.put_along_axis(out, top_idx, best, axis=2)

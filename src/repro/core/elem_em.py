@@ -29,8 +29,6 @@ from ..formats.e8m0 import E8M0_BITS
 from ..formats.floatspec import quantize_to_grid
 from ..formats.grouping import from_groups, to_groups
 from ..formats.registry import FP4_E2M1, FP6_E2M3
-from ..kernels.dispatch import use_reference
-from ..kernels.elem import fp6_topk_refine, top_indices
 from ..mx.base import TensorFormat
 from ..mx.scale_rules import shared_scale_exponent
 
@@ -71,41 +69,32 @@ def _top_indices(mag_sub: np.ndarray, top_k: int) -> np.ndarray:
     """Indices of the ``top_k`` largest FP4 magnitudes per subgroup.
 
     Ties resolve to the lowest index (Steps 3-4 of Algorithm 1): a stable
-    descending sort on the integer codes gives exactly that order. The
-    fast path swaps the sort for an ``argmax`` in the dominant top-1 case
-    (``argmax`` also returns the first maximum).
+    descending sort on the integer codes gives exactly that order, and
+    for the top-1 case ``argmax`` returns the same first maximum without
+    the sort.
     """
-    if not use_reference():
-        return top_indices(mag_sub, top_k)
-    order = np.argsort(-mag_sub, axis=2, kind="stable")
-    return order[:, :, :top_k]
-
-
-def _validated_scales(groups: np.ndarray, sub_size: int, top_k: int,
-                      scale_rule: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared input validation and scale derivation (Steps 1-2).
-
-    Returns ``(groups, exps, scales)``; both the reference encoder and
-    the fused fast path go through here so their contracts cannot drift.
-    """
-    groups = np.asarray(groups, dtype=np.float64)
-    if groups.ndim != 2:
-        raise ShapeError("elem_em_encode expects a (n_groups, k) matrix")
-    if groups.shape[1] % sub_size != 0:
-        raise ShapeError(f"group size {groups.shape[1]} not divisible by "
-                         f"subgroup size {sub_size}")
-    if not 1 <= top_k <= sub_size:
-        raise ShapeError(f"top_k must be in [1, sub_size], got {top_k}")
-    amax = np.max(np.abs(groups), axis=1)
-    exps = shared_scale_exponent(amax, FP4_E2M1, scale_rule)
-    return groups, exps, np.exp2(exps.astype(np.float64))
+    if top_k == 1:
+        return np.argmax(mag_sub, axis=2)[:, :, None]
+    return np.argsort(-mag_sub, axis=2, kind="stable")[:, :, :top_k]
 
 
 def elem_em_encode(groups: np.ndarray, sub_size: int = 8, top_k: int = 1,
                    scale_rule: str = "floor") -> ElemEMEncoding:
     """Run Algorithm 1 over a ``(n_groups, k)`` matrix of FP16/FP32 data."""
-    groups, exps, scales = _validated_scales(groups, sub_size, top_k, scale_rule)
+    groups = np.asarray(groups, dtype=np.float64)
+    if groups.ndim != 2:
+        raise ShapeError("elem_em_encode expects a (n_groups, k) matrix")
     n, k = groups.shape
+    if k % sub_size != 0:
+        raise ShapeError(f"group size {k} not divisible by "
+                         f"subgroup size {sub_size}")
+    if not 1 <= top_k <= sub_size:
+        raise ShapeError(f"top_k must be in [1, sub_size], got {top_k}")
+
+    # Step 1: E8M0 shared scale from the block maximum.
+    amax = np.max(np.abs(groups), axis=1)
+    exps = shared_scale_exponent(amax, FP4_E2M1, scale_rule)
+    scales = np.exp2(exps.astype(np.float64))
 
     # Step 2: baseline FP4 quantization under the shared scale.
     scaled = groups / scales[:, None]
@@ -161,20 +150,8 @@ def elem_em_decode(enc: ElemEMEncoding) -> np.ndarray:
 
 def elem_em_quantize_groups(groups: np.ndarray, sub_size: int = 8,
                             top_k: int = 1, scale_rule: str = "floor") -> np.ndarray:
-    """Encode + decode in one step (the fake-quant transfer function).
-
-    The fast path fuses the round trip: the decoder provably re-derives
-    the encoder's top-k selection from the FP4 codes, so simulating both
-    halves repeats the search and the clamp arithmetic for no effect.
-    One kernel call (:func:`repro.kernels.elem.fp6_topk_refine`) produces
-    the identical output.
-    """
-    if use_reference():
-        return elem_em_decode(elem_em_encode(groups, sub_size, top_k, scale_rule))
-    groups, _, scales = _validated_scales(groups, sub_size, top_k, scale_rule)
-    dq = fp6_topk_refine(groups / scales[:, None], sub_size, top_k,
-                         FP4_E2M1, FP6_E2M3, META_BITS_PER_VALUE)
-    return dq * scales[:, None]
+    """Encode + decode in one step (the fake-quant transfer function)."""
+    return elem_em_decode(elem_em_encode(groups, sub_size, top_k, scale_rule))
 
 
 class ElemEM(TensorFormat):

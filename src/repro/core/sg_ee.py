@@ -21,9 +21,6 @@ from ..errors import ShapeError
 from ..formats.e8m0 import E8M0_BITS, clamp_exponent
 from ..formats.grouping import from_groups, to_groups
 from ..formats.registry import FP4_E2M1
-from ..kernels.dispatch import use_reference
-from ..kernels.search import (candidate_search, gather_candidate_codes,
-                              hierarchical_select)
 from ..mx.base import TensorFormat
 from ..mx.scale_rules import shared_scale_exponent
 from .sg_em import ADAPTIVE_BIASES
@@ -96,24 +93,6 @@ def sg_ee_encode(groups: np.ndarray, sub_size: int = 8, meta_bits: int = 2,
         exps = base_e
         scale = np.exp2(exps.astype(np.float64))
         decs = _fixed_decrements(subs, scale, d_max)
-    elif not use_reference():
-        # Batched code-space search over the full (bias x decrement) grid,
-        # replacing 12 sequential quantization passes with one kernel call.
-        exps_all = clamp_exponent(base_e[:, None] + np.asarray(ADAPTIVE_BIASES))
-        scales_all = np.exp2(exps_all.astype(np.float64))
-        divs = np.asarray([1 << d for d in range(d_max + 1)], dtype=np.float64)
-        cand = (scales_all[:, :, None] / divs).reshape(n, -1)
-        codes, err = candidate_search(subs, cand, FP4_E2M1.grid, FP4_E2M1.boundaries)
-        outer, decs, _ = hierarchical_select(
-            err, len(ADAPTIVE_BIASES), d_max + 1,
-            fallback_outer=ADAPTIVE_BIASES.index(0))
-        mag = gather_candidate_codes(codes, outer, decs, d_max + 1)
-        sign = np.signbit(subs).astype(np.int64)
-        return SgEEEncoding(sign_codes=sign.reshape(n, k),
-                            mag_codes=mag.reshape(n, k),
-                            scale_exponents=exps_all[np.arange(n), outer],
-                            sg_decrements=decs, sub_size=sub_size,
-                            meta_bits=meta_bits)
     else:
         best_err = np.full(n, np.inf)
         decs = np.zeros((n, n_sub), dtype=np.int64)

@@ -19,9 +19,6 @@ from ..errors import ShapeError
 from ..formats.e8m0 import E8M0_BITS, clamp_exponent
 from ..formats.grouping import from_groups, to_groups
 from ..formats.registry import FP4_E2M1
-from ..kernels.dispatch import use_reference
-from ..kernels.search import (candidate_search, gather_candidate_codes,
-                              hierarchical_select)
 from ..mx.base import TensorFormat
 from ..mx.scale_rules import shared_scale_exponent
 
@@ -74,10 +71,10 @@ def sg_em_encode(groups: np.ndarray, sub_size: int = 8, adaptive: bool = True,
     ``adaptive=False`` restricts the search to the fixed shared scale
     (bias 0), which is the "fixed shared scale" mode of Figs. 6-7.
 
-    The default implementation runs the whole (bias x multiplier)
-    candidate grid through one batched code-space pass
-    (:mod:`repro.kernels.search`); ``REPRO_REFERENCE_KERNELS=1`` selects
-    the original nested-loop search. Both emit identical encodings.
+    This is the reference oracle: a plain nested loop over biases and
+    multipliers. The fast path is the format's compiled plan
+    (``SgEM.quantize_weight``), which runs the whole candidate grid in
+    one batched code-space pass and must match this search bit for bit.
     """
     groups = np.asarray(groups, dtype=np.float64)
     if groups.ndim != 2:
@@ -91,23 +88,6 @@ def sg_em_encode(groups: np.ndarray, sub_size: int = 8, adaptive: bool = True,
     amax = np.max(np.abs(groups), axis=1)
     base_e = shared_scale_exponent(amax, FP4_E2M1, scale_rule)
     biases = ADAPTIVE_BIASES if adaptive else (0,)
-
-    if not use_reference():
-        exps_all = clamp_exponent(base_e[:, None] + np.asarray(biases))
-        scales_all = np.exp2(exps_all.astype(np.float64))
-        mult = np.asarray(SG_EM_MULTIPLIERS)
-        cand = (scales_all[:, :, None] * mult).reshape(n, -1)
-        codes, err = candidate_search(subs, cand, FP4_E2M1.grid, FP4_E2M1.boundaries)
-        # Groups whose errors all overflow keep the unbiased scale, like
-        # the reference's never-taken strict-< update.
-        outer, inner, _ = hierarchical_select(err, len(biases), len(mult),
-                                              fallback_outer=biases.index(0))
-        mag = gather_candidate_codes(codes, outer, inner, len(mult))
-        sign = np.signbit(subs).astype(np.int64)
-        return SgEMEncoding(sign_codes=sign.reshape(n, k),
-                            mag_codes=mag.reshape(n, k),
-                            scale_exponents=exps_all[np.arange(n), outer],
-                            sg_codes=inner, sub_size=sub_size)
 
     best_err = np.full(n, np.inf)
     best_codes = np.zeros((n, n_sub), dtype=np.int64)

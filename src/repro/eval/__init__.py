@@ -1,10 +1,10 @@
 """Evaluation harness: perplexity, output MSE, synthetic task accuracy.
 
 The grid entry points run through the single-pass multi-format engine
-in :mod:`repro.eval.engine` (disable with ``REPRO_NO_EVAL_ENGINE=1``).
+in :mod:`repro.eval.engine`.
 """
 
-from .engine import EvalEngine, default_engine, engine_enabled
+from .engine import EvalEngine, default_engine
 from .harness import accuracy_table, average_accuracy_loss
 from .mse import model_output_mse, tensor_mse
 from .perplexity import perplexity_table, quantized_perplexity
@@ -13,7 +13,7 @@ from .tasks import (REASONING_TASKS, ZERO_SHOT_TASKS, TaskItems, TaskSpec,
                     score_items)
 
 __all__ = [
-    "EvalEngine", "default_engine", "engine_enabled",
+    "EvalEngine", "default_engine",
     "quantized_perplexity", "perplexity_table",
     "model_output_mse", "tensor_mse",
     "TaskSpec", "TaskItems", "ZERO_SHOT_TASKS", "REASONING_TASKS",

@@ -1,11 +1,11 @@
 """Single-pass multi-format evaluation engine (the Tbl. 2/3/4/6/8 path).
 
 The paper's headline tables are grids of many formats x profiles x
-tasks, and the legacy helpers paid per *cell*: every
-``quantized_perplexity`` call rebuilt a ``QuantizedLM`` wrapper (with
-its calibration forward), every ``accuracy_table`` call rebuilt task
-items, and nothing was shared between experiments evaluating the same
-(profile, format) pair. The engine makes the whole grid single-pass:
+tasks. Evaluated cell by cell, every perplexity rebuilds a
+``QuantizedLM`` wrapper (with its calibration forward), every accuracy
+cell rebuilds task items, and nothing is shared between experiments
+evaluating the same (profile, format) pair. The engine makes the whole
+grid single-pass, and it is the only evaluation path:
 
 * **runtimes** load once through the bounded keyed LRU over
   :func:`repro.models.profiles.load_runtime` (calibration is seconds
@@ -25,12 +25,12 @@ items, and nothing was shared between experiments evaluating the same
   ``(n_seq, seq_len)`` forward (``score_items`` stacks all items of a
   task; the perplexity corpus is a single batch by construction).
 
-Everything the engine returns is **bit-identical** to the legacy path:
-wrappers, items and gold labels are deterministic functions of the
-runtime and format, so sharing them is pure amortization.
-``REPRO_NO_EVAL_ENGINE=1`` restores the legacy per-cell code paths
-(``tests/test_eval_engine.py`` asserts equality, and the runner
-artifacts are byte-identical either way).
+Everything the engine returns is **bit-identical** to a per-cell
+evaluation: wrappers, items and gold labels are deterministic functions
+of the runtime and format, so sharing them is pure amortization.
+``tests/test_eval_engine.py`` asserts equality against a per-cell
+evaluation built in the test (``QuantizedLM(...).perplexity`` and
+:func:`repro.eval.tasks.evaluate_format_on_task`).
 
 Example::
 
@@ -54,17 +54,7 @@ from ..models.quantized import PACKED_WEIGHTS_ENV, Fp16Format, QuantizedLM
 from ..mx.base import TensorFormat
 from .tasks import TaskItems, TaskSpec, accuracy, build_task_items, gold_labels, score_items
 
-__all__ = ["EvalEngine", "NO_ENGINE_ENV", "engine_enabled", "default_engine",
-           "reset_default_engine"]
-
-#: Environment variable disabling the engine ("=1" selects the legacy
-#: per-cell evaluation paths; results are bit-identical either way).
-NO_ENGINE_ENV = "REPRO_NO_EVAL_ENGINE"
-
-
-def engine_enabled() -> bool:
-    """True unless ``REPRO_NO_EVAL_ENGINE=1`` is exported."""
-    return os.environ.get(NO_ENGINE_ENV, "0") != "1"
+__all__ = ["EvalEngine", "default_engine", "reset_default_engine"]
 
 
 class EvalEngine:
@@ -234,8 +224,8 @@ class EvalEngine:
         """The ``accuracy_table`` grid with all shared state hoisted.
 
         Gold labels are derived once per task from the same freshly
-        reseeded RNG the legacy path uses per cell, and each format's
-        wrapper scores every task — construction and calibration run
+        reseeded RNG ``evaluate_format_on_task`` uses per cell, and each
+        format's wrapper scores every task — construction and calibration run
         once per format instead of once per (task, format) cell.
         """
         runtime = self.runtime(profile_key, n_seq=n_seq, seq_len=seq_len)

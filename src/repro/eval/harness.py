@@ -3,16 +3,13 @@
 ``accuracy_table`` routes through the single-pass evaluation engine
 (:mod:`repro.eval.engine`) — one runtime load, one task-item build and
 one ``QuantizedLM`` per format arm for the whole grid.
-``REPRO_NO_EVAL_ENGINE=1`` selects the original per-cell path below
-(bit-identical results).
 """
 
 from __future__ import annotations
 
-from ..models.profiles import load_runtime
 from ..mx.base import TensorFormat
-from .engine import default_engine, engine_enabled
-from .tasks import TaskSpec, build_task_items, evaluate_format_on_task
+from .engine import default_engine
+from .tasks import TaskSpec
 
 __all__ = ["accuracy_table", "average_accuracy_loss"]
 
@@ -23,21 +20,9 @@ def accuracy_table(profile_key: str, tasks: dict[str, TaskSpec],
                    n_seq: int | None = None,
                    seq_len: int | None = None) -> dict[str, dict[str, float]]:
     """Accuracy grid ``{format: {task: percent}}`` incl. the fp16 row."""
-    if engine_enabled():
-        return default_engine().accuracy_grid(profile_key, tasks, fp16_targets,
-                                              formats, n_seq=n_seq,
-                                              seq_len=seq_len)
-    runtime = load_runtime(profile_key, n_seq=n_seq, seq_len=seq_len)
-    table: dict[str, dict[str, float]] = {"fp16": {}}
-    for name in formats:
-        table[name] = {}
-    for task_name, spec in tasks.items():
-        items = build_task_items(runtime, spec)
-        target = fp16_targets[task_name]
-        table["fp16"][task_name] = evaluate_format_on_task(runtime, items, None, target)
-        for name, fmt in formats.items():
-            table[name][task_name] = evaluate_format_on_task(runtime, items, fmt, target)
-    return table
+    return default_engine().accuracy_grid(profile_key, tasks, fp16_targets,
+                                          formats, n_seq=n_seq,
+                                          seq_len=seq_len)
 
 
 def average_accuracy_loss(table: dict[str, dict[str, float]], fmt_name: str) -> float:

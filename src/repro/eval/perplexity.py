@@ -3,28 +3,20 @@
 Both entry points route through the single-pass evaluation engine
 (:mod:`repro.eval.engine`): runtimes load once, ``QuantizedLM`` arms
 and their perplexities are shared across every caller in the process.
-``REPRO_NO_EVAL_ENGINE=1`` selects the original per-cell code below —
-bit-identical results, re-derived per call.
 """
 
 from __future__ import annotations
 
-from ..models.profiles import ProfileRuntime, load_runtime
-from ..models.quantized import Fp16Format, QuantizedLM
+from ..models.profiles import ProfileRuntime
 from ..mx.base import TensorFormat
-from .engine import default_engine, engine_enabled
+from .engine import default_engine
 
 __all__ = ["quantized_perplexity", "perplexity_table"]
 
 
 def quantized_perplexity(runtime: ProfileRuntime, fmt: TensorFormat) -> float:
     """Wikitext-style perplexity of ``fmt`` applied W&A on a profile."""
-    if engine_enabled():
-        return default_engine().perplexity(runtime, fmt)
-    if isinstance(fmt, Fp16Format):
-        return runtime.fp16_ppl
-    qlm = QuantizedLM(runtime.model, fmt, calibration_tokens=runtime.calib_tokens)
-    return qlm.perplexity(runtime.tokens)
+    return default_engine().perplexity(runtime, fmt)
 
 
 def perplexity_table(profile_keys: list[str], formats: dict[str, TensorFormat],
@@ -34,15 +26,5 @@ def perplexity_table(profile_keys: list[str], formats: dict[str, TensorFormat],
 
     Always includes an ``fp16`` row as the reference.
     """
-    if engine_enabled():
-        return default_engine().perplexity_grid(list(profile_keys), formats,
-                                                n_seq=n_seq, seq_len=seq_len)
-    table: dict[str, dict[str, float]] = {"fp16": {}}
-    for name in formats:
-        table[name] = {}
-    for key in profile_keys:
-        runtime = load_runtime(key, n_seq=n_seq, seq_len=seq_len)
-        table["fp16"][key] = runtime.fp16_ppl
-        for name, fmt in formats.items():
-            table[name][key] = quantized_perplexity(runtime, fmt)
-    return table
+    return default_engine().perplexity_grid(list(profile_keys), formats,
+                                            n_seq=n_seq, seq_len=seq_len)

@@ -1,12 +1,16 @@
-"""Fast quantization kernels and the fast/reference dispatch layer.
+"""Shared quantization kernels and the fast/reference dispatch switch.
 
-This package is the library's performance backbone: every format in
-:mod:`repro.formats`, :mod:`repro.mx` and :mod:`repro.core` routes its
-hot path through these kernels by default, while the original reference
-implementations stay available behind ``REPRO_REFERENCE_KERNELS=1``.
-Fast and reference paths are bit-identical — enforced by the parity
-matrix in ``tests/test_kernel_parity.py`` — so the switch is purely a
-performance (and debugging) choice.
+The fast path of every catalog format is its compiled plan
+(:mod:`repro.plan`), reached through ``quantize_weight`` /
+``quantize_activation`` and :func:`repro.codec.encode`; the plan
+executors build on the kernels here. The reference path is the plain
+formulation in :mod:`repro.formats`, :mod:`repro.mx` and
+:mod:`repro.core` — the oracle every plan must match bit for bit.
+``REPRO_REFERENCE_KERNELS=1`` (or :func:`reference_kernels`) selects
+it: no plans, the core oracle and the reference grid search. The parity
+sweeps in ``tests/test_kernel_parity.py`` and ``tests/test_plan.py``
+enforce the bit-identity, so the switch is purely a performance (and
+debugging) choice.
 
 Modules (all pure NumPy, importable without the rest of the library):
 
@@ -15,24 +19,21 @@ Modules (all pure NumPy, importable without the rest of the library):
 * :mod:`~repro.kernels.lut` — per-grid decision-boundary caches turning
   RTNE grid quantization into one ``searchsorted``;
 * :mod:`~repro.kernels.search` — the batched code-space candidate
-  search behind Sg-EM, adaptive Sg-EE and M2-NVFP4 weights;
-* :mod:`~repro.kernels.elem` — fused Elem-EM top-k / Elem-EE offset
-  refinement.
+  search the M2-NVFP4 weight plan runs on, and the Sg-EM / Sg-EE plans'
+  exact fallback.
 
 Example::
 
     from repro.kernels import reference_kernels
 
-    fast = fmt.quantize_weight(w)            # default fast path
+    fast = fmt.quantize_weight(w)            # default: the compiled plan
     with reference_kernels():
-        slow = fmt.quantize_weight(w)        # ground truth
+        slow = fmt.quantize_weight(w)        # the core oracle
     assert fast.tobytes() == slow.tobytes()  # the parity contract
 """
 
 from .dispatch import (REFERENCE_ENV, fast_kernels, reference_kernels,
                        use_reference)
-from .elem import (elem_ee_offsets, elem_ee_select, fp6_topk_refine,
-                   top_indices)
 from .lut import (boundaries_are_exact, cached_boundaries, cached_thresholds,
                   compiled_thresholds, exact_boundaries, rtne_boundaries,
                   threshold_codes)
@@ -44,5 +45,4 @@ __all__ = [
     "cached_boundaries", "compiled_thresholds", "cached_thresholds",
     "threshold_codes",
     "candidate_search", "hierarchical_select", "gather_candidate_codes",
-    "top_indices", "fp6_topk_refine", "elem_ee_select", "elem_ee_offsets",
 ]

@@ -1,23 +1,26 @@
-"""Fast/reference kernel dispatch for the whole quantization library.
+"""Fast/reference dispatch for the whole quantization library.
 
-Every hot path in the library (``FloatSpec.encode``, the Sg-EM / Sg-EE /
-M2-NVFP4 adaptive searches, the Elem-EM/EE refinements) exists in exactly
-two implementations:
+Every format exists in exactly two implementations:
 
-* the **reference** path — the original, obviously-correct formulation,
-  kept unchanged as the semantic ground truth;
-* the **fast** path — the vectorized kernels in this package.
+* the **reference** oracle — the plain formulation in
+  :mod:`repro.formats`, :mod:`repro.mx` and :mod:`repro.core`, kept as
+  the semantic ground truth;
+* the **fast** path — the format's compiled code-space plan
+  (:mod:`repro.plan`), reached through ``quantize_weight`` /
+  ``quantize_activation``, plus the boundary-cache grid search of
+  :mod:`repro.kernels.lut` for scalar encodes.
 
 The two are bit-identical on every input (``tests/test_kernel_parity.py``
-sweeps all registered formats over adversarial tensors); the fast path is
-the default. Export ``REPRO_REFERENCE_KERNELS=1`` to force the reference
-path process-wide — the escape hatch for ruling the kernels out while
-debugging (listed in the README's environment-knob table) — or use the
-:func:`reference_kernels` / :func:`fast_kernels` context managers for
-scoped control. A scope overrides the environment for the calling thread
-(strictly, the current :mod:`contextvars` context) only: a thread or
-asyncio task that did not enter it keeps its own dispatch, so pinning a
-mode on one request never leaks into another.
+and ``tests/test_plan.py`` sweep every registered format over
+adversarial tensors); the fast path is the default. Export
+``REPRO_REFERENCE_KERNELS=1`` to select the reference process-wide (no
+plans, the core oracle): the escape hatch for ruling the fast path out
+while debugging, listed in the README's environment-knob table. The
+:func:`reference_kernels` / :func:`fast_kernels` context managers give
+scoped control. A scope overrides the environment for the
+calling thread (strictly, the current :mod:`contextvars` context) only:
+a thread or asyncio task that did not enter it keeps its own dispatch,
+so pinning a mode on one request never leaks into another.
 
 Example::
 

@@ -69,7 +69,6 @@ from ..formats.e8m0 import clamp_exponent
 from ..formats.floatspec import FloatSpec
 from ..formats.intspec import GridSpec, IntSpec
 from ..formats.registry import FP4_E2M1, FP8_E4M3, FP16
-from ..kernels.elem import elem_ee_select
 from ..kernels.search import (_CHUNK_ELEMS, candidate_search,
                               gather_candidate_codes, hierarchical_select)
 from ..models.quantized import Fp16Format
@@ -82,7 +81,7 @@ from ..mx.smx import SMX
 from ..mx.scale_rules import shared_scale_exponent
 from .codespace import CodeSpaceResult, CodeStream
 from .geometry import GroupGeometry
-from .ops import (fp4_codes, fp4_half_ints, fp6_window_codes,
+from .ops import (elem_ee_select, fp4_codes, fp4_half_ints, fp6_window_codes,
                   small_grid_encoder, subgroup_top1, tree_amax, validate_amax)
 
 __all__ = ["EXECUTOR_COMPILERS", "compile_executor", "tensor_scoped"]
@@ -740,7 +739,7 @@ def _compile_elem_ee(fmt: ElemEE, op: str, geom: GroupGeometry):
         flat = flat_base + top.ravel()
         top_val = np.copysign(ax.reshape(-1)[flat],
                               np.asarray(groups).reshape(-1)[flat])
-        ref_codes, cand, pick = elem_ee_select(top_val, o_max, FP4_E2M1)
+        ref_codes, cand, pick = elem_ee_select(top_val, o_max)
         return groups, n, e, c, flat, ref_codes, cand, pick
 
     def _finish(groups, n, e, c, flat, cand, pick) -> np.ndarray:

@@ -28,7 +28,7 @@ from ..formats.registry import FP4_E2M1, FP6_E2M3
 __all__ = ["tree_amax", "validate_amax", "cmp_accumulate", "fp4_codes",
            "fp4_half_ints",
            "fp4_half_values", "small_grid_encoder", "subgroup_top1",
-           "fp6_window_codes", "fp6_window_refine"]
+           "fp6_window_codes", "fp6_window_refine", "elem_ee_select"]
 
 #: The boundary array of the standard FP4 E2M1 grid (seven entries).
 _FP4_BOUNDS = FP4_E2M1.boundaries
@@ -196,3 +196,26 @@ def fp6_window_codes(top_abs: np.ndarray,
 def fp6_window_refine(top_abs: np.ndarray, top_codes: np.ndarray) -> np.ndarray:
     """The doubled refined magnitudes of :func:`fp6_window_codes` alone."""
     return fp6_window_codes(top_abs, top_codes)[1]
+
+
+def elem_ee_select(top_val: np.ndarray, o_max: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Elem-EE offset search, exposed at the code level.
+
+    Evaluates ``quantize(v / 2**o) * 2**o`` on the FP4 grid for every
+    offset in one shot and returns ``(codes, cand, pick)``: the
+    per-offset magnitude codes, the signed candidate values, and the
+    chosen offset index per element. ``argmin`` keeps the first minimum,
+    matching the reference's ``<``-guarded ascending-offset loop
+    (:func:`repro.core.elem_ee.elem_ee_quantize_groups`). The plan's
+    value path takes ``cand`` at ``pick``; its code path stores ``pick``
+    and the picked code, so both share this one search.
+    """
+    offs = np.exp2(np.arange(o_max + 1, dtype=np.float64))
+    scaled = np.abs(top_val)[..., None] / offs
+    codes = np.searchsorted(_FP4_BOUNDS, scaled, side="left")
+    cand = FP4_E2M1.grid[codes] * offs
+    cand = np.where(np.signbit(top_val)[..., None], -cand, cand)
+    err = np.abs(cand - top_val[..., None])
+    pick = np.argmin(err, axis=-1)
+    return codes, cand, pick

@@ -495,6 +495,21 @@ def test_row_blocks_need_equal_leading_blocks(shape, axis, blocks):
                row_blocks=blocks)
 
 
+def test_per_row_scale_container_lives_in_memory_only(rng):
+    """A container with one NVFP4 tensor scale per row (a row-block
+    encode, a ``join_rows`` run) has no header form: serializing it or
+    sizing its header raises ``CodecError``, not a bare ``TypeError``."""
+    fmt = make_format("nvfp4")
+    run = join_rows(encode(fmt, rng.standard_normal((1, 16))),
+                    encode(fmt, rng.standard_normal((1, 16)) * 1e3))
+    for pt in (encode(fmt, np.ones((4, 16)), row_blocks=2), run):
+        assert isinstance(pt.extra["tensor_scale"], np.ndarray)
+        with pytest.raises(CodecError, match="in memory only"):
+            pt.to_bytes()
+        with pytest.raises(CodecError, match="in memory only"):
+            pt.header_bytes
+
+
 # ----------------------------------------------------------------------
 # Row operations: decoding joined rows equals per-container decode
 # ----------------------------------------------------------------------

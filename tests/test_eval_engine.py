@@ -1,23 +1,22 @@
 """The single-pass eval engine must be pure amortization.
 
-Engine-vs-legacy equality (bitwise, via ``repr`` of the float cells),
-sharing behaviour (wrappers and perplexities reused across grids), the
-``REPRO_NO_EVAL_ENGINE`` escape hatch, and the bounded runtime LRU.
+Engine-vs-per-cell equality (bitwise, via ``repr`` of the float cells,
+against a cell-by-cell evaluation built here), sharing behaviour
+(wrappers and perplexities reused across grids), and the bounded
+runtime LRU.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.m2xfp import M2XFP
-from repro.eval.engine import (EvalEngine, default_engine, engine_enabled,
-                               reset_default_engine)
+from repro.eval.engine import EvalEngine, default_engine, reset_default_engine
 from repro.eval.harness import accuracy_table
 from repro.eval.perplexity import perplexity_table, quantized_perplexity
-from repro.eval.tasks import ZERO_SHOT_TASKS, TaskSpec
+from repro.eval.tasks import (ZERO_SHOT_TASKS, TaskSpec, build_task_items,
+                              evaluate_format_on_task)
 from repro.models import profiles
 from repro.models.profiles import RUNTIME_CACHE_SIZE, load_runtime
+from repro.models.quantized import QuantizedLM
 from repro.mx import MXFP4
 
 _PROFILE = "llama2-7b"
@@ -28,26 +27,47 @@ def _formats():
     return {"mxfp4": MXFP4(), "m2xfp": M2XFP()}
 
 
+def _per_cell_perplexity(formats):
+    """The perplexity grid cell by cell: a fresh wrapper per cell."""
+    runtime = load_runtime(_PROFILE, **_SMALL)
+    grid = {"fp16": {_PROFILE: runtime.fp16_ppl}}
+    for name, fmt in formats.items():
+        qlm = QuantizedLM(runtime.model, fmt,
+                          calibration_tokens=runtime.calib_tokens)
+        grid[name] = {_PROFILE: qlm.perplexity(runtime.tokens)}
+    return grid
+
+
+def _per_cell_accuracy(tasks, targets, formats):
+    """The accuracy grid cell by cell: fresh items and wrapper per cell."""
+    runtime = load_runtime(_PROFILE, **_SMALL)
+    grid = {"fp16": {}, **{name: {} for name in formats}}
+    for task_name, spec in tasks.items():
+        items = build_task_items(runtime, spec)
+        target = targets[task_name]
+        grid["fp16"][task_name] = evaluate_format_on_task(runtime, items,
+                                                          None, target)
+        for name, fmt in formats.items():
+            grid[name][task_name] = evaluate_format_on_task(runtime, items,
+                                                            fmt, target)
+    return grid
+
+
 class TestEngineEquality:
-    def test_perplexity_table_matches_legacy(self, monkeypatch):
+    def test_perplexity_table_matches_per_cell(self):
         reset_default_engine()
         engine_grid = perplexity_table([_PROFILE], _formats(), **_SMALL)
-        monkeypatch.setenv("REPRO_NO_EVAL_ENGINE", "1")
-        assert not engine_enabled()
-        legacy_grid = perplexity_table([_PROFILE], _formats(), **_SMALL)
-        assert repr(engine_grid) == repr(legacy_grid)
+        assert repr(engine_grid) == repr(_per_cell_perplexity(_formats()))
 
-    def test_accuracy_table_matches_legacy(self, monkeypatch):
+    def test_accuracy_table_matches_per_cell(self):
         reset_default_engine()
         tasks = {"arc-e": ZERO_SHOT_TASKS["arc-e"],
                  "piqa": ZERO_SHOT_TASKS["piqa"]}
         targets = {"arc-e": 74.58, "piqa": 79.11}
         engine_grid = accuracy_table(_PROFILE, tasks, targets, _formats(),
                                      **_SMALL)
-        monkeypatch.setenv("REPRO_NO_EVAL_ENGINE", "1")
-        legacy_grid = accuracy_table(_PROFILE, tasks, targets, _formats(),
-                                     **_SMALL)
-        assert repr(engine_grid) == repr(legacy_grid)
+        per_cell = _per_cell_accuracy(tasks, targets, _formats())
+        assert repr(engine_grid) == repr(per_cell)
 
     def test_quantized_perplexity_routes_through_engine(self):
         reset_default_engine()

@@ -1,11 +1,15 @@
-"""Fast-vs-reference kernel parity: every format, adversarial tensors.
+"""Fast-vs-reference parity: every format, adversarial tensors.
 
-The fast kernels in :mod:`repro.kernels` must be *bit-identical* to the
-reference paths selected by ``REPRO_REFERENCE_KERNELS=1`` — not merely
-close. This module sweeps every registered scalar and tensor format over
-tensors built to stress the places where float paths usually diverge:
-all zeros, exact rounding ties, denormal-range magnitudes, saturating
-(inf-free) extremes, and outlier-structured data.
+The fast path — each tensor format's compiled plan behind
+``quantize_weight`` / ``quantize_activation``, and the boundary-cache
+kernels of :mod:`repro.kernels` for scalar encodes — must be
+*bit-identical* to the reference selected by
+``REPRO_REFERENCE_KERNELS=1`` (no plans, the dispatch-free oracle in
+:mod:`repro.core`, :mod:`repro.mx` and :mod:`repro.formats`) — not
+merely close. This module sweeps every registered scalar and tensor
+format over tensors built to stress the places where float paths
+usually diverge: all zeros, exact rounding ties, denormal-range
+magnitudes, saturating (inf-free) extremes, and outlier-structured data.
 """
 
 import numpy as np
