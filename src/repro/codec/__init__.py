@@ -22,13 +22,14 @@ Example::
 """
 
 from .bitstream import bits_needed, pack_bits, packed_nbytes, unpack_bits
-from .codecs import (codec_for, collect_encode_stats, decode, drop_rows,
-                     encode, join_rows, slice_rows, supports)
+from .codecs import (Encoder, codec_for, collect_encode_stats, decode,
+                     drop_rows, encode, encoder_for, join_rows, slice_rows,
+                     supports)
 from .container import CONTAINER_VERSION, MAGIC, PackedTensor, Stream
 
 __all__ = [
     "encode", "decode", "join_rows", "slice_rows", "drop_rows", "codec_for",
-    "supports", "collect_encode_stats",
+    "supports", "collect_encode_stats", "Encoder", "encoder_for",
     "PackedTensor", "Stream", "MAGIC", "CONTAINER_VERSION",
     "pack_bits", "unpack_bits", "packed_nbytes", "bits_needed",
 ]

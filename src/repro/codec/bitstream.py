@@ -23,6 +23,9 @@ from ..errors import CodecError
 
 __all__ = ["pack_bits", "unpack_bits", "packed_nbytes", "bits_needed"]
 
+#: Bit offsets of the four 2-bit fields in a byte, LSB first.
+_CRUMB_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
+
 
 def bits_needed(n_values: int) -> int:
     """Width of the smallest field that can hold codes ``0..n_values-1``."""
@@ -41,11 +44,12 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
 
     Returns a ``uint8`` array of :func:`packed_nbytes` bytes; the unused
     high bits of the final byte are zero, so equal field sequences always
-    serialize to equal bytes. Widths 4, 8 and 16 — the FP4 nibbles,
-    E8M0/FP8 scale bytes and FP16 scale codes that dominate every real
-    container — take direct nibble/byte paths, and every other sub-byte
-    width above one bit (the 2-bit metadata, 3-bit Elem-EE refinements,
-    5-bit SMX6 mantissas, ...) goes through a whole-word path: fields
+    serialize to equal bytes. Widths 2, 4, 8 and 16 — the 2-bit M2XFP
+    metadata, FP4 nibbles, E8M0/FP8 scale bytes and FP16 scale codes
+    that dominate every real container — take direct crumb/nibble/byte
+    paths, and every other sub-byte width above one bit (the 3-bit
+    Elem-EE refinements, 5-bit SMX6 mantissas, ...) goes through a
+    whole-word path: fields
     are OR-merged in three pairwise-doubling passes into uint64 words
     of eight, whose low ``w`` bytes are the stream bytes. Width 1 is
     ``np.packbits`` itself (the per-bit expansion degenerates to it),
@@ -85,6 +89,14 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
         out[: lo.size] = lo
         hi = values[1::2].astype(np.uint8)
         out[: hi.size] |= hi << np.uint8(4)
+        return out
+    if width == 2:
+        v = values.astype(np.uint8)
+        if v.size % 4:
+            v = np.concatenate((v, np.zeros(-v.size % 4, dtype=np.uint8)))
+        out = v[0::4] | (v[1::4] << np.uint8(2))
+        out |= v[2::4] << np.uint8(4)
+        out |= v[3::4] << np.uint8(6)
         return out
     if 1 < width < 8:
         return _pack_bits_words(values, width)
@@ -143,6 +155,10 @@ def unpack_bits(buf: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
         fields[0::2] = used & 0x0F
         fields[1::2] = used >> 4
         return fields[:count]
+    if width == 2:
+        used = raw[: packed_nbytes(count, 2)]
+        fields = (used[:, None] >> _CRUMB_SHIFTS) & np.uint8(3)
+        return fields.reshape(-1)[:count].astype(np.int64)
     if width < 8:
         return _unpack_bits_words(raw, width, count)
     return _unpack_bits_generic(raw, width, count)

@@ -12,10 +12,12 @@ repo's simulated EBW table into a measured bytes-on-the-wire number
 in ``tests/test_codec.py``.
 
 There is one encode path. The quantizer's output *is* the stored codes:
-:func:`encode` runs the compiled plan's code-space executor
-(:mod:`repro.plan.executors`) and packs its code arrays as they are,
-under either kernel dispatch mode; a :class:`Codec` declares the stream
-layout those arrays must match and owns the decode. The reference
+each compiled plan holds an :class:`Encoder`, its encode entry, which
+runs the plan's code-space executor (:mod:`repro.plan.executors`) and
+packs its code arrays as they are, under either kernel dispatch mode;
+:func:`encode` is a thin call into it, and a KV session calls it
+directly. A :class:`Codec` declares the stream layout those arrays must
+match and owns the decode. The reference
 quantizers stay the oracle that tests hold :func:`decode` to. A format
 configuration no executor compiles (e.g. ``ElemEM(top_k=2)``) is not
 supported: :func:`supports` says False and :func:`encode` raises
@@ -62,8 +64,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -92,7 +93,8 @@ from .bitstream import pack_bits, unpack_bits
 from .container import OPS, PackedTensor, Stream
 
 __all__ = ["encode", "decode", "join_rows", "slice_rows", "drop_rows",
-           "codec_for", "supports", "collect_encode_stats"]
+           "codec_for", "supports", "collect_encode_stats", "Encoder",
+           "encoder_for"]
 
 _STAGE_SINK = threading.local()
 
@@ -106,24 +108,29 @@ _obs.registry().register_collector(
     "codec", lambda: dict(_ENCODE_TOTALS))
 
 
-@contextmanager
-def collect_encode_stats():
+class collect_encode_stats:
     """Collect per-stage encode timings from :func:`encode` calls.
 
-    Yields a dict accumulated in place by every :func:`encode` on this
-    thread while the context is active: ``encodes`` / ``fused_encodes``
-    call counts (every encode packs from plan codes, so the two are
-    equal) and ``quantize_s`` / ``pack_s`` / ``verify_s`` stage
-    seconds. Nestable — the inner context shadows the outer one.
+    Used as ``with collect_encode_stats() as stats``: ``stats`` is a
+    dict accumulated in place by every encode on this thread while the
+    context is active: ``encodes`` / ``fused_encodes`` call counts
+    (every encode packs from plan codes, so the two are equal) and
+    ``quantize_s`` / ``pack_s`` / ``verify_s`` stage seconds. Nestable
+    — the inner context shadows the outer one. A plain class rather
+    than a generator context manager: a KV append enters one per call.
     """
-    stats = {"encodes": 0, "fused_encodes": 0,
-             "quantize_s": 0.0, "pack_s": 0.0, "verify_s": 0.0}
-    prev = getattr(_STAGE_SINK, "stats", None)
-    _STAGE_SINK.stats = stats
-    try:
-        yield stats
-    finally:
-        _STAGE_SINK.stats = prev
+
+    __slots__ = ("_prev",)
+
+    def __enter__(self) -> dict:
+        self._prev = getattr(_STAGE_SINK, "stats", None)
+        stats = _STAGE_SINK.stats = {
+            "encodes": 0, "fused_encodes": 0,
+            "quantize_s": 0.0, "pack_s": 0.0, "verify_s": 0.0}
+        return stats
+
+    def __exit__(self, *exc) -> None:
+        _STAGE_SINK.stats = self._prev
 
 
 # ----------------------------------------------------------------------
@@ -221,31 +228,6 @@ class Codec:
         for name in self.subgroup_streams:
             counts[name] = n * (pt.group_size // fmt.sub_size)
         return counts
-
-    def encode_from_codes(self, fmt, cs, pt: PackedTensor) -> list:
-        """Pack a plan executor's :class:`CodeSpaceResult` directly.
-
-        The code arrays are already the exact integers the format
-        stores (the executor/codec contract, DESIGN.md §11), so packing
-        is a pure bitstream write — no quantization arithmetic at all.
-        The result's header scalars go into ``pt.extra`` first, since a
-        layout may depend on them (the NVFP4 family's zero tensor has no
-        scale stream). Returns the flat code arrays in stream order.
-        """
-        pt.extra.update(cs.extra)
-        expected = self.code_layout(fmt, pt)
-        if cs.stream_names != tuple(expected):
-            raise CodecError(f"code-space streams {cs.stream_names} do not "
-                             f"match the {type(self).__name__} layout "
-                             f"{tuple(expected)}")
-        flat = []
-        for s in cs.streams:
-            values = np.asarray(s.values).reshape(-1)
-            pt.streams[s.name] = Stream(s.name,
-                                        pack_bits(values, s.width).tobytes(),
-                                        s.width, values.size)
-            flat.append(values)
-        return flat
 
 
 class Fp16Codec(Codec):
@@ -662,7 +644,7 @@ def supports(fmt) -> bool:
     it and a code-space executor compiles it for both operand paths
     (the compilers decide from the configuration, not the shape)."""
     try:
-        return all(_plan_packing(fmt, op, (1,), 0) for op in OPS)
+        return all(encoder_for(fmt, op, (1,), 0) for op in OPS)
     except CodecError:
         return False
 
@@ -696,42 +678,161 @@ def _check_header(pt: PackedTensor, fingerprint: str, group_size: int) -> None:
                          f"the format's {group_size}")
 
 
-class _Packing(NamedTuple):
-    """What :func:`encode` derives from the format alone, held on the
-    :class:`~repro.plan.QuantPlan` of each ``(format, op, shape, axis)``
-    signature, so it is derived once per signature, not per call."""
+class Encoder:
+    """A plan's encode entry (:attr:`~repro.plan.QuantPlan.encode`): the
+    finished container for one ``(format, op, shape, axis)``.
 
-    codec: Codec
-    format_name: str
-    fingerprint: str
-    group_size: int
-    #: The plan's code-space runner.
-    run_codes: Callable
-    #: Whether ``run_codes`` takes row blocks
-    #: (:func:`~repro.plan.tensor_scoped`).
-    tensor_scoped: bool
-    #: Header JSON lengths without ``extra`` of this plan's containers
-    #: and their :func:`slice_rows` cuts
-    #: (:attr:`~.container.PackedTensor.header_lengths`).
-    header_lengths: dict
+    Bound when the plan compiles, it holds everything an encode derives
+    from that signature, so a call does no lookup and re-derives
+    nothing: the codec, the header fields, the plan's code-space runner,
+    the stream layout the codec expects of a scaled and of a zero
+    tensor, and the header JSON lengths its containers share
+    (:attr:`~.container.PackedTensor.header_lengths`).
+
+    ``encoder(x, verify=False, blocks=1, split=False)`` runs the plan's
+    codes for ``x`` (of the plan's shape), checks their
+    stream layout and packs each stream at its width. ``verify`` then
+    unpacks every stored stream and compares it against the codes,
+    catching bitstream truncation and round-trip bugs without
+    materializing floats. ``blocks`` splits the leading axis (the plan
+    groups on its last) into that many equal row blocks, each its own
+    scaling scope for the tensor-scoped NVFP4 family: one container
+    then carries a tensor scale per row, and ``split=True`` instead
+    returns a tuple of one container per block, each exactly the
+    container encoding that block alone gives (a KV append encodes its
+    stacked K and V this way). A stream is packed once and cut on byte
+    boundaries where the block boundary falls on one, else packed per
+    block. The thread's :func:`collect_encode_stats` sink and trace see
+    the call's quantize, pack and verify stages.
+    """
+
+    __slots__ = ("fmt", "op", "shape", "axis", "format_name",
+                 "fingerprint", "group_size", "run_codes", "tensor_scoped",
+                 "layouts", "header_lengths")
+
+    def __init__(self, fmt, op: str, geom, run_codes: Callable) -> None:
+        codec = codec_for(fmt)
+        self.fmt, self.op, self.run_codes = fmt, op, run_codes
+        self.shape, self.axis = geom.shape, geom.axis
+        self.format_name, self.fingerprint = _catalog_name(fmt), repr(fmt)
+        self.group_size = _group_size(fmt)
+        self.tensor_scoped = tensor_scoped(fmt)
+        self.header_lengths: dict = {}
+        # The codec's stream layout for a zero tensor scale (the NVFP4
+        # family stores no scale stream then) and a live one.
+        self.layouts = tuple(
+            codec.code_layout(fmt, self._container(
+                self.shape, {"tensor_scale": _hex(scale)}, {}))
+            for scale in (0.0, 1.0))
+
+    def _container(self, shape: tuple, extra: dict,
+                   streams: dict) -> PackedTensor:
+        return PackedTensor(self.format_name, self.fingerprint, self.op,
+                            shape, self.axis, self.group_size, streams,
+                            extra, self.header_lengths)
+
+    def __call__(self, x: np.ndarray, verify: bool = False, blocks: int = 1,
+                 split: bool = False):
+        t0 = time.perf_counter()
+        cs = self.run_codes(x, blocks) \
+            if blocks != 1 and self.tensor_scoped else self.run_codes(x)
+        t1 = time.perf_counter()
+        extra, ts = cs.extra, None
+        if self.tensor_scoped:
+            ts = extra["tensor_scale"]
+            ts = ts[::len(ts) // blocks] if isinstance(ts, np.ndarray) \
+                else [float.fromhex(ts)]
+            layout = self.layouts[any(ts)]
+        else:
+            layout = self.layouts[1]
+        names = tuple([s.name for s in cs.streams])
+        if names != layout:
+            raise CodecError(f"code-space streams {names} do not match "
+                             f"the {type(codec_for(self.fmt)).__name__} "
+                             f"layout {layout}")
+        parts = blocks if split else 1
+        packed = [{} for _ in range(parts)]
+        checks = []
+        for s in cs.streams:
+            name, width = s.name, s.width
+            values = s.values.reshape(-1)
+            per = values.size // parts
+            if parts == 1 or per * width % 8 == 0:
+                data = pack_bits(values, width).tobytes()
+                checks.append((name, data, width, values))
+                step = per * width // 8
+                for i, part in enumerate(packed):
+                    part[name] = Stream(name, data[i * step:(i + 1) * step]
+                                        if parts > 1 else data, width, per)
+            else:
+                for i, part in enumerate(packed):
+                    piece = values[i * per:(i + 1) * per]
+                    data = pack_bits(piece, width).tobytes()
+                    checks.append((name, data, width, piece))
+                    part[name] = Stream(name, data, width, per)
+        if split:
+            rows = (self.shape[0] // blocks, *self.shape[1:])
+            out = []
+            for i, part in enumerate(packed):
+                part_extra = dict(extra)
+                if ts is not None:
+                    # A block's own encode writes its tensor scale as the
+                    # header scalar, with no scale stream when it is 0.
+                    part_extra["tensor_scale"] = _hex(ts[i])
+                    if not ts[i]:
+                        part.pop("scales", None)
+                out.append(self._container(rows, part_extra, part))
+            out = tuple(out)
+        else:
+            out = self._container(self.shape, dict(extra), packed[0])
+        t2 = time.perf_counter()
+        if verify:
+            for name, data, width, values in checks:
+                if not (unpack_bits(data, width, values.size)
+                        == values).all():
+                    raise CodecError(f"pack round-trip mismatch for "
+                                     f"{self.fmt!r} ({self.op}), stream "
+                                     f"{name!r}")
+        t3 = time.perf_counter()
+        if _obs.metrics_enabled():
+            with _ENCODE_TOTALS_LOCK:
+                _ENCODE_TOTALS["encodes"] += 1
+                _ENCODE_TOTALS["fused_encodes"] += 1
+        sink = getattr(_STAGE_SINK, "stats", None)
+        if sink is not None:
+            sink["encodes"] += 1
+            sink["fused_encodes"] += 1
+            sink["quantize_s"] += t1 - t0
+            sink["pack_s"] += t2 - t1
+            sink["verify_s"] += t3 - t2
+        tr = _obs.current_trace()
+        if tr is not None:
+            tr.add_span("quantize", t0, t1)
+            tr.add_span("pack", t1, t2)
+            if verify:
+                tr.add_span("verify", t2, t3)
+        return out
 
 
-def _plan_packing(fmt, op: str, shape: tuple, axis: int) -> _Packing:
-    """The packing on the plan that encodes ``fmt`` at this signature,
-    bound on the plan's first encode. :class:`CodecError` when no codec
-    decodes the format or no code-space executor compiles it."""
+def bind_encoder(fmt, op: str, geom, run_codes) -> Encoder | None:
+    """The :class:`Encoder` a plan compiled for ``fmt`` holds, or None
+    when no codec decodes the format (or the plan has no code-space
+    runner)."""
+    if run_codes is None or type(fmt) not in _CODECS:
+        return None
+    return Encoder(fmt, op, geom, run_codes)
+
+
+def encoder_for(fmt, op: str, shape: tuple, axis: int) -> Encoder:
+    """The encode entry of the plan for ``(fmt, op, shape, axis)``
+    (``axis`` normalized). :class:`CodecError` when no codec decodes
+    the format or no code-space executor compiles it."""
     plan = get_plan(fmt, op, shape, axis)
-    if plan is not None and plan.packing is not None:
-        return plan.packing
-    codec = codec_for(fmt)
-    if plan is None or plan.run_codes is None:
+    if plan is None or plan.encode is None:
+        codec_for(fmt)
         raise CodecError(f"no code-space executor compiles {fmt!r} for "
                          f"{op} input of shape {shape}")
-    # Racing binders compute equal values.
-    plan.packing = _Packing(codec, _catalog_name(fmt), repr(fmt),
-                            _group_size(fmt), plan.run_codes,
-                            tensor_scoped(fmt), {})
-    return plan.packing
+    return plan.encode
 
 
 def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
@@ -739,24 +840,22 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
     """Serialize ``x`` under ``fmt`` into a :class:`PackedTensor`.
 
     ``op`` selects the operand path (hybrid formats quantize weights and
-    activations differently). The container is packed straight from the
-    integer codes of the compiled plan's code-space executor for
-    ``(fmt, op, shape, axis)``, under either kernel dispatch mode; it
-    decodes to the format's own quantize output bit for bit (pinned
-    against the reference oracle by ``tests/test_fused_pack.py``).
-    ``verify=True`` adds an O(bytes) cross-check: each packed stream is
-    unpacked and compared against the executor's code arrays, catching
-    bitstream truncation and round-trip bugs without materializing
-    floats.
+    activations differently). The container is what the compiled plan's
+    encode entry (:class:`Encoder`) for ``(fmt, op, shape, axis)``
+    returns, under either kernel dispatch mode: packed straight from
+    the integer codes of its code-space executor, it decodes to the
+    format's own quantize output bit for bit (pinned against the
+    reference oracle by ``tests/test_fused_pack.py``). ``verify=True``
+    adds an O(bytes) cross-check: each packed stream is unpacked and
+    compared against the executor's code arrays.
 
     ``row_blocks`` splits the leading axis of a tensor grouped on its
     last axis into that many equal blocks, each its own scaling scope:
     the tensor-scoped NVFP4 family then takes one tensor scale per
     block and the container carries one per row, so
     :func:`slice_rows` cuts out each block as exactly the container
-    encoding it alone gives (a KV append encodes its stacked K and V
-    this way). Rows of every other format encode independently, so it
-    changes nothing for them.
+    encoding it alone gives. Rows of every other format encode
+    independently, so it changes nothing for them.
     """
     if op not in OPS:
         raise CodecError(f"op must be one of {OPS}, got {op!r}")
@@ -769,50 +868,7 @@ def encode(fmt, x: np.ndarray, op: str = "activation", axis: int = -1,
             and x.shape[0] % row_blocks == 0):
         raise ShapeError(f"cannot split a shape {x.shape} tensor grouped "
                          f"on axis {axis} into {row_blocks} row blocks")
-    packing = _plan_packing(fmt, op, x.shape, axis)
-    pt = PackedTensor(format_name=packing.format_name,
-                      fingerprint=packing.fingerprint, op=op, shape=x.shape,
-                      axis=axis, group_size=packing.group_size,
-                      header_lengths=packing.header_lengths)
-    sink = getattr(_STAGE_SINK, "stats", None)
-    tr = _obs.current_trace()
-    timed = sink is not None or tr is not None
-
-    def _mark(stage: str, t0: float) -> float:
-        """Close one stage: feed the sink counter and the trace span."""
-        t1 = time.perf_counter()
-        if sink is not None:
-            sink[stage + "_s"] += t1 - t0
-        if tr is not None:
-            tr.add_span(stage, t0, t1)
-        return t1
-
-    if timed:
-        t0 = time.perf_counter()
-    cs = packing.run_codes(x, row_blocks) \
-        if row_blocks != 1 and packing.tensor_scoped \
-        else packing.run_codes(x)
-    if _obs.metrics_enabled():
-        with _ENCODE_TOTALS_LOCK:
-            _ENCODE_TOTALS["encodes"] += 1
-            _ENCODE_TOTALS["fused_encodes"] += 1
-    if sink is not None:
-        sink["encodes"] += 1
-        sink["fused_encodes"] += 1
-    if timed:
-        t0 = _mark("quantize", t0)
-    flat = packing.codec.encode_from_codes(fmt, cs, pt)
-    if timed:
-        t0 = _mark("pack", t0)
-    if verify:
-        for stored, values in zip(pt.streams.values(), flat):
-            back = unpack_bits(stored.data, stored.width, stored.count)
-            if not (back == values).all():
-                raise CodecError(f"pack round-trip mismatch for {fmt!r} "
-                                 f"({op}), stream {stored.name!r}")
-        if timed:
-            _mark("verify", t0)
-    return pt
+    return encoder_for(fmt, op, x.shape, axis)(x, verify, row_blocks)
 
 
 def decode(packed: PackedTensor | bytes, fmt=None) -> np.ndarray:
@@ -855,9 +911,12 @@ def _rows(pt: PackedTensor) -> int:
 
 def _row_layout(pt: PackedTensor) -> tuple:
     """What two containers must share to join rows (see :func:`join_rows`)."""
+    extra = pt.extra
+    if "tensor_scale" in extra:
+        extra = {k: v for k, v in extra.items() if k != "tensor_scale"}
     return (pt.format_name, pt.fingerprint, pt.op, pt.group_size,
             pt.shape[1:], [(s.name, s.width) for s in pt.streams.values()],
-            {k: v for k, v in pt.extra.items() if k != "tensor_scale"})
+            extra)
 
 
 def _row_scales(pt: PackedTensor, rows: int) -> np.ndarray | None:
@@ -882,7 +941,8 @@ def _with_rows(pt: PackedTensor, rows: int, streams: dict, extra: dict,
                         extra=extra, header_lengths=header_lengths)
 
 
-def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
+def join_rows(head: PackedTensor, tail: PackedTensor,
+              drop: int = 0) -> PackedTensor | None:
     """One container holding ``head``'s rows then ``tail``'s, or None
     when their row layouts differ: anything in the header but the row
     count and a non-zero NVFP4-family tensor scale (so fp16's f16 and
@@ -890,27 +950,44 @@ def join_rows(head: PackedTensor, tail: PackedTensor) -> PackedTensor | None:
     scales stay per row, as a float64 array in ``extra``. Each stream
     is byte-joined when ``head``'s fields end on a byte boundary, else
     unpacked, concatenated and repacked.
+
+    ``drop`` leaves out ``head``'s first ``drop`` rows, ``0 <= drop <
+    rows``: the result is ``join_rows(drop_rows(head, drop), tail)``,
+    built in one pass (a KV arena's eviction plus append).
     """
     hr, tr = _rows(head), _rows(tail)
+    if drop:
+        if not 0 < drop < hr:
+            raise CodecError(f"cannot drop {drop} leading rows of a shape "
+                             f"{head.shape} container grouped on axis "
+                             f"{head.axis}")
+        scales = head.extra.get("tensor_scale")
+        if isinstance(scales, np.ndarray) and not scales[drop:].any():
+            # The kept rows' own container stores no scale stream.
+            return join_rows(drop_rows(head, drop), tail)
     if not (hr and tr) or _row_layout(head) != _row_layout(tail):
         return None
     hs, ts = _row_scales(head, hr), _row_scales(tail, tr)
+    if drop and hs is not None:
+        hs = hs[drop:]
     if (hs is None) != (ts is None):
         return None
     streams = {}
     for h, t in zip(head.streams.values(), tail.streams.values()):
         if h.count * tr != t.count * hr:
             return None
-        if h.count * h.width % 8 == 0:
-            data = h.data + t.data
+        lo = h.count // hr * drop
+        if lo * h.width % 8 == 0 and h.count * h.width % 8 == 0:
+            data = (h.data[lo * h.width // 8:] if lo else h.data) + t.data
         else:
             data = pack_bits(np.concatenate(
-                [unpack_bits(h.data, h.width, h.count),
+                [unpack_bits(h.data, h.width, h.count)[lo:],
                  unpack_bits(t.data, t.width, t.count)]), h.width).tobytes()
-        streams[h.name] = Stream(h.name, data, h.width, h.count + t.count)
+        streams[h.name] = Stream(h.name, data, h.width,
+                                 h.count - lo + t.count)
     extra = head.extra if hs is None else \
         {**head.extra, "tensor_scale": np.concatenate([hs, ts])}
-    return _with_rows(head, hr + tr, streams, extra)
+    return _with_rows(head, hr - drop + tr, streams, extra)
 
 
 def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:

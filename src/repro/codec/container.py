@@ -48,6 +48,11 @@ OPS = ("weight", "activation")
 _HEADER_KEYS = frozenset(("format", "fingerprint", "op", "shape", "axis",
                           "group_size", "streams", "extra"))
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with the
+#: encoder built once rather than per header.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _json(obj) -> bytes:
     """The canonical header JSON: sorted keys, no whitespace.
 
@@ -57,8 +62,7 @@ def _json(obj) -> bytes:
     :class:`CodecError`.
     """
     try:
-        return json.dumps(obj, sort_keys=True,
-                          separators=(",", ":")).encode("ascii")
+        return _canonical(obj).encode("ascii")
     except TypeError as exc:
         raise CodecError(f"container header cannot be serialized ({exc}): "
                          f"a container with one tensor scale per row "
@@ -155,7 +159,7 @@ class PackedTensor:
     extra: dict = field(default_factory=dict)
     #: Header JSON lengths with an empty ``extra``, keyed by shape and
     #: stream records, shared by the containers of one encode plan
-    #: (its ``QuantPlan.packing``) and their row cuts, whose other
+    #: (its ``QuantPlan.encode`` entry) and their row cuts, whose other
     #: header fields are the plan's. None: :attr:`header_bytes` dumps
     #: the header. Not serialized, not compared.
     header_lengths: dict | None = field(default=None, repr=False,
@@ -191,7 +195,7 @@ class PackedTensor:
     @property
     def payload_bytes(self) -> int:
         """Total bytes of the packed streams (excluding the header)."""
-        return sum(s.nbytes for s in self.streams.values())
+        return sum([len(s.data) for s in self.streams.values()])
 
     @property
     def header_bytes(self) -> int:
@@ -207,8 +211,8 @@ class PackedTensor:
         if lengths is None:
             return len(MAGIC) + 4 + len(self._header_json())
         key = (tuple(self.shape),
-               tuple((s.name, s.width, s.count, s.nbytes)
-                     for s in self.streams.values()))
+               tuple([(s.name, s.width, s.count, len(s.data))
+                      for s in self.streams.values()]))
         fixed = lengths.get(key)
         if fixed is None:
             fixed = lengths[key] = len(self._header_json({}))

@@ -137,10 +137,12 @@ class GatewayStats:
         self._upstream = {"busy": 0, "draining": 0, "failovers": 0,
                           "no_replica": 0, "probe_failures": 0}
         self._replica_requests: dict[str, int] = {}
+        self._requests_total = 0
 
     def record_request(self, arm: str, seconds: float,
                        replica: str) -> None:
         with self._lock:
+            self._requests_total += 1
             slot = self._arms.get(arm)
             if slot is None:
                 slot = {"count": 0,
@@ -160,6 +162,10 @@ class GatewayStats:
         with self._lock:
             self._upstream[key] = self._upstream.get(key, 0) + n
 
+    def requests_total(self) -> int:
+        """Requests recorded over every arm; no snapshot needed."""
+        return self._requests_total
+
     def snapshot(self, replicas: dict | None = None) -> dict:
         """A JSON-safe snapshot; feed to :func:`render_metrics`."""
         with self._lock:
@@ -175,8 +181,7 @@ class GatewayStats:
                 }
             return {
                 "uptime_s": round(elapsed, 3),
-                "requests_total": sum(s["count"]
-                                      for s in self._arms.values()),
+                "requests_total": self._requests_total,
                 "http_status": dict(sorted(self._http_status.items())),
                 "arms": arms,
                 "upstream": dict(self._upstream),
@@ -783,8 +788,7 @@ class QuantGateway:
                     405, f"{method} not allowed on {path}; use GET"))
             code, body = healthz_summary(
                 {"replicas": self.replica_info(),
-                 "requests_total":
-                     self.stats.snapshot()["requests_total"]},
+                 "requests_total": self.stats.requests_total()},
                 self._draining)
             return ghttp.json_response(body, status=code)
         if path == "/metrics":

@@ -3,16 +3,18 @@
 A :class:`KVCacheSession` models the tensor that actually lives in DRAM
 between decode steps: per decode step the caller appends the new K/V
 rows for each layer, and the session packs them **from the compiled
-plan's codes** (:func:`repro.codec.encode`, the same plans the batch
-path's ``quantize_weight`` / ``quantize_activation`` run — by default
-every append cross-checks each packed stream against those codes and
-raises on any mismatch, so streamed state is bit-exact *by
-construction*). An append encodes its K and V as one stacked block,
-in one plan call, and cuts the container into its K and V rows
-(:func:`~repro.codec.slice_rows`), each exactly the container encoding
-it alone gives: the tensor-scoped NVFP4 family takes K's and V's tensor
-scales separately (``row_blocks=2``). Only fp16, whose storage flag
-depends on the whole block, encodes each alone.
+plan's codes** (the plan's encode entry, :class:`repro.codec.Encoder`,
+over the same plans the batch path's ``quantize_weight`` /
+``quantize_activation`` run — by default every append unpacks each
+stored stream and compares it against those codes, raising on any
+mismatch, so streamed state is bit-exact *by construction*). A layer
+binds its append entry once per block shape, on its first append of
+that shape, so an append does no plan lookup. The entry encodes K and V
+as one stacked block in one plan call, which returns K's and V's
+containers, each exactly the container encoding it alone gives: the
+tensor-scoped NVFP4 family takes K's and V's tensor scales separately.
+Only fp16, whose storage flag depends on the whole block, encodes each
+alone, through the same entry.
 Each layer's K and V are kept as **arenas**: a short
 list of runs, each one row-stacked :class:`~repro.codec.PackedTensor`
 that appends extend (:func:`~repro.codec.join_rows`). A new run starts
@@ -22,8 +24,9 @@ tensor-scoped formats keep one float64 tensor scale per row. MX groups
 decode independently, so a read decodes each run in one codec call to
 exactly the bytes its blocks decode to alone, and the session holds the
 format's payload bits: no per-block header, no float64 cache. Eviction
-drops leading rows of the evictable runs (:func:`~repro.codec.drop_rows`),
-so memory stays bounded by ``max_tokens``.
+drops leading rows of the evictable runs (in the join when they are
+the last run's, else :func:`~repro.codec.drop_rows`), so memory stays
+bounded by ``max_tokens``.
 
 Eviction is by **token budget** per layer: once a layer holds more than
 ``max_tokens`` tokens, the oldest blocks are dropped — except blocks
@@ -68,7 +71,7 @@ from collections import deque
 import numpy as np
 
 from ..codec import PackedTensor, codec_for, collect_encode_stats, \
-    drop_rows, encode, join_rows, slice_rows
+    drop_rows, encoder_for, join_rows
 from ..codec.container import OPS
 from ..errors import ConfigError
 from ..models.quantized import Fp16Format
@@ -240,6 +243,10 @@ class KVCacheSession:
         self._pinned = [0] * n_layers
         # Per layer, the (K, V) arenas: tuples of immutable runs.
         self._arenas: list[tuple[tuple, tuple]] = [((), ())] * n_layers
+        # Per layer, the append entry bound for each (tokens, width)
+        # block shape (:func:`_bind_append`), on the layer's first
+        # append of that shape; close() drops them.
+        self._entries: list[dict] = [{} for _ in range(n_layers)]
         self._next_pos = [0] * n_layers
         self._stats = {"appends": 0, "tokens_appended": 0,
                        "evicted_blocks": 0, "evicted_tokens": 0,
@@ -278,58 +285,55 @@ class KVCacheSession:
             raise ConfigError(f"K/V blocks must be non-empty; "
                               f"got shape {tuple(k.shape)}")
         tokens, width = k.shape
-        fmt = self.policy.format_for(layer)
-        op = self.policy.op
+        entries = self._entries[layer]
+        entry = entries.get(k.shape)
+        if entry is None:
+            # Bind no entry for an append the session refuses.
+            self._check_open()
+            self._check_width(layer, width)
+            entry = entries[k.shape] = _bind_append(
+                self.policy.format_for(layer), self.policy.op, tokens,
+                width, self.verify)
         with _dispatch_scope(self.dispatch), collect_encode_stats() as es:
-            if _stacks_rows(fmt):
-                kv = encode(fmt, np.concatenate([k, v]), op=op, axis=-1,
-                            verify=self.verify, row_blocks=2)
-                pk = slice_rows(kv, 0, tokens)
-                pv = slice_rows(kv, tokens, 2 * tokens)
-            else:
-                pk = encode(fmt, k, op=op, axis=-1, verify=self.verify)
-                pv = encode(fmt, v, op=op, axis=-1, verify=self.verify)
+            pk, pv = entry(k, v)
         header_bytes = pk.header_bytes + pv.header_bytes
+        payload_bytes = pk.payload_bytes + pv.payload_bytes
         with self._lock:
             self._check_open()
+            self._check_width(layer, width)
             arenas = self._arenas[layer]
-            wide = arenas[0][0].shape[1] if arenas[0] else width
-            if wide != width:
-                raise ConfigError(
-                    f"layer {layer} blocks are {wide} wide; an append "
-                    f"of width {width} cannot join the stream")
             start = self._next_pos[layer]
             evicted, evicted_tokens = self._evict_for(layer, tokens)
             pinned = self._pinned[layer]
             # Sink rows never share a run with evictable rows, so
             # eviction only ever drops leading rows of a run.
             if start < self.sink_tokens:
-                spans, join = self._sinks[layer], bool(self._sinks[layer])
+                spans = self._sinks[layer]
                 self._pinned[layer] += tokens
             else:
                 spans = self._blocks[layer]
-                join = bool(spans)
-            self._arenas[layer] = tuple(
-                _advance(arena, pinned, evicted_tokens, pt, join)
-                for arena, pt in zip(arenas, (pk, pv)))
+            join = bool(spans)
+            self._arenas[layer] = (
+                _advance(arenas[0], pinned, evicted_tokens, pk, join),
+                _advance(arenas[1], pinned, evicted_tokens, pv, join))
             spans.append((start, tokens))
-            self._held[layer] += tokens - evicted_tokens
-            held = self._held[layer]
+            held = self._held[layer] = \
+                self._held[layer] + tokens - evicted_tokens
             self._next_pos[layer] = start + tokens
-            self._stats["appends"] += 1
-            self._stats["tokens_appended"] += tokens
-            self._stats["evicted_blocks"] += evicted
-            self._stats["evicted_tokens"] += evicted_tokens
-            self._stats["payload_bytes"] += pk.payload_bytes \
-                + pv.payload_bytes
-            self._stats["header_bytes"] += header_bytes
-            self._stats["packed_elements"] += pk.n_elements + pv.n_elements
-            self._encode_stats["fused_encodes"] += es["fused_encodes"]
-            self._encode_stats["fused_appends"] += \
-                es["fused_encodes"] == es["encodes"]
-            self._encode_stats["quantize_s"] += es["quantize_s"]
-            self._encode_stats["pack_s"] += es["pack_s"]
-            self._encode_stats["verify_s"] += es["verify_s"]
+            st = self._stats
+            st["appends"] += 1
+            st["tokens_appended"] += tokens
+            st["evicted_blocks"] += evicted
+            st["evicted_tokens"] += evicted_tokens
+            st["payload_bytes"] += payload_bytes
+            st["header_bytes"] += header_bytes
+            st["packed_elements"] += 2 * tokens * width
+            enc = self._encode_stats
+            enc["fused_encodes"] += es["fused_encodes"]
+            enc["fused_appends"] += es["fused_encodes"] == es["encodes"]
+            enc["quantize_s"] += es["quantize_s"]
+            enc["pack_s"] += es["pack_s"]
+            enc["verify_s"] += es["verify_s"]
         return {"session_id": self.session_id, "layer": layer,
                 "start": start, "tokens": tokens, "tokens_held": held,
                 "evicted_blocks": evicted,
@@ -392,11 +396,11 @@ class KVCacheSession:
     def encode_stage_stats(self) -> dict:
         """Cumulative per-stage encode cost over every append.
 
-        ``fused_encodes`` counts the encode() calls, each packed from
+        ``fused_encodes`` counts the plan encode calls, each packed from
         plan codes (one per stacked append, else one each for K and V),
         and ``fused_appends`` the appends whose every encode was;
-        ``quantize_s`` / ``pack_s`` / ``verify_s``
-        are the stage seconds from the codec's stage sink. Separate from
+        ``quantize_s`` / ``pack_s`` / ``verify_s`` are the stage seconds
+        from the codec's stage sink. Separate from
         :meth:`stats` because the wire CLOSE ack serializes that dict
         verbatim into golden-pinned frames.
         """
@@ -433,6 +437,8 @@ class KVCacheSession:
         """
         with self._lock:
             self._closed = True
+            for entries in self._entries:
+                entries.clear()
         obs_registry().unregister_collector(f"kv.{self.session_id}")
         return {**self.stats(), "closed": True}
 
@@ -460,6 +466,13 @@ class KVCacheSession:
         if self._closed:
             raise ConfigError(f"session {self.session_id} is closed; "
                               f"open a new session to continue")
+
+    def _check_width(self, layer: int, width: int) -> None:
+        arena = self._arenas[layer][0]
+        if arena and arena[0].shape[1] != width:
+            raise ConfigError(f"layer {layer} blocks are "
+                              f"{arena[0].shape[1]} wide; an append of "
+                              f"width {width} cannot join the stream")
 
     def _evict_for(self, layer: int, tokens: int) -> tuple[int, int]:
         """Drop ``layer``'s oldest evictable blocks until an append of
@@ -491,19 +504,31 @@ class KVCacheSession:
         return evicted, dropped
 
 
-def _stacks_rows(fmt) -> bool:
-    """Whether an append encodes K and V as one stacked block.
+def _bind_append(fmt, op: str, tokens: int, width: int, verify: bool):
+    """The append entry a session binds for ``tokens``-row K/V blocks
+    of ``width`` on a layer of ``fmt``: ``entry(k, v) -> (K container,
+    V container)``.
 
-    Every format but fp16 does: :func:`~repro.codec.slice_rows` cuts
-    the stacked container into exactly the K and V containers two solo
-    encodes give, header included. Group-wise rows encode independently;
-    the tensor-scoped NVFP4 family is encoded with ``row_blocks=2``, so
-    K and V each get their own tensor scale, and a slice whose rows
-    share one scale carries it in the header as a solo encode does
-    (zero and underflowed blocks included). fp16 sets its ``storage``
-    flag from the whole block, so it keeps one encode each.
+    Every format but fp16 encodes K and V as one stacked block, in one
+    call of the plan's encode entry, which returns K's and V's
+    containers from that run: each exactly the container its solo
+    encode gives, header included. Group-wise rows encode independently;
+    the tensor-scoped NVFP4 family takes one tensor scale per block
+    (``blocks=2``), so K and V keep their own, zero and underflowed
+    blocks included. fp16 sets its ``storage`` flag from the whole
+    block, so its K and V are two calls of the same entry.
     """
-    return not isinstance(fmt, Fp16Format)
+    if isinstance(fmt, Fp16Format):
+        encode = encoder_for(fmt, op, (tokens, width), 1)
+
+        def entry(k, v):
+            return encode(k, verify), encode(v, verify)
+        return entry
+    encode = encoder_for(fmt, op, (2 * tokens, width), 1)
+
+    def entry(k, v):
+        return encode(np.concatenate((k, v)), verify, 2, True)
+    return entry
 
 
 def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,
@@ -511,16 +536,29 @@ def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,
     """``arena`` without the ``evict`` rows after its first ``pinned``
     (sink) rows, which end on a run boundary, and with ``pt``'s rows:
     joined onto the last run when ``join`` allows and the row layouts
-    match, else as a new run."""
-    runs, seen = [], 0
-    for run in arena:
-        n = run.shape[0]
-        if evict and seen >= pinned:
-            if evict >= n:
-                evict -= n
-                continue
-            run, evict = drop_rows(run, evict), 0
-        seen += n
-        runs.append(run)
-    joined = join_rows(runs[-1], pt) if join and runs else None
-    return (*runs, pt) if joined is None else (*runs[:-1], joined)
+    match, else as a new run. Without eviction only the last run is
+    touched, and rows evicted from the last run are cut in the join."""
+    cut = 0
+    if evict:
+        runs, seen = [], 0
+        for run in arena:
+            n = run.shape[0]
+            if evict and seen >= pinned:
+                if evict >= n:
+                    evict -= n
+                    continue
+                if run is arena[-1]:
+                    cut = evict
+                else:
+                    run = drop_rows(run, evict)
+                evict = 0
+            seen += n
+            runs.append(run)
+        arena = tuple(runs)
+    if join and arena:
+        joined = join_rows(arena[-1], pt, cut)
+        if joined is not None:
+            return (*arena[:-1], joined)
+    if cut:
+        arena = (*arena[:-1], drop_rows(arena[-1], cut))
+    return (*arena, pt)

@@ -14,8 +14,9 @@ per request to ``REPRO_TRACE_PATH`` (default ``repro_trace.jsonl``):
                {"name": "serialize", ...}]}
 
 Span names are the pipeline stages: ``queue`` (trace start →
-execution, so it covers a thread hop's wait), ``batch`` (empty: one
-request is one batch), ``quantize``, ``pack``, ``verify``,
+execution, so it covers a thread hop's wait), ``batch`` (zero-length:
+requests are not batched, each runs alone, but span readers such as
+perfbench still look for it), ``quantize``, ``pack``, ``verify``,
 ``serialize``. ``start_s`` is relative to the trace's own start so
 lines carry no wall-clock timestamps.
 
@@ -55,8 +56,10 @@ def trace_path() -> str:
 
 
 class TraceContext:
-    """Accumulates spans for one request; thread-safe because batching
-    moves a request across threads."""
+    """Accumulates spans for one request; thread-safe because one
+    request's spans can come from two threads: the server's hop thread
+    runs a large request, the event loop that received it records the
+    rest."""
 
     __slots__ = ("request_id", "kind", "arm", "t0", "_spans", "_lock")
 

@@ -15,8 +15,11 @@ Entry points: ``TensorFormat.quantize_weight`` /
 `QuantizedLM`, `QuantService` and the evaluation engine all ride the
 cache; reference dispatch (``REPRO_REFERENCE_KERNELS=1`` or
 ``reference_kernels()``) takes those entry points off it, back to the
-reference oracle. :func:`repro.codec.encode` packs from a plan's
-``run_codes`` under either dispatch mode: every catalog format has one.
+reference oracle. Each plan also holds its encode entry
+(``plan.encode``, bound at compile): the finished, optionally verified
+container for its signature, packed from ``run_codes`` under either
+dispatch mode. :func:`repro.codec.encode` is a thin call into it, and a
+KV session binds the entries it uses.
 
 Example::
 

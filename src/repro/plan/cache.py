@@ -11,7 +11,8 @@ both callers:
   go through :func:`lookup_plan`, which returns None under reference
   dispatch, so the oracle there stays the format's own ``quantize``;
 * :func:`repro.codec.encode` calls :func:`get_plan` under either mode:
-  a plan's ``run_codes`` is the codec's only encoder.
+  a plan's ``encode`` entry, over its ``run_codes``, is the codec's
+  only encoder (a KV session holds the entries it uses).
 
 The cache is a lock-protected LRU bounded at :data:`MAX_PLANS`
 entries; negative lookups are cached too, so unplannable formats cost
@@ -48,16 +49,19 @@ class QuantPlan:
     returning a :class:`~repro.plan.codespace.CodeSpaceResult` instead
     of a dequantized tensor. It is None only for the families without a
     codec stream layout (``MXAnt`` / ``MXMAnt``), which the codec
-    refuses. ``packing`` holds the codec's constants for this signature
-    (codec, catalog name, fingerprint, group size, code runner), bound
-    by :func:`repro.codec.encode` on the plan's first encode.
+    refuses. ``encode`` is the plan's one encode entry,
+    ``encode(x, verify=False, blocks=1, split=False)``:
+    the finished (and with ``verify``, checked) container for ``x``
+    (see :class:`repro.codec.Encoder`). It is bound at compile, with
+    everything it derives from the signature, and is None where
+    ``run_codes`` is or no codec decodes the format.
     """
 
     key: tuple
     run: Callable[[np.ndarray], np.ndarray]
     geometry: GroupGeometry = field(repr=False, default=None)
     run_codes: Callable | None = field(repr=False, default=None)
-    packing: object = field(repr=False, default=None)
+    encode: Callable | None = field(repr=False, default=None)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.run(x)
@@ -117,8 +121,12 @@ def get_plan(fmt, op: str, shape: tuple, axis: int) -> QuantPlan | None:
             geom = GroupGeometry(shape, axis, _group_size(fmt))
             run, run_codes = compile_executor(fmt, op, geom)
             if run is not None:
+                # The codec packs plans, so it loads after this module.
+                from ..codec.codecs import bind_encoder
                 plan = QuantPlan(key=key, run=run, geometry=geom,
-                                 run_codes=run_codes)
+                                 run_codes=run_codes,
+                                 encode=bind_encoder(fmt, op, geom,
+                                                     run_codes))
                 _stats["compiles"] += 1
         _cache[key] = plan
         if len(_cache) > MAX_PLANS:

@@ -18,12 +18,13 @@ Ownership and materialization rules (DESIGN.md §11):
 * stream order is the codec's packing order for the family (e.g.
   ``scales, elements`` for plain block formats; ``elements, scales,
   meta[, refined]`` for the metadata-augmented families), which lets the
-  codec's ``encode_from_codes`` validate the pairing structurally;
+  plan's encode entry (:class:`repro.codec.Encoder`) validate the
+  pairing structurally against the layout it resolved at compile;
 * ``extra`` holds the container header scalars the streams depend on
   (the NVFP4 family's ``float.hex()`` tensor scale, or its per-row
   float64 array for several row blocks, fp16's storage flag), which
-  ``encode_from_codes`` writes into the header before it checks the
-  layout.
+  the encode entry writes into the header; a zero tensor scale selects
+  the NVFP4 family's layout without a scale stream.
 """
 
 from __future__ import annotations

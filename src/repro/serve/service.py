@@ -41,6 +41,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..errors import ConfigError
+from ..kernels.dispatch import fast_kernels, reference_kernels
 from ..mx.base import TensorFormat
 from ..obs import current_trace, measured_bits_per_element, \
     metrics_enabled, use_trace
@@ -54,18 +55,21 @@ _OPS = ("weight", "activation")
 DISPATCH_MODES = ("inherit", "fast", "reference")
 
 
+#: The ``inherit`` scope: it pins nothing, so one instance serves all.
+_INHERIT = nullcontext()
+
+
 def _dispatch_scope(mode: str):
     """Execute a request under the service's pinned kernel dispatch mode.
 
     The pin is thread-scoped (see :mod:`repro.kernels.dispatch`): it
     never changes what a concurrent request or caller sees.
     """
-    from ..kernels.dispatch import fast_kernels, reference_kernels
     if mode == "fast":
         return fast_kernels()
     if mode == "reference":
         return reference_kernels()
-    return nullcontext()
+    return _INHERIT
 
 
 def _digest(x: np.ndarray) -> str:

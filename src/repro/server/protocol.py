@@ -70,6 +70,7 @@ Example::
 
 from __future__ import annotations
 
+import asyncio
 import enum
 import json
 import struct
@@ -77,8 +78,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# codec/, kv/ and serve/ never import server/: no cycle to break.
+from ..codec import PackedTensor
 from ..errors import CodecError, ConfigError, ConnectionLost, FormatError, \
     ProtocolError, ServerBusy, ServerDraining, ServerError, SessionLost
+from ..kv.session import KVPolicy
+from ..serve.service import DISPATCH_MODES
 
 __all__ = [
     "MAGIC", "PROTOCOL_VERSION", "MAX_FRAME_BYTES",
@@ -200,9 +205,13 @@ class QuantRequest:
 # ----------------------------------------------------------------------
 # Frame (de)serialization
 # ----------------------------------------------------------------------
+#: ``json.dumps(meta, sort_keys=True, separators=(",", ":"))``, with the
+#: encoder built once rather than per frame.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _meta_bytes(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True,
-                      separators=(",", ":")).encode("ascii")
+    return _canonical(meta).encode("ascii")
 
 
 def frame_to_bytes(frame: Frame) -> bytes:
@@ -268,7 +277,6 @@ async def read_frame(reader, frame_timeout_s: float | None = None) \
     within the deadline or the read fails with :class:`ProtocolError` —
     a peer trickling bytes can never pin the reader forever.
     """
-    import asyncio
     try:
         first = await reader.readexactly(1)
     except asyncio.IncompleteReadError as exc:
@@ -374,7 +382,6 @@ def decode_request(frame: Frame) -> QuantRequest:
     op = meta.get("op")
     if op not in _OPS:
         raise ProtocolError(f"request op must be one of {_OPS}, got {op!r}")
-    from ..serve.service import DISPATCH_MODES
     dispatch = meta.get("dispatch", "inherit")
     if dispatch not in DISPATCH_MODES:
         raise ProtocolError(f"request dispatch must be one of "
@@ -446,7 +453,6 @@ def response_result(frame: Frame):
         message = frame.meta.get("error", f"server error ({status.name})")
         raise exc_cls(message)
     if frame.flags & FLAG_PACKED:
-        from ..codec import PackedTensor
         return PackedTensor.from_bytes(frame.payload)
     if frame.flags & FLAG_RAW_F64:
         shape = frame.meta.get("shape")
@@ -530,7 +536,6 @@ def encode_session_open(request_id: int, *, session_id: str, n_layers: int,
     config is acknowledged as a resume; a different config is refused
     with ``CONFIG_ERROR``.
     """
-    from ..kv.session import KVPolicy
     spec = KVPolicy.from_spec(policy).spec()
     meta = {"session_id": str(session_id), "n_layers": int(n_layers),
             "policy": spec,
@@ -555,7 +560,6 @@ def decode_session_open(frame: Frame) -> dict:
     if max_tokens is not None and not isinstance(max_tokens, int):
         raise ProtocolError(f"session open max_tokens must be an int or "
                             f"null, got {max_tokens!r}")
-    from ..serve.service import DISPATCH_MODES
     dispatch = meta.get("dispatch", "inherit")
     if dispatch not in DISPATCH_MODES:
         raise ProtocolError(f"session dispatch must be one of "
@@ -655,10 +659,11 @@ def decode_session_close(frame: Frame) -> str:
 
 def encode_session_ack(request_id: int, session: dict) -> bytes:
     """Serialize the OK answer to open/append/close: a ``session`` meta
-    object (session info, append ack fields, or final stats)."""
+    object (session info, append ack fields, or final stats), written
+    as it is, not copied."""
     return frame_to_bytes(Frame(kind=KIND_RESPONSE, status=int(Status.OK),
                                 flags=0, request_id=request_id,
-                                meta={"session": dict(session)}))
+                                meta={"session": session}))
 
 
 def decode_session_ack(frame: Frame) -> dict:

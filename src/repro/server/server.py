@@ -233,6 +233,12 @@ class QuantServer:
         self._stop: asyncio.Event | None = None
         self._drained: asyncio.Event | None = None
         self._hop_pool: ThreadPoolExecutor | None = None
+        self._session_handlers = {
+            protocol.KIND_SESSION_OPEN: self._session_open,
+            protocol.KIND_SESSION_APPEND: self._session_append,
+            protocol.KIND_SESSION_READ: self._session_read,
+            protocol.KIND_SESSION_CLOSE: self._session_close,
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -371,11 +377,6 @@ class QuantServer:
             self._services[key] = svc
         return svc
 
-    async def _send(self, writer: asyncio.StreamWriter,
-                    wlock: asyncio.Lock, data: bytes) -> None:
-        async with wlock:
-            writer.write(data)
-            await writer.drain()
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -536,8 +537,11 @@ class QuantServer:
         return protocol.encode_response_array(rid, result,
                                               fingerprint=svc.fingerprint)
 
-    async def _answer(self, writer, wlock, data: bytes) -> None:
-        await self._send(writer, wlock, data)
+    async def _answer(self, writer: asyncio.StreamWriter,
+                      wlock: asyncio.Lock, data: bytes) -> None:
+        async with wlock:
+            writer.write(data)
+            await writer.drain()
 
     # ------------------------------------------------------------------
     # Streaming KV-cache sessions (protocol v3)
@@ -555,15 +559,9 @@ class QuantServer:
                                writer: asyncio.StreamWriter,
                                wlock: asyncio.Lock) -> None:
         rid = frame.request_id
-        handlers = {
-            protocol.KIND_SESSION_OPEN: self._session_open,
-            protocol.KIND_SESSION_APPEND: self._session_append,
-            protocol.KIND_SESSION_READ: self._session_read,
-            protocol.KIND_SESSION_CLOSE: self._session_close,
-        }
         try:
             try:
-                data = await handlers[frame.kind](frame)
+                data = await self._session_handlers[frame.kind](frame)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
@@ -654,7 +652,10 @@ class QuantServer:
                 else:
                     ack = await self._hop(
                         self._traced_append, entry.session, req, tr)
-                ack = {**ack, "seq": seq, "duplicate": False}
+                # The append's ack is a fresh dict: completed in place,
+                # kept for a replay and serialized as it is.
+                ack["seq"] = seq
+                ack["duplicate"] = False
                 entry.last_ack = ack
             elif seq == entry.next_seq - 1 and entry.last_ack is not None:
                 # A retried duplicate (the first ack died with the

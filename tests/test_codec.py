@@ -53,6 +53,7 @@ from repro.codec.container import MAGIC
 from repro.core import ElemEM
 from repro.errors import CodecError, ReproError, ShapeError
 from repro.kernels import fast_kernels, reference_kernels
+from repro.plan import tensor_scoped
 from repro.runner.formats import FORMAT_REGISTRY, make_format
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "packed_vectors.json"
@@ -585,6 +586,49 @@ def test_decode_rows_matches_decode(name, op, dispatch, rng, monkeypatch):
     assert rows == [23, 23], f"{name}: expected one run per width"
 
 
+def _same_container(a: PackedTensor, b: PackedTensor) -> bool:
+    """Equal headers, stream records and bytes, and ``extra`` (per-row
+    tensor scales compared as bytes)."""
+    def extra(pt):
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                for k, v in pt.extra.items()}
+    return (a.format_name, a.fingerprint, a.op, a.shape, a.axis,
+            a.group_size, a.streams, extra(a)) == \
+        (b.format_name, b.fingerprint, b.op, b.shape, b.axis,
+         b.group_size, b.streams, extra(b))
+
+
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_join_rows_drop_is_drop_then_join(name, rng):
+    """``join_rows(head, tail, drop)`` is ``join_rows(drop_rows(head,
+    drop), tail)``: the same container, or None for both, on runs of
+    unaligned streams (width 20), per-row tensor scales, a zero tensor
+    and a row-block run whose kept rows have a zero tensor scale."""
+    fmt = make_format(name)
+    blocks = [rng.standard_normal((t, w)) * np.exp(rng.standard_normal())
+              for w in (64, 20) for t in (16, 1, 3, 1)]
+    runs = [run for run, _ in _join_runs(_rows_pts(fmt, blocks))]
+    zero = np.zeros((2, 64))
+    heads = runs + [encode(fmt, zero, op="weight")]
+    if tensor_scoped(fmt):
+        heads.append(encode(fmt, np.concatenate(
+            [rng.standard_normal((2, 64)), zero]), op="weight",
+            row_blocks=2))
+    tails = [encode(fmt, b, op="weight")
+             for b in (rng.standard_normal((1, 64)), zero[:1],
+                       rng.standard_normal((2, 20)))]
+    for head in heads:
+        for tail in tails:
+            for drop in range(1, head.shape[0]):
+                got = join_rows(head, tail, drop)
+                want = join_rows(drop_rows(head, drop), tail)
+                assert (got is None) == (want is None), f"{name} {drop}"
+                assert got is None or _same_container(got, want), \
+                    f"{name}: drop {drop} of {head.shape}"
+    with pytest.raises(CodecError):
+        join_rows(heads[0], tails[0], heads[0].shape[0])
+
+
 @pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])
 @pytest.mark.parametrize("op", ["weight", "activation"])
 def test_decode_rows_keeps_each_tensor_scale(name, op, rng):
@@ -738,14 +782,14 @@ def test_packed_bytes_pinned(packed_golden, dispatch):
 
 
 # ----------------------------------------------------------------------
-# Bitstream fast paths (aligned 4 / 8 / 16 + word-built odd widths)
+# Bitstream fast paths (aligned 2 / 4 / 8 / 16 + word-built odd widths)
 # ----------------------------------------------------------------------
 class TestBitstreamFastPaths:
-    """The nibble/byte/uint16 paths and the word-accumulator paths for
-    the odd sub-byte widths (3/5/6-bit element streams) must emit the
-    generic path's bytes."""
+    """The crumb/nibble/byte/uint16 paths and the word-accumulator paths
+    for the odd sub-byte widths (3/5/6-bit element streams) must emit
+    the generic path's bytes."""
 
-    @pytest.mark.parametrize("width", [3, 4, 5, 6, 8, 16])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 8, 16])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 255, 4097])
     def test_pack_matches_generic(self, width, count):
         from repro.codec.bitstream import _pack_bits_generic, pack_bits
@@ -759,7 +803,7 @@ class TestBitstreamFastPaths:
             assert fast.tobytes() == generic.tobytes()
         assert fast.dtype == np.uint8
 
-    @pytest.mark.parametrize("width", [3, 4, 5, 6, 8, 16])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 8, 16])
     @pytest.mark.parametrize("count", [0, 1, 3, 8, 255, 4097])
     def test_unpack_inverts_pack(self, width, count):
         from repro.codec.bitstream import pack_bits, unpack_bits
@@ -771,7 +815,7 @@ class TestBitstreamFastPaths:
         assert np.array_equal(back, values)
         assert back.dtype == np.int64
 
-    @pytest.mark.parametrize("width", [3, 4, 5, 6, 8, 16])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 8, 16])
     def test_unpack_matches_generic(self, width):
         from repro.codec.bitstream import (_unpack_bits_generic, pack_bits,
                                            unpack_bits)

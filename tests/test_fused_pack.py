@@ -16,8 +16,8 @@ DESIGN.md §11:
   ``run_codes`` emits streams in the codec's declared ``code_layout``
   order, every stream's values fit its declared bit width, the lazy
   ``dequantized`` tensor is bit-identical to the format's own quantize
-  output, and ``encode_from_codes`` packs exactly the container
-  ``encode`` returns.
+  output, and the container ``encode`` returns (the plan's encode
+  entry) stores exactly those code arrays, stream by stream.
 * **Golden vectors** — the committed packed / wire / HTTP vectors are
   reproduced byte-identically under fast AND reference dispatch, and a
   ``KVCacheSession`` run under fast dispatch reads back the same K/V
@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codec import PackedTensor, collect_encode_stats, decode, encode
+from repro.codec import PackedTensor, collect_encode_stats, decode, encode, \
+    unpack_bits
 from repro.codec.codecs import codec_for
 from repro.errors import CodecError
 from repro.kernels import fast_kernels, reference_kernels
@@ -232,12 +233,24 @@ def test_code_space_result_matches_codec_contract(name, op, heavy_tensor):
     assert cs.dequantized.tobytes() == expect.tobytes(), \
         f"{name}:{op} code-space dequantized drifted from quantize output"
 
-    # encode_from_codes packs exactly the container encode returns.
-    codec.encode_from_codes(fmt, cs, pt)
-    assert pt.to_bytes() == encode(fmt, x, op=op).to_bytes(), \
-        f"{name}:{op} encode_from_codes container drifted from encode"
+    # The container encode returns (the plan's encode entry) stores
+    # exactly these code arrays, at their widths, in this order, under
+    # this container's header.
+    got = encode(fmt, x, op=op)
+    assert (got.format_name, got.fingerprint, got.op, got.shape, got.axis,
+            got.group_size) == (pt.format_name, pt.fingerprint, pt.op,
+                                pt.shape, pt.axis, pt.group_size)
+    assert tuple(got.streams) == cs.stream_names
+    for stream in cs.streams:
+        stored = got.streams[stream.name]
+        values = np.asarray(stream.values).reshape(-1)
+        assert (stored.width, stored.count) == (stream.width, values.size)
+        assert (unpack_bits(stored.data, stored.width, stored.count)
+                == values).all(), \
+            f"{name}:{op} '{stream.name}' drifted from the plan's codes"
+    assert got.extra == cs.extra
     # And the packed bytes decode back to the dequantized view.
-    assert decode(PackedTensor.from_bytes(pt.to_bytes())).tobytes() \
+    assert decode(PackedTensor.from_bytes(got.to_bytes())).tobytes() \
         == expect.tobytes()
 
 

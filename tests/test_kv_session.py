@@ -41,13 +41,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codec import codec_for, decode, encode
-from repro.errors import ConfigError, ProtocolError, SessionLost
+from repro.codec import codec_for, decode, drop_rows, encode, join_rows, \
+    slice_rows
+from repro.errors import CodecError, ConfigError, ProtocolError, SessionLost
 from repro.kernels import fast_kernels, reference_kernels
 from repro.kv import KVCacheSession, KVPolicy
+from repro.models.quantized import Fp16Format
 from repro.obs import registry as obs_registry
 from repro.runner.formats import list_formats, make_format
-from repro.plan import tensor_scoped
+from repro.plan import MAX_PLANS, plan_cache_stats, tensor_scoped
 from repro.server import QuantClient, ServerThread, protocol
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "wire_vectors.json"
@@ -284,6 +286,27 @@ def test_arena_read_matches_per_block_decode(name, op, rng, monkeypatch):
 STACKED = set(list_formats()) - {"fp16"}
 
 
+def _spy_encodes(monkeypatch) -> list:
+    """Record ``(format class, input shape)`` for every call of the plan
+    encode entries a session binds from here on (a session binds its
+    entries on a layer's first append of each block shape)."""
+    import repro.kv.session as session_mod
+
+    calls = []
+    real = session_mod.encoder_for
+
+    def spy(fmt, op, shape, axis):
+        encode_entry = real(fmt, op, shape, axis)
+
+        def counted(x, *args):
+            calls.append((type(fmt).__name__, x.shape))
+            return encode_entry(x, *args)
+        return counted
+
+    monkeypatch.setattr(session_mod, "encoder_for", spy)
+    return calls
+
+
 @pytest.mark.parametrize("dispatch", DISPATCHES)
 @pytest.mark.parametrize("op", ["weight", "activation"])
 @pytest.mark.parametrize("name", list_formats())
@@ -295,29 +318,20 @@ def test_stacked_append_matches_solo_encodes(name, op, dispatch, rng,
     (unaligned Elem-EE refined codes cut by a repack). The NVFP4 family
     stacks too, with K's and V's own tensor scales; fp16, whose header
     depends on the whole block, is encoded one by one."""
-    import repro.kv.session as session_mod
-
     fmt = make_format(name)
-    calls = []
-    real = session_mod.encode
-
-    def spy(*args, **kwargs):
-        calls.append(args[1].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(session_mod, "encode", spy)
+    calls = _spy_encodes(monkeypatch)
     for width in (64, 20):
         sess = KVCacheSession(1, KVPolicy(name, op=op), dispatch=dispatch)
         k, v = _block(rng, 3, width), _block(rng, 3, width)
         del calls[:]
         sess.append(0, k, v)
-        stacked = calls == [(6, width)]
+        stacked = [shape for _, shape in calls] == [(6, width)]
         assert stacked == (name in STACKED), f"{name}: encodes {calls}"
         (pk,), (pv,) = sess._arenas[0]
         stats = sess.stats()
         sess.close()
         with DISPATCH[dispatch]():
-            solo = [real(fmt, x, op=op, axis=-1) for x in (k, v)]
+            solo = [encode(fmt, x, op=op, axis=-1) for x in (k, v)]
         for got, want in zip((pk, pv), solo):
             assert got.to_bytes() == want.to_bytes(), f"{name} w{width}"
         assert stats["header_bytes"] == sum(p.header_bytes for p in solo)
@@ -349,28 +363,19 @@ def test_stacked_tensor_scale_edges_match_solo_encodes(name, op, dispatch,
     tensor scale: the retained containers, the header/payload stats and
     the read are exactly two solo encodes', for zero, underflowed and
     multi-row blocks."""
-    import repro.kv.session as session_mod
-
     fmt = make_format(name)
-    calls = []
-    real = session_mod.encode
-
-    def spy(*args, **kwargs):
-        calls.append(args[1].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(session_mod, "encode", spy)
+    calls = _spy_encodes(monkeypatch)
     for case, (k, v) in _tensor_scale_cases(rng).items():
         sess = KVCacheSession(1, KVPolicy(name, op=op), dispatch=dispatch)
         sess.append(0, k, v)
-        assert calls == [(2 * len(k), 64)], case
+        assert [shape for _, shape in calls] == [(2 * len(k), 64)], case
         del calls[:]
         (pk,), (pv,) = sess._arenas[0]
         stats = sess.stats()
         K, V = sess.read(0)
         sess.close()
         with DISPATCH[dispatch]():
-            solo = [real(fmt, x, op=op, axis=-1) for x in (k, v)]
+            solo = [encode(fmt, x, op=op, axis=-1) for x in (k, v)]
         for got, want in zip((pk, pv), solo):
             assert got.to_bytes() == want.to_bytes(), case
         assert stats["header_bytes"] == sum(p.header_bytes for p in solo)
@@ -382,25 +387,201 @@ def test_stacked_tensor_scale_edges_match_solo_encodes(name, op, dispatch,
 def test_kv_decode_policy_appends_encode_once_per_layer(rng, monkeypatch):
     """Under the ``kv_decode`` benchmark's mixed policy (m2xfp, with
     nvfp4 on layer 1 and m2-nvfp4 on layer 3, weight path), a decode
-    step's appends make exactly one ``encode`` call per layer."""
-    import repro.kv.session as session_mod
-
-    calls = []
-    real = session_mod.encode
-
-    def spy(fmt, x, **kwargs):
-        calls.append(type(fmt).__name__)
-        return real(fmt, x, **kwargs)
-
-    monkeypatch.setattr(session_mod, "encode", spy)
+    step's appends make exactly one encode call per layer."""
+    calls = _spy_encodes(monkeypatch)
     policy = {"default": "m2xfp", "overrides": {"1": "nvfp4", "3": "m2-nvfp4"}}
     sess = KVCacheSession(4, policy, max_tokens=96, sink_tokens=8)
     for tokens in (16, 1, 1):
         del calls[:]
         for layer in range(4):
             sess.append(layer, _block(rng, tokens), _block(rng, tokens))
-        assert calls == ["M2XFP", "NVFP4", "M2XFP", "M2NVFP4"]
+        assert [cls for cls, _ in calls] == \
+            ["M2XFP", "NVFP4", "M2XFP", "M2NVFP4"]
     sess.close()
+
+
+# ----------------------------------------------------------------------
+# The bound append path against a stacked encode cut by slice_rows
+# ----------------------------------------------------------------------
+def _slice_path_bind(fmt, op, tokens, width, verify):
+    """An append entry built the other way: one ``encode(row_blocks=2)``
+    of the stacked K and V, cut by two ``slice_rows`` (fp16: two solo
+    encodes)."""
+    def entry(k, v):
+        if isinstance(fmt, Fp16Format):
+            return (encode(fmt, k, op=op, verify=verify),
+                    encode(fmt, v, op=op, verify=verify))
+        kv = encode(fmt, np.concatenate([k, v]), op=op, verify=verify,
+                    row_blocks=2)
+        return slice_rows(kv, 0, tokens), slice_rows(kv, tokens, 2 * tokens)
+    return entry
+
+
+def _drop_then_join(arena, pinned, evict, pt, join):
+    """An arena advance built the other way: evicted rows cut by
+    ``drop_rows``, then ``pt`` joined on with ``join_rows``."""
+    runs, seen = [], 0
+    for run in arena:
+        n = run.shape[0]
+        if evict and seen >= pinned:
+            if evict >= n:
+                evict -= n
+                continue
+            run, evict = drop_rows(run, evict), 0
+        seen += n
+        runs.append(run)
+    joined = join_rows(runs[-1], pt) if join and runs else None
+    return (*runs, pt) if joined is None else (*runs[:-1], joined)
+
+
+def _arena_state(sess: KVCacheSession, layer: int = 0) -> list:
+    """Every run of ``layer``'s K and V arenas: shape, stream records
+    and bytes, and ``extra`` (per-row tensor scales as bytes)."""
+    return [(run.shape, [(s.name, s.width, s.count, s.data)
+                         for s in run.streams.values()],
+             {k: v.tobytes() if isinstance(v, np.ndarray) else v
+              for k, v in run.extra.items()})
+            for arena in sess._arenas[layer] for run in arena]
+
+
+def _edge_steps(rng, fmt, width: int) -> list:
+    """A 16-row prefill that crosses the sink boundary, then 1-row
+    decode steps (and a few 2- and 3-row ones) that evict; for the
+    NVFP4 family also zero (-0.0) and underflowed K or V blocks."""
+    steps = [(_block(rng, 16, width), _block(rng, 16, width))]
+    for i in range(30):
+        t = 1 if i % 7 else 1 + i % 3
+        steps.append((_block(rng, t, width), _block(rng, t, width)))
+    if tensor_scoped(fmt):
+        zero = np.zeros((1, width))
+        zero[0, ::3] = -0.0
+        tiny = np.zeros((1, width))
+        tiny[0, 0], tiny[0, width // 2] = 1.5e-321, -5e-322
+        steps[5:5] = [(zero, _block(rng, 1, width)), (zero, zero),
+                      (_block(rng, 1, width), tiny), (tiny, zero),
+                      (tiny, tiny), (zero, zero)]
+    return steps
+
+
+@pytest.mark.parametrize("dispatch", DISPATCHES)
+@pytest.mark.parametrize("name", list_formats())
+def test_bound_append_matches_slice_path(name, dispatch, rng, monkeypatch):
+    """A session on the bound append path (one plan encode returning K
+    and V, eviction cut in the join) and one on a stacked
+    ``encode(row_blocks=2)`` cut by ``slice_rows`` with ``drop_rows``
+    then ``join_rows`` hold the same arena bytes after every append, and
+    agree on acks, ``read()``, ``positions()`` and ``stats()``: a
+    16-row prefill over the sink boundary, 1-row decode steps,
+    eviction, and NVFP4-family zero and underflowed blocks."""
+    import repro.kv.session as session_mod
+
+    fmt = make_format(name)
+    for width in (64, 20):
+        steps = _edge_steps(rng, fmt, width)
+        sessions = []
+        for bound in (True, False):
+            if not bound:
+                monkeypatch.setattr(session_mod, "_bind_append",
+                                    _slice_path_bind)
+                monkeypatch.setattr(session_mod, "_advance",
+                                    _drop_then_join)
+            sess = KVCacheSession(1, KVPolicy(name), max_tokens=24,
+                                  sink_tokens=4, dispatch=dispatch)
+            acks, arenas = [], []
+            for k, v in steps:
+                ack = sess.append(0, k, v)
+                assert ack.pop("session_id") == sess.session_id
+                acks.append(ack)
+                arenas.append(_arena_state(sess))
+            sessions.append((sess, acks, arenas))
+            monkeypatch.undo()
+        (new, new_acks, new_arenas), (old, old_acks, old_arenas) = sessions
+        assert new_acks == old_acks, f"{name} w{width}"
+        assert new_arenas == old_arenas, f"{name} w{width}"
+        assert new.stats()["evicted_tokens"] > 0
+        for got, want in zip(new.read(0), old.read(0)):
+            assert got.tobytes() == want.tobytes(), f"{name} w{width}"
+        assert new.positions(0) == old.positions(0)
+        assert new.stats() == old.stats()
+        new.close(), old.close()
+
+
+@pytest.mark.parametrize("name, width", [
+    ("m2xfp", 64), ("nvfp4", 64), ("m2-nvfp4", 64), ("elem-ee", 20),
+    ("fp16", 64)])
+def test_verify_unpacks_every_stored_stream(name, width, rng, monkeypatch):
+    """With ``verify=True`` an append unpacks every stored stream and
+    compares it against the plan's codes: a packer that flips one bit in
+    any one of an append's packed streams (those packed once and cut,
+    and those packed per block, as Elem-EE's 3-bit refined codes are at
+    width 20) makes the append raise ``CodecError``; without verify the
+    same append goes through."""
+    import repro.codec.codecs as codecs_mod
+
+    real = codecs_mod.pack_bits
+    encoder_call = codecs_mod.Encoder.__call__.__code__
+
+    def flipping(flip):
+        """``pack_bits`` flipping the low bit of the ``flip``-th stream
+        the encode entry packs (the arena's own repacks pass through)."""
+        seen = []
+
+        def pack(values, width):
+            out = real(values, width)
+            if sys._getframe(1).f_code is encoder_call:
+                if len(seen) == flip:
+                    out = out.copy()
+                    out[0] ^= 1
+                seen.append(width)
+            return out
+        return pack, seen
+
+    sess = KVCacheSession(1, name, max_tokens=8, sink_tokens=2)
+    k, v = _block(rng, 1, width), _block(rng, 1, width)
+    for _ in range(10):     # warm and evicting
+        sess.append(0, k, v)
+    pack, packed = flipping(-1)
+    monkeypatch.setattr(codecs_mod, "pack_bits", pack)
+    sess.append(0, k, v)
+    assert packed
+    for flip in range(len(packed)):
+        monkeypatch.setattr(codecs_mod, "pack_bits", flipping(flip)[0])
+        with pytest.raises(CodecError, match="round-trip mismatch"):
+            sess.append(0, k, v)
+        monkeypatch.setattr(codecs_mod, "pack_bits", flipping(flip)[0])
+        unverified = KVCacheSession(1, name, verify=False)
+        unverified.append(0, k, v)
+        unverified.close()
+    monkeypatch.undo()
+    sess.close()
+
+
+def test_bound_entries_stay_bounded_under_churn(rng):
+    """A 240-session soak: each opens, appends blocks of mixed row
+    counts to both layers, then closes or is dropped without ``close()``.
+    A session binds at most one entry per layer and row count, no
+    entry outlives its session, and the plan cache stays bounded."""
+    import gc
+    import weakref
+
+    policy = {"default": "m2xfp", "overrides": {"1": "nvfp4"}}
+    refs = []
+    for i in range(240):
+        sess = KVCacheSession(2, policy, max_tokens=12, sink_tokens=2)
+        counts = [1, 1, 2, 1, 3, 1, 1 + i % 4]
+        for t in counts:
+            for layer in (0, 1):
+                sess.append(layer, _block(rng, t, 32), _block(rng, t, 32))
+        for layer, entries in enumerate(sess._entries):
+            assert len(entries) <= len(set(counts)), layer
+            refs += [weakref.ref(e) for e in entries.values()]
+        if i % 2:
+            sess.close()
+            assert not any(sess._entries)
+        del sess
+        assert plan_cache_stats()["entries"] <= MAX_PLANS
+    gc.collect()
+    assert refs and not any(r() is not None for r in refs)
 
 
 @pytest.mark.parametrize("name", ["nvfp4", "m2-nvfp4"])

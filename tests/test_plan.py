@@ -20,6 +20,7 @@ The plan layer's whole contract is "bit-identical, just faster":
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -338,3 +339,62 @@ class TestEnvHygiene:
             monkeypatch.undo()
             sess.close()
         assert spy.reads == reads
+
+
+def _call_counts(fn) -> tuple[int, int]:
+    """Python-level and C-level function calls one ``fn()`` makes,
+    counted with ``sys.setprofile``."""
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[0] += 1
+        elif event == "c_call":
+            counts[1] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts[0], counts[1]
+
+
+class TestHotPathBudget:
+    """Per-call overhead, pinned as a call count: timing tests cannot
+    see a few microseconds creep back on a noisy host, a count can.
+    Each budget is the count measured when it was set plus about 5%
+    slack (the counts include the plan's own numpy calls)."""
+
+    #: (Python calls, C calls) per warmed 1 x 64 append of each
+    #: ``kv_decode`` policy format: a full window, so each evicts a row.
+    #: Measured: m2xfp 158 / 194, nvfp4 124 / 160, m2-nvfp4 176 / 252.
+    APPEND_BUDGET = {"m2xfp": (166, 204), "nvfp4": (130, 168),
+                     "m2-nvfp4": (185, 265)}
+
+    @pytest.mark.parametrize("name", sorted(APPEND_BUDGET))
+    def test_warmed_kv_append_call_budget(self, name):
+        rng = np.random.default_rng(5)
+        sess = KVCacheSession(1, KVPolicy(name), max_tokens=96,
+                              sink_tokens=8)
+        sess.append(0, rng.standard_normal((16, 64)),
+                    rng.standard_normal((16, 64)))
+        k, v = rng.standard_normal((2, 1, 64))
+        for _ in range(96):
+            sess.append(0, k, v)
+        assert sess.stats()["evicted_tokens"] > 0
+        py, c = _call_counts(lambda: sess.append(0, k, v))
+        sess.close()
+        budget = self.APPEND_BUDGET[name]
+        assert py <= budget[0] and c <= budget[1], (name, py, c)
+
+    def test_warmed_packed_encode_call_budget(self):
+        """A warmed packed 16 x 256 m2xfp activation encode (measured
+        53 Python and 70 C calls)."""
+        from repro.codec import encode
+
+        fmt = make_format("m2xfp")
+        x = np.random.default_rng(6).standard_normal((16, 256))
+        encode(fmt, x, op="activation")
+        py, c = _call_counts(lambda: encode(fmt, x, op="activation"))
+        assert py <= 55 and c <= 73, (py, c)
