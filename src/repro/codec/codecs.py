@@ -941,15 +941,16 @@ def _with_rows(pt: PackedTensor, rows: int, streams: dict, extra: dict,
                         extra=extra, header_lengths=header_lengths)
 
 
-def join_rows(head: PackedTensor, tail: PackedTensor,
-              drop: int = 0) -> PackedTensor | None:
+def join_rows(head: PackedTensor, tail: PackedTensor, drop: int = 0,
+              verify: bool = False) -> PackedTensor | None:
     """One container holding ``head``'s rows then ``tail``'s, or None
     when their row layouts differ: anything in the header but the row
     count and a non-zero NVFP4-family tensor scale (so fp16's f16 and
     f64 storage never join, nor a zero tensor a scaled one). Tensor
     scales stay per row, as a float64 array in ``extra``. Each stream
     is byte-joined when ``head``'s fields end on a byte boundary, else
-    unpacked, concatenated and repacked.
+    unpacked, concatenated and repacked; with ``verify`` a repacked
+    stream must unpack to the codes it joined (see :func:`_repack`).
 
     ``drop`` leaves out ``head``'s first ``drop`` rows, ``0 <= drop <
     rows``: the result is ``join_rows(drop_rows(head, drop), tail)``,
@@ -964,7 +965,8 @@ def join_rows(head: PackedTensor, tail: PackedTensor,
         scales = head.extra.get("tensor_scale")
         if isinstance(scales, np.ndarray) and not scales[drop:].any():
             # The kept rows' own container stores no scale stream.
-            return join_rows(drop_rows(head, drop), tail)
+            return join_rows(drop_rows(head, drop, verify), tail, 0,
+                             verify)
     if not (hr and tr) or _row_layout(head) != _row_layout(tail):
         return None
     hs, ts = _row_scales(head, hr), _row_scales(tail, tr)
@@ -980,9 +982,9 @@ def join_rows(head: PackedTensor, tail: PackedTensor,
         if lo * h.width % 8 == 0 and h.count * h.width % 8 == 0:
             data = (h.data[lo * h.width // 8:] if lo else h.data) + t.data
         else:
-            data = pack_bits(np.concatenate(
+            data = _repack(np.concatenate(
                 [unpack_bits(h.data, h.width, h.count)[lo:],
-                 unpack_bits(t.data, t.width, t.count)]), h.width).tobytes()
+                 unpack_bits(t.data, t.width, t.count)]), h, verify)
         streams[h.name] = Stream(h.name, data, h.width,
                                  h.count - lo + t.count)
     extra = head.extra if hs is None else \
@@ -990,12 +992,14 @@ def join_rows(head: PackedTensor, tail: PackedTensor,
     return _with_rows(head, hr - drop + tr, streams, extra)
 
 
-def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
+def slice_rows(pt: PackedTensor, start: int, stop: int,
+               verify: bool = False) -> PackedTensor:
     """Rows ``start:stop`` of ``pt`` as their own container,
     ``0 <= start < stop <= rows``.
 
     Each stream is byte-sliced when both cuts fall on a byte boundary
-    (or the end of the stream), else unpacked, sliced and repacked; a
+    (or the end of the stream), else unpacked, sliced and repacked
+    (checked with ``verify``, see :func:`_repack`); a
     per-row tensor scale array is sliced with the rows, and becomes the
     header scalar when the sliced rows share one scale (with no scale
     stream when that scale is 0). Rows of a group-wise format encode
@@ -1028,8 +1032,8 @@ def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
                 (hi == s.count or hi * s.width % 8 == 0):
             data = s.data[lo * s.width // 8:(hi * s.width + 7) // 8]
         else:
-            data = pack_bits(unpack_bits(s.data, s.width, s.count)[lo:hi],
-                             s.width).tobytes()
+            data = _repack(unpack_bits(s.data, s.width, s.count)[lo:hi],
+                           s, verify)
         streams[s.name] = Stream(s.name, data, s.width, hi - lo)
     # A cut holds no more rows than its encode, so it shares the
     # encode's header lengths; a join_rows run may hold more, and
@@ -1037,11 +1041,26 @@ def slice_rows(pt: PackedTensor, start: int, stop: int) -> PackedTensor:
     return _with_rows(pt, stop - start, streams, extra, pt.header_lengths)
 
 
-def drop_rows(pt: PackedTensor, n: int) -> PackedTensor:
+def drop_rows(pt: PackedTensor, n: int,
+              verify: bool = False) -> PackedTensor:
     """``pt`` without its first ``n`` rows, ``0 < n < rows``: the
     :func:`slice_rows` suffix an eviction keeps."""
     rows = _rows(pt)
     if not 0 < n < rows:
         raise CodecError(f"cannot drop {n} leading rows of a shape "
                          f"{pt.shape} container grouped on axis {pt.axis}")
-    return slice_rows(pt, n, rows)
+    return slice_rows(pt, n, rows, verify)
+
+
+def _repack(codes: np.ndarray, stream: Stream, verify: bool) -> bytes:
+    """``codes`` packed at ``stream``'s width: a row cut or join of a
+    stream whose rows do not end on a byte boundary. These run after
+    the encode's own verify, so with ``verify`` the bytes are unpacked
+    again and must give back ``codes``, else :class:`CodecError`.
+    Byte-cut streams copy verified bytes and need no check."""
+    data = pack_bits(codes, stream.width).tobytes()
+    if verify and not (unpack_bits(data, stream.width, codes.size)
+                       == codes).all():
+        raise CodecError(f"pack round-trip mismatch repacking stream "
+                         f"{stream.name!r} at width {stream.width}")
+    return data

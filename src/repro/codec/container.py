@@ -266,9 +266,10 @@ class PackedTensor:
         """Parse bytes produced by :meth:`to_bytes`.
 
         Any malformed input, header fields included, raises
-        :class:`CodecError`.
+        :class:`CodecError`. ``blob`` is read through a view: each
+        stream's bytes are copied once, into the stream.
         """
-        blob = bytes(blob)
+        blob = memoryview(blob)
         if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
             raise CodecError("not a packed tensor container (bad magic)")
         (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
@@ -276,7 +277,7 @@ class PackedTensor:
         if len(blob) < start + hlen:
             raise CodecError("truncated container header")
         try:
-            header = json.loads(blob[start:start + hlen].decode("ascii"))
+            header = json.loads(str(blob[start:start + hlen], "ascii"))
         except (ValueError, RecursionError) as exc:  # incl. bad ascii
             raise CodecError(f"unreadable container header: {exc}") from exc
         _check_header(header)

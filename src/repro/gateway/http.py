@@ -331,7 +331,7 @@ def quantize_response(result, *, fmt: str, op: str, packed: bool,
     # Splice the payload into the canonical bytes instead of running
     # json.dumps over it: "data_b64" sorts first, and the base64
     # alphabet needs no escaping, so the bytes equal canonical_json.
-    body = (b'{"data_b64":"' + base64.b64encode(arr.tobytes()) + b'",'
+    body = (b'{"data_b64":"' + base64.b64encode(arr) + b'",'
             + canonical_json(rest)[1:])
     return HttpResponse(status=200, body=body, keep_alive=keep_alive)
 
@@ -421,7 +421,9 @@ def parse_quantize_request(request: HttpRequest):
         raise ConfigError(f"tensor payload has {len(payload)} bytes; "
                           f"shape {shape} needs {8 * n} "
                           f"(little-endian float64)")
-    x = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    # A read-only view of the decoded bytes: the upstream frame only
+    # reads it.
+    x = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return x, fmt, op, dispatch, packed
 
 
@@ -477,7 +479,7 @@ def _tensor_field(fields: dict, b64_key: str, shape_key: str) -> np.ndarray:
     if len(payload) != 8 * n:
         raise ConfigError(f"{b64_key} has {len(payload)} bytes; shape "
                           f"{shape} needs {8 * n} (little-endian float64)")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    return np.frombuffer(payload, dtype="<f8").reshape(shape)
 
 
 def parse_session_open(request: HttpRequest) -> dict:
@@ -548,11 +550,11 @@ def session_kv_response(k: np.ndarray, v: np.ndarray, *, session_id: str,
     k = np.ascontiguousarray(k, dtype="<f8")
     v = np.ascontiguousarray(v, dtype="<f8")
     body = {
-        "k_b64": base64.b64encode(k.tobytes()).decode("ascii"),
+        "k_b64": base64.b64encode(k).decode("ascii"),
         "k_shape": list(k.shape),
         "layer": int(layer),
         "session_id": session_id,
-        "v_b64": base64.b64encode(v.tobytes()).decode("ascii"),
+        "v_b64": base64.b64encode(v).decode("ascii"),
         "v_shape": list(v.shape),
     }
     return json_response(body, keep_alive=keep_alive)

@@ -305,17 +305,23 @@ class KVCacheSession:
             start = self._next_pos[layer]
             evicted, evicted_tokens = self._evict_for(layer, tokens)
             pinned = self._pinned[layer]
+            blocks = self._blocks[layer]
             # Sink rows never share a run with evictable rows, so
             # eviction only ever drops leading rows of a run.
-            if start < self.sink_tokens:
-                spans = self._sinks[layer]
-                self._pinned[layer] += tokens
-            else:
-                spans = self._blocks[layer]
-            join = bool(spans)
+            sink = start < self.sink_tokens
+            spans = self._sinks[layer] if sink else blocks
+            join = len(spans) > (0 if sink else evicted)
+            # The arenas advance before any bookkeeping moves: a join
+            # that fails its check leaves the layer as it was.
             self._arenas[layer] = (
-                _advance(arenas[0], pinned, evicted_tokens, pk, join),
-                _advance(arenas[1], pinned, evicted_tokens, pv, join))
+                _advance(arenas[0], pinned, evicted_tokens, pk, join,
+                         self.verify),
+                _advance(arenas[1], pinned, evicted_tokens, pv, join,
+                         self.verify))
+            for _ in range(evicted):
+                blocks.popleft()
+            if sink:
+                self._pinned[layer] += tokens
             spans.append((start, tokens))
             held = self._held[layer] = \
                 self._held[layer] + tokens - evicted_tokens
@@ -475,15 +481,14 @@ class KVCacheSession:
                               f"width {width} cannot join the stream")
 
     def _evict_for(self, layer: int, tokens: int) -> tuple[int, int]:
-        """Drop ``layer``'s oldest evictable blocks until an append of
-        ``tokens`` fits the budget; returns the dropped block and token
-        counts.
+        """How many of ``layer``'s oldest evictable blocks an append of
+        ``tokens`` must drop to fit the budget: the block and token
+        counts. The caller drops them and updates the held-token
+        counter.
 
-        Raises (leaving the layer untouched) when even maximal eviction
-        cannot fit the append — the budget invariant must hold *after
-        every append*, so an impossible append is refused, never
-        partially applied. The held-token counter is the caller's to
-        update.
+        Raises when even maximal eviction cannot fit the append — the
+        budget invariant must hold *after every append*, so an
+        impossible append is refused, never partially applied.
         """
         if self.max_tokens is None:
             return 0, 0
@@ -497,9 +502,11 @@ class KVCacheSession:
                 f"append of {tokens} tokens cannot fit the "
                 f"{self.max_tokens}-token budget: {pinned} tokens are "
                 f"pinned (sinks), only {budget} are evictable")
-        blocks, evicted, dropped = self._blocks[layer], 0, 0
-        while dropped < overshoot:
-            dropped += blocks.popleft()[1]
+        evicted = dropped = 0
+        for _, n in self._blocks[layer]:
+            if dropped >= overshoot:
+                break
+            dropped += n
             evicted += 1
         return evicted, dropped
 
@@ -532,12 +539,13 @@ def _bind_append(fmt, op: str, tokens: int, width: int, verify: bool):
 
 
 def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,
-             join: bool) -> tuple:
+             join: bool, verify: bool) -> tuple:
     """``arena`` without the ``evict`` rows after its first ``pinned``
     (sink) rows, which end on a run boundary, and with ``pt``'s rows:
     joined onto the last run when ``join`` allows and the row layouts
     match, else as a new run. Without eviction only the last run is
-    touched, and rows evicted from the last run are cut in the join."""
+    touched, and rows evicted from the last run are cut in the join.
+    With ``verify``, every stream a cut or join repacks is checked."""
     cut = 0
     if evict:
         runs, seen = [], 0
@@ -550,15 +558,15 @@ def _advance(arena: tuple, pinned: int, evict: int, pt: PackedTensor,
                 if run is arena[-1]:
                     cut = evict
                 else:
-                    run = drop_rows(run, evict)
+                    run = drop_rows(run, evict, verify)
                 evict = 0
             seen += n
             runs.append(run)
         arena = tuple(runs)
     if join and arena:
-        joined = join_rows(arena[-1], pt, cut)
+        joined = join_rows(arena[-1], pt, cut, verify)
         if joined is not None:
             return (*arena[:-1], joined)
     if cut:
-        arena = (*arena[:-1], drop_rows(arena[-1], cut))
+        arena = (*arena[:-1], drop_rows(arena[-1], cut, verify))
     return (*arena, pt)

@@ -75,7 +75,7 @@ def _dispatch_scope(mode: str):
 def _digest(x: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(x.shape).encode())
-    h.update(x.tobytes())
+    h.update(np.ascontiguousarray(x))
     return h.hexdigest()[:24]
 
 

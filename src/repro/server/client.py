@@ -13,7 +13,8 @@ server's bytes are identical: the wire adds nothing and loses nothing.
 Every round trip (quantize, ping, drain, the KV-session calls) is
 defined once, in a shared core, as ``encoder → wait → decoder`` plus
 its retry label; :class:`QuantClient` (blocking sockets) and
-:class:`AsyncQuantClient` (asyncio streams) only supply the transport
+:class:`AsyncQuantClient` (asyncio, over the protocol's
+:class:`~repro.server.protocol.FrameProtocol`) only supply the transport
 and the retry loop that drives it.
 
 Fault tolerance:
@@ -529,8 +530,7 @@ class AsyncQuantClient(_ClientCore):
     """
 
     def _init_transport(self) -> None:
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._conn: protocol.FrameProtocol | None = None
         self._pending: dict[int, asyncio.Future] = {}
         self._reader_task: asyncio.Task | None = None
         self._reader_error: BaseException | None = None
@@ -542,21 +542,22 @@ class AsyncQuantClient(_ClientCore):
     async def connect(self) -> "AsyncQuantClient":
         if self._conn_lock is None:
             self._conn_lock = asyncio.Lock()
-        if self._writer is None:
+        if self._conn is None:
             await self._open()
         return self
 
     async def _open(self) -> None:
         try:
             async with asyncio.timeout(self.timeout):
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port)
+                _, self._conn = await asyncio.get_running_loop() \
+                    .create_connection(protocol.FrameProtocol, self.host,
+                                       self.port)
         except asyncio.TimeoutError:
             raise RequestTimeout(
                 f"connect to {self.host}:{self.port} timed out after "
                 f"{self.timeout:g}s") from None
         self._reader_error = None
-        self._reader_task = asyncio.create_task(self._read_loop())
+        self._reader_task = asyncio.create_task(self._read_loop(self._conn))
         self._conn_gen += 1
 
     async def _teardown(self, error: BaseException | None = None) -> None:
@@ -568,14 +569,10 @@ class AsyncQuantClient(_ClientCore):
             except (asyncio.CancelledError, Exception):
                 pass
             self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-            self._reader = None
+        if self._conn is not None:
+            self._conn.close()
+            await self._conn.wait_closed()
+            self._conn = None
         exc = error or ConnectionLost("client closed with the request "
                                       "in flight")
         for fut in self._pending.values():
@@ -588,12 +585,12 @@ class AsyncQuantClient(_ClientCore):
         if self._conn_lock is None:
             self._conn_lock = asyncio.Lock()
         async with self._conn_lock:
-            if self._conn_gen != failed_gen or self._writer is None:
+            if self._conn_gen != failed_gen or self._conn is None:
                 pass  # some other task already reconnected (or closed)
             else:
                 await self._teardown(
                     ConnectionLost("connection reset after failure"))
-            if self._writer is None:
+            if self._conn is None:
                 await self._open()
 
     async def close(self) -> None:
@@ -605,10 +602,10 @@ class AsyncQuantClient(_ClientCore):
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    async def _read_loop(self) -> None:
+    async def _read_loop(self, conn: protocol.FrameProtocol) -> None:
         try:
             while True:
-                frame = await protocol.read_frame(self._reader)
+                frame = await conn.read_frame()
                 if frame is None:
                     raise ConnectionLost("server closed the connection")
                 fut = self._pending.pop(frame.request_id, None)
@@ -629,7 +626,7 @@ class AsyncQuantClient(_ClientCore):
     # Transport
     # ------------------------------------------------------------------
     async def _send(self, encoder, *args, **kwargs) -> asyncio.Future:
-        if self._writer is None:
+        if self._conn is None:
             raise ConfigError("client is not connected; use "
                               "`async with AsyncQuantClient(...)`")
         if self._reader_task is not None and self._reader_task.done():
@@ -646,9 +643,9 @@ class AsyncQuantClient(_ClientCore):
         fut._repro_request_id = rid
         self._pending[rid] = fut
         try:
-            self._writer.write(encoder(rid, *args, **kwargs))
+            self._conn.write(encoder(rid, *args, **kwargs))
             async with asyncio.timeout(self.timeout):
-                await self._writer.drain()
+                await self._conn.drain()
         except asyncio.TimeoutError:
             self._pending.pop(rid, None)
             raise RequestTimeout(
@@ -683,7 +680,7 @@ class AsyncQuantClient(_ClientCore):
         for attempt in range(budget + 1):
             gen = self._conn_gen
             try:
-                if attempt and self._writer is None:
+                if attempt and self._conn is None:
                     # An earlier reconnect failed; this attempt retries
                     # the connect itself (counted against the budget).
                     await self._reset_connection(gen)

@@ -58,6 +58,16 @@ version with ``Status.PROTOCOL_ERROR`` naming both versions. The golden
 vectors in ``tests/golden/wire_vectors.json`` pin the current version's
 frames byte-exactly, so accidental drift is a tier-1 failure.
 
+**Frame I/O.** One reader per transport: :class:`FrameProtocol` (an
+``asyncio.BufferedProtocol``) serves the server and the asyncio client,
+:func:`recv_frame` the blocking client. Each puts a received frame's
+body in the frame's own buffer, sized from the length prefix once that
+is checked against :data:`MAX_FRAME_BYTES` and padded so the payload
+starts 8-byte aligned; ``Frame.payload`` is a view of it, and the
+decoders build writable float64 arrays over it without a copy. The
+encoders read array buffers where they lie, in one join per outgoing
+frame.
+
 Example::
 
     from repro.server import protocol
@@ -71,6 +81,7 @@ Example::
 from __future__ import annotations
 
 import asyncio
+import collections
 import enum
 import json
 import struct
@@ -102,7 +113,8 @@ __all__ = [
     "encode_session_close", "decode_session_close",
     "encode_session_ack", "decode_session_ack",
     "encode_session_kv", "decode_session_kv",
-    "frame_to_bytes", "frame_from_bytes", "read_frame", "recv_frame",
+    "frame_from_bytes", "FrameProtocol", "recv_frame",
+    "STAGING_BYTES", "MAX_QUEUED_FRAMES",
     "status_for_exception", "shape_size",
 ]
 
@@ -112,6 +124,21 @@ PROTOCOL_VERSION = 3
 #: Upper bound on one frame body; anything larger is a protocol error
 #: (protects both sides from a corrupted or hostile length word).
 MAX_FRAME_BYTES = 1 << 28
+
+#: The fixed buffer a :class:`FrameProtocol` receives into: a frame no
+#: larger completes there and is copied out once; the rest of a larger
+#: frame's body is received into its own buffer. Also the queued bytes
+#: at which a connection stops reading until its frames are taken. The
+#: size of asyncio's own receive for a stream: with a 64 KiB buffer, a
+#: 128 KB wire_bulk frame took two receives, each its own event-loop
+#: turn, and the frames behind it waited for the turn after.
+STAGING_BYTES = 1 << 18
+
+#: Frames a :class:`FrameProtocol` parses ahead of its consumer: at this
+#: many queued frames it stops parsing the staging buffer and reading
+#: the socket, so a receive of tiny frames (20-byte PINGs) cannot turn
+#: into thousands of frame objects at once.
+MAX_QUEUED_FRAMES = 64
 
 KIND_REQUEST = 1
 KIND_RESPONSE = 2
@@ -165,6 +192,7 @@ STATUS_TO_ERROR = {
 _OPS = ("weight", "activation")
 _HEADER = struct.Struct("<4sBBBBII")
 _LEN = struct.Struct("<I")
+_META_LEN_AT = 12   # offset of the meta length word in the header
 
 
 def status_for_exception(exc: BaseException) -> Status:
@@ -186,7 +214,8 @@ class Frame:
     flags: int
     request_id: int
     meta: dict = field(default_factory=dict)
-    payload: bytes = b""
+    #: Received frames: a view of the frame's own buffer.
+    payload: bytes | memoryview = b""
 
 
 @dataclass
@@ -214,19 +243,54 @@ def _meta_bytes(meta: dict) -> bytes:
     return _canonical(meta).encode("ascii")
 
 
-def frame_to_bytes(frame: Frame) -> bytes:
-    """Serialize a frame, length prefix included."""
-    meta = _meta_bytes(frame.meta)
-    head = _HEADER.pack(MAGIC, PROTOCOL_VERSION, frame.kind, frame.status,
-                        frame.flags, frame.request_id, len(meta))
-    body_len = len(head) + len(meta) + len(frame.payload)
+def _body_len(buf, offset: int = 0) -> int:
+    """The body length a frame's prefix at ``offset`` declares, refused
+    past :data:`MAX_FRAME_BYTES` before anything is sized from it."""
+    (body_len,) = _LEN.unpack_from(buf, offset)
+    if body_len > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {body_len} exceeds the "
+                            f"{MAX_FRAME_BYTES}-byte protocol limit")
+    return body_len
+
+
+def _body_buffer(body_len: int, meta_len: int) -> tuple[bytearray, int]:
+    """A frame body's own buffer and the offset the body goes at.
+
+    The offset pads the body so that its payload, after the 16-byte
+    header and ``meta_len`` bytes of meta, starts 8-byte aligned:
+    float64 arrays over the payload then need no copy to be aligned.
+    """
+    pad = -meta_len % 8
+    return bytearray(pad + body_len), pad
+
+
+def _own_frame(body) -> Frame:
+    """Parse a complete frame body, copied once into its own buffer."""
+    meta_len = _LEN.unpack_from(body, _META_LEN_AT)[0] \
+        if len(body) >= _HEADER.size else 0
+    buf, pad = _body_buffer(len(body), meta_len)
+    own = memoryview(buf)[pad:]
+    own[:] = body   # a memoryview store copies once; a bytearray's twice
+    return _parse_body(own)
+
+
+def _frame_bytes(kind: int, status: int, flags: int, request_id: int,
+                 meta: dict, *payload) -> bytes:
+    """One serialized frame, length prefix included: the payload parts
+    (bytes-like objects or C-contiguous arrays) are read where they lie,
+    in the frame's one join."""
+    meta = _meta_bytes(meta)
+    body_len = _HEADER.size + len(meta) + \
+        sum([memoryview(part).nbytes for part in payload])
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame body of {body_len} bytes exceeds the "
                             f"{MAX_FRAME_BYTES}-byte protocol limit")
-    return b"".join((_LEN.pack(body_len), head, meta, frame.payload))
+    head = _HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, status, flags,
+                        request_id, len(meta))
+    return b"".join((_LEN.pack(body_len), head, meta, *payload))
 
 
-def _parse_body(body: bytes) -> Frame:
+def _parse_body(body: memoryview) -> Frame:
     if len(body) < _HEADER.size:
         raise ProtocolError(f"frame body truncated at {len(body)} bytes "
                             f"(header needs {_HEADER.size})")
@@ -243,7 +307,7 @@ def _parse_body(body: bytes) -> Frame:
     if meta_end > len(body):
         raise ProtocolError("frame meta section truncated")
     try:
-        meta = json.loads(body[_HEADER.size:meta_end].decode("ascii"))
+        meta = json.loads(str(body[_HEADER.size:meta_end], "ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"unreadable frame meta: {exc}") from exc
     if not isinstance(meta, dict):
@@ -252,80 +316,312 @@ def _parse_body(body: bytes) -> Frame:
                  request_id=request_id, meta=meta, payload=body[meta_end:])
 
 
-def frame_from_bytes(blob: bytes) -> Frame:
-    """Parse one complete frame (length prefix included)."""
-    blob = bytes(blob)
+def frame_from_bytes(blob) -> Frame:
+    """Parse one complete frame (length prefix included), copied once
+    into the frame's own buffer."""
+    blob = memoryview(blob)
     if len(blob) < _LEN.size:
         raise ProtocolError("frame shorter than its length prefix")
-    (body_len,) = _LEN.unpack_from(blob, 0)
-    if body_len > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {body_len} exceeds the "
-                            f"{MAX_FRAME_BYTES}-byte protocol limit")
+    body_len = _body_len(blob)
     if len(blob) != _LEN.size + body_len:
         raise ProtocolError(f"frame length prefix says {body_len} body "
                             f"bytes, buffer has {len(blob) - _LEN.size}")
-    return _parse_body(blob[_LEN.size:])
+    return _own_frame(blob[_LEN.size:])
 
 
-async def read_frame(reader, frame_timeout_s: float | None = None) \
-        -> Frame | None:
-    """Read one frame from an ``asyncio.StreamReader``; None on clean EOF.
+class FrameProtocol(asyncio.BufferedProtocol):
+    """One connection's frames, both directions: the frame reader of
+    the server and of :class:`~repro.server.AsyncQuantClient`.
 
-    ``frame_timeout_s`` is the slow-loris guard: waiting for a frame to
-    *start* is unbounded (idle pipelined connections are fine), but once
-    its first byte has arrived the remaining prefix + body must complete
-    within the deadline or the read fails with :class:`ProtocolError` —
-    a peer trickling bytes can never pin the reader forever.
+    **Receiving.** The transport receives into a fixed staging buffer
+    of :data:`STAGING_BYTES`. A frame no larger completes there (its
+    start moved to the front of the buffer when it would not fit
+    behind the frames before it) and is copied once into its own
+    buffer. A larger frame is sized from its length prefix, checked
+    against :data:`MAX_FRAME_BYTES` before anything is allocated; once
+    its header is in, the rest of its body is received straight into
+    its own buffer. Each frame's ``payload`` is a view of that buffer,
+    so decoders build writable, aligned arrays over it without copying,
+    and no frame shares bytes with another. Frames queue until
+    :meth:`read_frame` takes them; a protocol error ends the stream
+    after the frames before it.
+
+    **Backpressure.** Once :data:`MAX_QUEUED_FRAMES` frames are queued,
+    or the queued frames hold :data:`STAGING_BYTES` or more, the
+    reader stops parsing and the transport stops reading until the
+    consumer has taken them below that. A connection so holds at most
+    the staging buffer, its queued frames and one partial frame.
+
+    **Slow-loris guard.** With ``frame_timeout_s``, a frame must
+    complete within that many seconds of its first byte arriving, or
+    the stream fails with :class:`ProtocolError`; waiting for a frame
+    to start is unbounded, and the clock stops while reading is paused.
+
+    **Sending.** :meth:`write` hands bytes to the transport and
+    :meth:`drain` waits while the transport's write buffer is full.
+
+    ``on_connect(protocol)``, a coroutine function, runs as the
+    connection's task once the transport is up.
     """
-    try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ConnectionLost("connection closed mid-frame") from exc
 
-    try:
-        # A deadline on this task, not a wrapping task per frame.
-        async with asyncio.timeout(frame_timeout_s):
-            prefix = first + await reader.readexactly(_LEN.size - 1)
-            (body_len,) = _LEN.unpack(prefix)
-            if body_len > MAX_FRAME_BYTES:
-                raise ProtocolError(f"frame length {body_len} exceeds the "
-                                    f"{MAX_FRAME_BYTES}-byte protocol limit")
-            body = await reader.readexactly(body_len)
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionLost("connection closed mid-frame") from exc
-    except asyncio.TimeoutError:
-        raise ProtocolError(
-            f"frame not completed within {frame_timeout_s:g}s of its "
-            f"first byte (slow-loris guard)") from None
-    return _parse_body(body)
+    def __init__(self, frame_timeout_s: float | None = None,
+                 on_connect=None) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._timeout_s = frame_timeout_s
+        self._on_connect = on_connect
+        self._task: asyncio.Task | None = None
+        self.transport = None
+        self._staging = bytearray(STAGING_BYTES)
+        self._staging_view = memoryview(self._staging)
+        self._staged = 0          # unparsed bytes at staging[0:]
+        self._body: bytearray | None = None   # a larger frame's, filling
+        self._body_pad = 0
+        self._body_got = 0        # bytes of _body filled, pad included
+        self._frames: collections.deque = collections.deque()
+        self._queued_bytes = 0
+        self._read_paused = False
+        self._eof = False
+        self._error: BaseException | None = None
+        self._waiter: asyncio.Future | None = None
+        self._loris: asyncio.TimerHandle | None = None
+        self._write_paused = False
+        self._drain_waiters: list[asyncio.Future] = []
+        self._lost = False
+        self._closed = self._loop.create_future()
+
+    # -- asyncio protocol callbacks ------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if self._on_connect is not None:
+            self._task = self._loop.create_task(self._on_connect(self))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._body is not None:
+            return memoryview(self._body)[self._body_got:]
+        return self._staging_view[self._staged:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._error is not None:
+            return
+        queued = len(self._frames)
+        if self._body is None:
+            self._split(self._staged + nbytes)
+        else:
+            self._body_got += nbytes
+            if self._body_got == len(self._body):
+                body = memoryview(self._body)[self._body_pad:]
+                self._body = None
+                try:
+                    self._queue(_parse_body(body))
+                except ProtocolError as exc:
+                    self._fail(exc)
+        if self._error is not None:
+            return
+        if len(self._frames) > queued:
+            # A new frame's clock starts with its own first byte.
+            self._stop_loris()
+            self._wake()
+            if self._full():
+                self._read_paused = True
+                self.transport.pause_reading()
+                return
+        if self._loris is None and self._timeout_s and self._partial():
+            self._loris = self._loop.call_later(self._timeout_s,
+                                                self._on_loris)
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._stop_loris()
+        self._wake()
+        return True     # keep the transport open: answers may be owed
+
+    def connection_lost(self, exc) -> None:
+        self._lost = self._eof = True
+        if exc is not None and self._error is None:
+            self._error = exc
+        self._stop_loris()
+        self._wake()
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self._drain_waiters.clear()
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self._drain_waiters.clear()
+
+    # -- receiving ----------------------------------------------------
+    def _split(self, end: int) -> None:
+        """Queue the frames complete in ``staging[:end]``, up to
+        :data:`MAX_QUEUED_FRAMES`; start its own buffer for a frame
+        larger than the staging buffer once its header is in; move the
+        bytes left to the front."""
+        staging, view, pos = self._staging, self._staging_view, 0
+        try:
+            while end - pos >= _LEN.size and \
+                    len(self._frames) < MAX_QUEUED_FRAMES:
+                start = pos + _LEN.size
+                stop = start + _body_len(staging, pos)
+                if stop <= end:
+                    self._queue(_own_frame(view[start:stop]))
+                    pos = stop
+                    continue
+                if stop - pos > STAGING_BYTES and \
+                        end - start >= _HEADER.size:
+                    # The rest of this body lands in its own buffer.
+                    buf, pad = _body_buffer(
+                        stop - start,
+                        _LEN.unpack_from(staging, start + _META_LEN_AT)[0])
+                    got = pad + end - start
+                    memoryview(buf)[pad:got] = view[start:end]
+                    self._body, self._body_pad, self._body_got = \
+                        buf, pad, got
+                    pos = end
+                break
+        except ProtocolError as exc:
+            self._fail(exc)
+            return
+        if pos:
+            view[:end - pos] = view[pos:end]    # a memmove
+        self._staged = end - pos
+
+    def _queue(self, frame: Frame) -> None:
+        nbytes = len(frame.payload.obj)     # the frame's own buffer
+        self._frames.append((frame, nbytes))
+        self._queued_bytes += nbytes
+
+    def _partial(self) -> bool:
+        return bool(self._staged) or self._body is not None
+
+    def _full(self) -> bool:
+        return len(self._frames) >= MAX_QUEUED_FRAMES or \
+            self._queued_bytes >= STAGING_BYTES
+
+    def _fail(self, exc: BaseException) -> None:
+        """End the stream with ``exc`` (after the frames queued before
+        it) and stop reading."""
+        self._error = exc
+        self._stop_loris()
+        self._wake()
+        if not self._read_paused and self.transport is not None:
+            self._read_paused = True
+            self.transport.pause_reading()
+
+    def _on_loris(self) -> None:
+        self._loris = None
+        self._fail(ProtocolError(
+            f"frame not completed within {self._timeout_s:g}s of its "
+            f"first byte (slow-loris guard)"))
+
+    def _stop_loris(self) -> None:
+        if self._loris is not None:
+            self._loris.cancel()
+            self._loris = None
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
+
+    async def read_frame(self) -> Frame | None:
+        """The next frame, None on a clean EOF.
+
+        Raises :class:`ProtocolError` on an unframeable stream or a
+        tripped slow-loris guard, :class:`ConnectionLost` on an EOF
+        inside a frame, and a lost connection's own error.
+        """
+        while not self._frames:
+            if self._error is not None:
+                raise self._error
+            if self._eof:
+                if self._partial():
+                    raise ConnectionLost("connection closed mid-frame")
+                return None
+            self._waiter = self._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        frame, nbytes = self._frames.popleft()
+        self._queued_bytes -= nbytes
+        if self._read_paused and self._error is None and not self._full():
+            # Parse what the staging buffer still holds, then read on.
+            if self._body is None:
+                self._split(self._staged)
+            if self._error is None and not self._full():
+                self._read_paused = False
+                self.transport.resume_reading()
+                if self._timeout_s and self._partial():
+                    self._loris = self._loop.call_later(self._timeout_s,
+                                                        self._on_loris)
+        return frame
+
+    # -- sending ------------------------------------------------------
+    def write(self, data) -> None:
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait while the transport's write buffer is over its high-water
+        mark; raise ``ConnectionResetError`` once the connection is lost."""
+        if self.transport.is_closing():
+            await asyncio.sleep(0)    # let connection_lost() run first
+        if not self._lost and self._write_paused:
+            waiter = self._loop.create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
+        if self._lost:
+            raise ConnectionResetError("connection lost")
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
+
+    async def wait_closed(self) -> None:
+        await self._closed
 
 
 def recv_frame(sock) -> Frame | None:
-    """Read one frame from a blocking socket; None on clean EOF."""
-    prefix = _recv_exact(sock, _LEN.size, eof_ok=True)
-    if prefix is None:
-        return None
-    (body_len,) = _LEN.unpack(prefix)
-    if body_len > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {body_len} exceeds the "
-                            f"{MAX_FRAME_BYTES}-byte protocol limit")
-    body = _recv_exact(sock, body_len, eof_ok=False)
-    return _parse_body(body)
+    """Read one frame from a blocking socket; None on clean EOF.
 
-
-def _recv_exact(sock, n: int, eof_ok: bool) -> bytes | None:
-    chunks, got = [], 0
-    while got < n:
-        chunk = sock.recv(min(n - got, 1 << 20))
-        if not chunk:
-            if eof_ok and got == 0:
+    The length prefix and header land in a small buffer; the rest of
+    the body is received (``recv_into``) straight into the frame's own
+    buffer, padded as :class:`FrameProtocol` pads it.
+    """
+    head = bytearray(_LEN.size + _HEADER.size)
+    view, got, body_len = memoryview(head), 0, None
+    while got < len(head):
+        n = sock.recv_into(view[got:])
+        if not n:
+            if got == 0:
                 return None
             raise ConnectionLost("connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += n
+        if body_len is None and got >= _LEN.size:
+            body_len = _body_len(head)
+            if body_len < _HEADER.size:
+                raise ProtocolError(f"frame body truncated at {body_len} "
+                                    f"bytes (header needs {_HEADER.size})")
+    buf, pad = _body_buffer(
+        body_len, _LEN.unpack_from(head, _LEN.size + _META_LEN_AT)[0])
+    got = pad + _HEADER.size
+    body = memoryview(buf)
+    body[pad:got] = view[_LEN.size:]
+    while got < len(buf):
+        n = sock.recv_into(body[got:])
+        if not n:
+            raise ConnectionLost("connection closed mid-frame")
+        got += n
+    return _parse_body(body[pad:])
 
 
 # ----------------------------------------------------------------------
@@ -366,13 +662,12 @@ def encode_request(request_id: int, x: np.ndarray, *, fmt: str,
     meta = {"format": fmt, "op": op, "dispatch": dispatch,
             "packed": bool(packed), "shape": list(x.shape),
             "fingerprint": fingerprint}
-    return frame_to_bytes(Frame(kind=KIND_REQUEST, status=0,
-                                flags=FLAG_RAW_F64, request_id=request_id,
-                                meta=meta, payload=x.tobytes()))
+    return _frame_bytes(KIND_REQUEST, 0, FLAG_RAW_F64, request_id, meta, x)
 
 
 def decode_request(frame: Frame) -> QuantRequest:
-    """Validate a request frame and materialize its tensor."""
+    """Validate a request frame; its tensor is a view of the payload
+    (writable when the frame owns its buffer, as received frames do)."""
     if frame.kind != KIND_REQUEST:
         raise ProtocolError(f"expected a request frame, got kind {frame.kind}")
     if not frame.flags & FLAG_RAW_F64:
@@ -394,7 +689,7 @@ def decode_request(frame: Frame) -> QuantRequest:
     if len(frame.payload) != 8 * n:
         raise ProtocolError(f"request payload has {len(frame.payload)} "
                             f"bytes; shape {shape} needs {8 * n}")
-    x = np.frombuffer(frame.payload, dtype="<f8").reshape(shape).copy()
+    x = np.frombuffer(frame.payload, dtype="<f8").reshape(shape)
     return QuantRequest(request_id=frame.request_id, x=x, format_name=fmt,
                         op=op, dispatch=dispatch,
                         packed=bool(meta.get("packed", False)),
@@ -409,18 +704,16 @@ def encode_response_array(request_id: int, arr: np.ndarray, *,
     """Serialize an OK response carrying a dequantized tensor."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
     meta = {"shape": list(arr.shape), "fingerprint": fingerprint}
-    return frame_to_bytes(Frame(kind=KIND_RESPONSE, status=int(Status.OK),
-                                flags=FLAG_RAW_F64, request_id=request_id,
-                                meta=meta, payload=arr.tobytes()))
+    return _frame_bytes(KIND_RESPONSE, Status.OK, FLAG_RAW_F64, request_id,
+                        meta, arr)
 
 
 def encode_response_packed(request_id: int, blob: bytes, *,
                            fingerprint: str = "") -> bytes:
     """Serialize an OK response carrying ``PackedTensor`` bytes."""
     meta = {"fingerprint": fingerprint}
-    return frame_to_bytes(Frame(kind=KIND_RESPONSE, status=int(Status.OK),
-                                flags=FLAG_PACKED, request_id=request_id,
-                                meta=meta, payload=bytes(blob)))
+    return _frame_bytes(KIND_RESPONSE, Status.OK, FLAG_PACKED, request_id,
+                        meta, blob)
 
 
 def encode_response_error(request_id: int, status: Status, message: str,
@@ -429,8 +722,7 @@ def encode_response_error(request_id: int, status: Status, message: str,
     if status == Status.OK:
         raise ProtocolError("error responses cannot carry Status.OK")
     meta = {"error": str(message), "exc_type": exc_type}
-    return frame_to_bytes(Frame(kind=KIND_RESPONSE, status=int(status),
-                                flags=0, request_id=request_id, meta=meta))
+    return _frame_bytes(KIND_RESPONSE, status, 0, request_id, meta)
 
 
 def response_result(frame: Frame):
@@ -461,7 +753,7 @@ def response_result(frame: Frame):
             raise ProtocolError(f"response payload has "
                                 f"{len(frame.payload)} bytes; shape "
                                 f"{shape} needs {8 * n}")
-        return np.frombuffer(frame.payload, dtype="<f8").reshape(shape).copy()
+        return np.frombuffer(frame.payload, dtype="<f8").reshape(shape)
     raise ProtocolError(f"response carries no known payload encoding "
                         f"(flags={frame.flags:#x})")
 
@@ -471,8 +763,7 @@ def response_result(frame: Frame):
 # ----------------------------------------------------------------------
 def encode_ping(request_id: int) -> bytes:
     """Serialize a PING frame; the server answers with a HEALTH frame."""
-    return frame_to_bytes(Frame(kind=KIND_PING, status=0, flags=0,
-                                request_id=request_id))
+    return _frame_bytes(KIND_PING, 0, 0, request_id, {})
 
 
 def encode_drain(request_id: int) -> bytes:
@@ -481,15 +772,12 @@ def encode_drain(request_id: int) -> bytes:
     The server acknowledges with a HEALTH frame (``draining: true``)
     before it begins refusing new requests with ``Status.DRAINING``.
     """
-    return frame_to_bytes(Frame(kind=KIND_DRAIN, status=0, flags=0,
-                                request_id=request_id))
+    return _frame_bytes(KIND_DRAIN, 0, 0, request_id, {})
 
 
 def encode_health(request_id: int, info: dict) -> bytes:
     """Serialize a HEALTH frame carrying the server's ``info`` report."""
-    return frame_to_bytes(Frame(kind=KIND_HEALTH, status=int(Status.OK),
-                                flags=0, request_id=request_id,
-                                meta=dict(info)))
+    return _frame_bytes(KIND_HEALTH, Status.OK, 0, request_id, info)
 
 
 def decode_health(frame: Frame) -> dict:
@@ -542,8 +830,7 @@ def encode_session_open(request_id: int, *, session_id: str, n_layers: int,
             "max_tokens": None if max_tokens is None else int(max_tokens),
             "sink_tokens": int(sink_tokens), "dispatch": dispatch,
             "verify": bool(verify)}
-    return frame_to_bytes(Frame(kind=KIND_SESSION_OPEN, status=0, flags=0,
-                                request_id=request_id, meta=meta))
+    return _frame_bytes(KIND_SESSION_OPEN, 0, 0, request_id, meta)
 
 
 def decode_session_open(frame: Frame) -> dict:
@@ -588,14 +875,12 @@ def encode_session_append(request_id: int, *, session_id: str, layer: int,
     meta = {"session_id": str(session_id), "layer": int(layer),
             "seq": int(seq), "k_shape": list(k.shape),
             "v_shape": list(v.shape)}
-    return frame_to_bytes(Frame(kind=KIND_SESSION_APPEND, status=0,
-                                flags=FLAG_RAW_F64, request_id=request_id,
-                                meta=meta,
-                                payload=k.tobytes() + v.tobytes()))
+    return _frame_bytes(KIND_SESSION_APPEND, 0, FLAG_RAW_F64, request_id,
+                        meta, k, v)
 
 
 def _split_kv_payload(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the K then V tensors of a raw-f64 two-tensor payload."""
+    """The K then V tensors of a raw-f64 two-tensor payload, as views."""
     if not frame.flags & FLAG_RAW_F64:
         raise ProtocolError("session K/V payload must be raw float64 "
                             "(FLAG_RAW_F64)")
@@ -607,10 +892,9 @@ def _split_kv_payload(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
         raise ProtocolError(f"session K/V payload has "
                             f"{len(frame.payload)} bytes; shapes "
                             f"{k_shape}+{v_shape} need {8 * (nk + nv)}")
-    k = np.frombuffer(frame.payload, dtype="<f8", count=nk) \
-        .reshape(k_shape).copy()
+    k = np.frombuffer(frame.payload, dtype="<f8", count=nk).reshape(k_shape)
     v = np.frombuffer(frame.payload, dtype="<f8", offset=8 * nk) \
-        .reshape(v_shape).copy()
+        .reshape(v_shape)
     return k, v
 
 
@@ -632,8 +916,7 @@ def encode_session_read(request_id: int, *, session_id: str,
                         layer: int) -> bytes:
     """Serialize a SESSION_READ frame (answered with a raw K/V response)."""
     meta = {"session_id": str(session_id), "layer": int(layer)}
-    return frame_to_bytes(Frame(kind=KIND_SESSION_READ, status=0, flags=0,
-                                request_id=request_id, meta=meta))
+    return _frame_bytes(KIND_SESSION_READ, 0, 0, request_id, meta)
 
 
 def decode_session_read(frame: Frame) -> tuple[str, int]:
@@ -646,8 +929,7 @@ def decode_session_read(frame: Frame) -> tuple[str, int]:
 def encode_session_close(request_id: int, *, session_id: str) -> bytes:
     """Serialize a SESSION_CLOSE frame (acknowledged with final stats)."""
     meta = {"session_id": str(session_id)}
-    return frame_to_bytes(Frame(kind=KIND_SESSION_CLOSE, status=0, flags=0,
-                                request_id=request_id, meta=meta))
+    return _frame_bytes(KIND_SESSION_CLOSE, 0, 0, request_id, meta)
 
 
 def decode_session_close(frame: Frame) -> str:
@@ -661,9 +943,8 @@ def encode_session_ack(request_id: int, session: dict) -> bytes:
     """Serialize the OK answer to open/append/close: a ``session`` meta
     object (session info, append ack fields, or final stats), written
     as it is, not copied."""
-    return frame_to_bytes(Frame(kind=KIND_RESPONSE, status=int(Status.OK),
-                                flags=0, request_id=request_id,
-                                meta={"session": session}))
+    return _frame_bytes(KIND_RESPONSE, Status.OK, 0, request_id,
+                        {"session": session})
 
 
 def decode_session_ack(frame: Frame) -> dict:
@@ -686,10 +967,8 @@ def encode_session_kv(request_id: int, k: np.ndarray, v: np.ndarray, *,
     v = np.ascontiguousarray(v, dtype="<f8")
     meta = {"session_id": str(session_id), "layer": int(layer),
             "k_shape": list(k.shape), "v_shape": list(v.shape)}
-    return frame_to_bytes(Frame(kind=KIND_RESPONSE, status=int(Status.OK),
-                                flags=FLAG_RAW_F64, request_id=request_id,
-                                meta=meta,
-                                payload=k.tobytes() + v.tobytes()))
+    return _frame_bytes(KIND_RESPONSE, Status.OK, FLAG_RAW_F64, request_id,
+                        meta, k, v)
 
 
 def decode_session_kv(frame: Frame) -> tuple[np.ndarray, np.ndarray]:

@@ -137,7 +137,7 @@ def _env_float(name: str, default: float) -> float:
 _INLINE_MAX_ELEMENTS = 1 << 14
 
 #: A connection's read loop yields to the event loop after this many
-#: frames. ``protocol.read_frame`` returns an already buffered frame
+#: frames. ``FrameProtocol.read_frame`` returns an already queued frame
 #: without suspending, so without the yield one connection's pipelined
 #: burst would all be read (and fill ``max_inflight``) before another
 #: connection's first frame; yielding after every frame instead cost
@@ -250,12 +250,14 @@ class QuantServer:
         self._drained = asyncio.Event()
         self._hop_pool = ThreadPoolExecutor(max_workers=1,
                                             thread_name_prefix="repro-hop")
+        factory = functools.partial(protocol.FrameProtocol,
+                                    self.read_timeout_s or None,
+                                    self._on_connection)
         if sock is not None:
-            self._server = await asyncio.start_server(self._on_connection,
-                                                      sock=sock)
+            self._server = await self._loop.create_server(factory, sock=sock)
         else:
-            self._server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.port)
+            self._server = await self._loop.create_server(
+                factory, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         obs.registry().register_collector("server",
                                           lambda: dict(self.stats))
@@ -378,34 +380,32 @@ class QuantServer:
         return svc
 
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _on_connection(self, conn: protocol.FrameProtocol) -> None:
         self.stats["connections"] += 1
         wlock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
             for n_read in itertools.count(1):
-                frame = await protocol.read_frame(
-                    reader, self.read_timeout_s or None)
+                frame = await conn.read_frame()
                 if frame is None:
                     break
                 if n_read % _FRAMES_PER_TURN == 0:
                     await asyncio.sleep(0)
                 if frame.kind == protocol.KIND_PING:
                     self.stats["pings"] += 1
-                    await self._answer(writer, wlock, protocol.encode_health(
+                    await self._answer(conn, wlock, protocol.encode_health(
                         frame.request_id, self.health_info()))
                     continue
                 if frame.kind == protocol.KIND_DRAIN:
                     # Flip the draining flag synchronously so the ack
                     # already reports draining: true.
                     self._start_drain()
-                    await self._answer(writer, wlock, protocol.encode_health(
+                    await self._answer(conn, wlock, protocol.encode_health(
                         frame.request_id, self.health_info()))
                     continue
                 self.stats["requests"] += 1
                 if frame.kind not in _WORK_KINDS:
-                    await self._answer(writer, wlock,
+                    await self._answer(conn, wlock,
                                        protocol.encode_response_error(
                                            frame.request_id,
                                            Status.PROTOCOL_ERROR,
@@ -418,7 +418,7 @@ class QuantServer:
                     # open sessions are rejected cleanly, never wedged.
                     self._inflight += 1
                     task = asyncio.create_task(
-                        self._respond_session(frame, writer, wlock))
+                        self._respond_session(frame, conn, wlock))
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
                     continue
@@ -426,7 +426,7 @@ class QuantServer:
                     # The drain contract: admitted work finishes, new
                     # work is refused with a retryable typed status.
                     self.stats["draining_rejections"] += 1
-                    await self._answer(writer, wlock,
+                    await self._answer(conn, wlock,
                                        protocol.encode_response_error(
                                            frame.request_id, Status.DRAINING,
                                            "server is draining for "
@@ -436,7 +436,7 @@ class QuantServer:
                     # Explicit backpressure: answer BUSY now rather than
                     # queueing without bound (the client backs off).
                     self.stats["busy_rejections"] += 1
-                    await self._answer(writer, wlock,
+                    await self._answer(conn, wlock,
                                        protocol.encode_response_error(
                                            frame.request_id, Status.BUSY,
                                            f"server at max in-flight "
@@ -445,13 +445,13 @@ class QuantServer:
                 self._inflight += 1
                 handler = self._respond if frame.kind == \
                     protocol.KIND_REQUEST else self._respond_session
-                task = asyncio.create_task(handler(frame, writer, wlock))
+                task = asyncio.create_task(handler(frame, conn, wlock))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         except ProtocolError as exc:
             # The stream is unframeable from here on: report and close.
             try:
-                await self._answer(writer, wlock,
+                await self._answer(conn, wlock,
                                    protocol.encode_response_error(
                                        0, Status.PROTOCOL_ERROR, str(exc)))
             except (ConnectionError, OSError):
@@ -465,16 +465,16 @@ class QuantServer:
         finally:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
+            conn.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
+                await conn.wait_closed()
+            except asyncio.CancelledError:
                 # Loop teardown cancels handlers mid-close; the transport
                 # is going away either way.
                 pass
 
     async def _respond(self, frame: protocol.Frame,
-                       writer: asyncio.StreamWriter,
+                       writer: protocol.FrameProtocol,
                        wlock: asyncio.Lock) -> None:
         rid = frame.request_id
         # The trace id is the protocol's own request id — the span tree
@@ -537,7 +537,7 @@ class QuantServer:
         return protocol.encode_response_array(rid, result,
                                               fingerprint=svc.fingerprint)
 
-    async def _answer(self, writer: asyncio.StreamWriter,
+    async def _answer(self, writer: protocol.FrameProtocol,
                       wlock: asyncio.Lock, data: bytes) -> None:
         async with wlock:
             writer.write(data)
@@ -556,7 +556,7 @@ class QuantServer:
         return entry
 
     async def _respond_session(self, frame: protocol.Frame,
-                               writer: asyncio.StreamWriter,
+                               writer: protocol.FrameProtocol,
                                wlock: asyncio.Lock) -> None:
         rid = frame.request_id
         try:

@@ -302,7 +302,7 @@ def test_pipelined_futures_fail_fast_on_connection_loss(rng):
             futs = [asyncio.ensure_future(
                 cli.quantize(x, fmt="m2xfp")) for _ in range(4)]
             await asyncio.sleep(0)  # let the sends go out
-            cli._writer.transport.abort()
+            cli._conn.transport.abort()
             t0 = time.monotonic()
             results = await asyncio.gather(*futs, return_exceptions=True)
             assert time.monotonic() - t0 < 5.0
@@ -354,36 +354,36 @@ def test_oversized_length_prefix_rejected_without_allocation():
         protocol.frame_from_bytes(huge)
 
 
-def _read_one(blob: bytes, timeout: float | None = 0.2):
+def _read_one(frame_io, blob: bytes, timeout: float | None = 0.2):
     async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(blob)
-        reader.feed_eof()
-        return await protocol.read_frame(reader, timeout)
+        reader = frame_io.open(timeout)
+        frame_io.feed(reader, blob)
+        reader.eof_received()
+        return await reader.read_frame()
     return asyncio.run(run())
 
 
-def test_read_frame_truncated_stream_is_typed(rng):
+def test_read_frame_truncated_stream_is_typed(rng, frame_io):
     blob = _valid_frame_bytes(rng)
     for cut in (1, 3, 7, len(blob) // 2, len(blob) - 1):
         with pytest.raises(ConnectionLost):
-            _read_one(blob[:cut])
+            _read_one(frame_io, blob[:cut])
 
 
-def test_read_frame_oversized_prefix_rejected():
+def test_read_frame_oversized_prefix_rejected(frame_io):
     with pytest.raises(ProtocolError, match="exceeds"):
-        _read_one((1 << 30).to_bytes(4, "little"))
+        _read_one(frame_io, (1 << 30).to_bytes(4, "little"))
 
 
-def test_read_frame_slow_loris_guard(rng):
+def test_read_frame_slow_loris_guard(rng, frame_io):
     """A trickling peer is cut off by the frame deadline."""
     blob = _valid_frame_bytes(rng)
 
     async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(blob[:6])  # started, never finishes
+        reader = frame_io.open(0.1)
+        frame_io.feed(reader, blob[:6])  # started, never finishes
         with pytest.raises(ProtocolError, match="slow-loris"):
-            await protocol.read_frame(reader, 0.1)
+            await reader.read_frame()
 
     t0 = time.monotonic()
     asyncio.run(run())

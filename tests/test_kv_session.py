@@ -417,7 +417,7 @@ def _slice_path_bind(fmt, op, tokens, width, verify):
     return entry
 
 
-def _drop_then_join(arena, pinned, evict, pt, join):
+def _drop_then_join(arena, pinned, evict, pt, join, verify):
     """An arena advance built the other way: evicted rows cut by
     ``drop_rows``, then ``pt`` joined on with ``join_rows``."""
     runs, seen = [], 0
@@ -430,7 +430,7 @@ def _drop_then_join(arena, pinned, evict, pt, join):
             run, evict = drop_rows(run, evict), 0
         seen += n
         runs.append(run)
-    joined = join_rows(runs[-1], pt) if join and runs else None
+    joined = join_rows(runs[-1], pt, 0, verify) if join and runs else None
     return (*runs, pt) if joined is None else (*runs[:-1], joined)
 
 
@@ -514,8 +514,9 @@ def test_verify_unpacks_every_stored_stream(name, width, rng, monkeypatch):
     compares it against the plan's codes: a packer that flips one bit in
     any one of an append's packed streams (those packed once and cut,
     and those packed per block, as Elem-EE's 3-bit refined codes are at
-    width 20) makes the append raise ``CodecError``; without verify the
-    same append goes through."""
+    width 20), or in a stream the arena repacks to join or cut rows,
+    makes the append raise ``CodecError``; without verify the same
+    append goes through."""
     import repro.codec.codecs as codecs_mod
 
     real = codecs_mod.pack_bits
@@ -553,6 +554,42 @@ def test_verify_unpacks_every_stored_stream(name, width, rng, monkeypatch):
         unverified.append(0, k, v)
         unverified.close()
     monkeypatch.undo()
+    # The arena's own repacks run after the encode's verify: a stream
+    # whose rows do not end on a byte boundary (Elem-EE's 3-bit refined
+    # codes at width 20) is unpacked, joined and repacked, and that
+    # repack is checked too. The failed append leaves the layer as it was.
+    repack = codecs_mod._repack.__code__
+
+    def flip_repacks(values, width):
+        out = real(values, width)
+        if sys._getframe(1).f_code is repack:
+            out = out.copy()
+            out[0] ^= 1
+            repacked.append(width)
+        return out
+
+    unverified = KVCacheSession(1, name, max_tokens=8, sink_tokens=2,
+                                verify=False)
+    for _ in range(10):
+        unverified.append(0, k, v)
+    before = (_arena_state(sess), sess.stats(), sess.positions(0))
+    repacked = []
+    monkeypatch.setattr(codecs_mod, "pack_bits", flip_repacks)
+    if name == "elem-ee":
+        with pytest.raises(CodecError, match="round-trip mismatch"):
+            sess.append(0, k, v)
+        assert repacked
+        assert (_arena_state(sess), sess.stats(), sess.positions(0)) \
+            == before
+        repacked.clear()
+        unverified.append(0, k, v)
+        assert repacked
+    else:
+        sess.append(0, k, v)
+        unverified.append(0, k, v)
+        assert not repacked     # byte-aligned rows: nothing repacked
+    monkeypatch.undo()
+    unverified.close()
     sess.close()
 
 

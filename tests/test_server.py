@@ -325,23 +325,7 @@ class _StalledService:
         self.release()
 
 
-class _NullWriter:
-    """A StreamWriter stand-in that discards what the server writes."""
-
-    def write(self, data):
-        pass
-
-    async def drain(self):
-        pass
-
-    def close(self):
-        pass
-
-    async def wait_closed(self):
-        pass
-
-
-def test_buffered_burst_does_not_starve_other_connections():
+def test_buffered_burst_does_not_starve_other_connections(frame_io):
     """A connection whose pipelined frames are all buffered yields to
     the other connections every ``_FRAMES_PER_TURN`` frames: a lone
     request on a second connection is served among the first of a
@@ -360,15 +344,15 @@ def test_buffered_burst_does_not_starve_other_connections():
     x = np.ones((1, 32))
 
     async def main():
-        burst, lone = asyncio.StreamReader(), asyncio.StreamReader()
-        burst.feed_data(b"".join(
+        burst, lone = frame_io.open(), frame_io.open()
+        frame_io.feed(burst, b"".join(
             protocol.encode_request(i, x, fmt="mxfp4")
             for i in range(1, 4 * per_turn + 1)))
-        lone.feed_data(protocol.encode_request(0, x, fmt="mxfp4"))
+        frame_io.feed(lone, protocol.encode_request(0, x, fmt="mxfp4"))
         for reader in (burst, lone):
-            reader.feed_eof()
-        await asyncio.gather(srv._on_connection(burst, _NullWriter()),
-                             srv._on_connection(lone, _NullWriter()))
+            reader.eof_received()
+        await asyncio.gather(srv._on_connection(burst),
+                             srv._on_connection(lone))
 
     asyncio.run(main())
     assert sorted(served) == list(range(4 * per_turn + 1))
