@@ -62,11 +62,11 @@ frames byte-exactly, so accidental drift is a tier-1 failure.
 ``asyncio.BufferedProtocol``) serves the server and the asyncio client,
 :func:`recv_frame` the blocking client. Each puts a received frame's
 body in the frame's own buffer, sized from the length prefix once that
-is checked against :data:`MAX_FRAME_BYTES` and padded so the payload
-starts 8-byte aligned; ``Frame.payload`` is a view of it, and the
-decoders build writable float64 arrays over it without a copy. The
-encoders read array buffers where they lie, in one join per outgoing
-frame.
+and the header are checked (past the first MiB, never more than twice
+the bytes received) and padded so the payload starts 8-byte aligned;
+``Frame.payload`` is a view of it, and the decoders build writable
+float64 arrays over it without a copy. The encoders read array
+buffers where they lie, in one join per outgoing frame.
 
 Example::
 
@@ -114,7 +114,7 @@ __all__ = [
     "encode_session_ack", "decode_session_ack",
     "encode_session_kv", "decode_session_kv",
     "frame_from_bytes", "FrameProtocol", "recv_frame",
-    "STAGING_BYTES", "MAX_QUEUED_FRAMES",
+    "STAGING_BYTES",
     "status_for_exception", "shape_size",
 ]
 
@@ -127,18 +127,13 @@ MAX_FRAME_BYTES = 1 << 28
 
 #: The fixed buffer a :class:`FrameProtocol` receives into: a frame no
 #: larger completes there and is copied out once; the rest of a larger
-#: frame's body is received into its own buffer. Also the queued bytes
-#: at which a connection stops reading until its frames are taken. The
-#: size of asyncio's own receive for a stream: with a 64 KiB buffer, a
-#: 128 KB wire_bulk frame took two receives, each its own event-loop
-#: turn, and the frames behind it waited for the turn after.
+#: frame's body is received into its own buffer. Also the backpressure
+#: limit: a connection stops reading once its queued frames are charged
+#: this many bytes (each at least 1/64 of it, so at most 64 tiny frames
+#: wait). The size of asyncio's own receive for a stream: with a 64 KiB
+#: buffer, a 128 KB wire_bulk frame took two receives, each its own
+#: event-loop turn, and the frames behind it waited for the turn after.
 STAGING_BYTES = 1 << 18
-
-#: Frames a :class:`FrameProtocol` parses ahead of its consumer: at this
-#: many queued frames it stops parsing the staging buffer and reading
-#: the socket, so a receive of tiny frames (20-byte PINGs) cannot turn
-#: into thousands of frame objects at once.
-MAX_QUEUED_FRAMES = 64
 
 KIND_REQUEST = 1
 KIND_RESPONSE = 2
@@ -192,7 +187,6 @@ STATUS_TO_ERROR = {
 _OPS = ("weight", "activation")
 _HEADER = struct.Struct("<4sBBBBII")
 _LEN = struct.Struct("<I")
-_META_LEN_AT = 12   # offset of the meta length word in the header
 
 
 def status_for_exception(exc: BaseException) -> Status:
@@ -245,30 +239,53 @@ def _meta_bytes(meta: dict) -> bytes:
 
 def _body_len(buf, offset: int = 0) -> int:
     """The body length a frame's prefix at ``offset`` declares, refused
-    past :data:`MAX_FRAME_BYTES` before anything is sized from it."""
+    past :data:`MAX_FRAME_BYTES` or short of a header before anything
+    is sized from it."""
     (body_len,) = _LEN.unpack_from(buf, offset)
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {body_len} exceeds the "
                             f"{MAX_FRAME_BYTES}-byte protocol limit")
+    if body_len < _HEADER.size:
+        raise ProtocolError(f"frame body truncated at {body_len} bytes "
+                            f"(header needs {_HEADER.size})")
     return body_len
 
 
-def _body_buffer(body_len: int, meta_len: int) -> tuple[bytearray, int]:
-    """A frame body's own buffer and the offset the body goes at.
+def _capacity(need: int, got: int) -> int:
+    """Bytes to give a frame buffer that will hold ``need`` and holds
+    ``got`` received so far: all of it up to 4 × :data:`STAGING_BYTES`
+    (so a 512 KB weight frame lands in one buffer), past that at most
+    twice what has arrived. A length prefix alone so never commits more
+    memory than that; the buffer doubles as the body comes in."""
+    return min(need, max(4 * STAGING_BYTES, 2 * got))
+
+
+def _body_buffer(body_len: int, meta_len: int,
+                 got: int) -> tuple[bytearray, int]:
+    """A frame body's own buffer, for ``got`` body bytes received so
+    far, and the offset the body goes at.
 
     The offset pads the body so that its payload, after the 16-byte
     header and ``meta_len`` bytes of meta, starts 8-byte aligned:
     float64 arrays over the payload then need no copy to be aligned.
     """
     pad = -meta_len % 8
-    return bytearray(pad + body_len), pad
+    return bytearray(_capacity(pad + body_len, pad + got)), pad
+
+
+def _grown(buf: bytearray, need: int) -> bytearray:
+    """``buf``, full and short of ``need`` bytes, copied into a buffer
+    sized by :func:`_capacity` (a new one: the transport may still hold
+    a view of ``buf``, which bars resizing it in place)."""
+    new = bytearray(_capacity(need, len(buf)))
+    memoryview(new)[:len(buf)] = buf
+    return new
 
 
 def _own_frame(body) -> Frame:
     """Parse a complete frame body, copied once into its own buffer."""
-    meta_len = _LEN.unpack_from(body, _META_LEN_AT)[0] \
-        if len(body) >= _HEADER.size else 0
-    buf, pad = _body_buffer(len(body), meta_len)
+    meta_len = _check_header(body, 0, len(body))[-1]
+    buf, pad = _body_buffer(len(body), meta_len, len(body))
     own = memoryview(buf)[pad:]
     own[:] = body   # a memoryview store copies once; a bytearray's twice
     return _parse_body(own)
@@ -290,12 +307,13 @@ def _frame_bytes(kind: int, status: int, flags: int, request_id: int,
     return b"".join((_LEN.pack(body_len), head, meta, *payload))
 
 
-def _parse_body(body: memoryview) -> Frame:
-    if len(body) < _HEADER.size:
-        raise ProtocolError(f"frame body truncated at {len(body)} bytes "
-                            f"(header needs {_HEADER.size})")
+def _check_header(buf, offset: int, body_len: int) -> tuple:
+    """The header fields of a frame body at ``offset`` of ``buf``,
+    ``body_len`` bytes long as :func:`_body_len` passed it, checked
+    before anything is sized from them: the magic, version and kind
+    are this protocol's and the body holds the meta it declares."""
     magic, version, kind, status, flags, request_id, meta_len = \
-        _HEADER.unpack_from(body, 0)
+        _HEADER.unpack_from(buf, offset)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
     if version != PROTOCOL_VERSION:
@@ -303,9 +321,15 @@ def _parse_body(body: memoryview) -> Frame:
                             f"(this build speaks {PROTOCOL_VERSION})")
     if kind not in _KINDS:
         raise ProtocolError(f"unknown frame kind {kind}")
-    meta_end = _HEADER.size + meta_len
-    if meta_end > len(body):
+    if _HEADER.size + meta_len > body_len:
         raise ProtocolError("frame meta section truncated")
+    return kind, status, flags, request_id, meta_len
+
+
+def _parse_body(body: memoryview) -> Frame:
+    kind, status, flags, request_id, meta_len = \
+        _check_header(body, 0, len(body))
+    meta_end = _HEADER.size + meta_len
     try:
         meta = json.loads(str(body[_HEADER.size:meta_end], "ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -333,24 +357,31 @@ class FrameProtocol(asyncio.BufferedProtocol):
     """One connection's frames, both directions: the frame reader of
     the server and of :class:`~repro.server.AsyncQuantClient`.
 
-    **Receiving.** The transport receives into a fixed staging buffer
-    of :data:`STAGING_BYTES`. A frame no larger completes there (its
-    start moved to the front of the buffer when it would not fit
-    behind the frames before it) and is copied once into its own
-    buffer. A larger frame is sized from its length prefix, checked
-    against :data:`MAX_FRAME_BYTES` before anything is allocated; once
-    its header is in, the rest of its body is received straight into
-    its own buffer. Each frame's ``payload`` is a view of that buffer,
-    so decoders build writable, aligned arrays over it without copying,
-    and no frame shares bytes with another. Frames queue until
-    :meth:`read_frame` takes them; a protocol error ends the stream
-    after the frames before it.
+    **Receiving.** The transport receives into a staging buffer of
+    :data:`STAGING_BYTES`, allocated with the first bytes to arrive. A
+    frame no larger completes there (its start moved to the front of
+    the buffer when it would not fit behind the frames before it) and
+    is copied once into its own buffer. A larger frame gets its own
+    buffer once its length prefix (checked against
+    :data:`MAX_FRAME_BYTES`) and its header (checked as
+    :func:`frame_from_bytes` checks it) are in, and the rest of its
+    body is received straight into that buffer. The buffer is sized by
+    :func:`_capacity`: a whole frame of up to 4 × :data:`STAGING_BYTES`,
+    past that twice the bytes received, doubling as more arrive; a
+    declared length alone never commits more. Each frame's ``payload``
+    is a view of that buffer, so decoders build writable, aligned
+    arrays over it without copying, and no frame shares bytes with
+    another. Frames queue until :meth:`read_frame` takes them; a
+    protocol error ends the stream after the frames before it.
 
-    **Backpressure.** Once :data:`MAX_QUEUED_FRAMES` frames are queued,
-    or the queued frames hold :data:`STAGING_BYTES` or more, the
-    reader stops parsing and the transport stops reading until the
-    consumer has taken them below that. A connection so holds at most
-    the staging buffer, its queued frames and one partial frame.
+    **Backpressure.** Each queued frame is charged its buffer's size,
+    and at least ``STAGING_BYTES // 64``. Once the queued frames are
+    charged :data:`STAGING_BYTES`, the reader stops parsing and the
+    transport stops reading until the consumer has taken them below
+    that. A connection so holds at most the staging buffer, its queued
+    frames (at most 64, and :data:`STAGING_BYTES` plus the last one)
+    and one partial frame, whose buffer is bounded by its received
+    bytes as above.
 
     **Slow-loris guard.** With ``frame_timeout_s``, a frame must
     complete within that many seconds of its first byte arriving, or
@@ -371,12 +402,13 @@ class FrameProtocol(asyncio.BufferedProtocol):
         self._on_connect = on_connect
         self._task: asyncio.Task | None = None
         self.transport = None
-        self._staging = bytearray(STAGING_BYTES)
-        self._staging_view = memoryview(self._staging)
+        self._staging: bytearray | None = None    # with the first bytes
+        self._staging_view: memoryview | None = None
         self._staged = 0          # unparsed bytes at staging[0:]
         self._body: bytearray | None = None   # a larger frame's, filling
         self._body_pad = 0
         self._body_got = 0        # bytes of _body filled, pad included
+        self._body_need = 0       # its pad plus body length
         self._frames: collections.deque = collections.deque()
         self._queued_bytes = 0
         self._read_paused = False
@@ -398,6 +430,9 @@ class FrameProtocol(asyncio.BufferedProtocol):
     def get_buffer(self, sizehint: int) -> memoryview:
         if self._body is not None:
             return memoryview(self._body)[self._body_got:]
+        if self._staging is None:
+            self._staging = bytearray(STAGING_BYTES)
+            self._staging_view = memoryview(self._staging)
         return self._staging_view[self._staged:]
 
     def buffer_updated(self, nbytes: int) -> None:
@@ -408,7 +443,9 @@ class FrameProtocol(asyncio.BufferedProtocol):
             self._split(self._staged + nbytes)
         else:
             self._body_got += nbytes
-            if self._body_got == len(self._body):
+            if self._body_got == len(self._body) < self._body_need:
+                self._body = _grown(self._body, self._body_need)
+            elif self._body_got == self._body_need:
                 body = memoryview(self._body)[self._body_pad:]
                 self._body = None
                 try:
@@ -460,14 +497,13 @@ class FrameProtocol(asyncio.BufferedProtocol):
 
     # -- receiving ----------------------------------------------------
     def _split(self, end: int) -> None:
-        """Queue the frames complete in ``staging[:end]``, up to
-        :data:`MAX_QUEUED_FRAMES`; start its own buffer for a frame
-        larger than the staging buffer once its header is in; move the
+        """Queue the frames complete in ``staging[:end]`` until the
+        queue is full; start its own buffer for a frame larger than the
+        staging buffer once its header is in and checked; move the
         bytes left to the front."""
         staging, view, pos = self._staging, self._staging_view, 0
         try:
-            while end - pos >= _LEN.size and \
-                    len(self._frames) < MAX_QUEUED_FRAMES:
+            while end - pos >= _LEN.size and not self._full():
                 start = pos + _LEN.size
                 stop = start + _body_len(staging, pos)
                 if stop <= end:
@@ -477,13 +513,14 @@ class FrameProtocol(asyncio.BufferedProtocol):
                 if stop - pos > STAGING_BYTES and \
                         end - start >= _HEADER.size:
                     # The rest of this body lands in its own buffer.
-                    buf, pad = _body_buffer(
-                        stop - start,
-                        _LEN.unpack_from(staging, start + _META_LEN_AT)[0])
+                    meta_len = _check_header(staging, start,
+                                             stop - start)[-1]
+                    buf, pad = _body_buffer(stop - start, meta_len,
+                                            end - start)
                     got = pad + end - start
                     memoryview(buf)[pad:got] = view[start:end]
-                    self._body, self._body_pad, self._body_got = \
-                        buf, pad, got
+                    self._body, self._body_pad, self._body_got, \
+                        self._body_need = buf, pad, got, pad + stop - start
                     pos = end
                 break
         except ProtocolError as exc:
@@ -494,7 +531,8 @@ class FrameProtocol(asyncio.BufferedProtocol):
         self._staged = end - pos
 
     def _queue(self, frame: Frame) -> None:
-        nbytes = len(frame.payload.obj)     # the frame's own buffer
+        # The frame's own buffer, and at least 1/64 of the limit.
+        nbytes = max(len(frame.payload.obj), STAGING_BYTES >> 6)
         self._frames.append((frame, nbytes))
         self._queued_bytes += nbytes
 
@@ -502,8 +540,7 @@ class FrameProtocol(asyncio.BufferedProtocol):
         return bool(self._staged) or self._body is not None
 
     def _full(self) -> bool:
-        return len(self._frames) >= MAX_QUEUED_FRAMES or \
-            self._queued_bytes >= STAGING_BYTES
+        return self._queued_bytes >= STAGING_BYTES
 
     def _fail(self, exc: BaseException) -> None:
         """End the stream with ``exc`` (after the frames queued before
@@ -593,9 +630,10 @@ class FrameProtocol(asyncio.BufferedProtocol):
 def recv_frame(sock) -> Frame | None:
     """Read one frame from a blocking socket; None on clean EOF.
 
-    The length prefix and header land in a small buffer; the rest of
-    the body is received (``recv_into``) straight into the frame's own
-    buffer, padded as :class:`FrameProtocol` pads it.
+    The length prefix and header land in a small buffer and are
+    checked; the rest of the body is received (``recv_into``) straight
+    into the frame's own buffer, padded and sized (growing as the body
+    arrives) as :class:`FrameProtocol` does it.
     """
     head = bytearray(_LEN.size + _HEADER.size)
     view, got, body_len = memoryview(head), 0, None
@@ -608,20 +646,18 @@ def recv_frame(sock) -> Frame | None:
         got += n
         if body_len is None and got >= _LEN.size:
             body_len = _body_len(head)
-            if body_len < _HEADER.size:
-                raise ProtocolError(f"frame body truncated at {body_len} "
-                                    f"bytes (header needs {_HEADER.size})")
-    buf, pad = _body_buffer(
-        body_len, _LEN.unpack_from(head, _LEN.size + _META_LEN_AT)[0])
-    got = pad + _HEADER.size
-    body = memoryview(buf)
-    body[pad:got] = view[_LEN.size:]
-    while got < len(buf):
-        n = sock.recv_into(body[got:])
+    meta_len = _check_header(head, _LEN.size, body_len)[-1]
+    buf, pad = _body_buffer(body_len, meta_len, _HEADER.size)
+    got, need = pad + _HEADER.size, pad + body_len
+    memoryview(buf)[pad:got] = view[_LEN.size:]
+    while got < need:
+        if got == len(buf):
+            buf = _grown(buf, need)
+        n = sock.recv_into(memoryview(buf)[got:])
         if not n:
             raise ConnectionLost("connection closed mid-frame")
         got += n
-    return _parse_body(body[pad:])
+    return _parse_body(memoryview(buf)[pad:])
 
 
 # ----------------------------------------------------------------------

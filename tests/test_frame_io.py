@@ -10,14 +10,21 @@
   arrays are writable views of their own frame's buffer; a connection
   whose frames are not consumed stops parsing and pauses its transport,
   and holds a bounded number of bytes whatever its frames' size.
+* Hostile length prefixes: a prefix declaring ``MAX_FRAME_BYTES``
+  commits O(``STAGING_BYTES``) until the bytes arrive, in both readers,
+  and a bad header is refused before anything is sized from it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import socket
+import struct
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -68,20 +75,29 @@ def _same(got: protocol.Frame, want: protocol.Frame) -> None:
         assert arr.flags.aligned and arr.flags.writeable
 
 
-async def _read_all(frame_io, stream: bytes, chunks=()) -> list:
-    """Every frame of ``stream``, fed through the reader in receives of
-    ``chunks`` sizes (then whole buffers), taking frames whenever the
-    reader pauses its transport."""
-    reader = frame_io.open()
-    view, fed, sizes, got = memoryview(stream), 0, iter(chunks), []
-    while fed < len(view):
-        fed += frame_io.feed(reader, view[fed:], sizes)
+async def _read_all(frame_io, reader, stream: bytes, chunks=(),
+                    fed: int = 0) -> list:
+    """Every frame of ``stream`` from byte ``fed`` on, fed through
+    ``reader`` in receives of ``chunks`` sizes (then whole buffers),
+    taking frames whenever the reader pauses its transport."""
+    view, sizes, got = memoryview(stream), iter(chunks), []
+    while True:
         while reader.transport.paused:
             got.append(await reader.read_frame())
+        if fed == len(view):
+            break
+        fed += frame_io.feed(reader, view[fed:], sizes)
     reader.eof_received()
     while (frame := await reader.read_frame()) is not None:
         got.append(frame)
     return got
+
+
+def _received(frame_io, stream: bytes, chunks=()) -> list:
+    """:func:`_read_all` through a new reader."""
+    async def run():
+        return await _read_all(frame_io, frame_io.open(), stream, chunks)
+    return asyncio.run(run())
 
 
 def test_pool_spans_the_staging_buffer():
@@ -114,7 +130,7 @@ def test_reader_yields_exactly_the_frames_sent(frame_io, data):
     ends = sorted({starts[i] + off % len(blobs[i]) for i, off in cuts}
                   | {starts[-1]})
     chunks = [b - a for a, b in zip([0, *ends], ends) if b > a]
-    got = asyncio.run(_read_all(frame_io, b"".join(blobs), chunks))
+    got = _received(frame_io, b"".join(blobs), chunks)
     assert len(got) == len(blobs)
     for frame, blob in zip(got, blobs):
         _same(frame, protocol.frame_from_bytes(blob))
@@ -127,7 +143,7 @@ def test_frame_at_the_staging_boundary_then_larger(frame_io, chunks):
     than it, then tiny ones, under fixed receive patterns."""
     blobs = [POOL[7], POOL[9], POOL[1], POOL[7], POOL[0], POOL[8], POOL[4],
              POOL[9]]
-    got = asyncio.run(_read_all(frame_io, b"".join(blobs), chunks))
+    got = _received(frame_io, b"".join(blobs), chunks)
     assert len(got) == len(blobs)
     for frame, blob in zip(got, blobs):
         _same(frame, protocol.frame_from_bytes(blob))
@@ -155,30 +171,20 @@ def test_stream_errors_follow_the_frames_before_them(frame_io):
 # ----------------------------------------------------------------------
 # Copy guard
 # ----------------------------------------------------------------------
-def _traced(fn):
-    """``fn()``'s result, the bytes it leaves allocated and its peak."""
+@contextlib.contextmanager
+def _traced():
+    """Trace allocations inside the block; the yielded holder then has
+    ``held`` (bytes still allocated at its end) and ``peak``."""
+    out = types.SimpleNamespace()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = fn()
+        yield out
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return out, held - base, peak - base
-
-
-async def _traced_async(coro_fn):
-    """:func:`_traced` for a coroutine function."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = await coro_fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, held - base, peak - base
+    out.held, out.peak = held - base, peak - base
 
 
 @pytest.mark.parametrize("shape", [(64, 256), (256, 256)],
@@ -190,32 +196,32 @@ def test_request_receive_and_decode_allocate_one_payload_block(frame_io,
 
     async def run():
         reader = frame_io.open()
-
-        async def receive():
+        reader.get_buffer(-1)   # the staging buffer, made on first receive
+        with _traced() as mem:
             frame_io.feed(reader, blob)
-            return protocol.decode_request(await reader.read_frame())
+            req = protocol.decode_request(await reader.read_frame())
+        return req, mem
 
-        return await _traced_async(receive)
-
-    req, held, peak = asyncio.run(run())
+    req, mem = asyncio.run(run())
     assert req.x.tobytes() == x.tobytes()
-    assert x.nbytes <= held < x.nbytes * 3 // 2
-    assert peak < x.nbytes * 3 // 2     # one payload-sized block, ever
+    assert x.nbytes <= mem.held < x.nbytes * 3 // 2
+    assert mem.peak < x.nbytes * 3 // 2     # one payload-sized block, ever
 
 
 def test_response_encode_allocates_one_frame_block(rng):
     arr = rng.standard_normal((64, 256))
-    blob, held, peak = _traced(
-        lambda: protocol.encode_response_array(1, arr, fingerprint="fp"))
-    assert arr.nbytes < len(blob) <= held
-    assert peak < arr.nbytes * 3 // 2
+    with _traced() as mem:
+        blob = protocol.encode_response_array(1, arr, fingerprint="fp")
+    assert arr.nbytes < len(blob) <= mem.held
+    assert mem.peak < arr.nbytes * 3 // 2
     k, v = rng.standard_normal((32, 256)), rng.standard_normal((32, 256))
-    blob, _, peak = _traced(lambda: protocol.encode_session_append(
-        2, session_id="s", layer=0, seq=0, k=k, v=v))
-    assert peak < (k.nbytes + v.nbytes) * 3 // 2
-    blob, _, peak = _traced(lambda: protocol.encode_session_kv(
-        3, k, v, session_id="s", layer=0))
-    assert peak < (k.nbytes + v.nbytes) * 3 // 2
+    with _traced() as mem:
+        protocol.encode_session_append(2, session_id="s", layer=0, seq=0,
+                                       k=k, v=v)
+    assert mem.peak < (k.nbytes + v.nbytes) * 3 // 2
+    with _traced() as mem:
+        protocol.encode_session_kv(3, k, v, session_id="s", layer=0)
+    assert mem.peak < (k.nbytes + v.nbytes) * 3 // 2
 
 
 def test_decoded_arrays_are_writable_and_private(frame_io, rng):
@@ -258,8 +264,9 @@ def test_decoded_arrays_are_writable_and_private(frame_io, rng):
 def test_frame_from_bytes_copies_once_into_a_bytearray(rng):
     x = rng.standard_normal((64, 256))
     blob = protocol.encode_request(1, x, fmt="m2xfp")
-    frame, _, peak = _traced(lambda: protocol.frame_from_bytes(blob))
-    assert peak < len(blob) * 3 // 2
+    with _traced() as mem:
+        frame = protocol.frame_from_bytes(blob)
+    assert mem.peak < len(blob) * 3 // 2
     assert isinstance(frame.payload.obj, bytearray)
     req = protocol.decode_request(frame)
     req.x[...] = 0.0
@@ -274,8 +281,9 @@ def test_recv_frame_receives_into_the_frame_buffer(rng):
     try:
         a.sendall(blob + protocol.encode_ping(5))
         a.close()
-        frame, held, peak = _traced(lambda: protocol.recv_frame(b))
-        assert x.nbytes <= held and peak < x.nbytes * 3 // 2
+        with _traced() as mem:
+            frame = protocol.recv_frame(b)
+        assert x.nbytes <= mem.held and mem.peak < x.nbytes * 3 // 2
         out = protocol.response_result(frame)
         assert out.flags.writeable and out.flags.aligned
         assert out.tobytes() == x.tobytes()
@@ -293,20 +301,21 @@ def test_recv_frame_receives_into_the_frame_buffer(rng):
 ], ids=["tiny", "small", "large", "mixed"])
 def test_unconsumed_frames_pause_the_transport(frame_io, blobs):
     """Unread frames stop the parsing and the reading: the reader then
-    holds at most the staging buffer, its queued frames (at most
-    ``MAX_QUEUED_FRAMES``, holding up to the byte limit plus the frames
-    of the receive that crossed it) and one partial frame, whatever
-    the frame size. Taking the frames resumes reading, and every frame
+    holds at most the staging buffer, its queued frames (charged at
+    least ``STAGING_BYTES // 64`` each, up to ``STAGING_BYTES`` plus
+    the frame that crossed it) and one partial frame, whatever the
+    frame size. Taking the frames resumes reading, and every frame
     arrives."""
     stream = b"".join(blobs)
     biggest = max(map(len, blobs))
 
     async def run():
-        reader = frame_io.open()        # the staging buffer predates this
-        fed, held, _ = _traced(lambda: frame_io.feed(reader, stream))
+        reader = frame_io.open()
+        with _traced() as mem:
+            fed = frame_io.feed(reader, stream)
         assert reader.transport.paused and fed < len(stream)
-        assert held <= 2 * STAGING_BYTES + 2 * biggest
-        got = await _read_all_after(frame_io, reader, stream, fed)
+        assert mem.held <= 2 * STAGING_BYTES + 2 * biggest
+        got = await _read_all(frame_io, reader, stream, fed=fed)
         assert len(got) == len(blobs)
         for frame, blob in zip(got, blobs):
             _same(frame, protocol.frame_from_bytes(blob))
@@ -314,15 +323,107 @@ def test_unconsumed_frames_pause_the_transport(frame_io, blobs):
     asyncio.run(run())
 
 
-async def _read_all_after(frame_io, reader, stream: bytes, fed: int) -> list:
-    view, got = memoryview(stream), []
-    while True:
-        while reader.transport.paused:
-            got.append(await reader.read_frame())
-        if fed == len(view):
-            break
-        fed += frame_io.feed(reader, view[fed:])
-    reader.eof_received()
-    while (frame := await reader.read_frame()) is not None:
-        got.append(frame)
-    return got
+def _declared(magic=protocol.MAGIC, version=protocol.PROTOCOL_VERSION,
+              kind=protocol.KIND_REQUEST, meta_len=0) -> bytes:
+    """A length prefix declaring ``MAX_FRAME_BYTES`` and a header."""
+    return struct.pack("<I4sBBBBII", protocol.MAX_FRAME_BYTES, magic,
+                       version, kind, 0, protocol.FLAG_RAW_F64, 1, meta_len)
+
+
+BAD_HEADERS = [
+    (_declared(magic=b"XXXX"), "magic"),
+    (_declared(version=protocol.PROTOCOL_VERSION + 1), "version"),
+    (_declared(kind=99), "kind"),
+    (_declared(meta_len=protocol.MAX_FRAME_BYTES), "meta"),
+]
+
+
+def test_idle_connection_holds_no_staging_buffer(frame_io):
+    """The staging buffer is made with the first bytes to arrive."""
+    async def run():
+        with _traced() as mem:
+            reader = frame_io.open()
+        assert mem.held < STAGING_BYTES // 16
+        with _traced() as mem:
+            frame_io.feed(reader, POOL[0])
+        assert mem.held >= STAGING_BYTES
+        assert (await reader.read_frame()).kind == protocol.KIND_PING
+
+    asyncio.run(run())
+
+
+def test_declared_length_alone_commits_no_memory(frame_io):
+    """Twenty bytes declaring the largest frame allocate O(STAGING_BYTES);
+    past that the frame's buffer grows with what arrives, at most twice
+    it. A bad header is refused before anything is sized from it."""
+    body = memoryview(bytes(3 << 20))
+
+    async def run():
+        reader = frame_io.open()
+        with _traced() as mem:
+            frame_io.feed(reader, _declared())
+        assert mem.peak <= 5 * STAGING_BYTES + 4096
+        with _traced() as mem:
+            fed = frame_io.feed(reader, body[:(1 << 20) + 7])
+            frame_io.feed(reader, body[fed:])
+        # The frame's buffer is now 4 MiB, for 3 MiB received (at most
+        # twice it); it was copied from the 2 MiB one before it.
+        assert mem.held <= (4 << 20) + 4096
+        assert mem.peak <= (6 << 20) + 4096
+        reader.eof_received()
+        with pytest.raises(protocol.ConnectionLost, match="mid-frame"):
+            await reader.read_frame()
+        for header, match in BAD_HEADERS:
+            reader = frame_io.open()
+            with _traced() as mem:
+                frame_io.feed(reader, header)
+            assert mem.peak <= STAGING_BYTES + 4096
+            assert reader.transport.paused
+            with pytest.raises(protocol.ProtocolError, match=match):
+                await reader.read_frame()
+
+    asyncio.run(run())
+
+
+def test_recv_frame_declared_length_commits_no_memory():
+    """The blocking reader sizes a frame the same way."""
+    for header, match in [(_declared(), None), *BAD_HEADERS]:
+        a, b = socket.socketpair()
+        try:
+            a.sendall(header + bytes(1000))
+            a.close()
+            with _traced() as mem:
+                if match is None:
+                    with pytest.raises(protocol.ConnectionLost):
+                        protocol.recv_frame(b)
+                else:
+                    with pytest.raises(protocol.ProtocolError, match=match):
+                        protocol.recv_frame(b)
+            assert mem.peak <= (4 * STAGING_BYTES + 4096 if match is None
+                                else 4096)
+        finally:
+            b.close()
+
+
+def test_frames_past_the_first_buffer_grow_into_one(frame_io, rng):
+    """A frame larger than 4 × ``STAGING_BYTES`` arrives whole through
+    both readers, its payload still aligned and writable."""
+    blob = protocol.encode_request(3, rng.standard_normal((1100, 256)),
+                                   fmt="m2xfp", op="weight")
+    assert len(blob) > 4 * STAGING_BYTES
+    stream = blob + POOL[0]
+    want = [protocol.frame_from_bytes(blob), protocol.frame_from_bytes(POOL[0])]
+    for chunks in [(), (1,) * 30 + (STAGING_BYTES - 3,)]:
+        got = _received(frame_io, stream, chunks)
+        assert len(got) == 2
+        for frame, ref in zip(got, want):
+            _same(frame, ref)
+    a, b = socket.socketpair()
+    try:
+        threading.Thread(target=lambda: (a.sendall(stream), a.close()),
+                         daemon=True).start()
+        _same(protocol.recv_frame(b), want[0])
+        _same(protocol.recv_frame(b), want[1])
+        assert protocol.recv_frame(b) is None
+    finally:
+        b.close()
