@@ -6,7 +6,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import M2XFP, MXFP4, NVFP4
-from repro.core import elem_em_encode, pack_elem_em
+from repro.codec import encode
 from repro.models.tensors import OutlierSpec, outlier_matrix
 
 
@@ -22,13 +22,13 @@ def main() -> None:
         mse = np.mean((dq - w) ** 2) / np.mean(w ** 2)
         print(f"{fmt.name:14s} {fmt.ebw:5.3f}   {mse:.5f}")
 
-    # The activation path is Algorithm 1: online, bit-exact, packable.
+    # The activation path is Algorithm 1: online, bit-exact, packable
+    # into the Sec. 5.2 layout (FP4 codes, E8M0 scales, 2-bit metadata).
     acts = rng.standard_normal((4, 32)) * 3
-    enc = elem_em_encode(acts, sub_size=8)
-    packed = pack_elem_em(enc)
-    print(f"\npacked activation tensor: {packed.total_bytes} bytes "
+    packed = encode(M2XFP(), acts, op="activation")
+    print(f"\npacked activation tensor: {packed.payload_bytes} bytes "
           f"({packed.bits_per_element} bits/element)")
-    print(f"metadata stream: {packed.metadata.tobytes().hex()}")
+    print(f"metadata stream: {packed.stream('meta').data.hex()}")
 
 
 if __name__ == "__main__":

@@ -54,8 +54,8 @@ def build_payload() -> dict:
     """All pinned frames, keyed ``<format>:<op>:<packed|raw>``.
 
     Responses are built exactly the way ``QuantServer._respond`` builds
-    them: the format's own quantize output (or the codec's container
-    bytes) behind ``encode_response_array`` / ``encode_response_packed``
+    them: the format's own quantize output (or the codec's container)
+    behind ``encode_response_array`` / ``encode_response_packed``
     with the format's fingerprint.
     """
     x = _fixed_input()
@@ -76,7 +76,7 @@ def build_payload() -> dict:
             if packed:
                 pt = encode(fmt, x, op=op, axis=-1, verify=True)
                 response = protocol.encode_response_packed(
-                    rid, pt.to_bytes(), fingerprint=repr(fmt))
+                    rid, pt, fingerprint=repr(fmt))
             else:
                 fn = (fmt.quantize_weight if op == "weight"
                       else fmt.quantize_activation)

@@ -6,7 +6,7 @@ Public API highlights:
 * :mod:`repro.formats` — mini-float / integer scalar formats, E8M0 scales;
 * :mod:`repro.mx` — MXFP4/6/8, NVFP4, SMX, MSFP and the scale rules;
 * :mod:`repro.core` — the M2XFP contribution (Elem-EM, Sg-EM, hybrid format,
-  bit-exact packing, EBW accounting);
+  EBW accounting);
 * :mod:`repro.dse` — the encoding design space exploration;
 * :mod:`repro.models` / :mod:`repro.eval` — the synthetic LLM substrate and
   the perplexity / task-accuracy harness;

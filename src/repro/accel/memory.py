@@ -1,9 +1,13 @@
 """Memory organization of M2XFP tensors on the accelerator (Sec. 5.2).
 
-Maps a packed tensor (see :mod:`repro.core.packing`) onto the three
-separately contiguous on-chip regions — elements, scales, metadata — and
-models the dispatch unit that serves aligned group records to the decode
-units and PE array.
+The Sec. 5.2 layout is the codec's Elem-EM / Sg-EM container (see
+:mod:`repro.codec`; m2xfp serves one or the other per operand): each
+group's FP4 codes, E8M0 scale and 2-bit metadata fields live in three
+separately contiguous streams, ``elements``, ``scales`` and ``meta``.
+:class:`MemoryLayout` maps such a container onto the three on-chip
+regions and cuts each group's record from the streams' bytes;
+:class:`DispatchUnit` serves the records to the decode units and PE
+array.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.packing import PackedGroups
+from ..codec import PackedTensor
 from ..errors import ShapeError
 
 __all__ = ["GroupRecord", "MemoryLayout", "DispatchUnit"]
+
+#: The three regions, named as the container's streams.
+REGIONS = ("elements", "scales", "meta")
 
 
 @dataclass(frozen=True)
@@ -24,67 +31,63 @@ class GroupRecord:
 
     element_bytes: np.ndarray  # group_size/2 bytes of packed FP4 codes
     scale_byte: int            # E8M0 code
-    meta_byte: int             # packed 2-bit metadata fields
+    meta_bytes: np.ndarray     # the group's packed 2-bit metadata fields
 
 
-@dataclass
 class MemoryLayout:
-    """Byte-level layout of a packed tensor in the three regions."""
+    """Byte-level layout of a packed container in the three regions.
 
-    packed: PackedGroups
+    The container's streams must be exactly :data:`REGIONS`: one E8M0
+    byte per group (no NVFP4-family tensor scale), and a whole number
+    of element and metadata bytes per group, so every record starts on
+    a byte. Anything else raises
+    :class:`ShapeError` here rather than serving misaligned records.
+    """
 
-    @property
-    def element_region_bytes(self) -> int:
-        """Size of the packed-elements region."""
-        return int(self.packed.elements.size)
+    def __init__(self, packed: PackedTensor) -> None:
+        if packed.streams.keys() != set(REGIONS):
+            raise ShapeError(f"the Sec. 5.2 layout needs streams {REGIONS}, "
+                             f"the container has {tuple(packed.streams)}")
+        scales = packed.stream("scales")
+        if scales.width != 8 or not scales.count or packed.extra:
+            raise ShapeError(f"the Sec. 5.2 layout holds one E8M0 byte per "
+                             f"group and no tensor scale; the container "
+                             f"has {scales.count} scales of {scales.width} "
+                             f"bits and header scalars {packed.extra}")
+        self.n_groups = scales.count
+        #: Each region's bytes, and its bytes per group.
+        self.regions, self.strides = {}, {}
+        for name in REGIONS:
+            s = packed.stream(name)
+            bits = s.width * s.count
+            if bits % (8 * self.n_groups):
+                raise ShapeError(f"stream {name!r} holds {bits} bits, not a "
+                                 f"whole number of bytes for each of "
+                                 f"{self.n_groups} groups")
+            self.regions[name] = np.frombuffer(s.data, dtype=np.uint8)
+            self.strides[name] = bits // (8 * self.n_groups)
 
-    @property
-    def scale_region_bytes(self) -> int:
-        """Size of the scales region."""
-        return int(self.packed.scales.size)
-
-    @property
-    def metadata_region_bytes(self) -> int:
-        """Size of the metadata region."""
-        return int(self.packed.metadata.size)
-
-    @property
-    def group_stride_bytes(self) -> int:
-        """Element bytes per group (128 bits for group 32)."""
-        return self.packed.group_size // 2
+    def _cut(self, name: str, group_index: int) -> np.ndarray:
+        stride = self.strides[name]
+        return self.regions[name][group_index * stride:
+                                  (group_index + 1) * stride]
 
     def record(self, group_index: int) -> GroupRecord:
         """Fetch one group's aligned record."""
-        if not 0 <= group_index < self.packed.n_groups:
+        if not 0 <= group_index < self.n_groups:
             raise ShapeError(f"group index {group_index} out of range")
-        stride = self.group_stride_bytes
-        meta_per_group = self.packed.metadata.size // self.packed.n_groups
-        start = group_index * meta_per_group
-        meta = int(self.packed.metadata[start]) if meta_per_group == 1 else int(
-            np.frombuffer(self.packed.metadata[start:start + meta_per_group]
-                          .tobytes(), dtype=np.uint8)[0])
-        return GroupRecord(
-            element_bytes=self.packed.elements[group_index * stride:
-                                               (group_index + 1) * stride],
-            scale_byte=int(self.packed.scales[group_index]),
-            meta_byte=meta)
+        return GroupRecord(element_bytes=self._cut("elements", group_index),
+                           scale_byte=int(self.regions["scales"][group_index]),
+                           meta_bytes=self._cut("meta", group_index))
 
 
 class DispatchUnit:
-    """Streams aligned group records; checks the layout stays fragment-free."""
+    """Streams the aligned group records of a layout in address order."""
 
     def __init__(self, layout: MemoryLayout) -> None:
         self.layout = layout
 
     def stream(self):
         """Yield every group record in address order."""
-        for i in range(self.layout.packed.n_groups):
+        for i in range(self.layout.n_groups):
             yield self.layout.record(i)
-
-    @property
-    def is_aligned(self) -> bool:
-        """All three regions are multiples of their record sizes."""
-        p = self.layout.packed
-        return (p.elements.size % self.layout.group_stride_bytes == 0
-                and p.scales.size == p.n_groups
-                and p.metadata.size % p.n_groups == 0)

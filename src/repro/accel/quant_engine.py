@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.elem_em import ElemEMEncoding, elem_em_encode
-from ..core.packing import PackedGroups, pack_elem_em
+from ..codec import PackedTensor, encode
+from ..core.elem_em import ElemEM, ElemEMEncoding, elem_em_encode
 from ..errors import ShapeError
 
 __all__ = ["QuantizationEngine"]
@@ -34,9 +34,11 @@ class QuantizationEngine:
         """Run Algorithm 1 on ``(n_groups, k)`` activations."""
         return elem_em_encode(groups, sub_size=self.sub_size, top_k=1)
 
-    def encode_packed(self, groups: np.ndarray) -> PackedGroups:
-        """Encode and pack into the Sec. 5.2 memory layout."""
-        return pack_elem_em(self.encode(groups))
+    def encode_packed(self, groups: np.ndarray) -> PackedTensor:
+        """Encode into the Sec. 5.2 memory layout: the codec's Elem-EM
+        container (see :mod:`repro.accel.memory`)."""
+        return encode(ElemEM(self.group_size, self.sub_size), groups,
+                      op="activation")
 
     def cycles(self, n_groups: int) -> int:
         """One group per cycle after the pipeline fills."""

@@ -1,13 +1,14 @@
 """Arbitrary-width bit field packing for the tensor codec.
 
-:mod:`repro.core.packing` handles the Sec. 5.2 accelerator layout, whose
-field widths (4-bit nibbles, 2-bit metadata) happen to divide a byte.
-The serialized container cannot afford that restriction: SMX6 mantissa
-codes are 5 bits, Elem-EE refinement codes are 3, MaxPreserving indices
-are ``ceil(log2(k))``. These helpers pack any fixed width ``1..64``
-densely, LSB-first within the stream, so a stream of ``count`` fields
-costs exactly ``ceil(count * width / 8)`` bytes — the property the
-measured-vs-nominal EBW assertions in ``tests/test_codec.py`` rest on.
+The Sec. 5.2 accelerator layout is the Elem-EM / Sg-EM container these
+helpers pack (read by :mod:`repro.accel.memory`): its 4-bit nibbles
+and 2-bit metadata happen to divide a byte. The other formats' streams
+do not: SMX6 mantissa codes are 5 bits, Elem-EE refinement codes are 3,
+MaxPreserving indices are ``ceil(log2(k))``. These helpers pack any
+fixed width ``1..64`` densely, LSB-first within the stream, so a stream
+of ``count`` fields costs exactly ``ceil(count * width / 8)`` bytes —
+the property the measured-vs-nominal EBW assertions in
+``tests/test_codec.py`` rest on.
 
 Example::
 

@@ -40,10 +40,13 @@ How each family packs:
   (the nominal accounting assumes the refined code replaces the stored
   one, which would break the decoder's top-element re-identification);
   the overhead is pinned exactly in ``tests/test_codec.py``.
-* **M2XFP** — delegates to Sg-EM (weights) or Elem-EM (activations).
+* **M2XFP** — delegates to Sg-EM (weights) or Elem-EM (activations);
+  either container is the paper's Sec. 5.2 memory layout, which
+  :mod:`repro.accel.memory` reads.
 * **M2-NVFP4** — NVFP4 two-level scales plus the Sg-EM multiplier /
   bias search codes (weights) or the Elem-EM bias-clamp metadata
-  (activations).
+  (activations). The weights' 2-bit per-group ``bias`` stream is
+  outside the nominal EBW, pinned like Elem-EE's in the same test.
 * **MaxPreserving** — the inner format's streams with each group's
   maximum re-stored as an FP16 code plus its index; the inner element
   code at that index is dropped.

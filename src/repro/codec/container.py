@@ -254,12 +254,18 @@ class PackedTensor:
         }
         return _json(header)
 
+    def parts(self) -> tuple:
+        """The serialized container in order: the magic, the header
+        length word, the header JSON, then each stream's bytes.
+        :meth:`to_bytes` joins them; a wire frame joins them into
+        itself, so a packed answer is copied once."""
+        head = self._header_json()
+        return (MAGIC, struct.pack("<I", len(head)), head,
+                *[s.data for s in self.streams.values()])
+
     def to_bytes(self) -> bytes:
         """Serialize to one contiguous, self-describing byte string."""
-        head = self._header_json()
-        parts = [MAGIC, struct.pack("<I", len(head)), head]
-        parts += [s.data for s in self.streams.values()]
-        return b"".join(parts)
+        return b"".join(self.parts())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PackedTensor":

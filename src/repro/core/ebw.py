@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 
-__all__ = ["ebw", "ebw_of_format"]
+__all__ = ["ebw"]
 
 
 def ebw(element_bits: float, group_size: int, scale_bits: float = 8,
@@ -18,8 +18,3 @@ def ebw(element_bits: float, group_size: int, scale_bits: float = 8,
     if group_size < 1:
         raise ConfigError("group_size must be >= 1")
     return element_bits + (meta_bits_per_group + scale_bits) / group_size
-
-
-def ebw_of_format(fmt) -> float:
-    """EBW of any object exposing the :class:`TensorFormat` protocol."""
-    return float(fmt.ebw)

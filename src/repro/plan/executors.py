@@ -143,35 +143,36 @@ def _fp4_scaled_finish(geom: GroupGeometry, groups: np.ndarray,
 def _compile_block(fmt: BlockFormat, op: str, geom: GroupGeometry):
     elem, rule = fmt.element, fmt.scale_rule
 
+    def _scaled(x: np.ndarray):
+        """``(groups, |groups| / 2**e, e)``: the groups under the shared
+        scale exponent ``e`` the format's rule picks."""
+        groups = geom.pack(x)
+        ax = np.abs(groups)
+        amax = tree_amax(ax)
+        validate_amax(amax)
+        e = shared_scale_exponent(amax, elem, rule)
+        ax *= _exp2(-e)[:, None]
+        return groups, ax, e
+
     if isinstance(elem, FloatSpec) and elem is FP4_E2M1:
-        def run(x: np.ndarray) -> np.ndarray:
-            groups = geom.pack(x)
-            ax = np.abs(groups)
-            amax = tree_amax(ax)
-            validate_amax(amax)
-            e = shared_scale_exponent(amax, elem, rule)
-            ax *= _exp2(-e)[:, None]
-            v = fp4_half_ints(fp4_codes(ax)).astype(np.float64)
+        def _encode(x: np.ndarray):
+            groups, ax, e = _scaled(x)
+            return groups, e, fp4_codes(ax)
+
+        def _finish(groups, e, c) -> np.ndarray:
+            v = fp4_half_ints(c).astype(np.float64)
             v *= _exp2(e - 1)[:, None]
             return geom.unpack(np.copysign(v, groups))
 
-        def run_codes(x: np.ndarray) -> CodeSpaceResult:
-            groups = geom.pack(x)
-            ax = np.abs(groups)
-            amax = tree_amax(ax)
-            validate_amax(amax)
-            e = shared_scale_exponent(amax, elem, rule)
-            ax *= _exp2(-e)[:, None]
-            c = fp4_codes(ax)
-            elems = _sign_codes(groups, c)
+        def run(x: np.ndarray) -> np.ndarray:
+            return _finish(*_encode(x))
 
-            def dequantize() -> np.ndarray:
-                v = fp4_half_ints(c).astype(np.float64)
-                v *= _exp2(e - 1)[:, None]
-                return geom.unpack(np.copysign(v, groups))
+        def run_codes(x: np.ndarray) -> CodeSpaceResult:
+            groups, e, c = _encode(x)
             return CodeSpaceResult(
                 (CodeStream("scales", e + 127, 8),
-                 CodeStream("elements", elems, 4)), dequantize)
+                 CodeStream("elements", _sign_codes(groups, c), 4)),
+                lambda: _finish(groups, e, c))
         return run, run_codes
 
     if isinstance(elem, FloatSpec) and elem.boundaries is not None:
@@ -179,65 +180,55 @@ def _compile_block(fmt: BlockFormat, op: str, geom: GroupGeometry):
         width = elem.total_bits
         mag_bits = elem.exp_bits + elem.man_bits
 
-        def run(x: np.ndarray) -> np.ndarray:
-            groups = geom.pack(x)
-            ax = np.abs(groups)
-            amax = tree_amax(ax)
-            validate_amax(amax)
-            e = shared_scale_exponent(amax, elem, rule)
-            ax *= _exp2(-e)[:, None]
-            v = grid[np.searchsorted(bounds, ax, side="left")]
+        def _encode(x: np.ndarray):
+            # The magnitude code IS the boundary count, so one
+            # searchsorted yields both the grid index and the wire code.
+            # (A masked-bit-pattern encode on the float64 representation
+            # derives the same codes, but its ~30 elementwise passes lose
+            # to one binary search in NumPy.)
+            groups, ax, e = _scaled(x)
+            return groups, e, np.searchsorted(bounds, ax, side="left")
+
+        def _finish(groups, e, idx) -> np.ndarray:
+            v = grid[idx]
             v *= _exp2(e)[:, None]
             return geom.unpack(np.copysign(v, groups))
 
+        def run(x: np.ndarray) -> np.ndarray:
+            return _finish(*_encode(x))
+
         def run_codes(x: np.ndarray) -> CodeSpaceResult:
-            groups = geom.pack(x)
-            ax = np.abs(groups)
-            amax = tree_amax(ax)
-            validate_amax(amax)
-            e = shared_scale_exponent(amax, elem, rule)
-            ax *= _exp2(-e)[:, None]
-            # The magnitude code IS the boundary count, so the same
-            # searchsorted that feeds ``run``'s grid gather yields the
-            # wire codes directly. (A masked-bit-pattern encode on the
-            # float64 representation derives the same codes, but its ~30
-            # elementwise passes lose to one binary search in NumPy.)
-            idx = np.searchsorted(bounds, ax, side="left")
+            groups, e, idx = _encode(x)
             elems = np.signbit(groups).astype(np.int64) << mag_bits
             elems |= idx
-
-            def dequantize() -> np.ndarray:
-                v = grid[idx]
-                v *= _exp2(e)[:, None]
-                return geom.unpack(np.copysign(v, groups))
             return CodeSpaceResult(
                 (CodeStream("scales", e + 127, 8),
-                 CodeStream("elements", elems, width)), dequantize)
+                 CodeStream("elements", elems, width)),
+                lambda: _finish(groups, e, idx))
         return run, run_codes
 
     if isinstance(elem, IntSpec):
-        def run(x: np.ndarray) -> np.ndarray:
+        def _encode(x: np.ndarray):
             groups = geom.pack(x)
             amax = tree_amax(np.abs(groups))
             validate_amax(amax)
             e = shared_scale_exponent(amax, elem, rule)
-            q = elem.quantize(groups * _exp2(-e)[:, None])
+            return e, elem.quantize(groups * _exp2(-e)[:, None])
+
+        def _finish(e, q) -> np.ndarray:
             q *= _exp2(e)[:, None]
             return geom.unpack(q)
 
-        def run_codes(x: np.ndarray) -> CodeSpaceResult:
-            groups = geom.pack(x)
-            amax = tree_amax(np.abs(groups))
-            validate_amax(amax)
-            e = shared_scale_exponent(amax, elem, rule)
-            q = elem.quantize(groups * _exp2(-e)[:, None])
-            elems = _int_codes(q, elem.bits)
+        def run(x: np.ndarray) -> np.ndarray:
+            return _finish(*_encode(x))
 
-            def dequantize() -> np.ndarray:
-                return geom.unpack(q * _exp2(e)[:, None])
+        def run_codes(x: np.ndarray) -> CodeSpaceResult:
+            e, q = _encode(x)
             return CodeSpaceResult(
                 (CodeStream("scales", e + 127, 8),
-                 CodeStream("elements", elems, elem.bits)), dequantize)
+                 CodeStream("elements", _int_codes(q, elem.bits),
+                            elem.bits)),
+                lambda: _finish(e, q))
         return run, run_codes
 
     return None

@@ -744,12 +744,13 @@ def encode_response_array(request_id: int, arr: np.ndarray, *,
                         meta, arr)
 
 
-def encode_response_packed(request_id: int, blob: bytes, *,
+def encode_response_packed(request_id: int, packed: PackedTensor, *,
                            fingerprint: str = "") -> bytes:
-    """Serialize an OK response carrying ``PackedTensor`` bytes."""
+    """Serialize an OK response carrying a ``PackedTensor``: its
+    serialized parts are joined into the frame, not into a blob first."""
     meta = {"fingerprint": fingerprint}
     return _frame_bytes(KIND_RESPONSE, Status.OK, FLAG_PACKED, request_id,
-                        meta, blob)
+                        meta, *packed.parts())
 
 
 def encode_response_error(request_id: int, status: Status, message: str,

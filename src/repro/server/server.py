@@ -533,7 +533,7 @@ class QuantServer:
                        result) -> bytes:
         if req.packed:
             return protocol.encode_response_packed(
-                rid, result.to_bytes(), fingerprint=svc.fingerprint)
+                rid, result, fingerprint=svc.fingerprint)
         return protocol.encode_response_array(rid, result,
                                               fingerprint=svc.fingerprint)
 

@@ -1,14 +1,18 @@
 """Bit-exactness tests for the accelerator's functional units."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import (FP4_TO_UINT_LUT, PETile, PETileInputs,
-                         QuantizationEngine, Top1DecodeUnit,
-                         comparator_tree_top1, from_fixed, lut_key, to_fixed)
-from repro.core import elem_em_encode, elem_em_quantize_groups
+from repro.accel import (FP4_TO_UINT_LUT, DispatchUnit, MemoryLayout,
+                         PETile, PETileInputs, QuantizationEngine,
+                         Top1DecodeUnit, comparator_tree_top1, from_fixed,
+                         lut_key, to_fixed)
+from repro.codec import decode, encode
+from repro.core import elem_em_encode, elem_em_quantize_groups, m2xfp
 from repro.errors import FormatError, ShapeError
 
 
@@ -138,3 +142,41 @@ class TestQuantEngine:
     def test_group_sub_validation(self):
         with pytest.raises(ShapeError):
             QuantizationEngine(group_size=32, sub_size=5)
+
+
+def _subgroup_fields(record):
+    """Per 8-lane subgroup of a dispatch record: ``(FP4 codes, 2-bit
+    metadata field)``, unpacked from the record's bytes as the Sec. 5.2
+    layout states it (low nibble first; four fields a byte, low bits
+    first)."""
+    nibbles = np.empty(record.element_bytes.size * 2, dtype=np.int64)
+    nibbles[0::2] = record.element_bytes & 0xF
+    nibbles[1::2] = record.element_bytes >> 4
+    for j in range(nibbles.size // 8):
+        crumb = (int(record.meta_bytes[j // 4]) >> 2 * (j % 4)) & 0x3
+        yield nibbles[8 * j:8 * (j + 1)], crumb
+
+
+@pytest.mark.parametrize("k", [32, 64, 96, 128])
+@pytest.mark.parametrize("scale", [1e-30, 1e-3, 1.0, 1e3, 1e30])
+def test_pe_computes_on_served_bytes(k, scale):
+    """The Fig. 11 PE, fed the dispatch unit's records of served m2xfp
+    weight and activation containers, computes the dot product of the
+    decoded tensors exactly."""
+    rng = np.random.default_rng(k)
+    pe = PETile()
+    for _ in range(10):
+        w = rng.standard_normal((1, k)) * rng.lognormal(0, 2, (1, k)) * scale
+        x = rng.standard_normal((1, k)) * rng.lognormal(0, 2, (1, k)) * scale
+        pw, px = encode(m2xfp, w, op="weight"), encode(m2xfp, x)
+        got = Fraction(0)
+        for rw, rx in zip(DispatchUnit(MemoryLayout(pw)).stream(),
+                          DispatchUnit(MemoryLayout(px)).stream()):
+            for (w_codes, sg), (x_codes, meta) in zip(_subgroup_fields(rw),
+                                                      _subgroup_fields(rx)):
+                got += Fraction(pe.multiply_accumulate(PETileInputs(
+                    w_codes, x_codes, x_meta=meta, sg_code=sg,
+                    w_exp=rw.scale_byte - 127, x_exp=rx.scale_byte - 127)))
+        want = sum(Fraction(a) * Fraction(b)
+                   for a, b in zip(decode(pw).ravel(), decode(px).ravel()))
+        assert got == want

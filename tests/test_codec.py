@@ -135,12 +135,13 @@ def test_fp16_representable_input_uses_16_bits(rng):
 # ----------------------------------------------------------------------
 # Footprint: measured payload vs nominal EBW
 # ----------------------------------------------------------------------
-#: Documented bits-per-element overhead beyond the nominal EBW, exact on
-#: group-aligned tensors (see repro/codec/codecs.py module docstring).
-FOOTPRINT_EXEMPTIONS = {
-    ("elem-ee", "weight"): 3 * 4 / 32,       # 3-bit refined code / subgroup
-    ("elem-ee", "activation"): 3 * 4 / 32,
-    ("m2-nvfp4", "weight"): 2 / 16,          # 2-bit bias code / group
+#: The streams Eq. 2 leaves out of a format's nominal EBW (see the
+#: repro/codec/codecs.py module docstring): Elem-EE's 3-bit refined code
+#: per subgroup, M2-NVFP4's 2-bit bias code per weight group.
+UNCOUNTED_STREAMS = {
+    ("elem-ee", "weight"): ("refined",),
+    ("elem-ee", "activation"): ("refined",),
+    ("m2-nvfp4", "weight"): ("bias",),
 }
 
 
@@ -148,16 +149,16 @@ FOOTPRINT_EXEMPTIONS = {
 @pytest.mark.parametrize("op", ["weight", "activation"])
 def test_payload_matches_nominal_ebw(name, op, rng):
     fmt = make_format(name)
-    x = rng.standard_normal((12, 96))      # 96 = lcm of group sizes 32/16
+    # 96 = lcm of the group sizes 32/16, and 16 rows make every stream's
+    # field count a multiple of 8, so no stream rounds up to a byte.
+    x = rng.standard_normal((16, 96))
     pt = _assert_roundtrip(fmt, x, op)
+    assert all(s.width * s.count % 8 == 0 for s in pt.streams.values())
     nominal = fmt.weight_ebw if op == "weight" else fmt.activation_ebw
-    exempt = FOOTPRINT_EXEMPTIONS.get((name, op), 0.0)
-    # Per-stream byte rounding can waste at most 7 bits per stream.
-    slack = 7 * len(pt.streams) / pt.n_elements
-    assert pt.bits_per_element <= nominal + exempt + slack, \
-        (pt.bits_per_element, nominal, exempt)
-    # The payload really is low-bit: it can't undercut the element bits.
-    assert pt.bits_per_element >= nominal - 1.0
+    uncounted = sum(pt.stream(s).width * pt.stream(s).count
+                    for s in UNCOUNTED_STREAMS.get((name, op), ()))
+    assert pt.payload_bytes * 8 - nominal * pt.n_elements == uncounted, \
+        (pt.bits_per_element, nominal, uncounted)
     # "Within one header" end to end: total = payload + one small header.
     assert pt.total_bytes == pt.payload_bytes + pt.header_bytes
     assert pt.header_bytes < 600
@@ -826,6 +827,17 @@ class TestBitstreamFastPaths:
         fast = unpack_bits(raw, width, count)
         generic = _unpack_bits_generic(raw, width, count)
         assert np.array_equal(fast, generic)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("bad", ["negative", "too-wide"])
+    def test_out_of_range_fields_raise(self, width, bad):
+        """The metadata crumbs and FP4 nibbles of the Sec. 5.2 layout
+        are range-checked where they are packed."""
+        from repro.codec.bitstream import pack_bits
+
+        value = -1 if bad == "negative" else 1 << width
+        with pytest.raises(CodecError, match=f"{width} unsigned bits"):
+            pack_bits(np.array([0, 1, value, 0]), width)
 
     def test_width4_odd_count_zero_pads_high_nibble(self):
         from repro.codec.bitstream import pack_bits

@@ -6,7 +6,8 @@
   frames ``frame_from_bytes`` gives for each, and a bad frame ends the
   stream only after the frames ahead of it.
 * The copy guard (``tracemalloc``): receiving and decoding a request
-  allocates one payload-sized block, encoding a response one; decoded
+  allocates one payload-sized block, encoding a response one (a packed
+  response's container included); decoded
   arrays are writable views of their own frame's buffer; a connection
   whose frames are not consumed stops parsing and pauses its transport,
   and holds a bounded number of bytes whatever its frames' size.
@@ -31,15 +32,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.server import protocol
+from repro.codec import encode
+from repro.runner.formats import make_format
+from repro.server import QuantServer, protocol
 from repro.server.protocol import STAGING_BYTES
 
 
 def _staging_sized_frame() -> bytes:
-    """A frame exactly :data:`STAGING_BYTES` long, prefix included."""
-    empty = protocol.encode_response_packed(77, b"", fingerprint="fp")
-    return protocol.encode_response_packed(
-        77, b"\x5a" * (STAGING_BYTES - len(empty)), fingerprint="fp")
+    """A frame exactly :data:`STAGING_BYTES` long, prefix included: a
+    packed response whose payload is filler bytes."""
+    def frame(payload: bytes) -> bytes:
+        return protocol._frame_bytes(protocol.KIND_RESPONSE,
+                                     protocol.Status.OK, protocol.FLAG_PACKED,
+                                     77, {"fingerprint": "fp"}, payload)
+    return frame(b"\x5a" * (STAGING_BYTES - len(frame(b""))))
 
 
 def _pool() -> list[bytes]:
@@ -222,6 +228,20 @@ def test_response_encode_allocates_one_frame_block(rng):
     with _traced() as mem:
         protocol.encode_session_kv(3, k, v, session_id="s", layer=0)
     assert mem.peak < (k.nbytes + v.nbytes) * 3 // 2
+
+
+def test_packed_response_encode_copies_the_container_once(rng):
+    """A packed answer's streams are joined once, into the frame: the
+    server does not serialize the container to a blob first."""
+    pt = encode(make_format("m2xfp"), rng.standard_normal((256, 256)))
+    req = types.SimpleNamespace(packed=True)
+    svc = types.SimpleNamespace(fingerprint="fp")
+    with _traced() as mem:
+        blob = QuantServer._encode_result(5, req, svc, pt)
+    assert pt.payload_bytes < len(blob) <= mem.held
+    assert mem.peak < pt.payload_bytes * 3 // 2
+    assert protocol.response_result(protocol.frame_from_bytes(blob)) \
+        .to_bytes() == pt.to_bytes()
 
 
 def test_decoded_arrays_are_writable_and_private(frame_io, rng):

@@ -394,7 +394,7 @@ def test_golden_wire_vectors_fused_and_unfused():
         for mode, pt in zip(("fast", "reference"),
                             _both_paths(case["format"], x, case["op"])):
             frame = protocol.encode_response_packed(
-                case["request_id"], pt.to_bytes(), fingerprint=repr(fmt))
+                case["request_id"], pt, fingerprint=repr(fmt))
             assert frame.hex() == case["response_hex"], \
                 f"{key}: {mode} response frame drifted from the golden bytes"
 

@@ -65,7 +65,7 @@ def test_response_frame_roundtrips(rng):
 
     pt = encode(make_format("mxfp4"), rng.standard_normal((2, 32)))
     frame = protocol.frame_from_bytes(
-        protocol.encode_response_packed(4, pt.to_bytes()))
+        protocol.encode_response_packed(4, pt))
     assert protocol.response_result(frame).to_bytes() == pt.to_bytes()
 
 
